@@ -3,10 +3,9 @@
 from .adaptive import (AdaptationGains, NNWeights, build_attitude_input,
                        build_position_input, nn_output, project_to_ball,
                        sigmoid_features, update_weights)
-from .aero import (RotorAeroParams, RotorWindState, advance_ratios,
-                   drag_force, flap_direction, resultant_wrench,
-                   rotor_relative_wind, solve_thrust_inflow,
-                   torque_coefficient)
+from .aero import (RotorAeroParams, advance_ratios, drag_force,
+                   flap_direction, resultant_wrench, rotor_relative_wind,
+                   solve_thrust_inflow, torque_coefficient)
 from .config import (SimConfig, calibrate_simplified, default_config_text,
                      load_config)
 from .controller import (ControlCommand, ControllerGains,

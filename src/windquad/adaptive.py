@@ -7,11 +7,12 @@ weight matrices driven by a damped gradient-style update law; Frobenius-ball
 projection keeps both matrices inside configured norm bounds at all times.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GimbalLock
+from .errors import DimensionMismatch, GimbalLock, NonFiniteWeights
 from .se3 import euler_zyx
 
 
@@ -144,25 +145,31 @@ def build_attitude_input(R, Omega, fallback_angles=None):
     return np.concatenate(([1.0], angles, np.asarray(Omega, float))), angles
 
 
-def project_to_ball(M, bound):
-    """Radial projection of M onto the Frobenius ball of radius `bound`."""
+def project_to_ball(M, bound, name="M"):
+    """Radial projection of M onto the Frobenius ball of radius `bound`.
+
+    Raises NonFiniteWeights naming M as `name` if ||M||_F is inf or NaN.
+    """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
     M = np.asarray(M, dtype=float)
     n = np.linalg.norm(M)
+    if not math.isfinite(n):
+        raise NonFiniteWeights(f"{name} has Frobenius norm {n}")
     while n > bound:
         M = M * (bound / n)
         n = np.linalg.norm(M)
     return M
 
 
-def update_weights(w, x_nn, a, gains, dt):
+def update_weights(w, x_nn, a, gains, dt, name="nn"):
     """One explicit-Euler step of the weight update laws, then projection.
 
     Wdot = -gamma_w [sigma(z) a^T - sigma'(z) z a^T] - kappa gamma_w W
     Vdot = -gamma_v x_nn [sigma'(z)^T W a]^T         - kappa gamma_v V
 
-    evaluated at the estimated pre-activation z = V^T x_nn.
+    evaluated at the estimated pre-activation z = V^T x_nn; `name` labels
+    the network in errors.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -178,6 +185,6 @@ def update_weights(w, x_nn, a, gains, dt):
     W_dot = -gains.gamma_w * np.outer(sigma - jac @ z, a) - gains.kappa * gains.gamma_w * w.W
     V_dot = -gains.gamma_v * np.outer(x_nn, jac.T @ (w.W @ a)) - gains.kappa * gains.gamma_v * w.V
 
-    W_new = project_to_ball(w.W + dt * W_dot, w.W_max)
-    V_new = project_to_ball(w.V + dt * V_dot, w.V_max)
+    W_new = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")
+    V_new = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")
     return NNWeights(W_new, V_new, w.W_max, w.V_max, w.Z_max)

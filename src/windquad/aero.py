@@ -12,12 +12,12 @@ the body frame.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence, RotorStopped
-from .se3 import cross3, hat
+from .se3 import hat
 
 #: default floor on rotor speed [rad/s]; advance ratios diverge at zero speed
 OMEGA_MIN = 1.0
@@ -86,31 +86,18 @@ class RotorAeroParams:
         return self.N_b * self.chord / (math.pi * self.r_p)
 
 
-@dataclass(frozen=True)
-class RotorWindState:
-    """Converged per-rotor aerodynamic state for one evaluation."""
-
-    u: np.ndarray          # relative wind, body frame [m/s]
-    mu_x: float            # in-plane advance ratio
-    mu_z: float            # axial advance ratio
-    lam: float             # inflow ratio
-    C_T: float             # thrust coefficient
-    C_Q: float             # torque coefficient
-    alpha: float           # flapping angle [rad]
-    d: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -1.0]))  # thrust direction, unit
-
-
 def rotor_relative_wind(state, v_w, r_j):
     """Relative wind at a rotor hub, in the body frame.
 
     R^T (v_w - v) + hat(Omega) r_j for ambient wind v_w (inertial) and rotor
-    position r_j (body).
+    position r_j (body).  resultant_wrench inlines this formula in floats,
+    forming R^T (v_w - v) once for all four rotors.
     """
     return state.R.T @ (np.asarray(v_w, float) - state.v) + hat(state.Omega) @ np.asarray(r_j, float)
 
 
 def advance_ratios(u, omega_j, r_p, omega_min=OMEGA_MIN):
-    """In-plane and axial advance ratios (mu_x, mu_z) of the relative wind.
+    """In-plane and axial advance ratios (mu_x, mu_z) of the relative wind u.
 
     Raises
     ------
@@ -118,7 +105,7 @@ def advance_ratios(u, omega_j, r_p, omega_min=OMEGA_MIN):
         If omega_j < omega_min.
     """
     if omega_j < omega_min:
-        raise RotorStopped(f"rotor speed {omega_j:.3g} rad/s below floor {omega_min:.3g}")
+        raise RotorStopped(f"speed {omega_j:.17g} rad/s below floor {omega_min:.17g}")
     tip = omega_j * r_p
     mu_x = math.hypot(float(u[0]), float(u[1])) / tip
     mu_z = float(u[2]) / tip
@@ -217,32 +204,21 @@ def torque_coefficient(C_T, lam, mu_x, mu_z, params):
 def flap_direction(u1, u2, C_alpha):
     """Flapping angle and tilted thrust direction for in-plane wind (u1, u2).
 
-    At zero in-plane wind the direction is the limit -e3.
+    Returns (alpha, (d1, d2, d3)) with d a unit vector in the body frame.  At
+    zero in-plane wind the direction is the limit -e3.
     """
     planar = math.hypot(u1, u2)
-    alpha = C_alpha * planar
     if planar < 1e-12:
-        return 0.0, np.array([0.0, 0.0, -1.0])
+        return 0.0, (0.0, 0.0, -1.0)
+    alpha = C_alpha * planar
     sa = math.sin(alpha)
-    d = np.array([-sa * u1 / planar, -sa * u2 / planar, -math.cos(alpha)])
-    return alpha, d
+    return alpha, (-sa * u1 / planar, -sa * u2 / planar, -math.cos(alpha))
 
 
 def drag_force(v, v_w, C_d):
     """Quadratic body drag -C_d ||v - v_w|| (v - v_w), inertial frame."""
     rel = np.asarray(v, float) - np.asarray(v_w, float)
-    return -C_d * np.linalg.norm(rel) * rel
-
-
-def rotor_state(state, v_w, omega_j, r_j, params, omega_min=OMEGA_MIN):
-    """Full converged aerodynamic state of one rotor."""
-    u = rotor_relative_wind(state, v_w, r_j)
-    mu_x, mu_z = advance_ratios(u, omega_j, params.r_p, omega_min)
-    C_T, lam = solve_thrust_inflow(mu_x, mu_z, params)
-    C_Q = torque_coefficient(C_T, lam, mu_x, mu_z, params)
-    alpha, d = flap_direction(u[0], u[1], params.C_alpha)
-    return RotorWindState(u=u, mu_x=mu_x, mu_z=mu_z, lam=lam, C_T=C_T, C_Q=C_Q,
-                          alpha=alpha, d=d)
+    return -C_d * math.hypot(*rel.tolist()) * rel
 
 
 def resultant_wrench(state, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
@@ -259,22 +235,41 @@ def resultant_wrench(state, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
     limit are contractual (see README).
 
     Force:  U_e = m g e3 + drag + R sum_j T_j d_j.
-    """
-    force_body = np.zeros(3)
-    moment = np.zeros(3)
-    for j, (omega_j, r_j) in enumerate(zip(omegas, quad.rotor_positions)):
-        rs = rotor_state(state, v_w, omega_j, r_j, aero, omega_min)
-        tip2 = (aero.r_p * omega_j) ** 2
-        T_j = rs.C_T * aero.rho * aero.A_p * tip2
-        Q_j = rs.C_Q * aero.rho * aero.A_p * aero.r_p * tip2
-        thrust = T_j * rs.d
-        force_body += thrust
-        sign = 1.0 if j % 2 == 0 else -1.0
-        moment += cross3(r_j, thrust) + sign * Q_j * rs.d
-        flap = 0.5 * aero.N_b * aero.K_beta * rs.alpha
-        moment += flap * np.array([rs.d[0], rs.d[1], 0.0])
 
-    U_e = quad.m * quad.g * np.array([0.0, 0.0, 1.0]) \
-        + drag_force(state.v, v_w, aero.C_d) \
-        + state.R @ force_body
-    return U_e, moment
+    R^T (v_w - v) is formed once and each rotor runs in float arithmetic.
+    RotorStopped names the rotor, 1-based as in the telemetry columns.
+    """
+    wx, wy, wz = ((np.asarray(v_w, float) - state.v) @ state.R).tolist()
+    p, q, r = state.Omega.tolist()
+    r_p = aero.r_p
+    rho_A = aero.rho * aero.A_p
+    flap_gain = 0.5 * aero.N_b * aero.K_beta
+    fx = fy = fz = mx = my = mz = 0.0
+    rotors = zip(np.asarray(omegas, float).tolist(), quad.rotor_positions)
+    for j, (omega_j, (rx, ry, rz)) in enumerate(rotors):
+        u1 = wx + q * rz - r * ry
+        u2 = wy + r * rx - p * rz
+        try:
+            mu_x, mu_z = advance_ratios((u1, u2, wz + p * ry - q * rx),
+                                        omega_j, r_p, omega_min)
+        except RotorStopped as exc:
+            raise RotorStopped(f"rotor {j + 1} {exc}") from None
+        C_T, lam = solve_thrust_inflow(mu_x, mu_z, aero)
+        C_Q = torque_coefficient(C_T, lam, mu_x, mu_z, aero)
+        alpha, (d1, d2, d3) = flap_direction(u1, u2, aero.C_alpha)
+        tip2 = (r_p * omega_j) ** 2
+        T_j = C_T * rho_A * tip2
+        Q_j = (-1.0) ** j * C_Q * rho_A * r_p * tip2
+        t1, t2, t3 = T_j * d1, T_j * d2, T_j * d3
+        fx += t1
+        fy += t2
+        fz += t3
+        flap = flap_gain * alpha
+        # r_j x (T_j d_j) + Q_j d_j + flap (d1, d2, 0)
+        mx += ry * t3 - rz * t2 + Q_j * d1 + flap * d1
+        my += rz * t1 - rx * t3 + Q_j * d2 + flap * d2
+        mz += rx * t2 - ry * t1 + Q_j * d3
+
+    U_e = state.R @ np.array([fx, fy, fz]) + drag_force(state.v, v_w, aero.C_d)
+    U_e[2] += quad.m * quad.g
+    return U_e, np.array([mx, my, mz])

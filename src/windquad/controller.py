@@ -28,6 +28,7 @@ import numpy as np
 
 from .adaptive import (AdaptationGains, NNWeights, build_attitude_input,
                        build_position_input, nn_output, update_weights)
+from .aero import OMEGA_MIN
 from .dynamics import rotor_speed_from_thrust
 from .errors import DegenerateThrust, HeadingDegenerate
 from .se3 import E3, attitude_error, cross3, hat
@@ -203,7 +204,7 @@ class GeometricAdaptiveController:
     """
 
     def __init__(self, gains, quad, simplified, nn1=None, nn2=None,
-                 adaptation=True, eps_thrust=None, omega_min=1.0):
+                 adaptation=True, eps_thrust=None, omega_min=OMEGA_MIN):
         self.gains = gains
         self.quad = quad
         self.simplified = simplified
@@ -227,8 +228,6 @@ class GeometricAdaptiveController:
         Returns (ControlCommand, StepDiagnostics).  Degenerate-geometry
         errors propagate to the caller, which is expected to abort the run.
         """
-        from .dynamics import rotor_speed_from_thrust
-
         gains, quad = self.gains, self.quad
         e_x = state.x - traj.x_d
         e_v = state.v - traj.v_d
@@ -263,8 +262,8 @@ class GeometricAdaptiveController:
         if self.adaptation:
             a1 = e_v + gains.c1 * e_x
             a2 = e_Om + gains.c2 * e_R
-            self.nn1 = update_weights(self.nn1, x_nn1, a1, gains.adapt1, dt)
-            self.nn2 = update_weights(self.nn2, x_nn2, a2, gains.adapt2, dt)
+            self.nn1 = update_weights(self.nn1, x_nn1, a1, gains.adapt1, dt, "nn1")
+            self.nn2 = update_weights(self.nn2, x_nn2, a2, gains.adapt2, dt, "nn2")
 
         cmd = ControlCommand(f=f, M_c=M_c, thrusts=thrusts, omegas=omegas,
                              saturated=saturated)

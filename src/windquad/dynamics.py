@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .se3 import cross3, expm_so3, hat, is_rotation, orthonormalize
-
-#: rotor speed floor shared with the aero model [rad/s]
-OMEGA_MIN = 1.0
+from .aero import OMEGA_MIN
+from .se3 import cross3, expm_so3, hat, orthonormalize
 
 #: integrator step bound [s]
 DT_MAX = 0.05
@@ -90,9 +88,9 @@ class QuadParams:
 
     @property
     def rotor_positions(self):
+        """The four rotor hubs (body frame) as (x, y, z) float tuples."""
         d_h, d_v = self.d_h, self.d_v
-        return (np.array([d_h, 0.0, d_v]), np.array([0.0, -d_h, d_v]),
-                np.array([-d_h, 0.0, d_v]), np.array([0.0, d_h, d_v]))
+        return ((d_h, 0.0, d_v), (0.0, -d_h, d_v), (-d_h, 0.0, d_v), (0.0, d_h, d_v))
 
 
 @dataclass(frozen=True)
@@ -181,12 +179,14 @@ def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):
     """Rotor speed realizing a commanded thrust under the simplified model.
 
     Thrust is floored at T_min = C_T' omega_min^2 (rotors cannot reverse);
-    returns (omega, saturated) where the flag marks an active clip.
+    returns (omega, saturated) where the flag marks an active clip.  A
+    command at or below the floor returns exactly omega_min: sqrt(T_min / C_T')
+    can round one ulp below it, which the aero plant would reject.
     """
     T_min = params.C_T * omega_min ** 2
-    saturated = T_cmd < T_min
-    omega = np.sqrt(max(T_cmd, T_min) / params.C_T)
-    return omega, bool(saturated)
+    if T_cmd <= T_min:
+        return omega_min, bool(T_cmd < T_min)
+    return np.sqrt(T_cmd / params.C_T), False
 
 
 def simplified_wrench(state, f, M_c, params, delta1=None, delta2=None):
@@ -201,11 +201,3 @@ def simplified_wrench(state, f, M_c, params, delta1=None, delta2=None):
     if delta2 is not None:
         M_e = M_e - np.asarray(delta2, float)
     return U_e, M_e
-
-
-def check_state(state, tol=1e-6):
-    """Raise if the state is non-finite or the rotation invariants fail."""
-    if not state.is_finite():
-        raise ValueError("non-finite state")
-    if not is_rotation(state.R, tol):
-        raise ValueError("rotation matrix invariants violated")

@@ -29,6 +29,10 @@ class NoConvergence(WindquadError):
         self.residual = residual
 
 
+class NonFiniteWeights(WindquadError):
+    """A network weight matrix has an infinite or NaN Frobenius norm."""
+
+
 class DimensionMismatch(WindquadError):
     """Network weight / input dimensions are inconsistent."""
 

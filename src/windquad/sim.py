@@ -27,7 +27,7 @@ from .adaptive import NNWeights, build_attitude_input, build_position_input, nn_
 from .aero import resultant_wrench
 from .controller import GeometricAdaptiveController
 from .errors import (DegenerateThrust, HeadingDegenerate, NoConvergence,
-                     RotorStopped, SimulationAbort)
+                     NonFiniteWeights, RotorStopped, SimulationAbort)
 from .dynamics import simplified_wrench, step_rk4
 from .scenarios import trajectory_at, wind_at
 from .stability import lyapunov_value
@@ -210,6 +210,8 @@ def run_simulation(config):
             cmd, diag = ctrl.step(state, traj, dt)
         except (DegenerateThrust, HeadingDegenerate) as exc:
             abort(k, f"controller degeneracy: {exc}")
+        except NonFiniteWeights as exc:
+            abort(k, f"adaptation failure: {exc}")
 
         V1, V2, V = lyapunov_value(diag.e_x, diag.e_v, diag.e_R, diag.e_Omega,
                                    diag.psi, gains, quad.m, quad.J,

@@ -5,7 +5,7 @@ from windquad.adaptive import (AdaptationGains, NNWeights,
                                build_attitude_input, build_position_input,
                                nn_output, project_to_ball, sigmoid_features,
                                update_weights)
-from windquad.errors import DimensionMismatch, GimbalLock
+from windquad.errors import DimensionMismatch, GimbalLock, NonFiniteWeights
 from windquad.se3 import rotation_zyx
 
 
@@ -131,6 +131,13 @@ def test_projection_idempotent(rng):
     once = project_to_ball(M, 2.0)
     twice = project_to_ball(once, 2.0)
     assert np.allclose(once, twice)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_projection_rejects_non_finite(bad):
+    # radial scaling by bound / inf would turn [[inf, 1]] into [[nan, 0]]
+    with pytest.raises(NonFiniteWeights, match=r"^nn1\.W has Frobenius norm"):
+        project_to_ball(np.array([[bad, 1.0]]), 5.0, "nn1.W")
 
 
 # --- update law --------------------------------------------------------------

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import windquad.aero
 from windquad.aero import (RotorAeroParams, advance_ratios,
                            drag_force, flap_direction, resultant_wrench,
                            rotor_relative_wind, solve_thrust_inflow,
                            thrust_inflow_residuals, torque_coefficient)
-from windquad.dynamics import RigidBodyState
+from windquad.dynamics import (RigidBodyState, SimplifiedModelParams,
+                               rotor_speed_from_thrust)
 from windquad.errors import RotorStopped
-from windquad.se3 import rotation_zyx
+from windquad.se3 import cross3, rotation_zyx
 
 from conftest import random_rotation
 
@@ -260,8 +262,108 @@ def test_wrench_frame_consistency(quad, aero_s01, rng):
 
 def test_wrench_propagates_rotor_stopped(quad, aero_s01):
     st = RigidBodyState.at_rest()
-    with pytest.raises(RotorStopped):
+    with pytest.raises(RotorStopped, match=r"^rotor 2 speed 0\.5 rad/s below floor 1$"):
         resultant_wrench(st, np.zeros(3), [400.0, 0.5, 400.0, 400.0], quad, aero_s01)
+
+
+def test_floored_rotor_speed_passes_aero_floor(quad, aero_s01):
+    # for this C_T, sqrt((C_T * 30^2) / C_T) rounds to 29.999999999999996
+    simp = SimplifiedModelParams(C_T=7.972875276996875e-05, C_Q=8.0e-07)
+    omega_min = 30.0
+    clipped, sat = rotor_speed_from_thrust(-1.0, simp, omega_min)
+    assert sat and clipped == omega_min
+    at_floor, sat = rotor_speed_from_thrust(simp.C_T * omega_min ** 2, simp, omega_min)
+    assert not sat and at_floor == omega_min
+    st = RigidBodyState.at_rest()
+    U_e, M_e = resultant_wrench(st, np.array([3.0, 0.0, 0.0]),
+                                [clipped, at_floor, 400.0, 400.0], quad,
+                                aero_s01, omega_min)
+    assert np.all(np.isfinite(U_e)) and np.all(np.isfinite(M_e))
+
+
+def test_wrench_makes_four_scalar_solves(monkeypatch, quad, aero_s01, rng):
+    # the benchmark's traced run counts 16 solves per step (4 wrench calls)
+    # at the module-global lookup windquad.aero.solve_thrust_inflow
+    calls = []
+    solve = windquad.aero.solve_thrust_inflow
+
+    def counted(mu_x, mu_z, params):
+        calls.append((type(mu_x), type(mu_z)))
+        return solve(mu_x, mu_z, params)
+
+    monkeypatch.setattr(windquad.aero, "solve_thrust_inflow", counted)
+    for n in range(1, 4):
+        st = RigidBodyState(x=np.zeros(3), v=rng.standard_normal(3),
+                            R=random_rotation(rng), Omega=rng.standard_normal(3))
+        resultant_wrench(st, rng.standard_normal(3), np.full(4, 400.0), quad, aero_s01)
+        assert len(calls) == 4 * n
+    assert set(calls) == {(float, float)}
+
+
+# --- reference: the per-rotor numpy composition of the wrench ----------------
+
+def reference_wrench(state, v_w, omegas, quad, aero, omega_min=1.0):
+    """Per-rotor array evaluation of resultant_wrench, one rotor at a time."""
+    force_body = np.zeros(3)
+    moment = np.zeros(3)
+    for j, (omega_j, r_j) in enumerate(zip(omegas, quad.rotor_positions)):
+        r_j = np.array(r_j)
+        u = rotor_relative_wind(state, v_w, r_j)
+        if omega_j < omega_min:
+            raise RotorStopped(f"rotor {j + 1}")
+        tip = omega_j * aero.r_p
+        mu_x = math.hypot(u[0], u[1]) / tip
+        mu_z = u[2] / tip
+        C_T, lam = solve_thrust_inflow(mu_x, mu_z, aero)
+        C_Q = torque_coefficient(C_T, lam, mu_x, mu_z, aero)
+        planar = math.hypot(u[0], u[1])
+        if planar < 1e-12:
+            alpha, d = 0.0, np.array([0.0, 0.0, -1.0])
+        else:
+            alpha = aero.C_alpha * planar
+            d = np.array([-math.sin(alpha) * u[0] / planar,
+                          -math.sin(alpha) * u[1] / planar, -math.cos(alpha)])
+        tip2 = (aero.r_p * omega_j) ** 2
+        T_j = C_T * aero.rho * aero.A_p * tip2
+        Q_j = C_Q * aero.rho * aero.A_p * aero.r_p * tip2
+        thrust = T_j * d
+        force_body += thrust
+        sign = 1.0 if j % 2 == 0 else -1.0
+        moment += cross3(r_j, thrust) + sign * Q_j * d
+        flap = 0.5 * aero.N_b * aero.K_beta * alpha
+        moment += flap * np.array([d[0], d[1], 0.0])
+    rel = state.v - np.asarray(v_w, float)
+    U_e = quad.m * quad.g * np.array([0.0, 0.0, 1.0]) \
+        - aero.C_d * np.linalg.norm(rel) * rel + state.R @ force_body
+    return U_e, moment
+
+
+def assert_matches_reference(got, ref):
+    for g, r in zip(got, ref):
+        assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r) + 1e-15
+
+
+def test_wrench_matches_reference_random(quad, aero_s01, rng):
+    for _ in range(1000):
+        st = RigidBodyState(x=np.zeros(3), v=3.0 * rng.standard_normal(3),
+                            R=random_rotation(rng), Omega=2.0 * rng.standard_normal(3))
+        v_w = 5.0 * rng.standard_normal(3)
+        omegas = rng.uniform(250.0, 900.0, 4)
+        assert_matches_reference(resultant_wrench(st, v_w, omegas, quad, aero_s01),
+                                 reference_wrench(st, v_w, omegas, quad, aero_s01))
+
+
+def test_wrench_matches_reference_axial_wind(quad, aero_s01, rng):
+    # wind along the body z axis of a non-spinning vehicle: every rotor takes
+    # the zero in-plane (unflapped) branch
+    for w in (-4.0, 0.0, 2.5):
+        R = random_rotation(rng)
+        st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=R, Omega=np.zeros(3))
+        v_w = R @ np.array([0.0, 0.0, w])
+        omegas = np.full(4, rng.uniform(300.0, 600.0))
+        got = resultant_wrench(st, v_w, omegas, quad, aero_s01)
+        assert_matches_reference(got, reference_wrench(st, v_w, omegas, quad, aero_s01))
+        assert np.allclose(got[1][:2], 0.0, atol=1e-12)
 
 
 def test_flap_moment_vanishes_without_wind(quad, aero_s01):

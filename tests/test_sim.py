@@ -134,6 +134,19 @@ def test_abort_on_degenerate_thrust():
     assert err.value.telemetry == []
 
 
+def test_abort_on_non_finite_weights():
+    # a learning rate this large overflows the first nn1 outer-layer update
+    cfg = load_config(overrides={
+        ("simulation", "duration"): "0.05",
+        ("initial", "x"): "3 0 0",
+        ("nn1", "gamma_w"): "1e308",
+    })
+    with np.errstate(over="ignore"), pytest.raises(SimulationAbort) as err:
+        run_simulation(cfg)
+    assert err.value.step == 0
+    assert err.value.reason.startswith("adaptation failure: nn1.W has Frobenius norm")
+
+
 def test_decimation():
     cfg = load_config(overrides={
         ("simulation", "duration"): "0.1",
