@@ -10,16 +10,15 @@ from .config import (SimConfig, calibrate_simplified, default_config_text,
                      load_config)
 from .controller import (ControlCommand, ControllerGains,
                          GeometricAdaptiveController, TrajectoryPoint,
-                         allocate_rotors, compute_A, compute_Omega_c,
-                         compute_Rc, compute_moment, compute_thrust,
-                         mixing_matrix)
+                         compute_A, compute_Omega_c, compute_Rc,
+                         compute_moment, compute_thrust, mixing_matrix)
 from .dynamics import (QuadParams, RigidBodyState, SimplifiedModelParams,
                        rotor_speed_from_thrust, simplified_wrench,
                        state_derivative, step_rk4)
 from .scenarios import TrajectoryGenerator, WindField, trajectory_at, wind_at
 from .se3 import (angular_velocity_error, attitude_error, euler_zyx, expm_so3,
                   hat, orthonormalize, rotation_zyx, vee)
-from .sim import (SimResult, TelemetryRecord, read_csv, run_simulation,
+from .sim import (COLUMNS, FIELDS, SimResult, read_csv, run_simulation,
                   summarize, write_csv, write_summary)
 from .stability import (BoundAssumptions, LyapunovReport, b3_diagnostic,
                         build_pd_matrices, format_report, lyapunov_value,

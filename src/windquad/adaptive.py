@@ -92,10 +92,11 @@ class NNWeights:
 
 
 def sigmoid_features(z):
-    """Feature vector sigma(z) with bias and its Jacobian in z.
+    """Feature vector sigma(z) with bias and the diagonal of its Jacobian.
 
-    sigma = [1, s(z_1), ..., s(z_n)] for the logistic s; the Jacobian has a
-    zero first row and diag(s_k (1 - s_k)) below.
+    sigma = [1, s(z_1), ..., s(z_n)] for the logistic s.  The Jacobian of
+    sigma in z has a zero first row and diag(ds) below, ds_k = s_k (1 - s_k);
+    only the (n,) vector ds is returned.
     """
     z = np.asarray(z, dtype=float)
     # evaluate from the side that cannot overflow
@@ -104,10 +105,7 @@ def sigmoid_features(z):
     s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     s[~pos] = ez / (1.0 + ez)
-    sigma = np.concatenate(([1.0], s))
-    jac = np.zeros((z.size + 1, z.size))
-    np.fill_diagonal(jac[1:], s * (1.0 - s))
-    return sigma, jac
+    return np.concatenate(([1.0], s)), s * (1.0 - s)
 
 
 def nn_output(w, x_nn):
@@ -181,9 +179,11 @@ def update_weights(w, x_nn, a, gains, dt, name="nn"):
         raise DimensionMismatch(f"error signal {a.shape} vs W {w.W.shape}")
 
     z = w.V.T @ x_nn
-    sigma, jac = sigmoid_features(z)
-    W_dot = -gains.gamma_w * np.outer(sigma - jac @ z, a) - gains.kappa * gains.gamma_w * w.W
-    V_dot = -gains.gamma_v * np.outer(x_nn, jac.T @ (w.W @ a)) - gains.kappa * gains.gamma_v * w.V
+    sigma, ds = sigmoid_features(z)
+    W_dot = (-gains.gamma_w * np.outer(sigma - np.concatenate(([0.0], ds * z)), a)
+             - gains.kappa * gains.gamma_w * w.W)
+    V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))
+             - gains.kappa * gains.gamma_v * w.V)
 
     W_new = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")
     V_new = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")

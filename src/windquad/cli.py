@@ -60,28 +60,23 @@ def cmd_run(args):
     except SimulationAbort as exc:
         telemetry, summary, aborted = exc.telemetry, None, exc
 
-    out = args.out
-    if out:
-        os.makedirs(out, exist_ok=True)
-        write_csv(telemetry, os.path.join(out, "telemetry.csv"))
-        if summary is not None:
-            write_summary(summary, os.path.join(out, "summary.txt"),
-                          report_text=format_report(report))
-        if aborted is None and result.weights is not None:
-            write_weights_csv([("final_nn1", result.weights[0]),
-                               ("final_nn2", result.weights[1])],
-                              os.path.join(out, "weights.csv"))
+    # --out names a directory for all three files; otherwise [output] gives
+    # each path, and an empty one skips that file
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        paths = [os.path.join(args.out, name)
+                 for name in ("telemetry.csv", "summary.txt", "weights.csv")]
     else:
-        csv_path = cfg.get("output", "csv")
-        if csv_path:
-            write_csv(telemetry, csv_path)
-        summary_path = cfg.get("output", "summary")
-        if summary is not None and summary_path:
-            write_summary(summary, summary_path, report_text=format_report(report))
-        weights_path = cfg.get("output", "weights")
-        if aborted is None and weights_path and result.weights is not None:
-            write_weights_csv([("final_nn1", result.weights[0]),
-                               ("final_nn2", result.weights[1])], weights_path)
+        paths = [cfg.get("output", key) for key in ("csv", "summary", "weights")]
+    csv_path, summary_path, weights_path = paths
+
+    if csv_path:
+        write_csv(telemetry, csv_path)
+    if summary is not None and summary_path:
+        write_summary(summary, summary_path, report_text=format_report(report))
+    if aborted is None and weights_path:
+        write_weights_csv([("final_nn1", result.weights[0]),
+                           ("final_nn2", result.weights[1])], weights_path)
 
     if aborted is not None:
         print(f"error: {aborted}", file=sys.stderr)

@@ -183,17 +183,6 @@ def mixing_matrix(d_h, C_TQ):
     ])
 
 
-def allocate_rotors(f, M_c, d_h, C_TQ):
-    """Per-rotor thrusts solving the mixing equations exactly.
-
-    Negative thrusts pass through; the plant-side speed inversion applies
-    the physical floor and flags it.
-    """
-    M_c = np.asarray(M_c, dtype=float)
-    rhs = np.array([f, M_c[0], M_c[1], M_c[2]])
-    return np.linalg.solve(mixing_matrix(d_h, C_TQ), rhs)
-
-
 class GeometricAdaptiveController:
     """Stateful control loop: one instance per simulation.
 
@@ -216,10 +205,6 @@ class GeometricAdaptiveController:
         self.omega_min = omega_min
         self._mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ))
         self._rc_history = deque(maxlen=3)
-        self._last_angles = np.zeros(3)
-
-    def reset(self):
-        self._rc_history.clear()
         self._last_angles = np.zeros(3)
 
     def step(self, state, traj, dt):

@@ -1,8 +1,9 @@
-"""Closed-loop simulation driver, telemetry records, CSV and summary output.
+"""Closed-loop simulation driver, telemetry array, CSV and summary output.
 
 One step of the loop: sample the desired trajectory and wind, run the
 controller (which also advances the adaptive weights), build the plant
-wrench for the configured mode, integrate one RK4 step, append telemetry.
+wrench for the configured mode, integrate one RK4 step, record telemetry
+(one row of a preallocated float array per decimated step).
 A controller degeneracy, solver failure, or non-finite state aborts the run
 with the step index and offending quantity; partial telemetry is preserved
 on the raised SimulationAbort.
@@ -32,79 +33,62 @@ from .dynamics import simplified_wrench, step_rk4
 from .scenarios import trajectory_at, wind_at
 from .stability import lyapunov_value
 
-#: telemetry column names, in file order
-COLUMNS = (
-    ["t"]
-    + [f"x{i}" for i in "123"] + [f"v{i}" for i in "123"]
-    + [f"R{i}{j}" for i in "123" for j in "123"]
-    + [f"Om{i}" for i in "123"]
-    + [f"xd{i}" for i in "123"]
-    + [f"ex{i}" for i in "123"] + [f"ev{i}" for i in "123"]
-    + [f"eR{i}" for i in "123"] + [f"eOm{i}" for i in "123"]
-    + ["psi", "f"]
-    + [f"Mc{i}" for i in "123"]
-    + [f"T{j}" for j in "1234"] + [f"omega{j}" for j in "1234"]
-    + [f"sat{j}" for j in "1234"]
-    + [f"d1hat{i}" for i in "123"] + [f"d2hat{i}" for i in "123"]
-    + ["W1_norm", "V1_norm", "W2_norm", "V2_norm"]
-    + ["V1_lyap", "V2_lyap", "V_lyap"]
-    + [f"vw{i}" for i in "123"]
+
+def _axes(prefix, labels="123"):
+    return [f"{prefix}{i}" for i in labels]
+
+
+#: telemetry schema in file order: (field, column name) for a one-column
+#: field, (field, [column names]) for a vector field
+SCHEMA = (
+    ("t", "t"),
+    ("x", _axes("x")), ("v", _axes("v")),
+    ("R", [f"R{i}{j}" for i in "123" for j in "123"]),
+    ("Omega", _axes("Om")),
+    ("x_d", _axes("xd")),
+    ("e_x", _axes("ex")), ("e_v", _axes("ev")),
+    ("e_R", _axes("eR")), ("e_Omega", _axes("eOm")),
+    ("psi", "psi"), ("f", "f"),
+    ("M_c", _axes("Mc")),
+    ("thrusts", _axes("T", "1234")), ("omegas", _axes("omega", "1234")),
+    ("saturated", _axes("sat", "1234")),
+    ("delta1_hat", _axes("d1hat")), ("delta2_hat", _axes("d2hat")),
+    ("W1_norm", "W1_norm"), ("V1_norm", "V1_norm"),
+    ("W2_norm", "W2_norm"), ("V2_norm", "V2_norm"),
+    ("V1", "V1_lyap"), ("V2", "V2_lyap"), ("V", "V_lyap"),
+    ("v_w", _axes("vw")),
 )
 
 
-@dataclass
-class TelemetryRecord:
-    """One step of telemetry; fields mirror the CSV schema."""
+def _layout(schema):
+    columns, fields = [], {}
+    for name, cols in schema:
+        if isinstance(cols, str):
+            fields[name] = len(columns)
+            columns.append(cols)
+        else:
+            fields[name] = slice(len(columns), len(columns) + len(cols))
+            columns.extend(cols)
+    return columns, fields
 
-    t: float
-    state_x: np.ndarray
-    state_v: np.ndarray
-    state_R: np.ndarray
-    state_Omega: np.ndarray
-    x_d: np.ndarray
-    e_x: np.ndarray
-    e_v: np.ndarray
-    e_R: np.ndarray
-    e_Omega: np.ndarray
-    psi: float
-    f: float
-    M_c: np.ndarray
-    thrusts: np.ndarray
-    omegas: np.ndarray
-    saturated: np.ndarray
-    delta1_hat: np.ndarray
-    delta2_hat: np.ndarray
-    W1_norm: float
-    V1_norm: float
-    W2_norm: float
-    V2_norm: float
-    V1: float
-    V2: float
-    V: float
-    v_w: np.ndarray
 
-    def row(self):
-        vals = ([self.t]
-                + list(self.state_x) + list(self.state_v)
-                + list(self.state_R.reshape(-1))
-                + list(self.state_Omega) + list(self.x_d)
-                + list(self.e_x) + list(self.e_v)
-                + list(self.e_R) + list(self.e_Omega)
-                + [self.psi, self.f] + list(self.M_c)
-                + list(self.thrusts) + list(self.omegas)
-                + [float(s) for s in self.saturated]
-                + list(self.delta1_hat) + list(self.delta2_hat)
-                + [self.W1_norm, self.V1_norm, self.W2_norm, self.V2_norm]
-                + [self.V1, self.V2, self.V] + list(self.v_w))
-        return vals
+#: COLUMNS: telemetry column names in file order; FIELDS: field name ->
+#: column index (one-column field) or slice (vector field)
+COLUMNS, FIELDS = _layout(SCHEMA)
+
+
+def _record(row, **values):
+    """Fill one telemetry row from one value per schema field."""
+    for name, index in FIELDS.items():
+        row[index] = values[name]
 
 
 @dataclass
 class SimResult:
-    telemetry: list
+    telemetry: np.ndarray       # (n_records, len(COLUMNS)), read through FIELDS
     summary: dict
     targets: tuple = None       # (NNWeights, NNWeights) in synthetic mode
-    nn_error_sq: list = None    # per-record (||W~1||^2+||V~1||^2, ||W~2||^2+||V~2||^2)
+    nn_error_sq: np.ndarray = None  # (n_records, 2): ||W~i||^2 + ||V~i||^2, i = 1, 2
     weights: tuple = None       # final (nn1, nn2)
 
 
@@ -186,12 +170,13 @@ def run_simulation(config):
     aero = config.aero() if mode == "full_aero" else None
     omega_min = config.get("aero", "omega_min")
 
-    telemetry = []
-    nn_error_sq = [] if targets is not None else None
+    telemetry = np.empty((math.ceil(n_steps / decimate), len(COLUMNS)))
+    nn_error_sq = np.empty((len(telemetry), 2)) if targets is not None else None
+    n_rec = 0
 
     def abort(step, reason):
         err = SimulationAbort(step, reason)
-        err.telemetry = telemetry
+        err.telemetry = telemetry[:n_rec]
         raise err
 
     for k in range(n_steps):
@@ -220,17 +205,17 @@ def run_simulation(config):
         if k % decimate == 0:
             if nn_error_sq is not None:
                 (W1t, V1t), (W2t, V2t) = nn_errors
-                nn_error_sq.append((float(np.sum(W1t * W1t) + np.sum(V1t * V1t)),
-                                    float(np.sum(W2t * W2t) + np.sum(V2t * V2t))))
-            telemetry.append(TelemetryRecord(
-                t=t, state_x=state.x.copy(), state_v=state.v.copy(),
-                state_R=state.R.copy(), state_Omega=state.Omega.copy(),
-                x_d=traj.x_d, e_x=diag.e_x, e_v=diag.e_v, e_R=diag.e_R,
-                e_Omega=diag.e_Omega, psi=diag.psi, f=cmd.f, M_c=cmd.M_c,
-                thrusts=cmd.thrusts, omegas=cmd.omegas, saturated=cmd.saturated,
-                delta1_hat=diag.delta1_hat, delta2_hat=diag.delta2_hat,
-                W1_norm=w1n, V1_norm=v1n, W2_norm=w2n, V2_norm=v2n,
-                V1=V1, V2=V2, V=V, v_w=v_w))
+                nn_error_sq[n_rec] = (np.sum(W1t * W1t) + np.sum(V1t * V1t),
+                                      np.sum(W2t * W2t) + np.sum(V2t * V2t))
+            _record(telemetry[n_rec],
+                    t=t, x=state.x, v=state.v, R=state.R.reshape(-1),
+                    Omega=state.Omega, x_d=traj.x_d, e_x=diag.e_x, e_v=diag.e_v,
+                    e_R=diag.e_R, e_Omega=diag.e_Omega, psi=diag.psi, f=cmd.f,
+                    M_c=cmd.M_c, thrusts=cmd.thrusts, omegas=cmd.omegas,
+                    saturated=cmd.saturated, delta1_hat=diag.delta1_hat,
+                    delta2_hat=diag.delta2_hat, W1_norm=w1n, V1_norm=v1n,
+                    W2_norm=w2n, V2_norm=v2n, V1=V1, V2=V2, V=V, v_w=v_w)
+            n_rec += 1
 
         if mode == "full_aero":
             omegas = cmd.omegas
@@ -263,17 +248,17 @@ def run_simulation(config):
 
 
 def summarize(telemetry, band=0.05):
-    """Scalar metrics over a telemetry series.
+    """Scalar metrics over a telemetry array, read through FIELDS.
 
     RMS and max of the position and attitude error norms over the full run
     and the last 20%, the settling time into `band` [m], weight-norm maxima,
     final Lyapunov value, and saturation counts.
     """
-    if not telemetry:
+    if len(telemetry) == 0:
         raise ValueError("telemetry is empty")
-    t = np.array([r.t for r in telemetry])
-    ex = np.array([np.linalg.norm(r.e_x) for r in telemetry])
-    eR = np.array([np.linalg.norm(r.e_R) for r in telemetry])
+    t = telemetry[:, FIELDS["t"]]
+    ex = np.linalg.norm(telemetry[:, FIELDS["e_x"]], axis=1)
+    eR = np.linalg.norm(telemetry[:, FIELDS["e_R"]], axis=1)
     tail = slice(int(math.floor(0.8 * len(t))), None)
 
     def rms(a):
@@ -298,24 +283,22 @@ def summarize(telemetry, band=0.05):
         "max_e_R": float(eR.max()),
         "rms_e_R_tail": rms(eR[tail]),
         "max_e_R_tail": float(eR[tail].max()),
-        "max_psi": float(max(r.psi for r in telemetry)),
+        "max_psi": float(telemetry[:, FIELDS["psi"]].max()),
         "settling_time": settling,
         "settling_band": band,
-        "max_W1_norm": float(max(r.W1_norm for r in telemetry)),
-        "max_V1_norm": float(max(r.V1_norm for r in telemetry)),
-        "max_W2_norm": float(max(r.W2_norm for r in telemetry)),
-        "max_V2_norm": float(max(r.V2_norm for r in telemetry)),
-        "final_V": float(telemetry[-1].V),
-        "saturation_count": int(sum(int(np.sum(r.saturated)) for r in telemetry)),
+        "max_W1_norm": float(telemetry[:, FIELDS["W1_norm"]].max()),
+        "max_V1_norm": float(telemetry[:, FIELDS["V1_norm"]].max()),
+        "max_W2_norm": float(telemetry[:, FIELDS["W2_norm"]].max()),
+        "max_V2_norm": float(telemetry[:, FIELDS["V2_norm"]].max()),
+        "final_V": float(telemetry[-1, FIELDS["V"]]),
+        "saturation_count": int(telemetry[:, FIELDS["saturated"]].sum()),
     }
 
 
 def write_csv(telemetry, path):
-    """Write telemetry with a header row and >= 12 significant digits."""
-    with open(path, "w") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
-        for rec in telemetry:
-            fh.write(",".join(f"{v:.12e}" for v in rec.row()) + "\n")
+    """Write a telemetry array with a header row and >= 12 significant digits."""
+    np.savetxt(path, telemetry, fmt="%.12e", delimiter=",",
+               header=",".join(COLUMNS), comments="")
 
 
 def read_csv(path):

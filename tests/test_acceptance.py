@@ -20,7 +20,7 @@ from windquad.controller import (ControllerGains, compute_A, compute_Rc,
 from windquad.dynamics import (QuadParams, RigidBodyState, simplified_wrench,
                                step_rk4)
 from windquad.se3 import attitude_error, cross3
-from windquad.sim import run_simulation
+from windquad.sim import FIELDS, run_simulation
 from windquad.stability import (build_pd_matrices, set_d_functional,
                                 thrust_mismatch_term, ultimate_bound,
                                 validate_c1)
@@ -159,9 +159,9 @@ def test_criterion_4_baseline_convergence(baseline_run):
                 and all(report.verdicts[n] for n in ("M11", "M12", "M21", "M22")))
 
     tel = baseline_run.telemetry
-    psi0 = tel[0].psi
+    psi0 = tel[0, FIELDS["psi"]]
     max_psi = baseline_run.summary["max_psi"]
-    final_ex = np.linalg.norm(tel[-1].e_x)
+    final_ex = np.linalg.norm(tel[-1, FIELDS["e_x"]])
     ok = gains_ok and psi0 < 1.0 and max_psi < 1.0 and final_ex <= 1e-3
     gate(4, ok,
          f"validated gains (c1/c2 + M-matrices PD: {gains_ok}), psi(0)={psi0:.3f} < 1, "
@@ -192,7 +192,8 @@ def test_criterion_5_synthetic_uub(synthetic_pair, synthetic_report):
     tel = res_on.telemetry
     tail = slice(int(0.8 * len(tel)), None)
     functional = [
-        set_d_functional(r.e_x, r.e_v, r.e_R, r.e_Omega, z1, z2, g1, g2)
+        set_d_functional(r[FIELDS["e_x"]], r[FIELDS["e_v"]], r[FIELDS["e_R"]],
+                         r[FIELDS["e_Omega"]], z1, z2, g1, g2)
         for r, (z1, z2) in zip(tel[tail], res_on.nn_error_sq[tail])
     ]
     tail_max = max(functional)
@@ -220,7 +221,7 @@ def test_criterion_6_lyapunov_decrease(synthetic_pair, synthetic_report):
     # explicit-Euler weight updates perturb the continuous-time dV/dt by O(dt)
     tol = 100.0 * dt
 
-    V = np.array([r.V for r in res.telemetry])
+    V = res.telemetry[:, FIELDS["V"]]
     Vdot = (V[2:] - V[:-2]) / (2.0 * dt)
     above = V[1:-1] > radius
     checked = int(above.sum())

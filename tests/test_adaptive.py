@@ -12,16 +12,15 @@ from windquad.se3 import rotation_zyx
 # --- features ----------------------------------------------------------------
 
 def test_sigmoid_at_zero():
-    sigma, jac = sigmoid_features(np.zeros(2))
+    sigma, ds = sigmoid_features(np.zeros(2))
     assert np.allclose(sigma, [1.0, 0.5, 0.5])
-    assert np.allclose(jac[0], 0.0)
-    assert np.allclose(np.diag(jac[1:]), [0.25, 0.25])
+    assert np.allclose(ds, [0.25, 0.25])
 
 
 def test_sigmoid_saturation():
-    sigma, jac = sigmoid_features(np.array([50.0, 80.0, 800.0]))
+    sigma, ds = sigmoid_features(np.array([50.0, 80.0, 800.0]))
     assert np.allclose(sigma, [1.0, 1.0, 1.0, 1.0], atol=1e-15)
-    assert np.allclose(jac, 0.0, atol=1e-15)
+    assert np.allclose(ds, 0.0, atol=1e-15)
     # and the negative side must not overflow
     sigma, _ = sigmoid_features(np.array([-800.0]))
     assert sigma[1] == pytest.approx(0.0, abs=1e-15)
@@ -29,14 +28,18 @@ def test_sigmoid_saturation():
 
 def test_sigmoid_jacobian_central_difference(rng):
     z = rng.standard_normal(6)
-    _, jac = sigmoid_features(z)
+    _, ds = sigmoid_features(z)
+    assert ds.shape == (6,)
     h = 1e-5
     for k in range(6):
         e = np.zeros(6)
         e[k] = h
         sp, _ = sigmoid_features(z + e)
         sm, _ = sigmoid_features(z - e)
-        assert np.allclose((sp - sm) / (2 * h), jac[:, k], atol=1e-8)
+        # column k of the Jacobian: ds_k in row k + 1, zero elsewhere
+        column = np.zeros(7)
+        column[k + 1] = ds[k]
+        assert np.allclose((sp - sm) / (2 * h), column, atol=1e-8)
 
 
 # --- forward pass ------------------------------------------------------------

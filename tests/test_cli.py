@@ -1,5 +1,7 @@
+import pytest
+
 from windquad.cli import main
-from windquad.sim import read_csv
+from windquad.sim import COLUMNS, read_csv
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -36,8 +38,49 @@ def test_run_abort_exit_code(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--config", path, "--duration", "1", "--out", str(out)])
     assert code == 3
-    # partial telemetry still written
+    # partial telemetry still written, but no summary and no weights
     assert (out / "telemetry.csv").exists()
+    assert not (out / "summary.txt").exists()
+    assert not (out / "weights.csv").exists()
+
+
+OUTPUT_NAMES = {"csv": "t.csv", "summary": "s.txt", "weights": "w.csv"}
+
+
+def output_config(tmp_path, extra="", **names):
+    """Config whose [output] section names files under tmp_path; a name
+    given as "" leaves that path empty."""
+    names = {**OUTPUT_NAMES, **names}
+    return write(tmp_path, extra + "[output]\n" + "".join(
+        f"{key} = {tmp_path / name if name else ''}\n" for key, name in names.items()))
+
+
+def test_run_config_output_paths(tmp_path):
+    code = main(["run", "--config", output_config(tmp_path), "--duration", "0.2"])
+    assert code == 0
+    header, data = read_csv(str(tmp_path / "t.csv"))
+    assert len(data) == 200
+    text = (tmp_path / "s.txt").read_text()
+    assert "rms_e_x:" in text and "bound_radius:" in text
+    assert "final_nn1" in (tmp_path / "w.csv").read_text()
+
+
+@pytest.mark.parametrize("skipped", sorted(OUTPUT_NAMES))
+def test_run_config_output_empty_path_skips(tmp_path, skipped):
+    path = output_config(tmp_path, **{skipped: ""})
+    assert main(["run", "--config", path, "--duration", "0.05"]) == 0
+    expected = [name for key, name in OUTPUT_NAMES.items() if key != skipped]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.ini", *expected])
+
+
+def test_run_config_output_abort(tmp_path):
+    # as with --out: the partial telemetry is written, no summary, no weights
+    path = output_config(tmp_path, extra="[quad]\ngravity = 0\n")
+    assert main(["run", "--config", path, "--duration", "1"]) == 3
+    header, data = read_csv(str(tmp_path / "t.csv"))
+    assert header == COLUMNS and data.size == 0
+    assert not (tmp_path / "s.txt").exists()
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_run_wind_override(tmp_path):

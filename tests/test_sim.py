@@ -3,23 +3,25 @@ import math
 import numpy as np
 import pytest
 
+import windquad.sim
 from windquad.config import load_config
-from windquad.errors import SimulationAbort
-from windquad.sim import (COLUMNS, TelemetryRecord, read_csv, run_simulation,
+from windquad.controller import TrajectoryPoint
+from windquad.errors import NoConvergence, RotorStopped, SimulationAbort
+from windquad.sim import (COLUMNS, FIELDS, read_csv, run_simulation,
                           summarize, write_csv, write_summary,
                           write_weights_csv)
 from windquad.adaptive import NNWeights
 
 
-def fake_record(t, e_x_norm, psi=0.0):
-    z = np.zeros(3)
-    return TelemetryRecord(
-        t=t, state_x=z, state_v=z, state_R=np.eye(3), state_Omega=z,
-        x_d=z, e_x=np.array([e_x_norm, 0.0, 0.0]), e_v=z, e_R=z, e_Omega=z,
-        psi=psi, f=0.0, M_c=z, thrusts=np.zeros(4), omegas=np.ones(4),
-        saturated=np.zeros(4, dtype=bool), delta1_hat=z, delta2_hat=z,
-        W1_norm=0.0, V1_norm=0.0, W2_norm=0.0, V2_norm=0.0,
-        V1=0.0, V2=0.0, V=0.0, v_w=z)
+def fake_telemetry(t, e_x_norm):
+    """Telemetry rows at times t with e_x = (e_x_norm, 0, 0), R = I, unit
+    rotor speeds and every other column zero."""
+    tel = np.zeros((len(t), len(COLUMNS)))
+    tel[:, FIELDS["t"]] = t
+    tel[:, FIELDS["e_x"].start] = e_x_norm
+    tel[:, FIELDS["R"]] = np.eye(3).reshape(-1)
+    tel[:, FIELDS["omegas"]] = 1.0
+    return tel
 
 
 # --- closed-loop behavior ------------------------------------------------------
@@ -31,7 +33,7 @@ def test_hover_converges():
         ("initial", "x"): "0.3 -0.2 0.1",
     })
     res = run_simulation(cfg)
-    final_ex = np.linalg.norm(res.telemetry[-1].e_x)
+    final_ex = np.linalg.norm(res.telemetry[-1, FIELDS["e_x"]])
     assert final_ex <= 1e-3
     # transient clips are flagged but do not affect the simplified plant
     assert res.summary["saturation_count"] < 50
@@ -60,7 +62,7 @@ def test_seed_changes_synthetic_run():
             ("simulation", "plant"): "synthetic",
             ("simulation", "seed"): seed,
         })
-        outs.append(run_simulation(cfg).telemetry[-1].e_x)
+        outs.append(run_simulation(cfg).telemetry[-1, FIELDS["e_x"]])
     assert not np.allclose(outs[0], outs[1])
 
 
@@ -116,9 +118,8 @@ def test_plant_mode_equivalence():
         cfg = load_config(overrides={**common, ("simulation", "plant"): mode})
         runs[mode] = run_simulation(cfg).telemetry
     for r_simp, r_aero in zip(runs["simplified"], runs["full_aero"]):
-        assert abs(r_simp.f - r_aero.f) < 1e-6
-        assert np.all(np.abs(r_simp.thrusts - r_aero.thrusts) < 1e-6)
-        assert np.all(np.abs(r_simp.M_c - r_aero.M_c) < 1e-6)
+        for field in ("f", "thrusts", "M_c"):
+            assert np.all(np.abs(r_simp[FIELDS[field]] - r_aero[FIELDS[field]]) < 1e-6)
 
 
 def test_abort_on_degenerate_thrust():
@@ -131,7 +132,7 @@ def test_abort_on_degenerate_thrust():
         run_simulation(cfg)
     assert err.value.step == 0
     assert "degenerac" in err.value.reason
-    assert err.value.telemetry == []
+    assert err.value.telemetry.shape == (0, len(COLUMNS))
 
 
 def test_abort_on_non_finite_weights():
@@ -145,6 +146,87 @@ def test_abort_on_non_finite_weights():
         run_simulation(cfg)
     assert err.value.step == 0
     assert err.value.reason.startswith("adaptation failure: nn1.W has Frobenius norm")
+
+
+# Abort paths that no config input reaches are triggered at step ABORT_STEP
+# by patching a lookup site in windquad.sim.  ABORT_STEP is a multiple of
+# DECIMATE, so the partial telemetry tells a plant-side abort (the step was
+# recorded: ABORT_STEP // DECIMATE + 1 rows) from a controller-side abort
+# (it was not: ceil(ABORT_STEP / DECIMATE) rows).
+ABORT_STEP, DECIMATE, DT = 6, 3, 1e-3
+
+
+def short_run_config(plant):
+    return load_config(overrides={
+        ("simulation", "plant"): plant,
+        ("simulation", "duration"): "0.02",
+        ("simulation", "dt"): str(DT),
+        ("simulation", "decimate"): str(DECIMATE),
+    })
+
+
+def fault_at_abort_step(monkeypatch, fault):
+    """Pass every plant-wrench value of step ABORT_STEP through `fault`."""
+    step_rk4 = windquad.sim.step_rk4
+
+    def patched(state, dt, wrench, params, t):
+        if round(t / dt) == ABORT_STEP:
+            plant = wrench
+            wrench = lambda ts, s: fault(*plant(ts, s))
+        return step_rk4(state, dt, wrench, params, t)
+
+    monkeypatch.setattr(windquad.sim, "step_rk4", patched)
+
+
+def abort_of(cfg):
+    with pytest.raises(SimulationAbort) as err:
+        run_simulation(cfg)
+    assert err.value.step == ABORT_STEP
+    return err.value
+
+
+def assert_partial_telemetry(err, rows):
+    assert err.telemetry.shape == (rows, len(COLUMNS))
+    assert np.allclose(err.telemetry[:, FIELDS["t"]], DT * DECIMATE * np.arange(rows))
+
+
+@pytest.mark.parametrize("exc", [RotorStopped("rotor 2 speed 0.5 rad/s below floor 1"),
+                                 NoConvergence("bisection fallback stalled")])
+def test_abort_on_plant_failure(monkeypatch, exc):
+    def fault(U_e, M_e):
+        raise exc
+
+    fault_at_abort_step(monkeypatch, fault)
+    err = abort_of(short_run_config("full_aero"))
+    assert err.reason == f"plant failure: {exc}"
+    assert_partial_telemetry(err, ABORT_STEP // DECIMATE + 1)
+
+
+def test_abort_on_non_finite_state(monkeypatch):
+    # a NaN force reaches v and, through the later RK4 stages, x; the
+    # rotation and body rates stay finite, and x is checked first
+    fault_at_abort_step(monkeypatch, lambda U_e, M_e: (U_e * np.nan, M_e))
+    err = abort_of(short_run_config("simplified"))
+    assert err.reason == "non-finite state component x"
+    assert_partial_telemetry(err, ABORT_STEP // DECIMATE + 1)
+
+
+def test_abort_on_degenerate_heading(monkeypatch):
+    # at rest in hover the thrust axis is e3; from ABORT_STEP on the desired
+    # heading is e3 as well
+    trajectory_at = windquad.sim.trajectory_at
+
+    def patched(gen, t):
+        traj = trajectory_at(gen, t)
+        if round(t / DT) < ABORT_STEP:
+            return traj
+        return TrajectoryPoint(traj.x_d, traj.v_d, traj.a_d,
+                               b1_d=[0.0, 0.0, 1.0], b1_d_dot=np.zeros(3))
+
+    monkeypatch.setattr(windquad.sim, "trajectory_at", patched)
+    err = abort_of(short_run_config("simplified"))
+    assert err.reason == "controller degeneracy: heading parallel to thrust axis"
+    assert_partial_telemetry(err, math.ceil(ABORT_STEP / DECIMATE))
 
 
 def test_decimation():
@@ -174,8 +256,7 @@ def test_csv_roundtrip(tmp_path):
     header, data = read_csv(str(path))
     assert header == COLUMNS
     assert data.shape == (len(res.telemetry), len(COLUMNS))
-    for rec, row in zip(res.telemetry, data):
-        orig = np.array(rec.row())
+    for orig, row in zip(res.telemetry, data):
         scale = np.maximum(np.abs(orig), 1.0)
         assert np.all(np.abs(orig - row) <= 1e-11 * scale)
 
@@ -187,7 +268,7 @@ def test_csv_column_count_documented():
 # --- summary metrics --------------------------------------------------------------
 
 def test_summary_constant_error():
-    tel = [fake_record(0.01 * k, 1.0) for k in range(100)]
+    tel = fake_telemetry(0.01 * np.arange(100), 1.0)
     s = summarize(tel)
     assert s["rms_e_x"] == pytest.approx(1.0)
     assert s["max_e_x"] == pytest.approx(1.0)
@@ -195,7 +276,7 @@ def test_summary_constant_error():
 
 
 def test_summary_zero_error():
-    tel = [fake_record(0.01 * k, 0.0) for k in range(100)]
+    tel = fake_telemetry(0.01 * np.arange(100), 0.0)
     s = summarize(tel)
     assert s["rms_e_x"] == 0.0 and s["max_e_x"] == 0.0
     assert s["settling_time"] == 0.0
@@ -205,7 +286,8 @@ def test_summary_settling_matches_analytic_crossing():
     dt = 0.01
     tau = 0.5
     band = 0.05
-    tel = [fake_record(dt * k, math.exp(-dt * k / tau)) for k in range(600)]
+    t = dt * np.arange(600)
+    tel = fake_telemetry(t, np.exp(-t / tau))
     s = summarize(tel, band=band)
     t_cross = -tau * math.log(band)
     assert abs(s["settling_time"] - t_cross) <= dt
@@ -217,7 +299,7 @@ def test_summary_empty_rejected():
 
 
 def test_summary_file(tmp_path):
-    s = summarize([fake_record(0.0, 0.5), fake_record(0.01, 0.25)])
+    s = summarize(fake_telemetry([0.0, 0.01], [0.5, 0.25]))
     path = tmp_path / "summary.txt"
     write_summary(s, str(path), report_text="nu: 1")
     text = path.read_text()
