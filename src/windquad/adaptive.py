@@ -87,9 +87,6 @@ class NNWeights:
         """Worst-case output norm W_max sqrt(n_hidden + 1)."""
         return self.W_max * np.sqrt(self.n_hidden + 1.0)
 
-    def copy(self):
-        return NNWeights(self.W.copy(), self.V.copy(), self.W_max, self.V_max, self.Z_max)
-
 
 def sigmoid_features(z):
     """Feature vector sigma(z) with bias and the diagonal of its Jacobian.

@@ -192,9 +192,6 @@ class SimConfig:
 
     values: dict = field(default_factory=dict)
 
-    def __getitem__(self, section_key):
-        return self.values[section_key]
-
     def get(self, section, key):
         return self.values[(section, key)]
 

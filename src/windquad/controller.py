@@ -31,7 +31,7 @@ from .adaptive import (AdaptationGains, NNWeights, build_attitude_input,
 from .aero import OMEGA_MIN
 from .dynamics import rotor_speed_from_thrust
 from .errors import DegenerateThrust, HeadingDegenerate
-from .se3 import E3, attitude_error, cross3, hat
+from .se3 import E3, angular_velocity_error, attitude_error, cross3, hat
 
 HEADING_TOL = 1e-6
 
@@ -228,7 +228,7 @@ class GeometricAdaptiveController:
         Omega_c, Omega_c_dot = compute_Omega_c(self._rc_history, dt)
 
         e_R, psi = attitude_error(state.R, R_c)
-        e_Om = state.Omega - state.R.T @ R_c @ Omega_c
+        e_Om = angular_velocity_error(state.R, R_c, state.Omega, Omega_c)
 
         x_nn2, self._last_angles = build_attitude_input(
             state.R, state.Omega, fallback_angles=self._last_angles)

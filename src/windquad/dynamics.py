@@ -46,13 +46,6 @@ class RigidBodyState:
     def at_rest(cls, x=(0.0, 0.0, 0.0)):
         return cls(x=np.asarray(x, float), v=np.zeros(3), R=np.eye(3), Omega=np.zeros(3))
 
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))
-                    and np.all(np.isfinite(self.R)) and np.all(np.isfinite(self.Omega)))
-
-    def copy(self):
-        return RigidBodyState(self.x.copy(), self.v.copy(), self.R.copy(), self.Omega.copy())
-
 
 @dataclass(frozen=True)
 class QuadParams:
@@ -135,44 +128,36 @@ def _dexpinv(phi, Omega):
 def step_rk4(state, dt, wrench_fn, params, t=0.0):
     """One classical RK4 step of the rigid body under wrench_fn(t, state).
 
-    wrench_fn returns (U_e, M_e).  dt must lie in (0, DT_MAX].  Errors raised
-    by wrench_fn propagate.
+    The stages integrate one packed (12,) vector y = (x, v, phi, Omega), phi
+    being the rotation-vector chart about the initial attitude.  wrench_fn
+    returns (U_e, M_e).  dt must lie in (0, DT_MAX].  Errors raised by
+    wrench_fn propagate.
     """
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
-    m = params.m
-    J = params.J
-    J_inv = params.J_inv
-    R0 = state.R
+    m, J, J_inv, R0 = params.m, params.J, params.J_inv, state.R
 
-    def rates(ts, x, v, phi, Omega):
+    def rates(ts, y):
+        x, v, phi, Omega = y.reshape(4, 3)
         s = RigidBodyState(x, v, R0 @ expm_so3(phi), Omega)
         U_e, M_e = wrench_fn(ts, s)
-        return (v,
-                np.asarray(U_e, float) / m,
-                _dexpinv(phi, Omega),
-                J_inv @ (np.asarray(M_e, float) - cross3(Omega, J @ Omega)))
+        return np.concatenate((
+            v,
+            np.asarray(U_e, float) / m,
+            _dexpinv(phi, Omega),
+            J_inv @ (np.asarray(M_e, float) - cross3(Omega, J @ Omega))))
 
-    x0, v0, Om0 = state.x, state.v, state.Omega
-    zero = np.zeros(3)
+    # the chart coordinate phi starts at zero
+    y0 = np.concatenate((state.x, state.v, np.zeros(3), state.Omega))
+    k1 = rates(t, y0)
+    k2 = rates(t + 0.5 * dt, y0 + 0.5 * dt * k1)
+    k3 = rates(t + 0.5 * dt, y0 + 0.5 * dt * k2)
+    k4 = rates(t + dt, y0 + dt * k3)
+    y = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    k1 = rates(t, x0, v0, zero, Om0)
-    k2 = rates(t + 0.5 * dt, x0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
-               0.5 * dt * k1[2], Om0 + 0.5 * dt * k1[3])
-    k3 = rates(t + 0.5 * dt, x0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
-               0.5 * dt * k2[2], Om0 + 0.5 * dt * k2[3])
-    k4 = rates(t + dt, x0 + dt * k3[0], v0 + dt * k3[1],
-               dt * k3[2], Om0 + dt * k3[3])
-
-    sixth = dt / 6.0
-    x_new = x0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    v_new = v0 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    phi = sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    Om_new = Om0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-
-    R_new = orthonormalize(R0 @ expm_so3(phi))
-    return RigidBodyState(x_new, v_new, R_new, Om_new)
+    x, v, phi, Omega = y.reshape(4, 3)
+    return RigidBodyState(x, v, orthonormalize(R0 @ expm_so3(phi)), Omega)
 
 
 def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):

@@ -182,14 +182,8 @@ def run_simulation(config):
     for k in range(n_steps):
         t = k * dt
         traj = trajectory_at(gen, t)
-        v_w = wind_at(wind, t)
-
-        w1n, v1n = ctrl.nn1.norms()
-        w2n, v2n = ctrl.nn2.norms()
-        nn_errors = None
-        if targets is not None:
-            nn_errors = ((targets[0].W - ctrl.nn1.W, targets[0].V - ctrl.nn1.V),
-                         (targets[1].W - ctrl.nn2.W, targets[1].V - ctrl.nn2.V))
+        # the weights this step uses; update_weights returns new objects
+        nn1, nn2 = ctrl.nn1, ctrl.nn2
 
         try:
             cmd, diag = ctrl.step(state, traj, dt)
@@ -198,15 +192,19 @@ def run_simulation(config):
         except NonFiniteWeights as exc:
             abort(k, f"adaptation failure: {exc}")
 
-        V1, V2, V = lyapunov_value(diag.e_x, diag.e_v, diag.e_R, diag.e_Omega,
-                                   diag.psi, gains, quad.m, quad.J,
-                                   nn_errors=nn_errors)
-
         if k % decimate == 0:
-            if nn_error_sq is not None:
+            w1n, v1n = nn1.norms()
+            w2n, v2n = nn2.norms()
+            nn_errors = None
+            if targets is not None:
+                nn_errors = ((targets[0].W - nn1.W, targets[0].V - nn1.V),
+                             (targets[1].W - nn2.W, targets[1].V - nn2.V))
                 (W1t, V1t), (W2t, V2t) = nn_errors
                 nn_error_sq[n_rec] = (np.sum(W1t * W1t) + np.sum(V1t * V1t),
                                       np.sum(W2t * W2t) + np.sum(V2t * V2t))
+            V1, V2, V = lyapunov_value(diag.e_x, diag.e_v, diag.e_R, diag.e_Omega,
+                                       diag.psi, gains, quad.m, quad.J,
+                                       nn_errors=nn_errors)
             _record(telemetry[n_rec],
                     t=t, x=state.x, v=state.v, R=state.R.reshape(-1),
                     Omega=state.Omega, x_d=traj.x_d, e_x=diag.e_x, e_v=diag.e_v,
@@ -214,7 +212,8 @@ def run_simulation(config):
                     M_c=cmd.M_c, thrusts=cmd.thrusts, omegas=cmd.omegas,
                     saturated=cmd.saturated, delta1_hat=diag.delta1_hat,
                     delta2_hat=diag.delta2_hat, W1_norm=w1n, V1_norm=v1n,
-                    W2_norm=w2n, V2_norm=v2n, V1=V1, V2=V2, V=V, v_w=v_w)
+                    W2_norm=w2n, V2_norm=v2n, V1=V1, V2=V2, V=V,
+                    v_w=wind_at(wind, t))
             n_rec += 1
 
         if mode == "full_aero":
@@ -236,11 +235,9 @@ def run_simulation(config):
         except (RotorStopped, NoConvergence) as exc:
             abort(k, f"plant failure: {exc}")
 
-        if not state.is_finite():
-            for name, val in (("x", state.x), ("v", state.v),
-                              ("R", state.R), ("Omega", state.Omega)):
-                if not np.all(np.isfinite(val)):
-                    abort(k, f"non-finite state component {name}")
+        for name in ("x", "v", "R", "Omega"):
+            if not np.all(np.isfinite(getattr(state, name))):
+                abort(k, f"non-finite state component {name}")
 
     summary = summarize(telemetry)
     return SimResult(telemetry=telemetry, summary=summary, targets=targets,
@@ -302,12 +299,15 @@ def write_csv(telemetry, path):
 
 
 def read_csv(path):
-    """Read a telemetry CSV back as (header list, float array)."""
+    """Read a telemetry CSV back as (header list, (rows, columns) float array).
+
+    A header-only file gives shape (0, len(header)).
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = [[float(tok) for tok in line.strip().split(",")]
                 for line in fh if line.strip()]
-    return header, np.array(data)
+    return header, np.array(data, dtype=float).reshape(len(data), len(header))
 
 
 def write_summary(summary, path, report_text=None):
@@ -318,11 +318,6 @@ def write_summary(summary, path, report_text=None):
         if report_text:
             fh.write("\n# stability report\n")
             fh.write(report_text + "\n")
-
-
-def weight_row(nn):
-    """Flatten a network: W row-major, then V row-major."""
-    return list(nn.W.reshape(-1)) + list(nn.V.reshape(-1))
 
 
 def write_weights_csv(snapshots, path):
@@ -336,4 +331,5 @@ def write_weights_csv(snapshots, path):
             header = (f"# {label}: W {nn.W.shape[0]}x{nn.W.shape[1]} row-major, "
                       f"then V {nn.V.shape[0]}x{nn.V.shape[1]} row-major\n")
             fh.write(header)
-            fh.write(label + "," + ",".join(f"{v:.12e}" for v in weight_row(nn)) + "\n")
+            values = np.concatenate((nn.W.reshape(-1), nn.V.reshape(-1)))
+            fh.write(label + "," + ",".join(f"{v:.12e}" for v in values) + "\n")

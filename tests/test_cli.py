@@ -78,7 +78,7 @@ def test_run_config_output_abort(tmp_path):
     path = output_config(tmp_path, extra="[quad]\ngravity = 0\n")
     assert main(["run", "--config", path, "--duration", "1"]) == 3
     header, data = read_csv(str(tmp_path / "t.csv"))
-    assert header == COLUMNS and data.size == 0
+    assert header == COLUMNS and data.shape == (0, len(COLUMNS))
     assert not (tmp_path / "s.txt").exists()
     assert not (tmp_path / "w.csv").exists()
 

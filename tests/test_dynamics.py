@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from windquad.aero import resultant_wrench
 from windquad.dynamics import (QuadParams, RigidBodyState,
-                               SimplifiedModelParams, rotor_speed_from_thrust,
-                               simplified_wrench, state_derivative, step_rk4)
+                               SimplifiedModelParams, _dexpinv,
+                               rotor_speed_from_thrust, simplified_wrench,
+                               state_derivative, step_rk4)
 from windquad.errors import NotSkewSymmetric
-from windquad.se3 import expm_so3
+from windquad.se3 import cross3, expm_so3, orthonormalize
+
+from conftest import random_rotation
 
 
 def free_wrench(t, s):
@@ -145,6 +149,70 @@ def test_step_propagates_wrench_errors(quad):
 
     with pytest.raises(NotSkewSymmetric):
         step_rk4(st, 1e-3, broken, quad)
+
+
+# --- reference: the per-component RK4 stages ---------------------------------
+
+def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
+    """step_rk4 with each RK4 stage written out per component (x, v, phi, Omega)."""
+    m, J, J_inv, R0 = params.m, params.J, params.J_inv, state.R
+
+    def rates(ts, x, v, phi, Omega):
+        s = RigidBodyState(x, v, R0 @ expm_so3(phi), Omega)
+        U_e, M_e = wrench_fn(ts, s)
+        return (v,
+                np.asarray(U_e, float) / m,
+                _dexpinv(phi, Omega),
+                J_inv @ (np.asarray(M_e, float) - cross3(Omega, J @ Omega)))
+
+    x0, v0, Om0 = state.x, state.v, state.Omega
+    zero = np.zeros(3)
+
+    k1 = rates(t, x0, v0, zero, Om0)
+    k2 = rates(t + 0.5 * dt, x0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
+               0.5 * dt * k1[2], Om0 + 0.5 * dt * k1[3])
+    k3 = rates(t + 0.5 * dt, x0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
+               0.5 * dt * k2[2], Om0 + 0.5 * dt * k2[3])
+    k4 = rates(t + dt, x0 + dt * k3[0], v0 + dt * k3[1],
+               dt * k3[2], Om0 + dt * k3[3])
+
+    sixth = dt / 6.0
+    x_new = x0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    v_new = v0 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    phi = sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    Om_new = Om0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+
+    R_new = orthonormalize(R0 @ expm_so3(phi))
+    return RigidBodyState(x_new, v_new, R_new, Om_new)
+
+
+def random_wrench(rng, quad, aero):
+    """A wrench_fn that depends on the stage time and state."""
+    if aero is None:
+        f = rng.uniform(2.0, 8.0)
+        M_c = 0.05 * rng.standard_normal(3)
+        a, b = rng.standard_normal(3), rng.standard_normal(3)
+        return lambda ts, s: simplified_wrench(
+            s, f, M_c, quad, delta1=a * np.sin(ts) + 0.1 * s.x - 0.2 * s.v,
+            delta2=0.01 * b * s.Omega + 0.02 * s.R[:, 0])
+    v_w = 5.0 * rng.standard_normal(3)
+    omegas = rng.uniform(250.0, 900.0, 4)
+    return lambda ts, s: resultant_wrench(s, (1.0 + 0.1 * ts) * v_w, omegas, quad, aero)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.05])
+@pytest.mark.parametrize("plant", ["simplified", "full_aero"])
+def test_step_rk4_matches_reference(quad, aero_s01, rng, plant, dt):
+    aero = aero_s01 if plant == "full_aero" else None
+    for _ in range(1000):
+        st = RigidBodyState(x=rng.standard_normal(3), v=3.0 * rng.standard_normal(3),
+                            R=random_rotation(rng), Omega=2.0 * rng.standard_normal(3))
+        wrench = random_wrench(rng, quad, aero)
+        t = rng.uniform(0.0, 30.0)
+        got = step_rk4(st, dt, wrench, quad, t)
+        ref = reference_step_rk4(st, dt, wrench, quad, t)
+        for name in ("x", "v", "R", "Omega"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 # --- rotor speed inversion ---------------------------------------------------

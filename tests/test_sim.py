@@ -238,6 +238,42 @@ def test_decimation():
     assert len(res.telemetry) == 10
 
 
+def decimated_run(plant, decimate):
+    return run_simulation(load_config(overrides={
+        ("simulation", "plant"): plant,
+        ("simulation", "duration"): "0.2",
+        ("simulation", "decimate"): str(decimate),
+    }))
+
+
+@pytest.mark.parametrize("plant", ["synthetic", "full_aero"])
+def test_decimation_keeps_recorded_rows(plant):
+    # a recorded row holds what that step computed, whatever the decimation
+    every = decimated_run(plant, 1)
+    sparse = decimated_run(plant, 7)
+    assert np.array_equal(sparse.telemetry, every.telemetry[::7])
+    if plant == "synthetic":
+        assert np.array_equal(sparse.nn_error_sq, every.nn_error_sq[::7])
+
+
+def test_lyapunov_only_on_recorded_steps(monkeypatch):
+    calls = []
+    lyapunov_value = windquad.sim.lyapunov_value
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return lyapunov_value(*args, **kwargs)
+
+    monkeypatch.setattr(windquad.sim, "lyapunov_value", counted)
+    res = run_simulation(load_config(overrides={
+        ("simulation", "duration"): str(20 * DT),
+        ("simulation", "dt"): str(DT),
+        ("simulation", "decimate"): "5",
+    }))
+    assert len(res.telemetry) == 4
+    assert len(calls) == 4
+
+
 # --- telemetry files -------------------------------------------------------------
 
 def test_csv_header_only(tmp_path):
@@ -246,6 +282,9 @@ def test_csv_header_only(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].split(",") == COLUMNS
+    header, data = read_csv(str(path))
+    assert header == COLUMNS
+    assert data.shape == (0, len(COLUMNS))
 
 
 def test_csv_roundtrip(tmp_path):
