@@ -42,7 +42,6 @@ class NNWeights:
     V: np.ndarray
     W_max: float = 20.0
     V_max: float = 20.0
-    Z_max: float = 0.0
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -52,8 +51,6 @@ class NNWeights:
         if self.W.ndim != 2 or self.V.ndim != 2 or self.W.shape[0] != self.V.shape[1] + 1:
             raise DimensionMismatch(
                 f"W {self.W.shape} incompatible with V {self.V.shape}")
-        if self.Z_max <= 0.0:
-            self.Z_max = float(np.hypot(self.W_max, self.V_max))
 
     @classmethod
     def zeros(cls, n_in=6, n_hidden=10, n_out=3, W_max=20.0, V_max=20.0):
@@ -184,4 +181,4 @@ def update_weights(w, x_nn, a, gains, dt, name="nn"):
 
     W_new = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")
     V_new = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")
-    return NNWeights(W_new, V_new, w.W_max, w.V_max, w.Z_max)
+    return NNWeights(W_new, V_new, w.W_max, w.V_max)

@@ -117,7 +117,7 @@ def _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0):
     return 0.5 * s_cla * (theta0 * (1.0 / 3.0 + 0.5 * mu_x * mu_x) - 0.5 * (lam + mu_z))
 
 
-def solve_thrust_inflow(mu_x, mu_z, params, max_iter=50, tol=1e-13):
+def solve_thrust_inflow(mu_x, mu_z, params):
     """Solve the coupled implicit equations for (C_T, lam).
 
     The pair must satisfy
@@ -127,8 +127,9 @@ def solve_thrust_inflow(mu_x, mu_z, params, max_iter=50, tol=1e-13):
 
     The second equation is handled in the singularity-free product form
     2 lam sqrt(mu_x^2 + (lam+mu_z)^2) - C_T(lam) = 0 and solved by Newton
-    iteration from the hover-scale guess sqrt(s C_la theta0 / 12), falling
-    back to bisection on [0, 1] if Newton leaves the bracket or stalls.
+    iteration (at most 50, to residual 1e-13) from the hover-scale guess
+    sqrt(s C_la theta0 / 12), falling back to bisection on [0, 1] if Newton
+    leaves the bracket or stalls short of residual 1e-11.
 
     Raises
     ------
@@ -144,7 +145,7 @@ def solve_thrust_inflow(mu_x, mu_z, params, max_iter=50, tol=1e-13):
     lam = math.sqrt(s_cla * params.theta0 / 12.0)
     value, w = phi(lam)
     it = 0
-    while abs(value) > tol and it < max_iter:
+    while abs(value) > 1e-13 and it < 50:
         if w > 1e-14:
             slope = 2.0 * w + 2.0 * lam * (lam + mu_z) / w + 0.25 * s_cla
         else:

@@ -165,16 +165,11 @@ SCHEMA = {
     "assumptions": {
         "psi1": (_parse_float, "0.25", "initial attitude error bound, in (0,1)"),
         "b1": (_parse_float, "10.0", "command acceleration bound [N]"),
-        "b2": (_parse_float, "1.0", "command jerk bound [N/s]"),
         "b4": (_parse_float, "2.0", "computed-attitude rate bound [1/s]"),
         "e_x_max": (_parse_float, "2.0", "position error bound [m]"),
         "x_d_max": (_parse_float, "1.0", "desired position bound [m]"),
         "v_d_max": (_parse_float, "1.0", "desired velocity bound [m/s]"),
         "e_max": (_parse_float, "0.5", "Euler-angle norm bound [rad]"),
-        "delta1": (_parse_float, "1.0", "force compensation bound [N]"),
-        "delta2": (_parse_float, "1.0", "compensation rate bound [N/s]"),
-        "delta3": (_parse_float, "1.0", "desired jerk bound [m/s^3]"),
-        "delta4": (_parse_float, "1.0", "heading rate bound [1/s]"),
         "eps1": (_parse_float, "0.01", "approximation accuracy, force"),
         "eps2": (_parse_float, "0.01", "approximation accuracy, moment"),
     },
@@ -249,11 +244,9 @@ class SimConfig:
     def assumptions(self):
         return BoundAssumptions(
             psi1=self.get("assumptions", "psi1"), B1=self.get("assumptions", "b1"),
-            B2=self.get("assumptions", "b2"), B4=self.get("assumptions", "b4"),
+            B4=self.get("assumptions", "b4"),
             e_x_max=self.get("assumptions", "e_x_max"), x_d_max=self.get("assumptions", "x_d_max"),
             v_d_max=self.get("assumptions", "v_d_max"), E_max=self.get("assumptions", "e_max"),
-            delta1=self.get("assumptions", "delta1"), delta2=self.get("assumptions", "delta2"),
-            delta3=self.get("assumptions", "delta3"), delta4=self.get("assumptions", "delta4"),
             eps1=self.get("assumptions", "eps1"), eps2=self.get("assumptions", "eps2"),
             W_max1=self.get("nn1", "w_max"), V_max1=self.get("nn1", "v_max"),
             W_max2=self.get("nn2", "w_max"), V_max2=self.get("nn2", "v_max"))
@@ -280,8 +273,12 @@ def _validate(cfg):
     dt = cfg.get("simulation", "dt")
     if not 0.0 < dt <= DT_MAX:
         raise ValidationError(f"simulation.dt must be in (0, {DT_MAX}], got {dt}")
-    if cfg.get("simulation", "duration") <= 0.0:
-        raise ValidationError("simulation.duration must be positive")
+    duration = cfg.get("simulation", "duration")
+    # run_simulation takes round(duration / dt) steps: at least one needs
+    # duration / dt > 0.5 (round(0.5) == 0)
+    if not duration / dt > 0.5:
+        raise ValidationError(f"simulation.duration must cover at least one step "
+                              f"of dt = {dt}, got {duration}")
     if cfg.get("simulation", "plant") not in PLANT_MODES:
         raise ValidationError(f"simulation.plant must be one of {PLANT_MODES}")
     if cfg.get("simulation", "decimate") < 1:

@@ -69,7 +69,7 @@ class TrajectoryPoint:
         for name in ("x_d", "v_d", "a_d", "b1_d", "b1_d_dot"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = np.linalg.norm(self.b1_d)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:   # also rejects NaN
             raise ValueError(f"heading must be unit, got norm {n}")
 
 
@@ -193,7 +193,7 @@ class GeometricAdaptiveController:
     """
 
     def __init__(self, gains, quad, simplified, nn1=None, nn2=None,
-                 adaptation=True, eps_thrust=None, omega_min=OMEGA_MIN):
+                 adaptation=True, omega_min=OMEGA_MIN):
         self.gains = gains
         self.quad = quad
         self.simplified = simplified
@@ -201,7 +201,7 @@ class GeometricAdaptiveController:
         self.nn2 = nn2 if nn2 is not None else NNWeights.zeros()
         self.adaptation = adaptation
         base = quad.m * quad.g if quad.g > 0.0 else quad.m
-        self.eps_thrust = eps_thrust if eps_thrust is not None else 1e-6 * base
+        self.eps_thrust = 1e-6 * base
         self.omega_min = omega_min
         self._mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ))
         self._rc_history = deque(maxlen=3)

@@ -99,8 +99,12 @@ class TrajectoryGenerator:
             raise ValueError(f"unknown heading law {self.heading!r}")
         for name in ("center", "amplitudes", "frequencies", "phases"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.kind in ("circle", "helix") and self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if self.kind in ("circle", "helix"):
+            if self.radius <= 0.0:
+                raise ValueError("radius must be positive")
+            if self.heading == "tangent" and self.max_speed == 0.0:
+                raise ValueError("tangent heading needs a non-zero speed "
+                                 "(omega and v_z are both zero); use heading = fixed")
 
     @property
     def max_speed(self):

@@ -66,80 +66,38 @@ def validate_c2(c2, k_R, J, psi1):
 class BoundAssumptions:
     """User-supplied bounds feeding the quadratic-form matrices.
 
-    psi1 bounds the initial attitude configuration error (in (0,1));
-    B1 the command acceleration norm; B2 the command jerk terms; B4 the
-    computed-attitude rate; e_x_max, x_d_max, v_d_max, E_max bound the
-    position error, desired trajectory, and Euler-angle norm.  W_max/V_max/
-    Z_max are the per-network weight bounds; eps1/eps2 the approximation
-    accuracies.  The constants C1..C4 per network default to the smallest
-    values allowed by their defining inequalities.
+    psi1 bounds the initial attitude configuration error (in (0,1)); B1 the
+    command acceleration norm; B4 the computed-attitude rate; e_x_max,
+    x_d_max, v_d_max, E_max bound the position error, desired trajectory,
+    and Euler-angle norm.  W_max/V_max are the per-network weight bounds;
+    eps1/eps2 the approximation accuracies.  The constants C1..C4 and Z_max
+    per network are not inputs: `build_pd_matrices` derives them from these
+    bounds, taking the smallest values their defining inequalities allow.
     """
 
     psi1: float = 0.01
     B1: float = 10.0
-    B2: float = 1.0
     B4: float = 2.0
     e_x_max: float = 0.1
     x_d_max: float = 0.0
     v_d_max: float = 0.0
     E_max: float = 0.5
-    delta1: float = 1.0
-    delta2: float = 1.0
-    delta3: float = 1.0
-    delta4: float = 1.0
     eps1: float = 0.01
     eps2: float = 0.01
     W_max1: float = 1.0
     V_max1: float = 1.0
     W_max2: float = 1.0
     V_max2: float = 1.0
-    Z_max1: float = 0.0
-    Z_max2: float = 0.0
-    C1_1: float = 0.0
-    C2_1: float = 0.0
-    C3_1: float = 0.0
-    C4_1: float = 0.0
-    C1_2: float = 0.0
-    C2_2: float = 0.0
-    C3_2: float = 0.0
-    C4_2: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.psi1 < 1.0:
             raise ValueError("psi1 must lie in (0, 1)")
-        for name in ("B1", "B2", "B4", "e_x_max", "E_max", "delta1", "delta2",
-                     "delta3", "delta4", "eps1", "eps2", "W_max1", "V_max1",
-                     "W_max2", "V_max2"):
+        for name in ("B1", "B4", "e_x_max", "E_max", "eps1", "eps2",
+                     "W_max1", "V_max1", "W_max2", "V_max2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.x_d_max < 0.0 or self.v_d_max < 0.0:
             raise ValueError("trajectory bounds must be non-negative")
-        if self.Z_max1 <= 0.0:
-            object.__setattr__(self, "Z_max1", math.hypot(self.W_max1, self.V_max1))
-        if self.Z_max2 <= 0.0:
-            object.__setattr__(self, "Z_max2", math.hypot(self.W_max2, self.V_max2))
-        defaults = {
-            "C1_1": 2.0 * self.W_max1 + self.eps1,
-            "C2_1": 0.25 * (self.V_max1 + self.W_max1),
-            "C1_2": 2.0 * self.W_max2 + self.eps2,
-            "C2_2": 0.25 * (self.V_max2 + self.W_max2),
-        }
-        for name, floor in defaults.items():
-            if getattr(self, name) <= 0.0:
-                object.__setattr__(self, name, floor)
-            elif getattr(self, name) < floor - 1e-12:
-                raise ValueError(f"{name} below its defining inequality ({floor:.6g})")
-        tied = {
-            "C3_1": self.C2_1 * self.Z_max1,
-            "C4_1": self.C2_1 * (1.0 + self.x_d_max + self.v_d_max),
-            "C3_2": self.C2_2 * self.Z_max2,
-            "C4_2": self.C2_2 * (1.0 + self.E_max + self.B4),
-        }
-        for name, floor in tied.items():
-            if getattr(self, name) <= 0.0:
-                object.__setattr__(self, name, floor)
-            elif getattr(self, name) < floor - 1e-12:
-                raise ValueError(f"{name} below its defining inequality ({floor:.6g})")
 
     @property
     def beta(self):
@@ -161,9 +119,6 @@ class LyapunovReport:
     C5: float
     radius: float
     flags: list = field(default_factory=list)
-    V1: float = float("nan")
-    V2: float = float("nan")
-    V: float = float("nan")
 
     @property
     def all_positive_definite(self):
@@ -191,16 +146,28 @@ def build_pd_matrices(gains, m, J, assumptions):
     c1, c2 = gains.c1, gains.c2
     kap1, kap2 = gains.adapt1.kappa, gains.adapt2.kappa
 
-    k_xb = k_x * (1.0 - beta) - a.C3_1
-    k_vb = k_v * (1.0 - beta) - m * c1 - a.C3_1
-    k_xv = c1 * ((1.0 + beta) * k_v + a.C3_1) + a.C3_1
-    k_Omb = k_Om - c2 * lam_MJ - a.C3_2
-    k_ROm = c2 * (k_Om + a.C3_2)
+    # C1..C4 per network at the smallest values their inequalities allow
+    Z_max1 = math.hypot(a.W_max1, a.V_max1)
+    Z_max2 = math.hypot(a.W_max2, a.V_max2)
+    C1_1 = 2.0 * a.W_max1 + a.eps1
+    C2_1 = 0.25 * (a.V_max1 + a.W_max1)
+    C3_1 = C2_1 * Z_max1
+    C4_1 = C2_1 * (1.0 + a.x_d_max + a.v_d_max)
+    C1_2 = 2.0 * a.W_max2 + a.eps2
+    C2_2 = 0.25 * (a.V_max2 + a.W_max2)
+    C3_2 = C2_2 * Z_max2
+    C4_2 = C2_2 * (1.0 + a.E_max + a.B4)
 
-    C5_1 = (c1 * a.C1_1 ** 2 / (2.0 * k_xb) + a.C1_1 ** 2 / (2.0 * k_vb)
-            + kap1 * a.Z_max1 ** 2 / 2.0) if k_xb > 0.0 and k_vb > 0.0 else float("inf")
-    C5_2 = (c2 * a.C1_2 ** 2 / (2.0 * k_R) + a.C1_2 ** 2 / (2.0 * k_Omb)
-            + kap2 * a.Z_max2 ** 2 / 2.0) if k_Omb > 0.0 else float("inf")
+    k_xb = k_x * (1.0 - beta) - C3_1
+    k_vb = k_v * (1.0 - beta) - m * c1 - C3_1
+    k_xv = c1 * ((1.0 + beta) * k_v + C3_1) + C3_1
+    k_Omb = k_Om - c2 * lam_MJ - C3_2
+    k_ROm = c2 * (k_Om + C3_2)
+
+    C5_1 = (c1 * C1_1 ** 2 / (2.0 * k_xb) + C1_1 ** 2 / (2.0 * k_vb)
+            + kap1 * Z_max1 ** 2 / 2.0) if k_xb > 0.0 and k_vb > 0.0 else float("inf")
+    C5_2 = (c2 * C1_2 ** 2 / (2.0 * k_R) + C1_2 ** 2 / (2.0 * k_Omb)
+            + kap2 * Z_max2 ** 2 / 2.0) if k_Omb > 0.0 else float("inf")
     C5 = C5_1 + C5_2
 
     M11 = 0.5 * np.array([[k_x, -m * c1], [-m * c1, m]])
@@ -210,14 +177,14 @@ def build_pd_matrices(gains, m, J, assumptions):
                           [c2 * lam_MJ, lam_MJ]])
 
     N1 = np.array([
-        [c1 * k_xb / 2.0, -k_xv / 2.0, -c1 * a.C4_1],
-        [-k_xv / 2.0, k_vb / 2.0, -a.C4_1],
-        [-c1 * a.C4_1, -a.C4_1, kap1],
+        [c1 * k_xb / 2.0, -k_xv / 2.0, -c1 * C4_1],
+        [-k_xv / 2.0, k_vb / 2.0, -C4_1],
+        [-c1 * C4_1, -C4_1, kap1],
     ])
     N2 = np.array([
-        [c2 * k_R / 2.0, -k_ROm, -c2 * a.C4_2],
-        [-k_ROm, k_Omb, -a.C4_2],
-        [-c2 * a.C4_2, -a.C4_2, kap2],
+        [c2 * k_R / 2.0, -k_ROm, -c2 * C4_2],
+        [-k_ROm, k_Omb, -C4_2],
+        [-c2 * C4_2, -C4_2, kap2],
     ])
     N3 = np.array([
         [c1 * k_xb / 2.0, -k_xv / 2.0, -c1 * a.B1],
@@ -255,8 +222,8 @@ def build_pd_matrices(gains, m, J, assumptions):
 
     constants = {"beta": beta, "k_xb": k_xb, "k_vb": k_vb, "k_xv": k_xv,
                  "k_Omb": k_Omb, "k_ROm": k_ROm,
-                 "C1_1": a.C1_1, "C2_1": a.C2_1, "C3_1": a.C3_1, "C4_1": a.C4_1,
-                 "C1_2": a.C1_2, "C2_2": a.C2_2, "C3_2": a.C3_2, "C4_2": a.C4_2,
+                 "C1_1": C1_1, "C2_1": C2_1, "C3_1": C3_1, "C4_1": C4_1,
+                 "C1_2": C1_2, "C2_2": C2_2, "C3_2": C3_2, "C4_2": C4_2,
                  "C5_1": C5_1, "C5_2": C5_2, "C5": C5,
                  "lam_m_J": lam_mJ, "lam_M_J": lam_MJ}
 
@@ -356,13 +323,12 @@ def thrust_mismatch_term(f, R, R_c):
     return (f / align) * (align * r3 - rc3)
 
 
-def format_report(report, precision=6):
-    """Render a report as structured 'key: value' text."""
+def format_report(report):
+    """Render a report as structured 'key: value' text, 6 significant digits."""
     lines = []
-    p = precision
 
     def fmt(x):
-        return f"{x:.{p}g}"
+        return f"{x:.6g}"
 
     lines.append(f"c1_check: {'pass' if report.c1_check.passed else 'FAIL'} "
                  f"(value {fmt(report.c1_check.value)}, limit {fmt(report.c1_check.limit)})")
@@ -377,10 +343,6 @@ def format_report(report, precision=6):
     lines.append(f"nu: {fmt(report.nu)}")
     lines.append(f"C5: {fmt(report.C5)}")
     lines.append(f"bound_radius: {fmt(report.radius)}")
-    if not math.isnan(report.V):
-        lines.append(f"V1: {fmt(report.V1)}")
-        lines.append(f"V2: {fmt(report.V2)}")
-        lines.append(f"V: {fmt(report.V)}")
     for flag in report.flags:
         lines.append(f"note: {flag}")
     return "\n".join(lines)

@@ -33,6 +33,23 @@ def test_run_unknown_key_exit_code(tmp_path):
     assert main(["run", "--config", path]) == 2
 
 
+def test_run_shorter_than_one_step(tmp_path, capsys):
+    # round(0.0004 / 0.001) = 0 steps: a config error, not an empty run
+    out = tmp_path / "out"
+    assert main(["run", "--duration", "0.0004", "--out", str(out)]) == 2
+    assert "simulation.duration" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", "--param", "simulation.duration", "--values", "0.0004",
+                 "--out", str(tmp_path / "sweep")]) == 2
+    assert "simulation.duration" in capsys.readouterr().err
+
+
+def test_run_tangent_heading_without_speed(tmp_path, capsys):
+    path = write(tmp_path, "[trajectory]\nkind = circle\nomega = 0\n")
+    assert main(["run", "--config", path, "--duration", "0.05"]) == 2
+    assert "[trajectory]" in capsys.readouterr().err
+
+
 def test_run_abort_exit_code(tmp_path):
     path = write(tmp_path, "[quad]\ngravity = 0\n")
     out = tmp_path / "out"

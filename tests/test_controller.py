@@ -27,6 +27,13 @@ def hover_point():
                            b1_d=E1, b1_d_dot=np.zeros(3))
 
 
+@pytest.mark.parametrize("b1_d", [[math.nan, 0.0, 0.0], [2.0, 0.0, 0.0]])
+def test_trajectory_point_rejects_non_unit_heading(b1_d):
+    with pytest.raises(ValueError, match="heading must be unit"):
+        TrajectoryPoint(x_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3),
+                        b1_d=b1_d, b1_d_dot=np.zeros(3))
+
+
 # --- acceleration command ----------------------------------------------------
 
 def test_compute_A_hover():

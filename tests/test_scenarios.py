@@ -120,3 +120,16 @@ def test_trajectory_rejects_unknown_kind():
         TrajectoryGenerator(kind="spiral")
     with pytest.raises(ValueError):
         TrajectoryGenerator(kind="circle", radius=-1.0)
+
+
+def test_tangent_heading_needs_speed():
+    with pytest.raises(ValueError, match="tangent heading"):
+        TrajectoryGenerator(kind="circle", radius=2.0, omega=0.0)
+    with pytest.raises(ValueError, match="tangent heading"):
+        TrajectoryGenerator(kind="helix", radius=2.0, omega=0.0, v_z=0.0)
+    # a climb alone gives the tangent a direction; a fixed heading needs none
+    tp = trajectory_at(TrajectoryGenerator(kind="helix", radius=2.0, omega=0.0, v_z=0.3), 1.0)
+    assert np.linalg.norm(tp.b1_d) == pytest.approx(1.0)
+    tp = trajectory_at(TrajectoryGenerator(kind="circle", radius=2.0, omega=0.0,
+                                           heading="fixed"), 1.0)
+    assert np.allclose(tp.b1_d, [1.0, 0.0, 0.0])

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from windquad.adaptive import AdaptationGains
+from windquad.config import SCHEMA, load_config
 from windquad.controller import ControllerGains
 from windquad.errors import DegenerateNu
 from windquad.se3 import attitude_error
@@ -14,6 +16,8 @@ from windquad.stability import (BoundAssumptions, b3_diagnostic,
                                 validate_c1, validate_c2)
 
 from conftest import random_rotation
+
+SYNTHETIC_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "synthetic.ini")
 
 
 def gains_for(k_x=16.0, k_v=5.6, k_R=8.0, k_Om=2.54, c1=1.0, c2=0.5,
@@ -244,6 +248,30 @@ def test_report_serialization():
 
 def test_assumptions_reject_inconsistent_constants():
     with pytest.raises(ValueError):
-        BoundAssumptions(psi1=0.5, W_max1=1.0, C1_1=0.5)   # below 2 W_max1 + eps
-    with pytest.raises(ValueError):
         BoundAssumptions(psi1=1.5)
+
+
+def test_constants_take_smallest_admissible_values():
+    gains, m, J, a = synthetic_reference_setup()
+    c = build_pd_matrices(gains, m, J, a).constants
+    # W_max1 0.2, V_max1 0.1, W_max2 = V_max2 = 0.1, eps 0.01, E_max 0.3, B4 2
+    expected = {"C1_1": 0.41, "C2_1": 0.075, "C3_1": 0.075 * math.sqrt(0.05),
+                "C4_1": 0.075, "C1_2": 0.21, "C2_2": 0.05,
+                "C3_2": 0.05 * math.sqrt(0.02), "C4_2": 0.05 * 3.3}
+    for key, value in expected.items():
+        assert c[key] == pytest.approx(value, rel=1e-14), key
+
+
+@pytest.mark.parametrize("key", list(SCHEMA["assumptions"]))
+def test_every_assumption_moves_the_report(key):
+    """Halving any [assumptions] key of the synthetic config changes the
+    report (a zero bound is raised to 0.5 instead, as halving keeps it)."""
+    def report(overrides=None):
+        cfg = load_config(SYNTHETIC_CONFIG, overrides=overrides)
+        return format_report(build_pd_matrices(
+            cfg.gains(), cfg.get("quad", "mass"), cfg.get("quad", "inertia"),
+            cfg.assumptions()))
+
+    value = load_config(SYNTHETIC_CONFIG).get("assumptions", key)
+    moved = value / 2.0 if value else 0.5
+    assert report({("assumptions", key): repr(moved)}) != report()
