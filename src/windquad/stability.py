@@ -341,7 +341,6 @@ def format_report(report):
     for key in sorted(report.constants):
         lines.append(f"{key}: {fmt(report.constants[key])}")
     lines.append(f"nu: {fmt(report.nu)}")
-    lines.append(f"C5: {fmt(report.C5)}")
     lines.append(f"bound_radius: {fmt(report.radius)}")
     for flag in report.flags:
         lines.append(f"note: {flag}")

@@ -246,6 +246,16 @@ def test_report_serialization():
         assert ": " in line
 
 
+def test_report_keys_unique():
+    gains, m, J, a = synthetic_reference_setup()
+    keys = [line.split(": ", 1)[0]
+            for line in format_report(build_pd_matrices(gains, m, J, a)).splitlines()]
+    # the substitution notes share the key "note"; every other key is one value
+    keys = [k for k in keys if k != "note"]
+    assert len(keys) == len(set(keys))
+    assert "C5" in keys
+
+
 def test_assumptions_reject_inconsistent_constants():
     with pytest.raises(ValueError):
         BoundAssumptions(psi1=1.5)
