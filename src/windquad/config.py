@@ -275,10 +275,10 @@ def _validate(cfg):
         raise ValidationError(f"simulation.dt must be in (0, {DT_MAX}], got {dt}")
     duration = cfg.get("simulation", "duration")
     # run_simulation takes round(duration / dt) steps: at least one needs
-    # duration / dt > 0.5 (round(0.5) == 0)
-    if not duration / dt > 0.5:
-        raise ValidationError(f"simulation.duration must cover at least one step "
-                              f"of dt = {dt}, got {duration}")
+    # duration / dt > 0.5 (round(0.5) == 0), and a count needs it finite
+    if not 0.5 < duration / dt < float("inf"):
+        raise ValidationError(f"simulation.duration must be finite and cover at least "
+                              f"one step of dt = {dt}, got {duration}")
     if cfg.get("simulation", "plant") not in PLANT_MODES:
         raise ValidationError(f"simulation.plant must be one of {PLANT_MODES}")
     if cfg.get("simulation", "decimate") < 1:

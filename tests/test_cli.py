@@ -33,12 +33,15 @@ def test_run_unknown_key_exit_code(tmp_path):
     assert main(["run", "--config", path]) == 2
 
 
-def test_run_shorter_than_one_step(tmp_path, capsys):
-    # round(0.0004 / 0.001) = 0 steps: a config error, not an empty run
+def test_run_duration_without_step_count(tmp_path, capsys):
+    # round(0.0004 / 0.001) = 0 steps and round(inf) fails: both are config
+    # errors, not an empty run or a traceback
     out = tmp_path / "out"
     assert main(["run", "--duration", "0.0004", "--out", str(out)]) == 2
     assert "simulation.duration" in capsys.readouterr().err
     assert not out.exists()
+    assert main(["run", "--duration", "inf", "--out", str(out)]) == 2
+    assert "simulation.duration" in capsys.readouterr().err
     assert main(["sweep", "--param", "simulation.duration", "--values", "0.0004",
                  "--out", str(tmp_path / "sweep")]) == 2
     assert "simulation.duration" in capsys.readouterr().err
