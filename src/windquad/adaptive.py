@@ -102,13 +102,30 @@ def sigmoid_features(z):
     return np.concatenate(([1.0], s)), s * (1.0 - s)
 
 
-def nn_output(w, x_nn):
-    """Network output W^T sigma(V^T x_nn)."""
-    x_nn = np.asarray(x_nn, dtype=float)
-    if x_nn.shape != (w.V.shape[0],):
-        raise DimensionMismatch(f"input {x_nn.shape} vs V {w.V.shape}")
-    sigma, _ = sigmoid_features(w.V.T @ x_nn)
-    return w.W.T @ sigma
+def nn_output(nets, inputs):
+    """Outputs W^T sigma(V^T x) of a sequence of networks, one input each.
+
+    The pre-activations of all networks pass through one sigmoid_features
+    call; the sigmoid works element by element, so each network's values
+    equal those of a separate evaluation.  Returns one (y, (z, sigma, ds))
+    per network: the output, its pre-activation z = V^T x, the features
+    sigma(z) with bias, and the diagonal ds of their Jacobian, which
+    update_weights takes instead of recomputing the forward pass.
+    """
+    zs = []
+    for w, x_nn in zip(nets, inputs, strict=True):
+        x_nn = np.asarray(x_nn, dtype=float)
+        if x_nn.shape != (w.V.shape[0],):
+            raise DimensionMismatch(f"input {x_nn.shape} vs V {w.V.shape}")
+        zs.append(w.V.T @ x_nn)
+    sigma, ds = sigmoid_features(np.concatenate(zs))
+    out, lo = [], 0
+    for w, z in zip(nets, zs):
+        hi = lo + len(z)
+        sig = np.concatenate(([1.0], sigma[1 + lo:1 + hi]))
+        out.append((w.W.T @ sig, (z, sig, ds[lo:hi])))
+        lo = hi
+    return out
 
 
 def build_position_input(x, v):
@@ -154,14 +171,15 @@ def project_to_ball(M, bound, name="M"):
     return M
 
 
-def update_weights(w, x_nn, a, gains, dt, name="nn"):
+def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
     """One explicit-Euler step of the weight update laws, then projection.
 
     Wdot = -gamma_w [sigma(z) a^T - sigma'(z) z a^T] - kappa gamma_w W
     Vdot = -gamma_v x_nn [sigma'(z)^T W a]^T         - kappa gamma_v V
 
-    evaluated at the estimated pre-activation z = V^T x_nn; `name` labels
-    the network in errors.
+    evaluated at the estimated pre-activation z = V^T x_nn.  `features` is
+    the (z, sigma, ds) that nn_output returned for w and x_nn.  `name`
+    labels the network in errors.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -172,8 +190,7 @@ def update_weights(w, x_nn, a, gains, dt, name="nn"):
     if a.shape != (w.W.shape[1],):
         raise DimensionMismatch(f"error signal {a.shape} vs W {w.W.shape}")
 
-    z = w.V.T @ x_nn
-    sigma, ds = sigmoid_features(z)
+    z, sigma, ds = features
     W_dot = (-gains.gamma_w * np.outer(sigma - np.concatenate(([0.0], ds * z)), a)
              - gains.kappa * gains.gamma_w * w.W)
     V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))

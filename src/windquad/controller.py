@@ -218,7 +218,10 @@ class GeometricAdaptiveController:
         e_v = state.v - traj.v_d
 
         x_nn1 = build_position_input(state.x, state.v)
-        delta1_hat = nn_output(self.nn1, x_nn1)
+        x_nn2, self._last_angles = build_attitude_input(
+            state.R, state.Omega, fallback_angles=self._last_angles)
+        (delta1_hat, features1), (delta2_hat, features2) = nn_output(
+            (self.nn1, self.nn2), (x_nn1, x_nn2))
 
         A = compute_A(e_x, e_v, delta1_hat, traj.a_d, gains, quad.m, quad.g)
         f = compute_thrust(A, state.R)
@@ -229,10 +232,6 @@ class GeometricAdaptiveController:
 
         e_R, psi = attitude_error(state.R, R_c)
         e_Om = angular_velocity_error(state.R, R_c, state.Omega, Omega_c)
-
-        x_nn2, self._last_angles = build_attitude_input(
-            state.R, state.Omega, fallback_angles=self._last_angles)
-        delta2_hat = nn_output(self.nn2, x_nn2)
 
         M_c = compute_moment(e_R, e_Om, state.Omega, state.R, R_c,
                              Omega_c, Omega_c_dot, delta2_hat, quad.J, gains)
@@ -247,8 +246,10 @@ class GeometricAdaptiveController:
         if self.adaptation:
             a1 = e_v + gains.c1 * e_x
             a2 = e_Om + gains.c2 * e_R
-            self.nn1 = update_weights(self.nn1, x_nn1, a1, gains.adapt1, dt, "nn1")
-            self.nn2 = update_weights(self.nn2, x_nn2, a2, gains.adapt2, dt, "nn2")
+            self.nn1 = update_weights(self.nn1, x_nn1, features1, a1, gains.adapt1,
+                                      dt, "nn1")
+            self.nn2 = update_weights(self.nn2, x_nn2, features2, a2, gains.adapt2,
+                                      dt, "nn2")
 
         cmd = ControlCommand(f=f, M_c=M_c, thrusts=thrusts, omegas=omegas,
                              saturated=saturated)

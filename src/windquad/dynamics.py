@@ -115,49 +115,61 @@ def state_derivative(state, U_e, M_e, params):
     return xdot, vdot, Rdot, Omegadot
 
 
-def _dexpinv(phi, Omega):
-    """Chart rate d/dt phi for R = R0 exp(hat(phi)), Rdot = R hat(Omega).
-
-    Inverse right-Jacobian series truncated after the second-order term
-    (the cubic term vanishes), sufficient for a fourth-order integrator.
-    """
-    c = cross3(phi, Omega)
-    return Omega + 0.5 * c + cross3(phi, c) / 12.0
-
-
 def step_rk4(state, dt, wrench_fn, params, t=0.0):
     """One classical RK4 step of the rigid body under wrench_fn(t, state).
 
-    The stages integrate one packed (12,) vector y = (x, v, phi, Omega), phi
-    being the rotation-vector chart about the initial attitude.  wrench_fn
-    returns (U_e, M_e).  dt must lie in (0, DT_MAX].  Errors raised by
-    wrench_fn propagate.
+    The stages integrate the 12 values y = (x, v, phi, Omega) as Python
+    floats, phi being the rotation-vector chart about the initial attitude
+    (zero at stage 1, whose attitude is R0 itself).  wrench_fn receives a
+    RigidBodyState of arrays and returns (U_e, M_e).  dt must lie in
+    (0, DT_MAX].  Errors raised by wrench_fn propagate.
     """
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
-    m, J, J_inv, R0 = params.m, params.J, params.J_inv, state.R
+    m, R0 = params.m, state.R
+    (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J.tolist()
+    (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv.tolist()
 
-    def rates(ts, y):
-        x, v, phi, Omega = y.reshape(4, 3)
-        s = RigidBodyState(x, v, R0 @ expm_so3(phi), Omega)
-        U_e, M_e = wrench_fn(ts, s)
-        return np.concatenate((
-            v,
-            np.asarray(U_e, float) / m,
-            _dexpinv(phi, Omega),
-            J_inv @ (np.asarray(M_e, float) - cross3(Omega, J @ Omega))))
+    def rates(ts, y, R):
+        _, _, _, v1, v2, v3, p1, p2, p3, w1, w2, w3 = y
+        U_e, M_e = wrench_fn(ts, RigidBodyState(y[0:3], y[3:6], R, y[9:12]))
+        U1, U2, U3 = np.asarray(U_e, float).tolist()
+        M1, M2, M3 = np.asarray(M_e, float).tolist()
+        # chart rate Omega + phi x Omega / 2 + phi x (phi x Omega) / 12: the
+        # inverse right-Jacobian series truncated after the second-order
+        # term (the cubic term vanishes), enough for a fourth-order method
+        c1 = p2 * w3 - p3 * w2
+        c2 = p3 * w1 - p1 * w3
+        c3 = p1 * w2 - p2 * w1
+        # Euler's equation J^-1 (M_e - Omega x J Omega)
+        h1 = J11 * w1 + J12 * w2 + J13 * w3
+        h2 = J21 * w1 + J22 * w2 + J23 * w3
+        h3 = J31 * w1 + J32 * w2 + J33 * w3
+        e1 = M1 - (w2 * h3 - w3 * h2)
+        e2 = M2 - (w3 * h1 - w1 * h3)
+        e3 = M3 - (w1 * h2 - w2 * h1)
+        return (v1, v2, v3, U1 / m, U2 / m, U3 / m,
+                w1 + 0.5 * c1 + (p2 * c3 - p3 * c2) / 12.0,
+                w2 + 0.5 * c2 + (p3 * c1 - p1 * c3) / 12.0,
+                w3 + 0.5 * c3 + (p1 * c2 - p2 * c1) / 12.0,
+                K11 * e1 + K12 * e2 + K13 * e3,
+                K21 * e1 + K22 * e2 + K23 * e3,
+                K31 * e1 + K32 * e2 + K33 * e3)
 
-    # the chart coordinate phi starts at zero
-    y0 = np.concatenate((state.x, state.v, np.zeros(3), state.Omega))
-    k1 = rates(t, y0)
-    k2 = rates(t + 0.5 * dt, y0 + 0.5 * dt * k1)
-    k3 = rates(t + 0.5 * dt, y0 + 0.5 * dt * k2)
-    k4 = rates(t + dt, y0 + dt * k3)
-    y = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def stage(ts, h, k):
+        y = [a + h * b for a, b in zip(y0, k)]
+        return rates(ts, y, R0 @ expm_so3(y[6:9]))
 
-    x, v, phi, Omega = y.reshape(4, 3)
-    return RigidBodyState(x, v, orthonormalize(R0 @ expm_so3(phi)), Omega)
+    y0 = state.x.tolist() + state.v.tolist() + [0.0, 0.0, 0.0] + state.Omega.tolist()
+    k1 = rates(t, y0, R0)
+    k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
+    k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
+    k4 = stage(t + dt, dt, k3)
+    sixth = dt / 6.0
+    y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    return RigidBodyState(y[0:3], y[3:6], orthonormalize(R0 @ expm_so3(y[6:9])), y[9:12])
 
 
 def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):

@@ -100,13 +100,11 @@ def _injected_delta(cfg):
     f1 = cfg.get("disturbance", "delta1_freq")
     f2 = cfg.get("disturbance", "delta2_freq")
 
-    def delta1(t, state):
-        return d1c + d1a * math.sin(2.0 * math.pi * f1 * t)
+    def delta(t, state):
+        return (d1c + d1a * math.sin(2.0 * math.pi * f1 * t),
+                d2c + d2a * math.sin(2.0 * math.pi * f2 * t))
 
-    def delta2(t, state):
-        return d2c + d2a * math.sin(2.0 * math.pi * f2 * t)
-
-    return delta1, delta2
+    return delta
 
 
 def make_synthetic_targets(cfg):
@@ -122,17 +120,15 @@ def make_synthetic_targets(cfg):
 
 
 def _synthetic_delta(targets):
-    t1, t2 = targets
     zero3 = np.zeros(3)
 
-    def delta1(t, state):
-        return nn_output(t1, build_position_input(state.x, state.v))
+    def delta(t, state):
+        x_nn2, _ = build_attitude_input(state.R, state.Omega, fallback_angles=zero3)
+        (d1, _), (d2, _) = nn_output(
+            targets, (build_position_input(state.x, state.v), x_nn2))
+        return d1, d2
 
-    def delta2(t, state):
-        x_nn, _ = build_attitude_input(state.R, state.Omega, fallback_angles=zero3)
-        return nn_output(t2, x_nn)
-
-    return delta1, delta2
+    return delta
 
 
 def run_simulation(config):
@@ -163,9 +159,9 @@ def run_simulation(config):
     targets = None
     if mode == "synthetic":
         targets = make_synthetic_targets(config)
-        delta1_fn, delta2_fn = _synthetic_delta(targets)
+        delta_fn = _synthetic_delta(targets)
     elif mode == "simplified":
-        delta1_fn, delta2_fn = _injected_delta(config)
+        delta_fn = _injected_delta(config)
 
     aero = config.aero() if mode == "full_aero" else None
     omega_min = config.get("aero", "omega_min")
@@ -218,17 +214,21 @@ def run_simulation(config):
 
         if mode == "full_aero":
             omegas = cmd.omegas
+            # RK4 stages 2 and 3 share one time: sample the wind once per time
+            stage_wind = [None, None]
 
             def wrench(ts, s):
-                return resultant_wrench(s, wind_at(wind, ts), omegas, quad,
+                if stage_wind[0] != ts:
+                    stage_wind[:] = ts, wind_at(wind, ts)
+                return resultant_wrench(s, stage_wind[1], omegas, quad,
                                         aero, omega_min)
         else:
             f_cmd, M_cmd = cmd.f, cmd.M_c
 
             def wrench(ts, s):
+                delta1, delta2 = delta_fn(ts, s)
                 return simplified_wrench(s, f_cmd, M_cmd, quad,
-                                         delta1=delta1_fn(ts, s),
-                                         delta2=delta2_fn(ts, s))
+                                         delta1=delta1, delta2=delta2)
 
         try:
             state = step_rk4(state, dt, wrench, quad, t)

@@ -9,6 +9,18 @@ from windquad.errors import DimensionMismatch, GimbalLock, NonFiniteWeights
 from windquad.se3 import rotation_zyx
 
 
+def output(w, x_nn):
+    """Output of one network through the sequence interface."""
+    [(y, _)] = nn_output([w], [x_nn])
+    return y
+
+
+def update(w, x_nn, a, gains, dt):
+    """update_weights fed with the forward pass of nn_output."""
+    [(_, features)] = nn_output([w], [x_nn])
+    return update_weights(w, x_nn, features, a, gains, dt)
+
+
 # --- features ----------------------------------------------------------------
 
 def test_sigmoid_at_zero():
@@ -46,14 +58,14 @@ def test_sigmoid_jacobian_central_difference(rng):
 
 def test_output_zero_weights():
     w = NNWeights.zeros()
-    assert np.allclose(nn_output(w, build_position_input(np.ones(3), np.ones(3))), 0.0)
+    assert np.allclose(output(w, build_position_input(np.ones(3), np.ones(3))), 0.0)
 
 
 def test_output_hand_value():
     # V = 0, two hidden units, all-ones single output column: 1 + 0.5 + 0.5
     w = NNWeights(W=np.ones((3, 1)), V=np.zeros((3, 2)))
     x = np.array([1.0, 0.3, -0.7])
-    assert nn_output(w, x)[0] == pytest.approx(2.0)
+    assert output(w, x)[0] == pytest.approx(2.0)
 
 
 def test_output_bounded(rng):
@@ -61,13 +73,13 @@ def test_output_bounded(rng):
     cap = w.output_bound()
     for _ in range(50):
         x = np.concatenate(([1.0], rng.standard_normal(6) * 100))
-        assert np.linalg.norm(nn_output(w, x)) <= cap + 1e-12
+        assert np.linalg.norm(output(w, x)) <= cap + 1e-12
 
 
 def test_output_dimension_check():
     w = NNWeights.zeros()
     with pytest.raises(DimensionMismatch):
-        nn_output(w, np.zeros(5))
+        output(w, np.zeros(5))
 
 
 def test_output_lipschitz_in_input(rng):
@@ -76,7 +88,7 @@ def test_output_lipschitz_in_input(rng):
     for _ in range(100):
         x = rng.standard_normal(7)
         dx = rng.standard_normal(7) * 1e-4
-        dy = nn_output(w, x + dx) - nn_output(w, x)
+        dy = output(w, x + dx) - output(w, x)
         assert np.linalg.norm(dy) <= L * np.linalg.norm(dx) * (1 + 1e-6)
 
 
@@ -150,7 +162,7 @@ def test_update_damping_only(rng):
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     dt = 1e-3
     x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
-    out = update_weights(w, x_nn, np.zeros(3), g, dt)
+    out = update(w, x_nn, np.zeros(3), g, dt)
     assert np.allclose(out.W, (1 - g.kappa * g.gamma_w * dt) * w.W, atol=1e-14)
     assert np.allclose(out.V, (1 - g.kappa * g.gamma_v * dt) * w.V, atol=1e-14)
 
@@ -160,7 +172,7 @@ def test_update_from_zero_weights():
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     a = np.array([0.5, -0.2, 0.1])
     x_nn = build_position_input(np.ones(3), np.zeros(3))
-    out = update_weights(w, x_nn, a, g, 1e-3)
+    out = update(w, x_nn, a, g, 1e-3)
     sigma0 = np.array([1.0, 0.5, 0.5])
     assert np.allclose(out.V, 0.0)
     assert np.allclose(out.W, -g.gamma_w * 1e-3 * np.outer(sigma0, a), atol=1e-15)
@@ -172,7 +184,7 @@ def test_update_respects_bounds(rng):
     for _ in range(500):
         x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
         a = rng.standard_normal(3)
-        w = update_weights(w, x_nn, a, g, 1e-3)
+        w = update(w, x_nn, a, g, 1e-3)
         Wn, Vn = w.norms()
         assert Wn <= w.W_max and Vn <= w.V_max
 
@@ -185,7 +197,7 @@ def test_geometric_decay_with_zero_error(rng):
     Wn0, Vn0 = w.norms()
     n = 200
     for _ in range(n):
-        w = update_weights(w, x_nn, np.zeros(3), g, dt)
+        w = update(w, x_nn, np.zeros(3), g, dt)
     Wn, Vn = w.norms()
     assert Wn == pytest.approx(Wn0 * (1 - g.kappa * g.gamma_w * dt) ** n, rel=1e-9)
     assert Vn == pytest.approx(Vn0 * (1 - g.kappa * g.gamma_v * dt) ** n, rel=1e-9)
@@ -195,7 +207,7 @@ def test_update_dimension_check():
     w = NNWeights.zeros()
     g = AdaptationGains()
     with pytest.raises(DimensionMismatch):
-        update_weights(w, np.zeros(7), np.zeros(2), g, 1e-3)
+        update(w, np.zeros(7), np.zeros(2), g, 1e-3)
 
 
 # --- offline approximation sanity -------------------------------------------
@@ -238,3 +250,56 @@ def test_architecture_fits_smooth_function(rng):
 
     _, _, pred = forward(W, V)
     assert np.max(np.abs(pred - y)) <= 0.05
+
+
+# --- one forward pass for a sequence of networks -----------------------------
+
+def separate_output(w, x_nn):
+    """One network evaluated on its own sigmoid_features call."""
+    z = w.V.T @ x_nn
+    sigma, ds = sigmoid_features(z)
+    return w.W.T @ sigma, z, sigma, ds
+
+
+@pytest.mark.parametrize("hidden", [(10, 10), (10, 7), (1, 17)])
+def test_stacked_output_matches_separate(rng, hidden):
+    for _ in range(2000):
+        nets = [NNWeights.random(rng, n_hidden=h, W_norm=rng.uniform(0.1, 3.0),
+                                 V_norm=rng.uniform(0.1, 5.0)) for h in hidden]
+        inputs = [np.concatenate(([1.0], 10.0 * rng.standard_normal(6))) for _ in nets]
+        for (y, features), w, x_nn in zip(nn_output(nets, inputs), nets, inputs):
+            for got, ref in zip((y, *features), separate_output(w, x_nn)):
+                assert np.array_equal(got, ref)
+
+
+def test_stacked_output_dimension_check():
+    with pytest.raises(DimensionMismatch):
+        nn_output([NNWeights.zeros(), NNWeights.zeros()], [np.zeros(7), np.zeros(5)])
+
+
+# --- reference: the update law recomputing its forward pass ------------------
+
+def reference_update_weights(w, x_nn, a, gains, dt):
+    """update_weights evaluating z = V^T x_nn and its features itself."""
+    z = w.V.T @ x_nn
+    sigma, ds = sigmoid_features(z)
+    W_dot = (-gains.gamma_w * np.outer(sigma - np.concatenate(([0.0], ds * z)), a)
+             - gains.kappa * gains.gamma_w * w.W)
+    V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))
+             - gains.kappa * gains.gamma_v * w.V)
+    return NNWeights(project_to_ball(w.W + dt * W_dot, w.W_max),
+                     project_to_ball(w.V + dt * V_dot, w.V_max), w.W_max, w.V_max)
+
+
+@pytest.mark.parametrize("hidden", [5, 10, 17])
+def test_update_with_passed_features_matches_recomputation(rng, hidden):
+    g = AdaptationGains(gamma_w=20.0, gamma_v=10.0, kappa=0.015)
+    for _ in range(2000):
+        # bounds at the drawn norms, so the projection is often active
+        W_norm, V_norm = rng.uniform(0.1, 3.0), rng.uniform(0.1, 5.0)
+        w = NNWeights.random(rng, n_hidden=hidden, W_norm=W_norm, V_norm=V_norm)
+        x_nn = np.concatenate(([1.0], 10.0 * rng.standard_normal(6)))
+        a = rng.standard_normal(3)
+        got = update(w, x_nn, a, g, 1e-2)
+        ref = reference_update_weights(w, x_nn, a, g, 1e-2)
+        assert np.array_equal(got.W, ref.W) and np.array_equal(got.V, ref.V)

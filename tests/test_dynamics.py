@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import windquad.dynamics
 from windquad.aero import resultant_wrench
 from windquad.dynamics import (QuadParams, RigidBodyState,
-                               SimplifiedModelParams, _dexpinv,
-                               rotor_speed_from_thrust, simplified_wrench,
-                               state_derivative, step_rk4)
+                               SimplifiedModelParams, rotor_speed_from_thrust,
+                               simplified_wrench, state_derivative, step_rk4)
 from windquad.errors import NotSkewSymmetric
 from windquad.se3 import cross3, expm_so3, orthonormalize
 
@@ -153,6 +153,16 @@ def test_step_propagates_wrench_errors(quad):
 
 # --- reference: the per-component RK4 stages ---------------------------------
 
+def _dexpinv(phi, Omega):
+    """Chart rate d/dt phi for R = R0 exp(hat(phi)), Rdot = R hat(Omega).
+
+    Inverse right-Jacobian series truncated after the second-order term
+    (the cubic term vanishes), sufficient for a fourth-order integrator.
+    """
+    c = cross3(phi, Omega)
+    return Omega + 0.5 * c + cross3(phi, c) / 12.0
+
+
 def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
     """step_rk4 with each RK4 stage written out per component (x, v, phi, Omega)."""
     m, J, J_inv, R0 = params.m, params.J, params.J_inv, state.R
@@ -213,6 +223,45 @@ def test_step_rk4_matches_reference(quad, aero_s01, rng, plant, dt):
         ref = reference_step_rk4(st, dt, wrench, quad, t)
         for name in ("x", "v", "R", "Omega"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def random_inertia(rng):
+    """A full symmetric positive-definite inertia about the default scale."""
+    Q = random_rotation(rng)
+    J = Q @ np.diag(rng.uniform(0.004, 0.02, 3)) @ Q.T
+    return 0.5 * (J + J.T)
+
+
+@pytest.mark.parametrize("plant", ["simplified", "full_aero"])
+def test_step_rk4_matches_reference_full_inertia(aero_s01, rng, plant):
+    # the float stage sums J Omega and J^-1 (...) left to right, while the
+    # matrix-vector products of the reference may round differently in the
+    # last bit for off-diagonal entries; a diagonal J has exact zero terms
+    aero = aero_s01 if plant == "full_aero" else None
+    for _ in range(500):
+        quad = QuadParams(J=random_inertia(rng))
+        st = RigidBodyState(x=rng.standard_normal(3), v=3.0 * rng.standard_normal(3),
+                            R=random_rotation(rng), Omega=2.0 * rng.standard_normal(3))
+        wrench = random_wrench(rng, quad, aero)
+        t = rng.uniform(0.0, 30.0)
+        got = step_rk4(st, 2e-3, wrench, quad, t)
+        ref = reference_step_rk4(st, 2e-3, wrench, quad, t)
+        for name in ("x", "v", "R", "Omega"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r) + 1e-15, name
+
+
+def test_step_rk4_skips_exp_of_zero(quad, monkeypatch):
+    # stage 1 sits at phi = 0 and uses R0; stages 2-4 and the close need exp
+    calls = []
+    expm = windquad.dynamics.expm_so3
+    monkeypatch.setattr(windquad.dynamics, "expm_so3",
+                        lambda phi: calls.append(1) or expm(phi))
+    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
+                        Omega=np.array([0.3, -0.2, 1.0]))
+    for _ in range(5):
+        st = step_rk4(st, 1e-3, free_wrench, quad)
+    assert len(calls) == 20
 
 
 # --- rotor speed inversion ---------------------------------------------------

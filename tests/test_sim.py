@@ -274,6 +274,30 @@ def test_lyapunov_only_on_recorded_steps(monkeypatch):
     assert len(calls) == 4
 
 
+def test_wind_sampled_once_per_stage_time(monkeypatch):
+    # RK4 stages 2 and 3 share t + dt/2: three samples per step, plus one
+    # for the wind column of each recorded step
+    times = []
+    wind_at = windquad.sim.wind_at
+
+    def counted(field_, t):
+        times.append(t)
+        return wind_at(field_, t)
+
+    monkeypatch.setattr(windquad.sim, "wind_at", counted)
+    res = run_simulation(load_config(overrides={
+        ("simulation", "plant"): "full_aero",
+        ("simulation", "duration"): str(20 * DT),
+        ("simulation", "dt"): str(DT),
+        ("simulation", "decimate"): "5",
+        ("wind", "kind"): "sinusoidal",
+        ("wind", "amplitude"): "2.0",
+        ("wind", "frequency"): "3.0",
+    }))
+    assert len(res.telemetry) == 4
+    assert len(times) == 3 * 20 + 4
+
+
 # --- telemetry files -------------------------------------------------------------
 
 def test_csv_header_only(tmp_path):
