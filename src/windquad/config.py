@@ -270,6 +270,11 @@ def calibrate_simplified(aero, quad):
 
 
 def _validate(cfg):
+    # NaN fails no comparison-based range check below and inf passes many;
+    # either would surface mid-run or in the gain report instead
+    for (section, key), value in cfg.values.items():
+        if isinstance(value, (float, np.ndarray)) and not np.all(np.isfinite(value)):
+            raise ValidationError(f"{section}.{key} must be finite, got {value}")
     dt = cfg.get("simulation", "dt")
     if not 0.0 < dt <= DT_MAX:
         raise ValidationError(f"simulation.dt must be in (0, {DT_MAX}], got {dt}")

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from windquad.cli import main
+from windquad.config import SCHEMA
 from windquad.sim import COLUMNS, read_csv
 
 
@@ -45,6 +47,33 @@ def test_run_duration_without_step_count(tmp_path, capsys):
     assert main(["sweep", "--param", "simulation.duration", "--values", "0.0004",
                  "--out", str(tmp_path / "sweep")]) == 2
     assert "simulation.duration" in capsys.readouterr().err
+
+
+def float_keys():
+    """(section, key, default text) of every float and vector config key."""
+    return [(section, key, default)
+            for section, keys in SCHEMA.items()
+            for key, (parse, default, _) in keys.items()
+            if isinstance(parse(default), (float, np.ndarray))]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_run_rejects_non_finite_value(tmp_path, capsys, bad):
+    # one non-finite entry per key; a vector keeps its other default entries
+    failures = []
+    for section, key, default in float_keys():
+        value = " ".join([bad] + default.split()[1:])
+        sections = {"simulation": {"duration": "0.02"}}
+        sections.setdefault(section, {})[key] = value
+        text = "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                       for sec, kv in sections.items())
+        code = main(["run", "--config", write(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if code != 2 or f"{section}.{key}" not in err:
+            failures.append((f"{section}.{key}", code, err.strip()))
+    assert len(float_keys()) == 70
+    assert failures == []
 
 
 def test_run_tangent_heading_without_speed(tmp_path, capsys):
