@@ -118,7 +118,7 @@ class LyapunovReport:
     nu: float
     C5: float
     radius: float
-    flags: list = field(default_factory=list)
+    flags: dict = field(default_factory=dict)   # report key -> substitution note
 
     @property
     def all_positive_definite(self):
@@ -227,8 +227,8 @@ def build_pd_matrices(gains, m, J, assumptions):
                  "C5_1": C5_1, "C5_2": C5_2, "C5": C5,
                  "lam_m_J": lam_mJ, "lam_M_J": lam_MJ}
 
-    flags = ["psi2 undefined in source; psi1 substituted in primed matrices",
-             "C5_2 built from C1_2 (printed subscript inconsistent with derivation)"]
+    flags = {"note_psi2": "psi2 undefined in source; psi1 substituted in primed matrices",
+             "note_C5_2": "C5_2 built from C1_2 (printed subscript inconsistent with derivation)"}
 
     return LyapunovReport(
         matrices=matrices, eigenvalues=eigenvalues, verdicts=verdicts,
@@ -342,6 +342,6 @@ def format_report(report):
         lines.append(f"{key}: {fmt(report.constants[key])}")
     lines.append(f"nu: {fmt(report.nu)}")
     lines.append(f"bound_radius: {fmt(report.radius)}")
-    for flag in report.flags:
-        lines.append(f"note: {flag}")
+    for key, note in report.flags.items():
+        lines.append(f"{key}: {note}")
     return "\n".join(lines)
