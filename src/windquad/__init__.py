@@ -20,9 +20,9 @@ from .se3 import (angular_velocity_error, attitude_error, euler_zyx, expm_so3,
                   hat, orthonormalize, rotation_zyx, vee)
 from .sim import (COLUMNS, FIELDS, SimResult, read_csv, run_simulation,
                   summarize, write_csv, write_summary)
-from .stability import (BoundAssumptions, LyapunovReport, b3_diagnostic,
-                        build_pd_matrices, format_report, lyapunov_value,
-                        set_d_functional, thrust_mismatch_term,
-                        ultimate_bound, validate_c1, validate_c2)
+from .stability import (BoundAssumptions, LyapunovReport, build_pd_matrices,
+                        format_report, lyapunov_value, set_d_functional,
+                        thrust_mismatch_term, ultimate_bound, validate_c1,
+                        validate_c2)
 
 __version__ = "0.1.0"

@@ -302,15 +302,6 @@ def set_d_functional(e_x, e_v, e_R, e_Omega, Z_tilde_sq1, Z_tilde_sq2,
     return sq + Z_tilde_sq1 / gamma1 + Z_tilde_sq2 / gamma2
 
 
-def b3_diagnostic(e_x_norm, e_v_norm, e_v_dot_norm, k_x, k_v, B1, B2):
-    """Instantaneous bound on the commanded-attitude axis rate.
-
-    2 (k_x ||e_v|| + k_v ||e_v_dot|| + B2) / (k_x ||e_x|| + k_v ||e_v|| + B1).
-    """
-    return 2.0 * (k_x * e_v_norm + k_v * e_v_dot_norm + B2) \
-        / (k_x * e_x_norm + k_v * e_v_norm + B1)
-
-
 def thrust_mismatch_term(f, R, R_c):
     """Force component from imperfect attitude tracking.
 

@@ -9,11 +9,10 @@ from windquad.config import SCHEMA, load_config
 from windquad.controller import ControllerGains
 from windquad.errors import DegenerateNu
 from windquad.se3 import attitude_error
-from windquad.stability import (BoundAssumptions, b3_diagnostic,
-                                build_pd_matrices, format_report,
-                                lyapunov_value, set_d_functional,
-                                thrust_mismatch_term, ultimate_bound,
-                                validate_c1, validate_c2)
+from windquad.stability import (BoundAssumptions, build_pd_matrices,
+                                format_report, lyapunov_value,
+                                set_d_functional, thrust_mismatch_term,
+                                ultimate_bound, validate_c1, validate_c2)
 
 from conftest import random_rotation
 
@@ -213,12 +212,6 @@ def test_set_d_functional_weighting():
 
 
 # --- misc diagnostics -----------------------------------------------------------
-
-def test_b3_diagnostic_formula():
-    val = b3_diagnostic(1.0, 2.0, 0.5, 4.0, 2.5, 10.0, 1.0)
-    assert val == pytest.approx(2 * (4.0 * 2.0 + 2.5 * 0.5 + 1.0)
-                                / (4.0 * 1.0 + 2.5 * 2.0 + 10.0))
-
 
 def test_thrust_mismatch_vanishes_when_aligned(rng):
     R = random_rotation(rng, 0.5)
