@@ -80,10 +80,6 @@ class NNWeights:
         """(||W||_F, ||V||_F)."""
         return float(np.linalg.norm(self.W)), float(np.linalg.norm(self.V))
 
-    def output_bound(self):
-        """Worst-case output norm W_max sqrt(n_hidden + 1)."""
-        return self.W_max * np.sqrt(self.n_hidden + 1.0)
-
 
 def sigmoid_features(z):
     """Feature vector sigma(z) with bias and the diagonal of its Jacobian.

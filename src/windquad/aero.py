@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, RotorStopped
-from .se3 import hat
+from .layout import unpack_state
 
 #: default floor on rotor speed [rad/s]; advance ratios diverge at zero speed
 OMEGA_MIN = 1.0
@@ -84,16 +84,6 @@ class RotorAeroParams:
     def solidity(self):
         """Solidity ratio s = N_b c / (pi r_p)."""
         return self.N_b * self.chord / (math.pi * self.r_p)
-
-
-def rotor_relative_wind(state, v_w, r_j):
-    """Relative wind at a rotor hub, in the body frame.
-
-    R^T (v_w - v) + hat(Omega) r_j for ambient wind v_w (inertial) and rotor
-    position r_j (body).  resultant_wrench inlines this formula in floats,
-    forming R^T (v_w - v) once for all four rotors.
-    """
-    return state.R.T @ (np.asarray(v_w, float) - state.v) + hat(state.Omega) @ np.asarray(r_j, float)
 
 
 def advance_ratios(u, omega_j, r_p, omega_min=OMEGA_MIN):
@@ -222,8 +212,9 @@ def drag_force(v, v_w, C_d):
     return -C_d * math.hypot(*rel.tolist()) * rel
 
 
-def resultant_wrench(state, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
-    """Total aerodynamic force (inertial) and moment (body) on the vehicle.
+def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
+    """Total aerodynamic force (inertial) and moment (body) on the vehicle
+    at packed state s.
 
     Per rotor j with speed omegas[j]:
 
@@ -237,11 +228,13 @@ def resultant_wrench(state, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
 
     Force:  U_e = m g e3 + drag + R sum_j T_j d_j.
 
-    R^T (v_w - v) is formed once and each rotor runs in float arithmetic.
-    RotorStopped names the rotor, 1-based as in the telemetry columns.
+    The relative wind at rotor j is R^T (v_w - v) + Omega x r_j; R^T (v_w - v)
+    is formed once and each rotor runs in float arithmetic.  RotorStopped
+    names the rotor, 1-based as in the telemetry columns.
     """
-    wx, wy, wz = ((np.asarray(v_w, float) - state.v) @ state.R).tolist()
-    p, q, r = state.Omega.tolist()
+    _, v, R, Omega = unpack_state(s)
+    wx, wy, wz = ((np.asarray(v_w, float) - v) @ R).tolist()
+    p, q, r = Omega.tolist()
     r_p = aero.r_p
     rho_A = aero.rho * aero.A_p
     flap_gain = 0.5 * aero.N_b * aero.K_beta
@@ -271,6 +264,6 @@ def resultant_wrench(state, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
         my += rz * t1 - rx * t3 + Q_j * d2 + flap * d2
         mz += rx * t2 - ry * t1 + Q_j * d3
 
-    U_e = state.R @ np.array([fx, fy, fz]) + drag_force(state.v, v_w, aero.C_d)
+    U_e = R @ np.array([fx, fy, fz]) + drag_force(v, v_w, aero.C_d)
     U_e[2] += quad.m * quad.g
     return U_e, np.array([mx, my, mz])

@@ -1,6 +1,6 @@
 """Command-line interface: run, validate-gains, sweep.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime abort.
+Exit codes: 0 success, 2 configuration or output-path error, 3 runtime abort.
 """
 
 import argparse
@@ -53,15 +53,8 @@ def cmd_run(args):
         if args.strict:
             raise ValidationError("gain checks failed and --strict is set")
 
-    try:
-        result = run_simulation(cfg)
-        telemetry, summary = result.telemetry, result.summary
-        aborted = None
-    except SimulationAbort as exc:
-        telemetry, summary, aborted = exc.telemetry, None, exc
-
-    # --out names a directory for all three files; otherwise [output] gives
-    # each path, and an empty one skips that file
+    # --out names a directory for all three files, created before the run;
+    # otherwise [output] gives each path, and an empty one skips that file
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         paths = [os.path.join(args.out, name)
@@ -69,6 +62,13 @@ def cmd_run(args):
     else:
         paths = [cfg.get("output", key) for key in ("csv", "summary", "weights")]
     csv_path, summary_path, weights_path = paths
+
+    try:
+        result = run_simulation(cfg)
+        telemetry, summary = result.telemetry, result.summary
+        aborted = None
+    except SimulationAbort as exc:
+        telemetry, summary, aborted = exc.telemetry, None, exc
 
     if csv_path:
         write_csv(telemetry, csv_path)
@@ -170,6 +170,10 @@ def main(argv=None):
     except SimulationAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # an output directory or file that cannot be created
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ import numpy as np
 from .adaptive import AdaptationGains, NNWeights
 from .aero import RotorAeroParams, solve_thrust_inflow, torque_coefficient
 from .controller import ControllerGains
-from .dynamics import DT_MAX, QuadParams, RigidBodyState, SimplifiedModelParams
+from .dynamics import DT_MAX, QuadParams, SimplifiedModelParams
 from .errors import ParseError, ValidationError
+from .layout import pack_state
 from .scenarios import TrajectoryGenerator, WindField
 from .se3 import rotation_zyx
 from .stability import BoundAssumptions
@@ -252,9 +253,10 @@ class SimConfig:
             W_max2=self.get("nn2", "w_max"), V_max2=self.get("nn2", "v_max"))
 
     def initial_state(self):
-        ypr = self.get("initial", "attitude")
-        return RigidBodyState(x=self.get("initial", "x"), v=self.get("initial", "v"),
-                              R=rotation_zyx(*ypr), Omega=self.get("initial", "omega"))
+        """Packed initial state (see layout.STATE)."""
+        return pack_state(self.get("initial", "x"), self.get("initial", "v"),
+                          rotation_zyx(*self.get("initial", "attitude")),
+                          self.get("initial", "omega"))
 
 
 def calibrate_simplified(aero, quad):

@@ -31,6 +31,7 @@ from .adaptive import (AdaptationGains, NNWeights, build_attitude_input,
 from .aero import OMEGA_MIN
 from .dynamics import rotor_speed_from_thrust
 from .errors import DegenerateThrust, HeadingDegenerate
+from .layout import OUTPUT, OUTPUT_COLUMNS, unpack_state
 from .se3 import E3, angular_velocity_error, attitude_error, cross3, hat
 
 HEADING_TOL = 1e-6
@@ -55,53 +56,6 @@ class ControllerGains:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """Desired position, its derivatives, and the heading direction."""
-
-    x_d: np.ndarray
-    v_d: np.ndarray
-    a_d: np.ndarray
-    b1_d: np.ndarray
-    b1_d_dot: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x_d", "v_d", "a_d", "b1_d", "b1_d_dot"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = np.linalg.norm(self.b1_d)
-        if not abs(n - 1.0) <= 1e-9:   # also rejects NaN
-            raise ValueError(f"heading must be unit, got norm {n}")
-
-
-@dataclass(frozen=True)
-class ControlCommand:
-    """Controller output for one step."""
-
-    f: float
-    M_c: np.ndarray
-    thrusts: np.ndarray       # per-rotor commanded thrusts [N]
-    omegas: np.ndarray        # per-rotor speeds after the thrust floor [rad/s]
-    saturated: np.ndarray     # per-rotor clip flags
-
-
-@dataclass
-class StepDiagnostics:
-    """Per-step controller internals recorded into telemetry."""
-
-    e_x: np.ndarray
-    e_v: np.ndarray
-    e_R: np.ndarray
-    e_Omega: np.ndarray
-    psi: float
-    A: np.ndarray
-    R_c: np.ndarray
-    Omega_c: np.ndarray
-    Omega_c_dot: np.ndarray
-    delta1_hat: np.ndarray
-    delta2_hat: np.ndarray
-    tilt_alignment: float     # e3^T R_c^T R e3, positive while attitude stays in the safe cone
-
-
 def compute_A(e_x, e_v, delta1_hat, a_d, gains, m, g):
     """Acceleration command D1 - k_x e_x - k_v e_v - m g e3 + m a_d."""
     return (np.asarray(delta1_hat, float) - gains.k_x * np.asarray(e_x, float)
@@ -119,21 +73,23 @@ def compute_Rc(A, b1_d, eps_thrust):
     Column three is -A/||A||; column one is the projection of b1_d onto the
     plane orthogonal to it; column two completes the right-handed triad.
 
+    Both checks are written `not norm > tol`, so a NaN norm fails them.
+
     Raises
     ------
     DegenerateThrust
-        If ||A|| <= eps_thrust.
+        If ||A|| <= eps_thrust or is NaN.
     HeadingDegenerate
-        If b1_d is parallel to the commanded thrust axis.
+        If b1_d is parallel to the commanded thrust axis or NaN.
     """
     A = np.asarray(A, dtype=float)
     norm_A = np.linalg.norm(A)
-    if norm_A <= eps_thrust:
+    if not norm_A > eps_thrust:
         raise DegenerateThrust(f"||A|| = {norm_A:.3e} <= {eps_thrust:.3e}")
     b3 = -A / norm_A
     C = -cross3(b3, np.asarray(b1_d, float))
     norm_C = np.linalg.norm(C)
-    if norm_C <= HEADING_TOL:
+    if not norm_C > HEADING_TOL:
         raise HeadingDegenerate("heading parallel to thrust axis")
     b2 = -C / norm_C
     b1 = cross3(b2, b3)
@@ -207,38 +163,40 @@ class GeometricAdaptiveController:
         self._rc_history = deque(maxlen=3)
         self._last_angles = np.zeros(3)
 
-    def step(self, state, traj, dt):
-        """Compute the command for the current state and advance the networks.
+    def step(self, s, traj, dt):
+        """Compute the command for packed state s and advance the networks.
 
-        Returns (ControlCommand, StepDiagnostics).  Degenerate-geometry
-        errors propagate to the caller, which is expected to abort the run.
+        Returns a new (35,) vector laid out as layout.OUTPUT.  Degenerate-
+        geometry errors propagate to the caller, which is expected to abort
+        the run.
         """
         gains, quad = self.gains, self.quad
-        e_x = state.x - traj.x_d
-        e_v = state.v - traj.v_d
+        x, v, R, Omega = unpack_state(s)
+        e_x = x - traj.x_d
+        e_v = v - traj.v_d
 
-        x_nn1 = build_position_input(state.x, state.v)
+        x_nn1 = build_position_input(x, v)
         x_nn2, self._last_angles = build_attitude_input(
-            state.R, state.Omega, fallback_angles=self._last_angles)
+            R, Omega, fallback_angles=self._last_angles)
         (delta1_hat, features1), (delta2_hat, features2) = nn_output(
             (self.nn1, self.nn2), (x_nn1, x_nn2))
 
         A = compute_A(e_x, e_v, delta1_hat, traj.a_d, gains, quad.m, quad.g)
-        f = compute_thrust(A, state.R)
+        f = compute_thrust(A, R)
         R_c = compute_Rc(A, traj.b1_d, self.eps_thrust)
 
         self._rc_history.append(R_c)
         Omega_c, Omega_c_dot = compute_Omega_c(self._rc_history, dt)
 
-        e_R, psi = attitude_error(state.R, R_c)
-        e_Om = angular_velocity_error(state.R, R_c, state.Omega, Omega_c)
+        e_R, psi = attitude_error(R, R_c)
+        e_Om = angular_velocity_error(R, R_c, Omega, Omega_c)
 
-        M_c = compute_moment(e_R, e_Om, state.Omega, state.R, R_c,
+        M_c = compute_moment(e_R, e_Om, Omega, R, R_c,
                              Omega_c, Omega_c_dot, delta2_hat, quad.J, gains)
 
+        out = np.empty(len(OUTPUT_COLUMNS))
         thrusts = self._mix_inv @ np.array([f, M_c[0], M_c[1], M_c[2]])
-        omegas = np.empty(4)
-        saturated = np.zeros(4, dtype=bool)
+        omegas, saturated = out[OUTPUT["omegas"]], out[OUTPUT["saturated"]]
         for j, T in enumerate(thrusts):
             omegas[j], saturated[j] = rotor_speed_from_thrust(
                 T, self.simplified, self.omega_min)
@@ -251,11 +209,8 @@ class GeometricAdaptiveController:
             self.nn2 = update_weights(self.nn2, x_nn2, features2, a2, gains.adapt2,
                                       dt, "nn2")
 
-        cmd = ControlCommand(f=f, M_c=M_c, thrusts=thrusts, omegas=omegas,
-                             saturated=saturated)
-        diag = StepDiagnostics(
-            e_x=e_x, e_v=e_v, e_R=e_R, e_Omega=e_Om, psi=psi, A=A, R_c=R_c,
-            Omega_c=Omega_c, Omega_c_dot=Omega_c_dot,
-            delta1_hat=delta1_hat, delta2_hat=delta2_hat,
-            tilt_alignment=float(R_c[:, 2] @ state.R[:, 2]))
-        return cmd, diag
+        for name, value in (("e_x", e_x), ("e_v", e_v), ("e_R", e_R), ("e_Omega", e_Om),
+                            ("psi", psi), ("f", f), ("M_c", M_c), ("thrusts", thrusts),
+                            ("delta1_hat", delta1_hat), ("delta2_hat", delta2_hat)):
+            out[OUTPUT[name]] = value
+        return out

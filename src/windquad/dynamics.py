@@ -17,34 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aero import OMEGA_MIN
-from .se3 import cross3, expm_so3, hat, orthonormalize
+from .layout import pack_state, unpack_state
+from .se3 import expm_so3, orthonormalize
 
 #: integrator step bound [s]
 DT_MAX = 0.05
-
-
-@dataclass
-class RigidBodyState:
-    """Pose and velocities of the vehicle.
-
-    x, v in the inertial frame [m, m/s]; R body-to-inertial; Omega in the
-    body frame [rad/s].
-    """
-
-    x: np.ndarray
-    v: np.ndarray
-    R: np.ndarray
-    Omega: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.R = np.asarray(self.R, dtype=float)
-        self.Omega = np.asarray(self.Omega, dtype=float)
-
-    @classmethod
-    def at_rest(cls, x=(0.0, 0.0, 0.0)):
-        return cls(x=np.asarray(x, float), v=np.zeros(3), R=np.eye(3), Omega=np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -106,34 +83,27 @@ class SimplifiedModelParams:
         return self.C_Q / self.C_T
 
 
-def state_derivative(state, U_e, M_e, params):
-    """Time derivative (xdot, vdot, Rdot, Omegadot) of the rigid body."""
-    xdot = state.v
-    vdot = np.asarray(U_e, float) / params.m
-    Rdot = state.R @ hat(state.Omega)
-    Omegadot = params.J_inv @ (np.asarray(M_e, float) - cross3(state.Omega, params.J @ state.Omega))
-    return xdot, vdot, Rdot, Omegadot
-
-
-def step_rk4(state, dt, wrench_fn, params, t=0.0):
-    """One classical RK4 step of the rigid body under wrench_fn(t, state).
+def step_rk4(s, dt, wrench_fn, params, t=0.0):
+    """One classical RK4 step of the packed state s under wrench_fn(t, s).
 
     The stages integrate the 12 values y = (x, v, phi, Omega) as Python
     floats, phi being the rotation-vector chart about the initial attitude
-    (zero at stage 1, whose attitude is R0 itself).  wrench_fn receives a
-    RigidBodyState of arrays and returns (U_e, M_e).  dt must lie in
-    (0, DT_MAX].  Errors raised by wrench_fn propagate.
+    (zero at stage 1, whose state is s itself).  wrench_fn receives each
+    stage as a packed state and returns (U_e, M_e).  dt must lie in
+    (0, DT_MAX].  Returns a new packed state.  Errors raised by wrench_fn
+    propagate; a non-finite attitude raises DegenerateMatrix.
     """
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
-    m, R0 = params.m, state.R
+    m = params.m
+    x0, v0, R0, Omega0 = unpack_state(s)
     (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J.tolist()
     (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv.tolist()
 
-    def rates(ts, y, R):
+    def rates(ts, y, st):
         _, _, _, v1, v2, v3, p1, p2, p3, w1, w2, w3 = y
-        U_e, M_e = wrench_fn(ts, RigidBodyState(y[0:3], y[3:6], R, y[9:12]))
+        U_e, M_e = wrench_fn(ts, st)
         U1, U2, U3 = np.asarray(U_e, float).tolist()
         M1, M2, M3 = np.asarray(M_e, float).tolist()
         # chart rate Omega + phi x Omega / 2 + phi x (phi x Omega) / 12: the
@@ -159,17 +129,17 @@ def step_rk4(state, dt, wrench_fn, params, t=0.0):
 
     def stage(ts, h, k):
         y = [a + h * b for a, b in zip(y0, k)]
-        return rates(ts, y, R0 @ expm_so3(y[6:9]))
+        return rates(ts, y, pack_state(y[0:3], y[3:6], R0 @ expm_so3(y[6:9]), y[9:12]))
 
-    y0 = state.x.tolist() + state.v.tolist() + [0.0, 0.0, 0.0] + state.Omega.tolist()
-    k1 = rates(t, y0, R0)
+    y0 = x0.tolist() + v0.tolist() + [0.0, 0.0, 0.0] + Omega0.tolist()
+    k1 = rates(t, y0, s)
     k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
     k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
     k4 = stage(t + dt, dt, k3)
     sixth = dt / 6.0
     y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
          for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-    return RigidBodyState(y[0:3], y[3:6], orthonormalize(R0 @ expm_so3(y[6:9])), y[9:12])
+    return pack_state(y[0:3], y[3:6], orthonormalize(R0 @ expm_so3(y[6:9])), y[9:12])
 
 
 def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):
@@ -186,12 +156,14 @@ def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):
     return np.sqrt(T_cmd / params.C_T), False
 
 
-def simplified_wrench(state, f, M_c, params, delta1=None, delta2=None):
-    """Wrench of the simplified control model with injected disturbances.
+def simplified_wrench(s, f, M_c, params, delta1=None, delta2=None):
+    """Wrench of the simplified control model at packed state s, with
+    injected disturbances.
 
     U_e = m g e3 - f R e3 - delta1 (inertial), M_e = M_c - delta2 (body).
     """
-    U_e = params.m * params.g * np.array([0.0, 0.0, 1.0]) - f * state.R[:, 2]
+    R = unpack_state(s)[2]
+    U_e = params.m * params.g * np.array([0.0, 0.0, 1.0]) - f * R[:, 2]
     if delta1 is not None:
         U_e = U_e - np.asarray(delta1, float)
     M_e = np.asarray(M_c, dtype=float)

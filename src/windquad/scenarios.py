@@ -8,12 +8,22 @@ against declared maxima.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .controller import TrajectoryPoint
-
 _E1 = np.array([1.0, 0.0, 0.0])
+
+
+class TrajectoryPoint(NamedTuple):
+    """Desired position and its first two derivatives, inertial frame, and
+    the unit heading direction with its rate."""
+
+    x_d: np.ndarray
+    v_d: np.ndarray
+    a_d: np.ndarray
+    b1_d: np.ndarray
+    b1_d_dot: np.ndarray
 
 
 @dataclass(frozen=True)

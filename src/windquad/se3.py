@@ -149,11 +149,12 @@ def orthonormalize(M):
     Raises
     ------
     DegenerateMatrix
-        If det M <= 0 or M is near rank-deficient.
+        If det M is not positive (NaN included) or M is near rank-deficient.
     """
     M = np.asarray(M, dtype=float)
-    if np.linalg.det(M) <= 0.0:
-        raise DegenerateMatrix("determinant must be positive")
+    det = np.linalg.det(M)
+    if not det > 0.0:
+        raise DegenerateMatrix(f"determinant must be positive, got {det}")
     U, s, Vt = np.linalg.svd(M)
     if s[-1] < 1e-12 * max(1.0, s[0]):
         raise DegenerateMatrix("matrix is near rank-deficient")

@@ -27,60 +27,14 @@ import numpy as np
 from .adaptive import NNWeights, build_attitude_input, build_position_input, nn_output
 from .aero import resultant_wrench
 from .controller import GeometricAdaptiveController
-from .errors import (DegenerateThrust, HeadingDegenerate, NoConvergence,
-                     NonFiniteWeights, RotorStopped, SimulationAbort)
+from .errors import (DegenerateMatrix, DegenerateThrust, HeadingDegenerate,
+                     NoConvergence, NonFiniteWeights, RotorStopped,
+                     SimulationAbort)
 from .dynamics import simplified_wrench, step_rk4
+from .layout import (COLUMNS, FIELDS, OUTPUT, ROW_OUTPUT, ROW_STATE, STATE,
+                     unpack_state)
 from .scenarios import trajectory_at, wind_at
 from .stability import lyapunov_value
-
-
-def _axes(prefix, labels="123"):
-    return [f"{prefix}{i}" for i in labels]
-
-
-#: telemetry schema in file order: (field, column name) for a one-column
-#: field, (field, [column names]) for a vector field
-SCHEMA = (
-    ("t", "t"),
-    ("x", _axes("x")), ("v", _axes("v")),
-    ("R", [f"R{i}{j}" for i in "123" for j in "123"]),
-    ("Omega", _axes("Om")),
-    ("x_d", _axes("xd")),
-    ("e_x", _axes("ex")), ("e_v", _axes("ev")),
-    ("e_R", _axes("eR")), ("e_Omega", _axes("eOm")),
-    ("psi", "psi"), ("f", "f"),
-    ("M_c", _axes("Mc")),
-    ("thrusts", _axes("T", "1234")), ("omegas", _axes("omega", "1234")),
-    ("saturated", _axes("sat", "1234")),
-    ("delta1_hat", _axes("d1hat")), ("delta2_hat", _axes("d2hat")),
-    ("W1_norm", "W1_norm"), ("V1_norm", "V1_norm"),
-    ("W2_norm", "W2_norm"), ("V2_norm", "V2_norm"),
-    ("V1", "V1_lyap"), ("V2", "V2_lyap"), ("V", "V_lyap"),
-    ("v_w", _axes("vw")),
-)
-
-
-def _layout(schema):
-    columns, fields = [], {}
-    for name, cols in schema:
-        if isinstance(cols, str):
-            fields[name] = len(columns)
-            columns.append(cols)
-        else:
-            fields[name] = slice(len(columns), len(columns) + len(cols))
-            columns.extend(cols)
-    return columns, fields
-
-
-#: COLUMNS: telemetry column names in file order; FIELDS: field name ->
-#: column index (one-column field) or slice (vector field)
-COLUMNS, FIELDS = _layout(SCHEMA)
-
-
-def _record(row, **values):
-    """Fill one telemetry row from one value per schema field."""
-    for name, index in FIELDS.items():
-        row[index] = values[name]
 
 
 @dataclass
@@ -100,7 +54,7 @@ def _injected_delta(cfg):
     f1 = cfg.get("disturbance", "delta1_freq")
     f2 = cfg.get("disturbance", "delta2_freq")
 
-    def delta(t, state):
+    def delta(t, s):
         return (d1c + d1a * math.sin(2.0 * math.pi * f1 * t),
                 d2c + d2a * math.sin(2.0 * math.pi * f2 * t))
 
@@ -122,10 +76,10 @@ def make_synthetic_targets(cfg):
 def _synthetic_delta(targets):
     zero3 = np.zeros(3)
 
-    def delta(t, state):
-        x_nn2, _ = build_attitude_input(state.R, state.Omega, fallback_angles=zero3)
-        (d1, _), (d2, _) = nn_output(
-            targets, (build_position_input(state.x, state.v), x_nn2))
+    def delta(t, s):
+        x, v, R, Omega = unpack_state(s)
+        x_nn2, _ = build_attitude_input(R, Omega, fallback_angles=zero3)
+        (d1, _), (d2, _) = nn_output(targets, (build_position_input(x, v), x_nn2))
         return d1, d2
 
     return delta
@@ -182,15 +136,20 @@ def run_simulation(config):
         nn1, nn2 = ctrl.nn1, ctrl.nn2
 
         try:
-            cmd, diag = ctrl.step(state, traj, dt)
+            out = ctrl.step(state, traj, dt)
         except (DegenerateThrust, HeadingDegenerate) as exc:
             abort(k, f"controller degeneracy: {exc}")
         except NonFiniteWeights as exc:
             abort(k, f"adaptation failure: {exc}")
 
         if k % decimate == 0:
-            w1n, v1n = nn1.norms()
-            w2n, v2n = nn2.norms()
+            row = telemetry[n_rec]
+            row[FIELDS["t"]] = t
+            row[ROW_STATE] = state
+            row[FIELDS["x_d"]] = traj.x_d
+            row[ROW_OUTPUT] = out
+            row[FIELDS["W1_norm"]], row[FIELDS["V1_norm"]] = nn1.norms()
+            row[FIELDS["W2_norm"]], row[FIELDS["V2_norm"]] = nn2.norms()
             nn_errors = None
             if targets is not None:
                 nn_errors = ((targets[0].W - nn1.W, targets[0].V - nn1.V),
@@ -198,22 +157,14 @@ def run_simulation(config):
                 (W1t, V1t), (W2t, V2t) = nn_errors
                 nn_error_sq[n_rec] = (np.sum(W1t * W1t) + np.sum(V1t * V1t),
                                       np.sum(W2t * W2t) + np.sum(V2t * V2t))
-            V1, V2, V = lyapunov_value(diag.e_x, diag.e_v, diag.e_R, diag.e_Omega,
-                                       diag.psi, gains, quad.m, quad.J,
-                                       nn_errors=nn_errors)
-            _record(telemetry[n_rec],
-                    t=t, x=state.x, v=state.v, R=state.R.reshape(-1),
-                    Omega=state.Omega, x_d=traj.x_d, e_x=diag.e_x, e_v=diag.e_v,
-                    e_R=diag.e_R, e_Omega=diag.e_Omega, psi=diag.psi, f=cmd.f,
-                    M_c=cmd.M_c, thrusts=cmd.thrusts, omegas=cmd.omegas,
-                    saturated=cmd.saturated, delta1_hat=diag.delta1_hat,
-                    delta2_hat=diag.delta2_hat, W1_norm=w1n, V1_norm=v1n,
-                    W2_norm=w2n, V2_norm=v2n, V1=V1, V2=V2, V=V,
-                    v_w=wind_at(wind, t))
+            row[FIELDS["V1"]], row[FIELDS["V2"]], row[FIELDS["V"]] = lyapunov_value(
+                *(row[FIELDS[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
+                gains, quad.m, quad.J, nn_errors=nn_errors)
+            row[FIELDS["v_w"]] = wind_at(wind, t)
             n_rec += 1
 
         if mode == "full_aero":
-            omegas = cmd.omegas
+            omegas = out[OUTPUT["omegas"]]
             # RK4 stages 2 and 3 share one time: sample the wind once per time
             stage_wind = [None, None]
 
@@ -223,7 +174,7 @@ def run_simulation(config):
                 return resultant_wrench(s, stage_wind[1], omegas, quad,
                                         aero, omega_min)
         else:
-            f_cmd, M_cmd = cmd.f, cmd.M_c
+            f_cmd, M_cmd = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
 
             def wrench(ts, s):
                 delta1, delta2 = delta_fn(ts, s)
@@ -234,10 +185,15 @@ def run_simulation(config):
             state = step_rk4(state, dt, wrench, quad, t)
         except (RotorStopped, NoConvergence) as exc:
             abort(k, f"plant failure: {exc}")
+        except DegenerateMatrix as exc:
+            # R0 exp(hat(phi)) is a rotation up to rounding, so only a
+            # non-finite chart increment can make it degenerate
+            abort(k, f"non-finite state component R ({exc})")
 
-        for name in ("x", "v", "R", "Omega"):
-            if not np.all(np.isfinite(getattr(state, name))):
-                abort(k, f"non-finite state component {name}")
+        finite = np.isfinite(state)
+        if not finite.all():
+            name = next(name for name, cols in STATE.items() if not finite[cols].all())
+            abort(k, f"non-finite state component {name}")
 
     summary = summarize(telemetry)
     return SimResult(telemetry=telemetry, summary=summary, targets=targets,

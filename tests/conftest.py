@@ -5,6 +5,7 @@ import pytest
 
 from windquad.aero import RotorAeroParams
 from windquad.dynamics import QuadParams
+from windquad.layout import pack_state
 
 
 @pytest.fixture
@@ -34,3 +35,8 @@ def random_rotation(rng, max_angle=math.pi):
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)
     return expm_so3(angle * axis)
+
+
+def at_rest():
+    """Packed state at the origin, at rest, with R = I."""
+    return pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))

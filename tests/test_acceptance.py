@@ -17,14 +17,15 @@ from windquad.aero import solve_thrust_inflow, thrust_inflow_residuals
 from windquad.config import load_config
 from windquad.controller import (ControllerGains, compute_A, compute_Rc,
                                  compute_thrust)
-from windquad.dynamics import (QuadParams, RigidBodyState, simplified_wrench,
-                               step_rk4)
+from windquad.dynamics import QuadParams, simplified_wrench, step_rk4
+from windquad.layout import pack_state, unpack_state
 from windquad.se3 import attitude_error, cross3
 from windquad.sim import FIELDS, run_simulation
 from windquad.stability import (build_pd_matrices, set_d_functional,
                                 thrust_mismatch_term, ultimate_bound,
                                 validate_c1)
 
+from conftest import at_rest
 from test_aero import bisection_oracle
 
 
@@ -130,19 +131,21 @@ def test_criterion_3_integrator_conservation():
     quad = QuadParams(m=1.0, J=J, g=0.0)
     free = lambda t, s: (np.zeros(3), np.zeros(3))
 
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
-                        Omega=np.array([1.0, 2.0, 3.0]))
-    L0 = st.R @ (J @ st.Omega)
-    E0 = 0.5 * st.Omega @ (J @ st.Omega)
+    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0]))
+    _, _, R, Omega = unpack_state(st)
+    L0 = R @ (J @ Omega)
+    E0 = 0.5 * Omega @ (J @ Omega)
     for _ in range(10000):
         st = step_rk4(st, 1e-3, free, quad)
-    L_err = np.linalg.norm(st.R @ (J @ st.Omega) - L0) / np.linalg.norm(L0)
-    E_err = abs(0.5 * st.Omega @ (J @ st.Omega) - E0) / E0
+    _, _, R, Omega = unpack_state(st)
+    L_err = np.linalg.norm(R @ (J @ Omega) - L0) / np.linalg.norm(L0)
+    E_err = abs(0.5 * Omega @ (J @ Omega) - E0) / E0
 
     drift = 0.0
     for _ in range(90000):
         st = step_rk4(st, 1e-3, free, quad)
-    drift = np.linalg.norm(st.R.T @ st.R - np.eye(3))
+    R = unpack_state(st)[2]
+    drift = np.linalg.norm(R.T @ R - np.eye(3))
 
     gate(3, L_err < 1e-6 and E_err < 1e-6 and drift <= 1e-10,
          f"momentum rel err {L_err:.2e} < 1e-6, energy rel err {E_err:.2e} < 1e-6, "
@@ -294,25 +297,25 @@ def velocity_error_residuals(dt, duration=2.0):
                          0.4 * math.sin(0.8 * t)])
 
     def control(t, s):
-        e_x, e_v = s.x, s.v                      # hover target at the origin
+        e_x, e_v, R, Omega = unpack_state(s)     # hover target at the origin
         A = compute_A(e_x, e_v, np.zeros(3), np.zeros(3), gains, quad.m, quad.g)
-        f = compute_thrust(A, s.R)
+        f = compute_thrust(A, R)
         R_c = compute_Rc(A, b1_d, 1e-6 * quad.m * quad.g)
-        e_R, _ = attitude_error(s.R, R_c)
-        M_c = (-gains.k_R * e_R - gains.k_Omega * s.Omega
-               + cross3(s.Omega, quad.J @ s.Omega))
+        e_R, _ = attitude_error(R, R_c)
+        M_c = (-gains.k_R * e_R - gains.k_Omega * Omega
+               + cross3(Omega, quad.J @ Omega))
         return f, M_c, R_c, e_x, e_v
 
     def wrench(ts, s):
         f, M_c, _, _, _ = control(ts, s)
         return simplified_wrench(s, f, M_c, quad, delta1=delta1(ts))
 
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     recs = []
     for k in range(int(round(duration / dt))):
         t = k * dt
         f, M_c, R_c, e_x, e_v = control(t, st)
-        X = thrust_mismatch_term(f, st.R, R_c)
+        X = thrust_mismatch_term(f, unpack_state(st)[2], R_c)
         recs.append((e_x.copy(), e_v.copy(), delta1(t), X))
         st = step_rk4(st, dt, wrench, quad, t)
 

@@ -70,7 +70,7 @@ def test_output_hand_value():
 
 def test_output_bounded(rng):
     w = NNWeights.random(rng, W_norm=2.0, V_norm=3.0, W_max=2.0, V_max=3.0)
-    cap = w.output_bound()
+    cap = w.W_max * np.sqrt(w.n_hidden + 1.0)   # ||W||_F ||sigma||
     for _ in range(50):
         x = np.concatenate(([1.0], rng.standard_normal(6) * 100))
         assert np.linalg.norm(output(w, x)) <= cap + 1e-12

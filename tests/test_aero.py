@@ -6,14 +6,14 @@ import pytest
 import windquad.aero
 from windquad.aero import (RotorAeroParams, advance_ratios,
                            drag_force, flap_direction, resultant_wrench,
-                           rotor_relative_wind, solve_thrust_inflow,
-                           thrust_inflow_residuals, torque_coefficient)
-from windquad.dynamics import (RigidBodyState, SimplifiedModelParams,
-                               rotor_speed_from_thrust)
+                           solve_thrust_inflow, thrust_inflow_residuals,
+                           torque_coefficient)
+from windquad.dynamics import SimplifiedModelParams, rotor_speed_from_thrust
 from windquad.errors import RotorStopped
-from windquad.se3 import cross3, rotation_zyx
+from windquad.layout import pack_state, unpack_state
+from windquad.se3 import cross3, hat, rotation_zyx
 
-from conftest import random_rotation
+from conftest import at_rest, random_rotation
 
 
 def hover_quadratic_oracle(params):
@@ -52,22 +52,28 @@ def bisection_oracle(mu_x, mu_z, params, lo=0.0, hi=1.0, iters=100):
 
 # --- relative wind -----------------------------------------------------------
 
+def rotor_relative_wind(state, v_w, r_j):
+    """Relative wind R^T (v_w - v) + hat(Omega) r_j at the rotor hub r_j (body
+    frame) for ambient wind v_w (inertial): the formula resultant_wrench
+    inlines in floats."""
+    _, v, R, Omega = unpack_state(state)
+    return R.T @ (np.asarray(v_w, float) - v) + hat(Omega) @ np.asarray(r_j, float)
+
+
 def test_relative_wind_static_vehicle():
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     u = rotor_relative_wind(st, [3.0, 0.0, 0.0], [0.1, 0.0, 0.0])
     assert np.allclose(u, [3.0, 0.0, 0.0])
 
 
 def test_relative_wind_comoving():
-    st = RigidBodyState(x=np.zeros(3), v=np.array([2.0, -1.0, 0.5]),
-                        R=np.eye(3), Omega=np.zeros(3))
-    u = rotor_relative_wind(st, st.v, [0.3, 0.0, 0.05])
+    st = pack_state(np.zeros(3), np.array([2.0, -1.0, 0.5]), np.eye(3), np.zeros(3))
+    u = rotor_relative_wind(st, [2.0, -1.0, 0.5], [0.3, 0.0, 0.05])
     assert np.allclose(u, 0.0)
 
 
 def test_relative_wind_spin_term():
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
-                        Omega=np.array([0.0, 0.0, 1.0]))
+    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([0.0, 0.0, 1.0]))
     u = rotor_relative_wind(st, np.zeros(3), [0.3, 0.0, 0.05])
     assert np.allclose(u, [0.0, 0.3, 0.0], atol=1e-15)
 
@@ -208,7 +214,7 @@ def test_drag_dissipative(rng):
 def hover_trim_speed(quad, aero):
     """Scalar bisection for the rotor speed balancing gravity at hover."""
     def net(omega):
-        st = RigidBodyState.at_rest()
+        st = at_rest()
         U_e, _ = resultant_wrench(st, np.zeros(3), [omega] * 4, quad, aero)
         return U_e[2]
     lo, hi = 10.0, 5000.0
@@ -223,14 +229,14 @@ def hover_trim_speed(quad, aero):
 
 
 def test_hover_symmetry(quad, aero_s01):
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     U_e, M_e = resultant_wrench(st, np.zeros(3), [400.0] * 4, quad, aero_s01)
     assert np.allclose(U_e[:2], 0.0, atol=1e-12)
     assert np.allclose(M_e, 0.0, atol=1e-12)
 
 
 def test_hover_vertical_balance(quad, aero_s01):
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     omega = 400.0
     U_e, _ = resultant_wrench(st, np.zeros(3), [omega] * 4, quad, aero_s01)
     C_T, _ = solve_thrust_inflow(0.0, 0.0, aero_s01)
@@ -240,7 +246,7 @@ def test_hover_vertical_balance(quad, aero_s01):
 
 def test_hover_trim(quad, aero_s01):
     omega_h = hover_trim_speed(quad, aero_s01)
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     U_e, M_e = resultant_wrench(st, np.zeros(3), [omega_h] * 4, quad, aero_s01)
     assert np.linalg.norm(U_e) < 1e-9 * quad.m * quad.g
     assert np.allclose(M_e, 0.0, atol=1e-12)
@@ -248,20 +254,21 @@ def test_hover_trim(quad, aero_s01):
 
 def test_wrench_frame_consistency(quad, aero_s01, rng):
     # rotating the world about gravity rotates the force and keeps the moment
-    st = RigidBodyState(x=np.zeros(3), v=rng.standard_normal(3),
-                        R=random_rotation(rng, 0.4), Omega=rng.standard_normal(3))
+    st = pack_state(np.zeros(3), rng.standard_normal(3), random_rotation(rng, 0.4),
+                    rng.standard_normal(3))
     v_w = np.array([4.0, -1.0, 0.5])
     omegas = [380.0, 390.0, 385.0, 395.0]
     U_e, M_e = resultant_wrench(st, v_w, omegas, quad, aero_s01)
     Q = rotation_zyx(0.9, 0.0, 0.0)
-    st_rot = RigidBodyState(x=Q @ st.x, v=Q @ st.v, R=Q @ st.R, Omega=st.Omega)
+    x, v, R, Omega = unpack_state(st)
+    st_rot = pack_state(Q @ x, Q @ v, Q @ R, Omega)
     U_e2, M_e2 = resultant_wrench(st_rot, Q @ v_w, omegas, quad, aero_s01)
     assert np.allclose(U_e2, Q @ U_e, atol=1e-10)
     assert np.allclose(M_e2, M_e, atol=1e-12)
 
 
 def test_wrench_propagates_rotor_stopped(quad, aero_s01):
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     with pytest.raises(RotorStopped, match=r"^rotor 2 speed 0\.5 rad/s below floor 1$"):
         resultant_wrench(st, np.zeros(3), [400.0, 0.5, 400.0, 400.0], quad, aero_s01)
 
@@ -274,7 +281,7 @@ def test_floored_rotor_speed_passes_aero_floor(quad, aero_s01):
     assert sat and clipped == omega_min
     at_floor, sat = rotor_speed_from_thrust(simp.C_T * omega_min ** 2, simp, omega_min)
     assert not sat and at_floor == omega_min
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     U_e, M_e = resultant_wrench(st, np.array([3.0, 0.0, 0.0]),
                                 [clipped, at_floor, 400.0, 400.0], quad,
                                 aero_s01, omega_min)
@@ -293,8 +300,8 @@ def test_wrench_makes_four_scalar_solves(monkeypatch, quad, aero_s01, rng):
 
     monkeypatch.setattr(windquad.aero, "solve_thrust_inflow", counted)
     for n in range(1, 4):
-        st = RigidBodyState(x=np.zeros(3), v=rng.standard_normal(3),
-                            R=random_rotation(rng), Omega=rng.standard_normal(3))
+        st = pack_state(np.zeros(3), rng.standard_normal(3), random_rotation(rng),
+                        rng.standard_normal(3))
         resultant_wrench(st, rng.standard_normal(3), np.full(4, 400.0), quad, aero_s01)
         assert len(calls) == 4 * n
     assert set(calls) == {(float, float)}
@@ -332,9 +339,10 @@ def reference_wrench(state, v_w, omegas, quad, aero, omega_min=1.0):
         moment += cross3(r_j, thrust) + sign * Q_j * d
         flap = 0.5 * aero.N_b * aero.K_beta * alpha
         moment += flap * np.array([d[0], d[1], 0.0])
-    rel = state.v - np.asarray(v_w, float)
+    _, v, R, _ = unpack_state(state)
+    rel = v - np.asarray(v_w, float)
     U_e = quad.m * quad.g * np.array([0.0, 0.0, 1.0]) \
-        - aero.C_d * np.linalg.norm(rel) * rel + state.R @ force_body
+        - aero.C_d * np.linalg.norm(rel) * rel + R @ force_body
     return U_e, moment
 
 
@@ -345,8 +353,8 @@ def assert_matches_reference(got, ref):
 
 def test_wrench_matches_reference_random(quad, aero_s01, rng):
     for _ in range(1000):
-        st = RigidBodyState(x=np.zeros(3), v=3.0 * rng.standard_normal(3),
-                            R=random_rotation(rng), Omega=2.0 * rng.standard_normal(3))
+        st = pack_state(np.zeros(3), 3.0 * rng.standard_normal(3), random_rotation(rng),
+                        2.0 * rng.standard_normal(3))
         v_w = 5.0 * rng.standard_normal(3)
         omegas = rng.uniform(250.0, 900.0, 4)
         assert_matches_reference(resultant_wrench(st, v_w, omegas, quad, aero_s01),
@@ -358,7 +366,7 @@ def test_wrench_matches_reference_axial_wind(quad, aero_s01, rng):
     # the zero in-plane (unflapped) branch
     for w in (-4.0, 0.0, 2.5):
         R = random_rotation(rng)
-        st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=R, Omega=np.zeros(3))
+        st = pack_state(np.zeros(3), np.zeros(3), R, np.zeros(3))
         v_w = R @ np.array([0.0, 0.0, w])
         omegas = np.full(4, rng.uniform(300.0, 600.0))
         got = resultant_wrench(st, v_w, omegas, quad, aero_s01)
@@ -368,14 +376,14 @@ def test_wrench_matches_reference_axial_wind(quad, aero_s01, rng):
 
 def test_flap_moment_vanishes_without_wind(quad, aero_s01):
     # zero relative wind at every rotor: no flapping contribution at all
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     _, M_e = resultant_wrench(st, np.zeros(3), [420.0] * 4, quad, aero_s01)
     assert np.allclose(M_e, 0.0, atol=1e-12)
 
 
 def test_flap_moment_magnitude_bounded(quad, aero_s01):
     # flapping adds at most (N_b/2) K_beta alpha_max * sqrt(2) per rotor
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     v_w = np.array([6.0, 0.0, 0.0])
     omegas = [400.0] * 4
     _, M_e = resultant_wrench(st, v_w, omegas, quad, aero_s01)

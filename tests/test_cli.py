@@ -93,6 +93,25 @@ def test_run_abort_exit_code(tmp_path):
     assert not (out / "weights.csv").exists()
 
 
+def test_run_huge_disturbance_aborts(tmp_path, capsys):
+    # finite but huge: the moment overflows the body rates and the attitude
+    # update, which must end in an abort at step 0, not an SVD failure
+    path = write(tmp_path, "[disturbance]\ndelta2 = 1e300 0 0\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", path, "--duration", "0.02",
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "aborted at step 0: non-finite state component R" in capsys.readouterr().err
+
+
+def test_run_out_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "--duration", "0.05", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "output error" in err and str(out) in err
+
+
 OUTPUT_NAMES = {"csv": "t.csv", "summary": "s.txt", "weights": "w.csv"}
 
 
@@ -120,6 +139,14 @@ def test_run_config_output_empty_path_skips(tmp_path, skipped):
     assert main(["run", "--config", path, "--duration", "0.05"]) == 0
     expected = [name for key, name in OUTPUT_NAMES.items() if key != skipped]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.ini", *expected])
+
+
+def test_run_config_output_missing_dir(tmp_path, capsys):
+    missing = tmp_path / "missing" / "t.csv"
+    path = write(tmp_path, f"[output]\ncsv = {missing}\n")
+    assert main(["run", "--config", path, "--duration", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert "output error" in err and str(missing) in err
 
 
 def test_run_config_output_abort(tmp_path):

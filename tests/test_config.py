@@ -4,6 +4,7 @@ import pytest
 from windquad.config import (calibrate_simplified, default_config_text,
                              load_config)
 from windquad.errors import ParseError, ValidationError
+from windquad.layout import unpack_state
 
 
 def write(tmp_path, text):
@@ -78,8 +79,8 @@ def test_inertia_full_matrix(tmp_path):
 
 def test_initial_attitude(tmp_path):
     path = write(tmp_path, "[initial]\nattitude = 0.5 0 0\n")
-    st = load_config(path).initial_state()
-    assert st.R[0, 0] == pytest.approx(np.cos(0.5))
+    R = unpack_state(load_config(path).initial_state())[2]
+    assert R[0, 0] == pytest.approx(np.cos(0.5))
 
 
 def test_overrides_win(tmp_path):

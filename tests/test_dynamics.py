@@ -3,50 +3,25 @@ import pytest
 
 import windquad.dynamics
 from windquad.aero import resultant_wrench
-from windquad.dynamics import (QuadParams, RigidBodyState,
-                               SimplifiedModelParams, rotor_speed_from_thrust,
-                               simplified_wrench, state_derivative, step_rk4)
+from windquad.dynamics import (QuadParams, SimplifiedModelParams,
+                               rotor_speed_from_thrust, simplified_wrench,
+                               step_rk4)
 from windquad.errors import NotSkewSymmetric
+from windquad.layout import pack_state, unpack_state
 from windquad.se3 import cross3, expm_so3, orthonormalize
 
-from conftest import random_rotation
+from conftest import at_rest, random_rotation
 
 
 def free_wrench(t, s):
     return np.zeros(3), np.zeros(3)
 
 
-# --- state derivative --------------------------------------------------------
-
-def test_derivative_equilibrium(quad):
-    st = RigidBodyState.at_rest()
-    xd, vd, Rd, Od = state_derivative(st, np.zeros(3), np.zeros(3), quad)
-    assert np.allclose(vd, 0.0) and np.allclose(Od, 0.0)
-    assert np.allclose(Rd, 0.0) and np.allclose(xd, 0.0)
-
-
-def test_derivative_principal_spin():
-    quad = QuadParams(m=1.0, J=np.diag([0.1, 0.2, 0.3]))
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
-                        Omega=np.array([2.0, 0.0, 0.0]))
-    M = np.array([0.3, 0.0, 0.0])
-    _, _, _, Od = state_derivative(st, np.zeros(3), M, quad)
-    assert np.allclose(Od, [3.0, 0.0, 0.0])
-
-
-def test_derivative_gyroscopic():
-    quad = QuadParams(m=1.0, J=np.diag([1.0, 2.0, 3.0]))
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
-                        Omega=np.array([1.0, 1.0, 0.0]))
-    _, _, _, Od = state_derivative(st, np.zeros(3), np.zeros(3), quad)
-    assert np.allclose(Od, [0.0, 0.0, -1.0 / 3.0])
-
-
 # --- integrator --------------------------------------------------------------
 
 def test_ballistic_free_fall():
     quad = QuadParams(m=2.0, g=9.81)
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     dt, T = 1e-3, 1.0
 
     def wrench(t, s):
@@ -54,19 +29,21 @@ def test_ballistic_free_fall():
 
     for _ in range(int(T / dt)):
         st = step_rk4(st, dt, wrench, quad)
-    assert st.x[2] == pytest.approx(0.5 * quad.g * T ** 2, abs=1e-10)
-    assert st.v[2] == pytest.approx(quad.g * T, abs=1e-12)
+    x, v, _, _ = unpack_state(st)
+    assert x[2] == pytest.approx(0.5 * quad.g * T ** 2, abs=1e-10)
+    assert v[2] == pytest.approx(quad.g * T, abs=1e-12)
 
 
 def test_principal_axis_spin_exact():
     quad = QuadParams(m=1.0, J=np.diag([0.02, 0.02, 0.04]))
     Om0 = np.array([0.0, 0.0, 5.0])
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), Omega=Om0.copy())
+    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0.copy())
     dt, T = 1e-3, 10.0
     for _ in range(int(T / dt)):
         st = step_rk4(st, dt, free_wrench, quad)
-    assert np.allclose(st.Omega, Om0, atol=1e-13)
-    assert np.linalg.norm(st.R - expm_so3(Om0 * T)) < 1e-8
+    _, _, R, Omega = unpack_state(st)
+    assert np.allclose(Omega, Om0, atol=1e-13)
+    assert np.linalg.norm(R - expm_so3(Om0 * T)) < 1e-8
 
 
 def symmetric_top_closed_form(Om0, J, t):
@@ -82,13 +59,14 @@ def test_symmetric_top_against_closed_form():
     J = np.diag([0.02, 0.02, 0.04])
     quad = QuadParams(m=1.0, J=J, g=0.0)
     Om0 = np.array([1.5, 0.8, 3.0])
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), Omega=Om0.copy())
+    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0.copy())
     dt, T = 1e-3, 2.0
     for _ in range(int(T / dt)):
         st = step_rk4(st, dt, free_wrench, quad)
     R_ref, Om_ref = symmetric_top_closed_form(Om0, J, T)
-    assert np.linalg.norm(st.R - R_ref) < 1e-9
-    assert np.linalg.norm(st.Omega - Om_ref) < 1e-9
+    _, _, R, Omega = unpack_state(st)
+    assert np.linalg.norm(R - R_ref) < 1e-9
+    assert np.linalg.norm(Omega - Om_ref) < 1e-9
 
 
 def test_integrator_fourth_order():
@@ -98,11 +76,12 @@ def test_integrator_fourth_order():
     T = 2.0
 
     def terminal_error(dt):
-        st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), Omega=Om0.copy())
+        st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0.copy())
         for _ in range(int(round(T / dt))):
             st = step_rk4(st, dt, free_wrench, quad)
         R_ref, Om_ref = symmetric_top_closed_form(Om0, J, T)
-        return np.linalg.norm(st.R - R_ref) + np.linalg.norm(st.Omega - Om_ref)
+        _, _, R, Omega = unpack_state(st)
+        return np.linalg.norm(R - R_ref) + np.linalg.norm(Omega - Om_ref)
 
     assert terminal_error(0.02) / terminal_error(0.01) >= 14.0
 
@@ -110,31 +89,32 @@ def test_integrator_fourth_order():
 def test_conservation_asymmetric_top():
     J = np.diag([0.02, 0.031, 0.045])
     quad = QuadParams(m=1.0, J=J, g=0.0)
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
-                        Omega=np.array([1.0, 2.0, 3.0]))
-    L0 = st.R @ (J @ st.Omega)
-    E0 = 0.5 * st.Omega @ (J @ st.Omega)
+    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0]))
+    _, _, R, Omega = unpack_state(st)
+    L0 = R @ (J @ Omega)
+    E0 = 0.5 * Omega @ (J @ Omega)
     for _ in range(3000):
         st = step_rk4(st, 1e-3, free_wrench, quad)
-    L = st.R @ (J @ st.Omega)
-    E = 0.5 * st.Omega @ (J @ st.Omega)
+    _, _, R, Omega = unpack_state(st)
+    L = R @ (J @ Omega)
+    E = 0.5 * Omega @ (J @ Omega)
     assert np.linalg.norm(L - L0) / np.linalg.norm(L0) < 1e-9
     assert abs(E - E0) / E0 < 1e-9
 
 
 def test_rotation_stays_orthonormal():
     quad = QuadParams(m=1.0, J=np.diag([0.02, 0.02, 0.04]), g=0.0)
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
-                        Omega=np.array([1.0, 2.0, 3.0]))
+    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0]))
     worst = 0.0
     for _ in range(20000):
         st = step_rk4(st, 1e-3, free_wrench, quad)
-        worst = max(worst, np.linalg.norm(st.R.T @ st.R - np.eye(3)))
+        R = unpack_state(st)[2]
+        worst = max(worst, np.linalg.norm(R.T @ R - np.eye(3)))
     assert worst <= 1e-12
 
 
 def test_step_rejects_bad_dt(quad):
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     with pytest.raises(ValueError):
         step_rk4(st, 0.0, free_wrench, quad)
     with pytest.raises(ValueError):
@@ -142,7 +122,7 @@ def test_step_rejects_bad_dt(quad):
 
 
 def test_step_propagates_wrench_errors(quad):
-    st = RigidBodyState.at_rest()
+    st = at_rest()
 
     def broken(t, s):
         raise NotSkewSymmetric("boom")
@@ -165,17 +145,17 @@ def _dexpinv(phi, Omega):
 
 def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
     """step_rk4 with each RK4 stage written out per component (x, v, phi, Omega)."""
-    m, J, J_inv, R0 = params.m, params.J, params.J_inv, state.R
+    m, J, J_inv = params.m, params.J, params.J_inv
+    x0, v0, R0, Om0 = unpack_state(state)
 
     def rates(ts, x, v, phi, Omega):
-        s = RigidBodyState(x, v, R0 @ expm_so3(phi), Omega)
+        s = pack_state(x, v, R0 @ expm_so3(phi), Omega)
         U_e, M_e = wrench_fn(ts, s)
         return (v,
                 np.asarray(U_e, float) / m,
                 _dexpinv(phi, Omega),
                 J_inv @ (np.asarray(M_e, float) - cross3(Omega, J @ Omega)))
 
-    x0, v0, Om0 = state.x, state.v, state.Omega
     zero = np.zeros(3)
 
     k1 = rates(t, x0, v0, zero, Om0)
@@ -193,7 +173,7 @@ def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
     Om_new = Om0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
 
     R_new = orthonormalize(R0 @ expm_so3(phi))
-    return RigidBodyState(x_new, v_new, R_new, Om_new)
+    return pack_state(x_new, v_new, R_new, Om_new)
 
 
 def random_wrench(rng, quad, aero):
@@ -202,9 +182,12 @@ def random_wrench(rng, quad, aero):
         f = rng.uniform(2.0, 8.0)
         M_c = 0.05 * rng.standard_normal(3)
         a, b = rng.standard_normal(3), rng.standard_normal(3)
-        return lambda ts, s: simplified_wrench(
-            s, f, M_c, quad, delta1=a * np.sin(ts) + 0.1 * s.x - 0.2 * s.v,
-            delta2=0.01 * b * s.Omega + 0.02 * s.R[:, 0])
+        def wrench(ts, s):
+            x, v, R, Omega = unpack_state(s)
+            return simplified_wrench(s, f, M_c, quad,
+                                     delta1=a * np.sin(ts) + 0.1 * x - 0.2 * v,
+                                     delta2=0.01 * b * Omega + 0.02 * R[:, 0])
+        return wrench
     v_w = 5.0 * rng.standard_normal(3)
     omegas = rng.uniform(250.0, 900.0, 4)
     return lambda ts, s: resultant_wrench(s, (1.0 + 0.1 * ts) * v_w, omegas, quad, aero)
@@ -215,14 +198,14 @@ def random_wrench(rng, quad, aero):
 def test_step_rk4_matches_reference(quad, aero_s01, rng, plant, dt):
     aero = aero_s01 if plant == "full_aero" else None
     for _ in range(1000):
-        st = RigidBodyState(x=rng.standard_normal(3), v=3.0 * rng.standard_normal(3),
-                            R=random_rotation(rng), Omega=2.0 * rng.standard_normal(3))
+        st = pack_state(rng.standard_normal(3), 3.0 * rng.standard_normal(3),
+                        random_rotation(rng), 2.0 * rng.standard_normal(3))
         wrench = random_wrench(rng, quad, aero)
         t = rng.uniform(0.0, 30.0)
         got = step_rk4(st, dt, wrench, quad, t)
         ref = reference_step_rk4(st, dt, wrench, quad, t)
-        for name in ("x", "v", "R", "Omega"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        for name, g, r in zip(("x", "v", "R", "Omega"), unpack_state(got), unpack_state(ref)):
+            assert np.array_equal(g, r), name
 
 
 def random_inertia(rng):
@@ -240,14 +223,13 @@ def test_step_rk4_matches_reference_full_inertia(aero_s01, rng, plant):
     aero = aero_s01 if plant == "full_aero" else None
     for _ in range(500):
         quad = QuadParams(J=random_inertia(rng))
-        st = RigidBodyState(x=rng.standard_normal(3), v=3.0 * rng.standard_normal(3),
-                            R=random_rotation(rng), Omega=2.0 * rng.standard_normal(3))
+        st = pack_state(rng.standard_normal(3), 3.0 * rng.standard_normal(3),
+                        random_rotation(rng), 2.0 * rng.standard_normal(3))
         wrench = random_wrench(rng, quad, aero)
         t = rng.uniform(0.0, 30.0)
         got = step_rk4(st, 2e-3, wrench, quad, t)
         ref = reference_step_rk4(st, 2e-3, wrench, quad, t)
-        for name in ("x", "v", "R", "Omega"):
-            g, r = getattr(got, name), getattr(ref, name)
+        for name, g, r in zip(("x", "v", "R", "Omega"), unpack_state(got), unpack_state(ref)):
             assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r) + 1e-15, name
 
 
@@ -257,8 +239,7 @@ def test_step_rk4_skips_exp_of_zero(quad, monkeypatch):
     expm = windquad.dynamics.expm_so3
     monkeypatch.setattr(windquad.dynamics, "expm_so3",
                         lambda phi: calls.append(1) or expm(phi))
-    st = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
-                        Omega=np.array([0.3, -0.2, 1.0]))
+    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([0.3, -0.2, 1.0]))
     for _ in range(5):
         st = step_rk4(st, 1e-3, free_wrench, quad)
     assert len(calls) == 20
@@ -290,21 +271,21 @@ def test_rotor_speed_clips_negative():
 # --- simplified wrench -------------------------------------------------------
 
 def test_simplified_hover_trim(quad):
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     U_e, M_e = simplified_wrench(st, quad.m * quad.g, np.zeros(3), quad)
     assert np.allclose(U_e, 0.0, atol=1e-12)
     assert np.allclose(M_e, 0.0)
 
 
 def test_simplified_disturbance_sign(quad):
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     U_e, _ = simplified_wrench(st, quad.m * quad.g, np.zeros(3), quad,
                                delta1=np.array([1.0, 0.0, 0.0]))
     assert np.allclose(U_e, [-1.0, 0.0, 0.0])
 
 
 def test_simplified_moment_passthrough(quad):
-    st = RigidBodyState.at_rest()
+    st = at_rest()
     _, M_e = simplified_wrench(st, 0.0, np.array([0.0, 0.0, 0.1]), quad)
     assert np.allclose(M_e, [0.0, 0.0, 0.1])
 

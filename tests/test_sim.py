@@ -5,8 +5,8 @@ import pytest
 
 import windquad.sim
 from windquad.config import load_config
-from windquad.controller import TrajectoryPoint
 from windquad.errors import NoConvergence, RotorStopped, SimulationAbort
+from windquad.scenarios import TrajectoryPoint
 from windquad.sim import (COLUMNS, FIELDS, read_csv, run_simulation,
                           summarize, write_csv, write_summary,
                           write_weights_csv)
