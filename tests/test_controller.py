@@ -28,6 +28,14 @@ def hover_point():
                            b1_d=E1, b1_d_dot=np.zeros(3))
 
 
+@pytest.mark.parametrize("b1_d", [[math.nan, 0.0, 0.0]])
+def test_trajectory_point_rejects_non_unit_heading(quad, b1_d):
+    # A trajectory point no longer checks its heading; the controller step does.
+    traj = hover_point()._replace(b1_d=np.array(b1_d))
+    with pytest.raises(HeadingDegenerate):
+        make_controller(quad).step(at_rest(), traj, 1e-3)
+
+
 # --- acceleration command ----------------------------------------------------
 
 def test_compute_A_hover():
