@@ -88,13 +88,9 @@ def sigmoid_features(z):
     sigma in z has a zero first row and diag(ds) below, ds_k = s_k (1 - s_k);
     only the (n,) vector ds is returned.
     """
-    z = np.asarray(z, dtype=float)
-    # evaluate from the side that cannot overflow
-    s = np.empty_like(z)
-    pos = z >= 0.0
-    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    s[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) lies in [0, 1], so neither side can overflow
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return np.concatenate(([1.0], s)), s * (1.0 - s)
 
 
@@ -110,7 +106,6 @@ def nn_output(nets, inputs):
     """
     zs = []
     for w, x_nn in zip(nets, inputs, strict=True):
-        x_nn = np.asarray(x_nn, dtype=float)
         if x_nn.shape != (w.V.shape[0],):
             raise DimensionMismatch(f"input {x_nn.shape} vs V {w.V.shape}")
         zs.append(w.V.T @ x_nn)
@@ -126,7 +121,7 @@ def nn_output(nets, inputs):
 
 def build_position_input(x, v):
     """Position-network input [1, x, v]."""
-    return np.concatenate(([1.0], np.asarray(x, float), np.asarray(v, float)))
+    return np.concatenate(([1.0], x, v))
 
 
 def build_attitude_input(R, Omega, fallback_angles=None):
@@ -146,8 +141,8 @@ def build_attitude_input(R, Omega, fallback_angles=None):
     except GimbalLock:
         if fallback_angles is None:
             raise
-        angles = np.asarray(fallback_angles, dtype=float)
-    return np.concatenate(([1.0], angles, np.asarray(Omega, float))), angles
+        angles = fallback_angles
+    return np.concatenate(([1.0], angles, Omega)), angles
 
 
 def project_to_ball(M, bound, name="M"):
@@ -157,7 +152,6 @@ def project_to_ball(M, bound, name="M"):
     """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
-    M = np.asarray(M, dtype=float)
     n = np.linalg.norm(M)
     if not math.isfinite(n):
         raise NonFiniteWeights(f"{name} has Frobenius norm {n}")
@@ -179,8 +173,6 @@ def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    x_nn = np.asarray(x_nn, dtype=float)
-    a = np.asarray(a, dtype=float)
     if x_nn.shape != (w.V.shape[0],):
         raise DimensionMismatch(f"input {x_nn.shape} vs V {w.V.shape}")
     if a.shape != (w.W.shape[1],):

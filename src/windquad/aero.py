@@ -208,7 +208,7 @@ def flap_direction(u1, u2, C_alpha):
 
 def drag_force(v, v_w, C_d):
     """Quadratic body drag -C_d ||v - v_w|| (v - v_w), inertial frame."""
-    rel = np.asarray(v, float) - np.asarray(v_w, float)
+    rel = v - v_w
     return -C_d * math.hypot(*rel.tolist()) * rel
 
 
@@ -233,13 +233,13 @@ def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
     names the rotor, 1-based as in the telemetry columns.
     """
     _, v, R, Omega = unpack_state(s)
-    wx, wy, wz = ((np.asarray(v_w, float) - v) @ R).tolist()
+    wx, wy, wz = ((v_w - v) @ R).tolist()
     p, q, r = Omega.tolist()
     r_p = aero.r_p
     rho_A = aero.rho * aero.A_p
     flap_gain = 0.5 * aero.N_b * aero.K_beta
     fx = fy = fz = mx = my = mz = 0.0
-    rotors = zip(np.asarray(omegas, float).tolist(), quad.rotor_positions)
+    rotors = zip(omegas.tolist(), quad.rotor_positions)
     for j, (omega_j, (rx, ry, rz)) in enumerate(rotors):
         u1 = wx + q * rz - r * ry
         u2 = wy + r * rx - p * rz

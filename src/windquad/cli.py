@@ -4,6 +4,7 @@ Exit codes: 0 success, 2 configuration or output-path error, 3 runtime abort.
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -45,9 +46,7 @@ def _gain_report(cfg):
 def cmd_run(args):
     cfg = load_config(args.config, overrides=_run_overrides(args))
     report = _gain_report(cfg)
-    ok = (report.c1_check.passed and report.c2_check.passed
-          and report.all_positive_definite)
-    if not ok:
+    if not report.feasible:
         print("warning: gain feasibility checks failed "
               "(see validate-gains for details)", file=sys.stderr)
         if args.strict:
@@ -62,6 +61,12 @@ def cmd_run(args):
     else:
         paths = [cfg.get("output", key) for key in ("csv", "summary", "weights")]
     csv_path, summary_path, weights_path = paths
+    # a missing directory fails now rather than after the run; nothing is
+    # created here, so an aborted run still leaves no summary and no weights
+    for path in paths:
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
     try:
         result = run_simulation(cfg)
@@ -92,9 +97,7 @@ def cmd_validate_gains(args):
     cfg = load_config(args.config)
     report = _gain_report(cfg)
     print(format_report(report))
-    ok = (report.c1_check.passed and report.c2_check.passed
-          and report.all_positive_definite)
-    if args.strict and not ok:
+    if args.strict and not report.feasible:
         return 2
     return 0
 

@@ -58,13 +58,12 @@ class ControllerGains:
 
 def compute_A(e_x, e_v, delta1_hat, a_d, gains, m, g):
     """Acceleration command D1 - k_x e_x - k_v e_v - m g e3 + m a_d."""
-    return (np.asarray(delta1_hat, float) - gains.k_x * np.asarray(e_x, float)
-            - gains.k_v * np.asarray(e_v, float) - m * g * E3 + m * np.asarray(a_d, float))
+    return delta1_hat - gains.k_x * e_x - gains.k_v * e_v - m * g * E3 + m * a_d
 
 
 def compute_thrust(A, R):
     """Total thrust f = -A^T R e3."""
-    return -float(np.asarray(A, float) @ np.asarray(R, float)[:, 2])
+    return -float(A @ R[:, 2])
 
 
 def compute_Rc(A, b1_d, eps_thrust):
@@ -82,12 +81,11 @@ def compute_Rc(A, b1_d, eps_thrust):
     HeadingDegenerate
         If b1_d is parallel to the commanded thrust axis or NaN.
     """
-    A = np.asarray(A, dtype=float)
     norm_A = np.linalg.norm(A)
     if not norm_A > eps_thrust:
         raise DegenerateThrust(f"||A|| = {norm_A:.3e} <= {eps_thrust:.3e}")
     b3 = -A / norm_A
-    C = -cross3(b3, np.asarray(b1_d, float))
+    C = -cross3(b3, b1_d)
     norm_C = np.linalg.norm(C)
     if not norm_C > HEADING_TOL:
         raise HeadingDegenerate("heading parallel to thrust axis")
@@ -121,11 +119,8 @@ def compute_Omega_c(history, dt):
 def compute_moment(e_R, e_Omega, Omega, R, R_c, Omega_c, Omega_c_dot,
                    delta2_hat, J, gains):
     """Moment law with gyroscopic and computed-attitude feedforward terms."""
-    Omega = np.asarray(Omega, float)
-    ff = J @ (hat(Omega) @ R.T @ R_c @ np.asarray(Omega_c, float)
-              - R.T @ R_c @ np.asarray(Omega_c_dot, float))
-    return (np.asarray(delta2_hat, float) - gains.k_R * np.asarray(e_R, float)
-            - gains.k_Omega * np.asarray(e_Omega, float)
+    ff = J @ (hat(Omega) @ R.T @ R_c @ Omega_c - R.T @ R_c @ Omega_c_dot)
+    return (delta2_hat - gains.k_R * e_R - gains.k_Omega * e_Omega
             + cross3(Omega, J @ Omega) - ff)
 
 

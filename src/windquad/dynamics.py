@@ -104,8 +104,8 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
     def rates(ts, y, st):
         _, _, _, v1, v2, v3, p1, p2, p3, w1, w2, w3 = y
         U_e, M_e = wrench_fn(ts, st)
-        U1, U2, U3 = np.asarray(U_e, float).tolist()
-        M1, M2, M3 = np.asarray(M_e, float).tolist()
+        U1, U2, U3 = U_e.tolist()
+        M1, M2, M3 = M_e.tolist()
         # chart rate Omega + phi x Omega / 2 + phi x (phi x Omega) / 12: the
         # inverse right-Jacobian series truncated after the second-order
         # term (the cubic term vanishes), enough for a fourth-order method
@@ -165,8 +165,8 @@ def simplified_wrench(s, f, M_c, params, delta1=None, delta2=None):
     R = unpack_state(s)[2]
     U_e = params.m * params.g * np.array([0.0, 0.0, 1.0]) - f * R[:, 2]
     if delta1 is not None:
-        U_e = U_e - np.asarray(delta1, float)
-    M_e = np.asarray(M_c, dtype=float)
+        U_e = U_e - delta1
+    M_e = M_c
     if delta2 is not None:
-        M_e = M_e - np.asarray(delta2, float)
+        M_e = M_e - delta2
     return U_e, M_e

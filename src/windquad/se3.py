@@ -5,6 +5,9 @@ Conventions
 Rotation matrices map body-frame coordinates to inertial-frame coordinates
 (R^T R = I, det R = +1).  Euler angles use the intrinsic Z-Y-X
 (yaw-pitch-roll) sequence.  All angles in radians.
+
+Vectors and matrices are float ndarrays and are used as given; only
+expm_so3 converts its argument.
 """
 
 import numpy as np
@@ -22,7 +25,6 @@ GIMBAL_TOL = 1e-6
 
 def hat(v):
     """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
-    v = np.asarray(v, dtype=float)
     return np.array([
         [0.0, -v[2], v[1]],
         [v[2], 0.0, -v[0]],
@@ -45,7 +47,6 @@ def vee(M, tol=SKEW_TOL):
     NotSkewSymmetric
         If ||M + M^T||_F exceeds `tol`.
     """
-    M = np.asarray(M, dtype=float)
     defect = np.linalg.norm(M + M.T)
     if defect > tol:
         raise NotSkewSymmetric(f"||M + M^T||_F = {defect:.3e} > {tol:.1e}")
@@ -54,7 +55,6 @@ def vee(M, tol=SKEW_TOL):
 
 def is_rotation(R, tol=ROTATION_TOL):
     """True if R satisfies the rotation-matrix invariants within tol."""
-    R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         return False
     if np.linalg.norm(R.T @ R - np.eye(3)) > tol:
@@ -72,8 +72,6 @@ def attitude_error(R, R_c):
     psi : float
         0.5 * tr(I - R_c^T R), in [0, 2]; zero iff R == R_c.
     """
-    R = np.asarray(R, dtype=float)
-    R_c = np.asarray(R_c, dtype=float)
     Q = R_c.T @ R
     e_R = 0.5 * np.array([Q[2, 1] - Q[1, 2], Q[0, 2] - Q[2, 0], Q[1, 0] - Q[0, 1]])
     psi = 0.5 * np.trace(np.eye(3) - Q)
@@ -82,7 +80,7 @@ def attitude_error(R, R_c):
 
 def angular_velocity_error(R, R_c, Omega, Omega_c):
     """Body angular velocity error Omega - R^T R_c Omega_c."""
-    return np.asarray(Omega, float) - np.asarray(R, float).T @ np.asarray(R_c, float) @ np.asarray(Omega_c, float)
+    return Omega - R.T @ R_c @ Omega_c
 
 
 def attitude_error_jacobian(Q):
@@ -90,7 +88,6 @@ def attitude_error_jacobian(Q):
 
     For Q in SO(3) its operator norm is at most one.
     """
-    Q = np.asarray(Q, dtype=float)
     return 0.5 * (np.trace(Q) * np.eye(3) - Q)
 
 
@@ -113,7 +110,6 @@ def euler_zyx(R, tol=GIMBAL_TOL):
     GimbalLock
         If |cos(pitch)| < tol, i.e. pitch within ~tol of +-pi/2.
     """
-    R = np.asarray(R, dtype=float)
     sp = -R[2, 0]
     sp = min(1.0, max(-1.0, sp))
     cp = np.sqrt(max(0.0, 1.0 - sp * sp))
@@ -126,7 +122,11 @@ def euler_zyx(R, tol=GIMBAL_TOL):
 
 
 def expm_so3(phi):
-    """Rotation exponential exp(hat(phi)) via the Rodrigues formula."""
+    """Rotation exponential exp(hat(phi)) via the Rodrigues formula.
+
+    phi may be any 3-sequence of floats: the integrator passes the chart of
+    an RK4 stage as a list, and this is where it becomes an array.
+    """
     phi = np.asarray(phi, dtype=float)
     theta2 = float(phi @ phi)
     K = hat(phi)
@@ -151,7 +151,6 @@ def orthonormalize(M):
     DegenerateMatrix
         If det M is not positive (NaN included) or M is near rank-deficient.
     """
-    M = np.asarray(M, dtype=float)
     det = np.linalg.det(M)
     if not det > 0.0:
         raise DegenerateMatrix(f"determinant must be positive, got {det}")

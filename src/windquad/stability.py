@@ -55,7 +55,7 @@ def validate_c2(c2, k_R, J, psi1):
         raise ValueError("inputs must be positive")
     if not psi1 < 2.0:
         raise ValueError("psi1 must be below 2")
-    eig = np.linalg.eigvalsh(np.asarray(J, float))
+    eig = np.linalg.eigvalsh(J)
     lam_m, lam_M = float(eig[0]), float(eig[-1])
     limit = min(math.sqrt(k_R * lam_m) / lam_M,
                 math.sqrt(2.0 * k_R / (lam_M * (2.0 - psi1))))
@@ -124,6 +124,11 @@ class LyapunovReport:
     def all_positive_definite(self):
         return all(self.verdicts.values())
 
+    @property
+    def feasible(self):
+        """Both coupling-constant checks pass and every matrix is positive-definite."""
+        return self.c1_check.passed and self.c2_check.passed and self.all_positive_definite
+
 
 def _eig_span(M):
     eig = np.linalg.eigvalsh(M)
@@ -139,7 +144,6 @@ def build_pd_matrices(gains, m, J, assumptions):
     decay matrix is positive-definite (otherwise nu <= 0 is reported as-is).
     """
     a = assumptions
-    J = np.asarray(J, dtype=float)
     lam_mJ, lam_MJ = _eig_span(J)
     beta = a.beta
     k_x, k_v, k_R, k_Om = gains.k_x, gains.k_v, gains.k_R, gains.k_Omega
@@ -255,12 +259,6 @@ def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
     ((W~1, V~1), (W~2, V~2)); omitted, the weight terms are dropped and the
     value covers tracking errors only.
     """
-    e_x = np.asarray(e_x, float)
-    e_v = np.asarray(e_v, float)
-    e_R = np.asarray(e_R, float)
-    e_Om = np.asarray(e_Omega, float)
-    J = np.asarray(J, float)
-
     V01 = V02 = 0.0
     if nn_errors is not None:
         (W1t, V1t), (W2t, V2t) = nn_errors
@@ -269,8 +267,8 @@ def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
 
     V1 = (0.5 * gains.k_x * e_x @ e_x + 0.5 * m * e_v @ e_v
           + m * gains.c1 * e_x @ e_v + V01)
-    V2 = (0.5 * e_Om @ (J @ e_Om) + gains.k_R * psi
-          + gains.c2 * e_R @ (J @ e_Om) + V02)
+    V2 = (0.5 * e_Omega @ (J @ e_Omega) + gains.k_R * psi
+          + gains.c2 * e_R @ (J @ e_Omega) + V02)
     return float(V1), float(V2), float(V1 + V2)
 
 
@@ -308,8 +306,8 @@ def thrust_mismatch_term(f, R, R_c):
     (f / (e3^T R_c^T R e3)) [ (e3^T R_c^T R e3) R e3 - R_c e3 ]; appears in
     the velocity-error equation and vanishes when R e3 aligns with R_c e3.
     """
-    r3 = np.asarray(R, float)[:, 2]
-    rc3 = np.asarray(R_c, float)[:, 2]
+    r3 = R[:, 2]
+    rc3 = R_c[:, 2]
     align = float(rc3 @ r3)
     return (f / align) * (align * r3 - rc3)
 

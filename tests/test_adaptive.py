@@ -38,6 +38,28 @@ def test_sigmoid_saturation():
     assert sigma[1] == pytest.approx(0.0, abs=1e-15)
 
 
+def masked_sigmoid_features(z):
+    """Reference: the two-branch form, each side's exp taken where it cannot
+    overflow."""
+    s = np.empty_like(z)
+    pos = z >= 0.0
+    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    s[~pos] = ez / (1.0 + ez)
+    return np.concatenate(([1.0], s)), s * (1.0 - s)
+
+
+def test_sigmoid_bitwise_equals_masked_reference(rng):
+    extremes = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308])
+    draws = [scale * rng.standard_normal(50_000) for scale in (1.0, 10.0, 100.0, 800.0)]
+    z = np.concatenate([extremes] + draws)
+    with np.errstate(over="raise"):
+        sigma, ds = sigmoid_features(z)
+    ref_sigma, ref_ds = masked_sigmoid_features(z)
+    assert sigma.tobytes() == ref_sigma.tobytes()
+    assert ds.tobytes() == ref_ds.tobytes()
+
+
 def test_sigmoid_jacobian_central_difference(rng):
     z = rng.standard_normal(6)
     _, ds = sigmoid_features(z)

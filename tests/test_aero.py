@@ -193,11 +193,11 @@ def test_drag_zero_relative():
 
 
 def test_drag_zero_coefficient():
-    assert np.allclose(drag_force([5.0, 0, 0], [0, 0, 0], 0.0), 0.0)
+    assert np.allclose(drag_force(np.array([5.0, 0, 0]), np.zeros(3), 0.0), 0.0)
 
 
 def test_drag_example():
-    D = drag_force([2.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.5)
+    D = drag_force(np.array([2.0, 0.0, 0.0]), np.zeros(3), 0.5)
     assert np.allclose(D, [-2.0, 0.0, 0.0])
 
 
@@ -215,7 +215,7 @@ def hover_trim_speed(quad, aero):
     """Scalar bisection for the rotor speed balancing gravity at hover."""
     def net(omega):
         st = at_rest()
-        U_e, _ = resultant_wrench(st, np.zeros(3), [omega] * 4, quad, aero)
+        U_e, _ = resultant_wrench(st, np.zeros(3), np.full(4, omega), quad, aero)
         return U_e[2]
     lo, hi = 10.0, 5000.0
     assert net(lo) > 0 > net(hi)
@@ -230,7 +230,7 @@ def hover_trim_speed(quad, aero):
 
 def test_hover_symmetry(quad, aero_s01):
     st = at_rest()
-    U_e, M_e = resultant_wrench(st, np.zeros(3), [400.0] * 4, quad, aero_s01)
+    U_e, M_e = resultant_wrench(st, np.zeros(3), np.full(4, 400.0), quad, aero_s01)
     assert np.allclose(U_e[:2], 0.0, atol=1e-12)
     assert np.allclose(M_e, 0.0, atol=1e-12)
 
@@ -238,7 +238,7 @@ def test_hover_symmetry(quad, aero_s01):
 def test_hover_vertical_balance(quad, aero_s01):
     st = at_rest()
     omega = 400.0
-    U_e, _ = resultant_wrench(st, np.zeros(3), [omega] * 4, quad, aero_s01)
+    U_e, _ = resultant_wrench(st, np.zeros(3), np.full(4, omega), quad, aero_s01)
     C_T, _ = solve_thrust_inflow(0.0, 0.0, aero_s01)
     T = C_T * aero_s01.rho * aero_s01.A_p * (aero_s01.r_p * omega) ** 2
     assert U_e[2] == pytest.approx(quad.m * quad.g - 4.0 * T, abs=1e-12)
@@ -247,7 +247,7 @@ def test_hover_vertical_balance(quad, aero_s01):
 def test_hover_trim(quad, aero_s01):
     omega_h = hover_trim_speed(quad, aero_s01)
     st = at_rest()
-    U_e, M_e = resultant_wrench(st, np.zeros(3), [omega_h] * 4, quad, aero_s01)
+    U_e, M_e = resultant_wrench(st, np.zeros(3), np.full(4, omega_h), quad, aero_s01)
     assert np.linalg.norm(U_e) < 1e-9 * quad.m * quad.g
     assert np.allclose(M_e, 0.0, atol=1e-12)
 
@@ -257,7 +257,7 @@ def test_wrench_frame_consistency(quad, aero_s01, rng):
     st = pack_state(np.zeros(3), rng.standard_normal(3), random_rotation(rng, 0.4),
                     rng.standard_normal(3))
     v_w = np.array([4.0, -1.0, 0.5])
-    omegas = [380.0, 390.0, 385.0, 395.0]
+    omegas = np.array([380.0, 390.0, 385.0, 395.0])
     U_e, M_e = resultant_wrench(st, v_w, omegas, quad, aero_s01)
     Q = rotation_zyx(0.9, 0.0, 0.0)
     x, v, R, Omega = unpack_state(st)
@@ -270,7 +270,7 @@ def test_wrench_frame_consistency(quad, aero_s01, rng):
 def test_wrench_propagates_rotor_stopped(quad, aero_s01):
     st = at_rest()
     with pytest.raises(RotorStopped, match=r"^rotor 2 speed 0\.5 rad/s below floor 1$"):
-        resultant_wrench(st, np.zeros(3), [400.0, 0.5, 400.0, 400.0], quad, aero_s01)
+        resultant_wrench(st, np.zeros(3), np.array([400.0, 0.5, 400.0, 400.0]), quad, aero_s01)
 
 
 def test_floored_rotor_speed_passes_aero_floor(quad, aero_s01):
@@ -283,7 +283,7 @@ def test_floored_rotor_speed_passes_aero_floor(quad, aero_s01):
     assert not sat and at_floor == omega_min
     st = at_rest()
     U_e, M_e = resultant_wrench(st, np.array([3.0, 0.0, 0.0]),
-                                [clipped, at_floor, 400.0, 400.0], quad,
+                                np.array([clipped, at_floor, 400.0, 400.0]), quad,
                                 aero_s01, omega_min)
     assert np.all(np.isfinite(U_e)) and np.all(np.isfinite(M_e))
 
@@ -377,7 +377,7 @@ def test_wrench_matches_reference_axial_wind(quad, aero_s01, rng):
 def test_flap_moment_vanishes_without_wind(quad, aero_s01):
     # zero relative wind at every rotor: no flapping contribution at all
     st = at_rest()
-    _, M_e = resultant_wrench(st, np.zeros(3), [420.0] * 4, quad, aero_s01)
+    _, M_e = resultant_wrench(st, np.zeros(3), np.full(4, 420.0), quad, aero_s01)
     assert np.allclose(M_e, 0.0, atol=1e-12)
 
 
@@ -385,7 +385,7 @@ def test_flap_moment_magnitude_bounded(quad, aero_s01):
     # flapping adds at most (N_b/2) K_beta alpha_max * sqrt(2) per rotor
     st = at_rest()
     v_w = np.array([6.0, 0.0, 0.0])
-    omegas = [400.0] * 4
+    omegas = np.full(4, 400.0)
     _, M_e = resultant_wrench(st, v_w, omegas, quad, aero_s01)
     alpha_max = aero_s01.C_alpha * np.linalg.norm(v_w)
     flap_cap = 4 * 0.5 * aero_s01.N_b * aero_s01.K_beta * alpha_max * math.sqrt(2.0)

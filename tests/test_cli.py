@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import windquad.cli
 from windquad.cli import main
 from windquad.config import SCHEMA
 from windquad.sim import COLUMNS, read_csv
@@ -141,12 +142,18 @@ def test_run_config_output_empty_path_skips(tmp_path, skipped):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.ini", *expected])
 
 
-def test_run_config_output_missing_dir(tmp_path, capsys):
+def test_run_config_output_missing_dir(tmp_path, capsys, monkeypatch):
+    # the missing directory is found before the run, not after it
+    runs = []
+    run = windquad.cli.run_simulation
+    monkeypatch.setattr(windquad.cli, "run_simulation",
+                        lambda cfg: runs.append(cfg) or run(cfg))
     missing = tmp_path / "missing" / "t.csv"
     path = write(tmp_path, f"[output]\ncsv = {missing}\n")
     assert main(["run", "--config", path, "--duration", "0.05"]) == 2
     err = capsys.readouterr().err
     assert "output error" in err and str(missing) in err
+    assert runs == []
 
 
 def test_run_config_output_abort(tmp_path):

@@ -46,7 +46,7 @@ def test_compute_A_hover():
 
 def test_compute_A_position_term():
     g = ControllerGains(k_x=16.0, k_v=1.0, k_R=1.0, k_Omega=1.0, c1=1.0, c2=1.0)
-    A = compute_A([1.0, 0, 0], np.zeros(3), np.zeros(3), np.zeros(3), g, 2.0, 9.81)
+    A = compute_A(np.array([1.0, 0, 0]), np.zeros(3), np.zeros(3), np.zeros(3), g, 2.0, 9.81)
     assert np.allclose(A, [-16.0, 0.0, -19.62])
 
 
@@ -181,7 +181,7 @@ def test_moment_rest_equilibrium():
 def test_moment_attitude_term():
     g = ControllerGains(k_x=1, k_v=1, k_R=8.0, k_Omega=1.0, c1=1, c2=1)
     J = np.eye(3)
-    M = compute_moment([0.1, 0, 0], np.zeros(3), np.zeros(3), np.eye(3),
+    M = compute_moment(np.array([0.1, 0, 0]), np.zeros(3), np.zeros(3), np.eye(3),
                        np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), J, g)
     assert np.allclose(M, [-0.8, 0.0, 0.0])
 

@@ -132,7 +132,7 @@ def test_value_zero_errors():
 
 def test_value_position_only():
     g = gains_for(k_x=16.0)
-    V1, _, V = lyapunov_value([1.0, 0, 0], np.zeros(3), np.zeros(3),
+    V1, _, V = lyapunov_value(np.array([1.0, 0, 0]), np.zeros(3), np.zeros(3),
                               np.zeros(3), 0.0, g, 2.0, np.eye(3))
     assert V1 == pytest.approx(8.0)
     assert V == pytest.approx(8.0)
