@@ -8,7 +8,7 @@ projection keeps both matrices inside configured norm bounds at all times.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,15 +33,17 @@ class AdaptationGains:
 class NNWeights:
     """Weight estimate pair with norm bounds.
 
-    W: (n_hidden+1, n_out); V: (n_in+1, n_hidden).  Invariant: Frobenius
-    norms never exceed (W_max, V_max); enforced by projection after every
-    update.
+    W: (n_hidden+1, n_out); V: (n_in+1, n_hidden), with Frobenius norms
+    (W_norm, V_norm).  Invariant: the norms never exceed (W_max, V_max);
+    enforced by projection after every update.
     """
 
     W: np.ndarray
     V: np.ndarray
     W_max: float = 20.0
     V_max: float = 20.0
+    W_norm: float = field(init=False)
+    V_norm: float = field(init=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -51,6 +53,8 @@ class NNWeights:
         if self.W.ndim != 2 or self.V.ndim != 2 or self.W.shape[0] != self.V.shape[1] + 1:
             raise DimensionMismatch(
                 f"W {self.W.shape} incompatible with V {self.V.shape}")
+        self.W_norm = np.linalg.norm(self.W)
+        self.V_norm = np.linalg.norm(self.V)
 
     @classmethod
     def zeros(cls, n_in=6, n_hidden=10, n_out=3, W_max=20.0, V_max=20.0):
@@ -75,10 +79,6 @@ class NNWeights:
     @property
     def n_hidden(self):
         return self.V.shape[1]
-
-    def norms(self):
-        """(||W||_F, ||V||_F)."""
-        return float(np.linalg.norm(self.W)), float(np.linalg.norm(self.V))
 
 
 def sigmoid_features(z):
@@ -148,7 +148,8 @@ def build_attitude_input(R, Omega, fallback_angles=None):
 def project_to_ball(M, bound, name="M"):
     """Radial projection of M onto the Frobenius ball of radius `bound`.
 
-    Raises NonFiniteWeights naming M as `name` if ||M||_F is inf or NaN.
+    Returns the projected matrix and its Frobenius norm.  Raises
+    NonFiniteWeights naming M as `name` if ||M||_F is inf or NaN.
     """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
@@ -158,7 +159,7 @@ def project_to_ball(M, bound, name="M"):
     while n > bound:
         M = M * (bound / n)
         n = np.linalg.norm(M)
-    return M
+    return M, n
 
 
 def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
@@ -169,7 +170,8 @@ def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
 
     evaluated at the estimated pre-activation z = V^T x_nn.  `features` is
     the (z, sigma, ds) that nn_output returned for w and x_nn.  `name`
-    labels the network in errors.
+    labels the network in errors.  Updates w in place: W, V and their norms
+    are rebound, never written into, once both projections succeed.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -184,6 +186,6 @@ def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
     V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))
              - gains.kappa * gains.gamma_v * w.V)
 
-    W_new = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")
-    V_new = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")
-    return NNWeights(W_new, V_new, w.W_max, w.V_max)
+    W, W_norm = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")
+    V, V_norm = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")
+    w.W, w.V, w.W_norm, w.V_norm = W, V, W_norm, V_norm

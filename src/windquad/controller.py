@@ -137,10 +137,10 @@ def mixing_matrix(d_h, C_TQ):
 class GeometricAdaptiveController:
     """Stateful control loop: one instance per simulation.
 
-    Owns the two adaptive networks and the short computed-attitude history
-    used for finite-difference feedforward.  `adaptation=False` freezes the
-    weights, which with zero initial weights reproduces the pure geometric
-    controller.
+    Owns the two adaptive networks, which it updates in place, and the short
+    computed-attitude history used for finite-difference feedforward.
+    `adaptation=False` freezes the weights, which with zero initial weights
+    reproduces the pure geometric controller.
     """
 
     def __init__(self, gains, quad, simplified, nn1=None, nn2=None,
@@ -161,9 +161,10 @@ class GeometricAdaptiveController:
     def step(self, s, traj, dt):
         """Compute the command for packed state s and advance the networks.
 
-        Returns a new (35,) vector laid out as layout.OUTPUT.  Degenerate-
-        geometry errors propagate to the caller, which is expected to abort
-        the run.
+        Returns a new (39,) vector laid out as layout.OUTPUT; its weight norms
+        are those of the weights the command used, before this step's update.
+        Degenerate-geometry errors propagate to the caller, which is expected
+        to abort the run.
         """
         gains, quad = self.gains, self.quad
         x, v, R, Omega = unpack_state(s)
@@ -173,8 +174,9 @@ class GeometricAdaptiveController:
         x_nn1 = build_position_input(x, v)
         x_nn2, self._last_angles = build_attitude_input(
             R, Omega, fallback_angles=self._last_angles)
+        nn1, nn2 = self.nn1, self.nn2
         (delta1_hat, features1), (delta2_hat, features2) = nn_output(
-            (self.nn1, self.nn2), (x_nn1, x_nn2))
+            (nn1, nn2), (x_nn1, x_nn2))
 
         A = compute_A(e_x, e_v, delta1_hat, traj.a_d, gains, quad.m, quad.g)
         f = compute_thrust(A, R)
@@ -196,16 +198,16 @@ class GeometricAdaptiveController:
             omegas[j], saturated[j] = rotor_speed_from_thrust(
                 T, self.simplified, self.omega_min)
 
-        if self.adaptation:
-            a1 = e_v + gains.c1 * e_x
-            a2 = e_Om + gains.c2 * e_R
-            self.nn1 = update_weights(self.nn1, x_nn1, features1, a1, gains.adapt1,
-                                      dt, "nn1")
-            self.nn2 = update_weights(self.nn2, x_nn2, features2, a2, gains.adapt2,
-                                      dt, "nn2")
-
         for name, value in (("e_x", e_x), ("e_v", e_v), ("e_R", e_R), ("e_Omega", e_Om),
                             ("psi", psi), ("f", f), ("M_c", M_c), ("thrusts", thrusts),
-                            ("delta1_hat", delta1_hat), ("delta2_hat", delta2_hat)):
+                            ("delta1_hat", delta1_hat), ("delta2_hat", delta2_hat),
+                            ("W1_norm", nn1.W_norm), ("V1_norm", nn1.V_norm),
+                            ("W2_norm", nn2.W_norm), ("V2_norm", nn2.V_norm)):
             out[OUTPUT[name]] = value
+
+        if self.adaptation:
+            update_weights(nn1, x_nn1, features1, e_v + gains.c1 * e_x, gains.adapt1,
+                           dt, "nn1")
+            update_weights(nn2, x_nn2, features2, e_Om + gains.c2 * e_R, gains.adapt2,
+                           dt, "nn2")
         return out

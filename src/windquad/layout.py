@@ -34,9 +34,10 @@ STATE_SCHEMA = (
     ("Omega", _axes("Om")),
 )
 
-#: controller output of one step (35,): tracking errors, the attitude
+#: controller output of one step (39,): tracking errors, the attitude
 #: configuration error, thrust and moment commands, per-rotor thrusts,
-#: speeds and clip flags (1.0 when clipped), both network outputs
+#: speeds and clip flags (1.0 when clipped), both network outputs and the
+#: Frobenius norms of the weights that produced them
 OUTPUT_SCHEMA = (
     ("e_x", _axes("ex")), ("e_v", _axes("ev")),
     ("e_R", _axes("eR")), ("e_Omega", _axes("eOm")),
@@ -45,13 +46,13 @@ OUTPUT_SCHEMA = (
     ("thrusts", _axes("T", "1234")), ("omegas", _axes("omega", "1234")),
     ("saturated", _axes("sat", "1234")),
     ("delta1_hat", _axes("d1hat")), ("delta2_hat", _axes("d2hat")),
+    ("W1_norm", "W1_norm"), ("V1_norm", "V1_norm"),
+    ("W2_norm", "W2_norm"), ("V2_norm", "V2_norm"),
 )
 
 #: telemetry row in file order
 SCHEMA = (
     (("t", "t"),) + STATE_SCHEMA + (("x_d", _axes("xd")),) + OUTPUT_SCHEMA + (
-        ("W1_norm", "W1_norm"), ("V1_norm", "V1_norm"),
-        ("W2_norm", "W2_norm"), ("V2_norm", "V2_norm"),
         ("V1", "V1_lyap"), ("V2", "V2_lyap"), ("V", "V_lyap"),
         ("v_w", _axes("vw")),
     )

@@ -132,8 +132,12 @@ def run_simulation(config):
     for k in range(n_steps):
         t = k * dt
         traj = trajectory_at(gen, t)
-        # the weights this step uses; update_weights returns new objects
-        nn1, nn2 = ctrl.nn1, ctrl.nn2
+        record = k % decimate == 0
+        weight_sq = None
+        if record and targets is not None:
+            # before the step, whose weight update rebinds the arrays
+            weight_sq = [(np.sum((tgt.W - nn.W) ** 2), np.sum((tgt.V - nn.V) ** 2))
+                         for tgt, nn in zip(targets, (ctrl.nn1, ctrl.nn2))]
 
         try:
             out = ctrl.step(state, traj, dt)
@@ -142,24 +146,17 @@ def run_simulation(config):
         except NonFiniteWeights as exc:
             abort(k, f"adaptation failure: {exc}")
 
-        if k % decimate == 0:
+        if record:
             row = telemetry[n_rec]
             row[FIELDS["t"]] = t
             row[ROW_STATE] = state
             row[FIELDS["x_d"]] = traj.x_d
             row[ROW_OUTPUT] = out
-            row[FIELDS["W1_norm"]], row[FIELDS["V1_norm"]] = nn1.norms()
-            row[FIELDS["W2_norm"]], row[FIELDS["V2_norm"]] = nn2.norms()
-            nn_errors = None
-            if targets is not None:
-                nn_errors = ((targets[0].W - nn1.W, targets[0].V - nn1.V),
-                             (targets[1].W - nn2.W, targets[1].V - nn2.V))
-                (W1t, V1t), (W2t, V2t) = nn_errors
-                nn_error_sq[n_rec] = (np.sum(W1t * W1t) + np.sum(V1t * V1t),
-                                      np.sum(W2t * W2t) + np.sum(V2t * V2t))
+            if weight_sq is not None:
+                nn_error_sq[n_rec] = [W_sq + V_sq for W_sq, V_sq in weight_sq]
             row[FIELDS["V1"]], row[FIELDS["V2"]], row[FIELDS["V"]] = lyapunov_value(
                 *(row[FIELDS[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
-                gains, quad.m, quad.J, nn_errors=nn_errors)
+                gains, quad.m, quad.J, weight_sq=weight_sq)
             row[FIELDS["v_w"]] = wind_at(wind, t)
             n_rec += 1
 

@@ -242,28 +242,23 @@ def build_pd_matrices(gains, m, J, assumptions):
         nu=nu, C5=C5, radius=radius, flags=flags)
 
 
-def nn_error_quadratic(W_tilde, V_tilde, gamma_w, gamma_v):
-    """Weight-error storage term tr(W~^T W~)/(2 g_w) + tr(V~^T V~)/(2 g_v)."""
-    return (float(np.sum(W_tilde * W_tilde)) / (2.0 * gamma_w)
-            + float(np.sum(V_tilde * V_tilde)) / (2.0 * gamma_v))
-
-
 def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
-                   nn_errors=None):
+                   weight_sq=None):
     """Lyapunov function pieces (V1, V2, V) at one error state.
 
     V1 = k_x/2 ||e_x||^2 + m/2 ||e_v||^2 + m c1 e_x . e_v (+ weight term)
     V2 = 1/2 e_Om . J e_Om + k_R psi + c2 e_R . J e_Om    (+ weight term)
 
-    `nn_errors`, when the ideal weights are known (synthetic-truth mode), is
-    ((W~1, V~1), (W~2, V~2)); omitted, the weight terms are dropped and the
-    value covers tracking errors only.
+    `weight_sq`, when the ideal weights are known (synthetic-truth mode), is
+    ((||W~1||_F^2, ||V~1||_F^2), (||W~2||_F^2, ||V~2||_F^2)), and network i
+    adds the term ||W~i||_F^2 / (2 gamma_w) + ||V~i||_F^2 / (2 gamma_v).
+    Omitted, the weight terms are dropped and the value covers tracking
+    errors only.
     """
     V01 = V02 = 0.0
-    if nn_errors is not None:
-        (W1t, V1t), (W2t, V2t) = nn_errors
-        V01 = nn_error_quadratic(W1t, V1t, gains.adapt1.gamma_w, gains.adapt1.gamma_v)
-        V02 = nn_error_quadratic(W2t, V2t, gains.adapt2.gamma_w, gains.adapt2.gamma_v)
+    if weight_sq is not None:
+        V01, V02 = (W_sq / (2.0 * a.gamma_w) + V_sq / (2.0 * a.gamma_v)
+                    for (W_sq, V_sq), a in zip(weight_sq, (gains.adapt1, gains.adapt2)))
 
     V1 = (0.5 * gains.k_x * e_x @ e_x + 0.5 * m * e_v @ e_v
           + m * gains.c1 * e_x @ e_v + V01)

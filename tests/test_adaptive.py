@@ -16,9 +16,9 @@ def output(w, x_nn):
 
 
 def update(w, x_nn, a, gains, dt):
-    """update_weights fed with the forward pass of nn_output."""
+    """update_weights, in place on w, fed with the forward pass of nn_output."""
     [(_, features)] = nn_output([w], [x_nn])
-    return update_weights(w, x_nn, features, a, gains, dt)
+    update_weights(w, x_nn, features, a, gains, dt)
 
 
 # --- features ----------------------------------------------------------------
@@ -153,20 +153,21 @@ def test_attitude_input_gimbal_fallback():
 
 def test_projection_scales_down():
     M = np.full((2, 2), 5.0)
-    out = project_to_ball(M, 5.0)
+    out, _ = project_to_ball(M, 5.0)
     assert np.linalg.norm(out) <= 5.0
     assert np.allclose(out, M * (5.0 / np.linalg.norm(M)), atol=1e-12)
 
 
 def test_projection_identity_inside():
     M = np.eye(2)
-    assert project_to_ball(M, 5.0) is M
+    out, _ = project_to_ball(M, 5.0)
+    assert out is M
 
 
 def test_projection_idempotent(rng):
     M = rng.standard_normal((4, 3)) * 10
-    once = project_to_ball(M, 2.0)
-    twice = project_to_ball(once, 2.0)
+    once, _ = project_to_ball(M, 2.0)
+    twice, _ = project_to_ball(once, 2.0)
     assert np.allclose(once, twice)
 
 
@@ -184,9 +185,10 @@ def test_update_damping_only(rng):
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     dt = 1e-3
     x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
-    out = update(w, x_nn, np.zeros(3), g, dt)
-    assert np.allclose(out.W, (1 - g.kappa * g.gamma_w * dt) * w.W, atol=1e-14)
-    assert np.allclose(out.V, (1 - g.kappa * g.gamma_v * dt) * w.V, atol=1e-14)
+    W0, V0 = w.W, w.V
+    update(w, x_nn, np.zeros(3), g, dt)
+    assert np.allclose(w.W, (1 - g.kappa * g.gamma_w * dt) * W0, atol=1e-14)
+    assert np.allclose(w.V, (1 - g.kappa * g.gamma_v * dt) * V0, atol=1e-14)
 
 
 def test_update_from_zero_weights():
@@ -194,10 +196,10 @@ def test_update_from_zero_weights():
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     a = np.array([0.5, -0.2, 0.1])
     x_nn = build_position_input(np.ones(3), np.zeros(3))
-    out = update(w, x_nn, a, g, 1e-3)
+    update(w, x_nn, a, g, 1e-3)
     sigma0 = np.array([1.0, 0.5, 0.5])
-    assert np.allclose(out.V, 0.0)
-    assert np.allclose(out.W, -g.gamma_w * 1e-3 * np.outer(sigma0, a), atol=1e-15)
+    assert np.allclose(w.V, 0.0)
+    assert np.allclose(w.W, -g.gamma_w * 1e-3 * np.outer(sigma0, a), atol=1e-15)
 
 
 def test_update_respects_bounds(rng):
@@ -206,9 +208,8 @@ def test_update_respects_bounds(rng):
     for _ in range(500):
         x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
         a = rng.standard_normal(3)
-        w = update(w, x_nn, a, g, 1e-3)
-        Wn, Vn = w.norms()
-        assert Wn <= w.W_max and Vn <= w.V_max
+        update(w, x_nn, a, g, 1e-3)
+        assert w.W_norm <= w.W_max and w.V_norm <= w.V_max
 
 
 def test_geometric_decay_with_zero_error(rng):
@@ -216,13 +217,50 @@ def test_geometric_decay_with_zero_error(rng):
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.5)
     dt = 1e-3
     x_nn = build_position_input(np.zeros(3), np.zeros(3))
-    Wn0, Vn0 = w.norms()
+    Wn0, Vn0 = w.W_norm, w.V_norm
     n = 200
     for _ in range(n):
-        w = update(w, x_nn, np.zeros(3), g, dt)
-    Wn, Vn = w.norms()
+        update(w, x_nn, np.zeros(3), g, dt)
+    Wn, Vn = w.W_norm, w.V_norm
     assert Wn == pytest.approx(Wn0 * (1 - g.kappa * g.gamma_w * dt) ** n, rel=1e-9)
     assert Vn == pytest.approx(Vn0 * (1 - g.kappa * g.gamma_v * dt) ** n, rel=1e-9)
+
+
+def test_update_leaves_previous_arrays_unchanged(rng):
+    w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
+    g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
+    for _ in range(50):
+        W0, V0 = w.W, w.V
+        W0_copy, V0_copy = W0.copy(), V0.copy()
+        update(w, np.concatenate(([1.0], rng.standard_normal(6))), rng.standard_normal(3),
+               g, 1e-2)
+        assert w.W is not W0 and w.V is not V0
+        assert np.array_equal(W0, W0_copy) and np.array_equal(V0, V0_copy)
+
+
+def test_norms_track_weights_bitwise(rng):
+    # bounds at the drawn norms, so the projection is often active
+    w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5)
+    assert w.W_norm == np.linalg.norm(w.W) and w.V_norm == np.linalg.norm(w.V)
+    g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
+    for _ in range(200):
+        update(w, np.concatenate(([1.0], 10.0 * rng.standard_normal(6))),
+               rng.standard_normal(3), g, 1e-2)
+        assert w.W_norm == np.linalg.norm(w.W) and w.V_norm == np.linalg.norm(w.V)
+
+
+def test_non_finite_V_leaves_weights_unchanged(rng):
+    # W's step stays finite; V's learning rate overflows its step
+    w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
+    before = (w.W, w.V, w.W_norm, w.V_norm)
+    copies = (w.W.copy(), w.V.copy())
+    g = AdaptationGains(gamma_w=1.0, gamma_v=1e308, kappa=0.05)
+    x_nn = np.concatenate(([1.0], 10.0 * rng.standard_normal(6)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteWeights, match=r"^nn\.V has Frobenius norm"):
+        update(w, x_nn, np.ones(3), g, 1e-2)
+    assert all(now is then for now, then in zip((w.W, w.V, w.W_norm, w.V_norm), before))
+    assert np.array_equal(w.W, copies[0]) and np.array_equal(w.V, copies[1])
 
 
 def test_update_dimension_check():
@@ -302,15 +340,17 @@ def test_stacked_output_dimension_check():
 # --- reference: the update law recomputing its forward pass ------------------
 
 def reference_update_weights(w, x_nn, a, gains, dt):
-    """update_weights evaluating z = V^T x_nn and its features itself."""
+    """update_weights evaluating z = V^T x_nn and its features itself;
+    returns the new (W, V) and leaves w unchanged."""
     z = w.V.T @ x_nn
     sigma, ds = sigmoid_features(z)
     W_dot = (-gains.gamma_w * np.outer(sigma - np.concatenate(([0.0], ds * z)), a)
              - gains.kappa * gains.gamma_w * w.W)
     V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))
              - gains.kappa * gains.gamma_v * w.V)
-    return NNWeights(project_to_ball(w.W + dt * W_dot, w.W_max),
-                     project_to_ball(w.V + dt * V_dot, w.V_max), w.W_max, w.V_max)
+    W, _ = project_to_ball(w.W + dt * W_dot, w.W_max)
+    V, _ = project_to_ball(w.V + dt * V_dot, w.V_max)
+    return W, V
 
 
 @pytest.mark.parametrize("hidden", [5, 10, 17])
@@ -322,6 +362,6 @@ def test_update_with_passed_features_matches_recomputation(rng, hidden):
         w = NNWeights.random(rng, n_hidden=hidden, W_norm=W_norm, V_norm=V_norm)
         x_nn = np.concatenate(([1.0], 10.0 * rng.standard_normal(6)))
         a = rng.standard_normal(3)
-        got = update(w, x_nn, a, g, 1e-2)
-        ref = reference_update_weights(w, x_nn, a, g, 1e-2)
-        assert np.array_equal(got.W, ref.W) and np.array_equal(got.V, ref.V)
+        ref_W, ref_V = reference_update_weights(w, x_nn, a, g, 1e-2)
+        update(w, x_nn, a, g, 1e-2)
+        assert np.array_equal(w.W, ref_W) and np.array_equal(w.V, ref_V)

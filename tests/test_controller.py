@@ -268,6 +268,24 @@ def test_step_weights_damp_at_equilibrium(quad):
     assert np.allclose(ctrl.nn1.W, (1 - k) * W0, atol=1e-18)
 
 
+def test_step_output_norms_are_those_of_the_weights_used(quad, rng):
+    simp = SimplifiedModelParams(C_T=8.5e-6, C_Q=8.6e-8)
+    nets = [NNWeights.random(rng, W_norm=0.5, V_norm=1.5, W_max=1.0, V_max=2.0)
+            for _ in range(2)]
+    ctrl = GeometricAdaptiveController(default_gains(), quad, simp, nn1=nets[0],
+                                       nn2=nets[1], adaptation=True)
+    state = pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
+                       rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05]))
+    for _ in range(3):
+        used = [(w.W.copy(), w.V.copy()) for w in nets]
+        out = ctrl.step(state, hover_point(), 1e-3)
+        for i, (w, (W, V)) in enumerate(zip(nets, used), start=1):
+            # the update ran, so the norms read before it differ from w's now
+            assert not np.array_equal(w.W, W) and not np.array_equal(w.V, V)
+            assert out[OUTPUT[f"W{i}_norm"]] == np.linalg.norm(W)
+            assert out[OUTPUT[f"V{i}_norm"]] == np.linalg.norm(V)
+
+
 def test_adaptation_off_matches_frozen_zero_weights(quad):
     gen = TrajectoryGenerator(kind="hover", center=np.zeros(3))
     runs = []

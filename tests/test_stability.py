@@ -144,7 +144,7 @@ def test_value_weight_terms():
     Vt = np.zeros((3, 2))
     V1, V2, _ = lyapunov_value(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
                                0.0, g, 2.0, np.eye(3),
-                               nn_errors=((Wt, Vt), (np.zeros((2, 2)), np.zeros((2, 2)))))
+                               weight_sq=((np.sum(Wt * Wt), np.sum(Vt * Vt)), (0.0, 0.0)))
     assert V1 == pytest.approx(np.sum(Wt * Wt) / (2 * 20.0))
     assert V2 == 0.0
 
