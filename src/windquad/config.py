@@ -17,7 +17,7 @@ from .adaptive import AdaptationGains, NNWeights
 from .aero import RotorAeroParams, solve_thrust_inflow, torque_coefficient
 from .controller import ControllerGains
 from .dynamics import DT_MAX, QuadParams, SimplifiedModelParams
-from .errors import ParseError, ValidationError
+from .errors import NoConvergence, ParseError, ValidationError
 from .layout import pack_state
 from .scenarios import TrajectoryGenerator, WindField
 from .se3 import rotation_zyx
@@ -290,6 +290,8 @@ def _validate(cfg):
         raise ValidationError(f"simulation.plant must be one of {PLANT_MODES}")
     if cfg.get("simulation", "decimate") < 1:
         raise ValidationError("simulation.decimate must be >= 1")
+    if cfg.get("simulation", "seed") < 0:
+        raise ValidationError("simulation.seed must be >= 0")
     # object constructors own the physical invariants
     builders = (("quad", cfg.quad), ("aero", cfg.aero), ("simplified", cfg.simplified),
                 ("gains", cfg.gains), ("nn1", lambda: cfg.network(1)),
@@ -299,7 +301,8 @@ def _validate(cfg):
     for section, build in builders:
         try:
             build()
-        except (ValueError, ValidationError) as exc:
+        # NoConvergence: the hover solve of `calibrate = on` found no trim
+        except (ValueError, ValidationError, NoConvergence) as exc:
             raise ValidationError(f"[{section}] {exc}") from exc
 
 

@@ -72,18 +72,19 @@ def compute_Rc(A, b1_d, eps_thrust):
     Column three is -A/||A||; column one is the projection of b1_d onto the
     plane orthogonal to it; column two completes the right-handed triad.
 
-    Both checks are written `not norm > tol`, so a NaN norm fails them.
+    Both checks are negated comparisons, so a NaN norm fails them.
 
     Raises
     ------
     DegenerateThrust
-        If ||A|| <= eps_thrust or is NaN.
+        If ||A|| <= eps_thrust or is NaN, or if it overflows to inf, where
+        -A/||A|| would be no unit vector.
     HeadingDegenerate
         If b1_d is parallel to the commanded thrust axis or NaN.
     """
     norm_A = np.linalg.norm(A)
-    if not norm_A > eps_thrust:
-        raise DegenerateThrust(f"||A|| = {norm_A:.3e} <= {eps_thrust:.3e}")
+    if not eps_thrust < norm_A < np.inf:
+        raise DegenerateThrust(f"||A|| = {norm_A:.3e} not in ({eps_thrust:.3e}, inf)")
     b3 = -A / norm_A
     C = -cross3(b3, b1_d)
     norm_C = np.linalg.norm(C)

@@ -129,68 +129,71 @@ def run_simulation(config):
         err.telemetry = telemetry[:n_rec]
         raise err
 
-    for k in range(n_steps):
-        t = k * dt
-        traj = trajectory_at(gen, t)
-        record = k % decimate == 0
-        weight_sq = None
-        if record and targets is not None:
-            # before the step, whose weight update rebinds the arrays
-            weight_sq = [(np.sum((tgt.W - nn.W) ** 2), np.sum((tgt.V - nn.V) ** 2))
-                         for tgt, nn in zip(targets, (ctrl.nn1, ctrl.nn2))]
+    # an overflow or NaN in a step ends in one of its named aborts (weights,
+    # thrust, R, state), so numpy's warnings would only print ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = k * dt
+            traj = trajectory_at(gen, t)
+            record = k % decimate == 0
+            weight_sq = None
+            if record and targets is not None:
+                # before the step, whose weight update rebinds the arrays
+                weight_sq = [(np.sum((tgt.W - nn.W) ** 2), np.sum((tgt.V - nn.V) ** 2))
+                             for tgt, nn in zip(targets, (ctrl.nn1, ctrl.nn2))]
 
-        try:
-            out = ctrl.step(state, traj, dt)
-        except (DegenerateThrust, HeadingDegenerate) as exc:
-            abort(k, f"controller degeneracy: {exc}")
-        except NonFiniteWeights as exc:
-            abort(k, f"adaptation failure: {exc}")
+            try:
+                out = ctrl.step(state, traj, dt)
+            except (DegenerateThrust, HeadingDegenerate) as exc:
+                abort(k, f"controller degeneracy: {exc}")
+            except NonFiniteWeights as exc:
+                abort(k, f"adaptation failure: {exc}")
 
-        if record:
-            row = telemetry[n_rec]
-            row[FIELDS["t"]] = t
-            row[ROW_STATE] = state
-            row[FIELDS["x_d"]] = traj.x_d
-            row[ROW_OUTPUT] = out
-            if weight_sq is not None:
-                nn_error_sq[n_rec] = [W_sq + V_sq for W_sq, V_sq in weight_sq]
-            row[FIELDS["V1"]], row[FIELDS["V2"]], row[FIELDS["V"]] = lyapunov_value(
-                *(row[FIELDS[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
-                gains, quad.m, quad.J, weight_sq=weight_sq)
-            row[FIELDS["v_w"]] = wind_at(wind, t)
-            n_rec += 1
+            if record:
+                row = telemetry[n_rec]
+                row[FIELDS["t"]] = t
+                row[ROW_STATE] = state
+                row[FIELDS["x_d"]] = traj.x_d
+                row[ROW_OUTPUT] = out
+                if weight_sq is not None:
+                    nn_error_sq[n_rec] = [W_sq + V_sq for W_sq, V_sq in weight_sq]
+                row[FIELDS["V1"]], row[FIELDS["V2"]], row[FIELDS["V"]] = lyapunov_value(
+                    *(row[FIELDS[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
+                    gains, quad.m, quad.J, weight_sq=weight_sq)
+                row[FIELDS["v_w"]] = wind_at(wind, t)
+                n_rec += 1
 
-        if mode == "full_aero":
-            omegas = out[OUTPUT["omegas"]]
-            # RK4 stages 2 and 3 share one time: sample the wind once per time
-            stage_wind = [None, None]
+            if mode == "full_aero":
+                omegas = out[OUTPUT["omegas"]]
+                # RK4 stages 2 and 3 share one time: sample the wind once per time
+                stage_wind = [None, None]
 
-            def wrench(ts, s):
-                if stage_wind[0] != ts:
-                    stage_wind[:] = ts, wind_at(wind, ts)
-                return resultant_wrench(s, stage_wind[1], omegas, quad,
-                                        aero, omega_min)
-        else:
-            f_cmd, M_cmd = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
+                def wrench(ts, s):
+                    if stage_wind[0] != ts:
+                        stage_wind[:] = ts, wind_at(wind, ts)
+                    return resultant_wrench(s, stage_wind[1], omegas, quad,
+                                            aero, omega_min)
+            else:
+                f_cmd, M_cmd = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
 
-            def wrench(ts, s):
-                delta1, delta2 = delta_fn(ts, s)
-                return simplified_wrench(s, f_cmd, M_cmd, quad,
-                                         delta1=delta1, delta2=delta2)
+                def wrench(ts, s):
+                    delta1, delta2 = delta_fn(ts, s)
+                    return simplified_wrench(s, f_cmd, M_cmd, quad,
+                                             delta1=delta1, delta2=delta2)
 
-        try:
-            state = step_rk4(state, dt, wrench, quad, t)
-        except (RotorStopped, NoConvergence) as exc:
-            abort(k, f"plant failure: {exc}")
-        except DegenerateMatrix as exc:
-            # R0 exp(hat(phi)) is a rotation up to rounding, so only a
-            # non-finite chart increment can make it degenerate
-            abort(k, f"non-finite state component R ({exc})")
+            try:
+                state = step_rk4(state, dt, wrench, quad, t)
+            except (RotorStopped, NoConvergence) as exc:
+                abort(k, f"plant failure: {exc}")
+            except DegenerateMatrix as exc:
+                # R0 exp(hat(phi)) is a rotation up to rounding, so only a
+                # non-finite chart increment can make it degenerate
+                abort(k, f"non-finite state component R ({exc})")
 
-        finite = np.isfinite(state)
-        if not finite.all():
-            name = next(name for name, cols in STATE.items() if not finite[cols].all())
-            abort(k, f"non-finite state component {name}")
+            finite = np.isfinite(state)
+            if not finite.all():
+                name = next(name for name, cols in STATE.items() if not finite[cols].all())
+                abort(k, f"non-finite state component {name}")
 
     summary = summarize(telemetry)
     return SimResult(telemetry=telemetry, summary=summary, targets=targets,

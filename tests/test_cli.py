@@ -26,9 +26,18 @@ def test_run_writes_outputs(tmp_path):
     assert "rms_e_x:" in text and "bound_radius:" in text
 
 
-def test_run_config_error_exit_code(tmp_path):
+def test_run_config_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "[simulation]\ndt = 0.2\n")
     assert main(["run", "--config", path]) == 2
+    # numpy's generator takes no negative seed
+    assert main(["run", "--plant", "synthetic", "--seed", "-1", "--duration", "0.02"]) == 2
+    assert "simulation.seed" in capsys.readouterr().err
+    # no hover trim exists for this pitch: the calibration's solve fails
+    path = write(tmp_path, "[simplified]\ncalibrate = on\n[aero]\ntheta0 = 1e30\n")
+    for argv in (["run", "--config", path, "--duration", "0.02"],
+                 ["validate-gains", "--config", path]):
+        assert main(argv) == 2
+        assert "[simplified]" in capsys.readouterr().err
 
 
 def test_run_unknown_key_exit_code(tmp_path):
@@ -96,13 +105,24 @@ def test_run_abort_exit_code(tmp_path):
 
 def test_run_huge_disturbance_aborts(tmp_path, capsys):
     # finite but huge: the moment overflows the body rates and the attitude
-    # update, which must end in an abort at step 0, not an SVD failure
+    # update, which must end in an abort at step 0, not an SVD failure; with
+    # warnings as errors, a numpy warning ahead of the abort fails the test
     path = write(tmp_path, "[disturbance]\ndelta2 = 1e300 0 0\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", "--config", path, "--duration", "0.02",
-                     "--out", str(tmp_path / "out")])
+    code = main(["run", "--config", path, "--duration", "0.02",
+                 "--out", str(tmp_path / "out")])
     assert code == 3
     assert "aborted at step 0: non-finite state component R" in capsys.readouterr().err
+
+
+def test_run_overflowing_thrust_aborts(tmp_path, capsys):
+    # m g overflows ||A||, which must abort as degenerate thrust, without a
+    # numpy warning and not as a heading parallel to a zero thrust axis
+    path = write(tmp_path, "[quad]\nmass = 1e300\n")
+    code = main(["run", "--config", path, "--duration", "0.02",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert ("aborted at step 0: controller degeneracy: ||A|| = inf"
+            in capsys.readouterr().err)
 
 
 def test_run_out_is_a_file(tmp_path, capsys):

@@ -90,6 +90,9 @@ def test_Rc_degenerate_thrust():
         compute_Rc(np.zeros(3), E1, 1e-6)
     with pytest.raises(DegenerateThrust):
         compute_Rc(np.array([math.nan, 0.0, -9.81]), E1, 1e-6)
+    # finite entries whose norm overflows: -A / inf would be a zero thrust axis
+    with np.errstate(over="ignore"), pytest.raises(DegenerateThrust, match=r"\|\|A\|\| = inf"):
+        compute_Rc(np.array([1e200, 0.0, 1e200]), E1, 1e-6)
 
 
 def test_Rc_degenerate_heading():
