@@ -9,14 +9,13 @@ sandwich the Lyapunov function and its decay, the convergence rate
 and the residual-set radius C5 / nu.  Everything here evaluates user-supplied
 bound assumptions; nothing is estimated from data.
 
-Two printed-source quirks are handled explicitly and flagged in reports: the
-primed matrices use an otherwise undefined psi_2, which is substituted by
-psi_1; and the attitude-channel constant C5_2 is built from C1_2 (the printed
-subscript is inconsistent with its own derivation).
+One printed-source quirk is handled explicitly and noted in reports: the
+attitude-channel constant C5_2 is built from C1_2 (the printed subscript is
+inconsistent with its own derivation).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +54,7 @@ def validate_c2(c2, k_R, J, psi1):
         raise ValueError("inputs must be positive")
     if not psi1 < 2.0:
         raise ValueError("psi1 must be below 2")
-    eig = np.linalg.eigvalsh(J)
-    lam_m, lam_M = float(eig[0]), float(eig[-1])
+    lam_m, lam_M = _eig_span(J)
     limit = min(math.sqrt(k_R * lam_m) / lam_M,
                 math.sqrt(2.0 * k_R / (lam_M * (2.0 - psi1))))
     return CheckResult(passed=c2 < limit, value=c2, limit=limit)
@@ -118,7 +116,6 @@ class LyapunovReport:
     nu: float
     C5: float
     radius: float
-    flags: dict = field(default_factory=dict)   # report key -> substitution note
 
     @property
     def all_positive_definite(self):
@@ -196,21 +193,13 @@ def build_pd_matrices(gains, m, J, assumptions):
         [-c1 * a.B1, -(a.B1 + k_x * a.e_x_max), c2 * k_R / 2.0],
     ])
 
-    # psi_2 in the primed matrices is undefined in the source; psi_1 is used
-    psi2 = a.psi1
-    g1 = min(gains.adapt1.gamma_w, gains.adapt1.gamma_v)
-    g2 = min(gains.adapt2.gamma_w, gains.adapt2.gamma_v)
-    N1p = np.array([
-        [c2 * k_R / 2.0, m * c1, 0.0],
-        [m * c1, m / 2.0, 0.0],
-        [0.0, 0.0, 1.0 / g1],
-    ])
-    N2p = np.array([
-        [1.0 / (2.0 - psi2), c2 * lam_MJ, 0.0],
-        [c2 * lam_MJ, lam_MJ, 0.0],
-        [0.0, 0.0, 1.0 / g2],
-    ])
-    N3p = np.diag([k_x / 2.0, m / 2.0, 1.0 / (2.0 - psi2)])
+    # N1p, N2p: the upper sandwich blocks of V1, V2 bordered by 1/(2 min gamma),
+    # whose ||Z~||^2 form bounds that network's weight term; N3p acts on N3's
+    # (|e_x|, |e_v|, |e_R|): M12 bordered by M22's e_R entry k_R / (2 - psi1)
+    N1p, N2p, N3p = (np.pad(M, (0, 1)) for M in (M12, M22, M12))
+    N1p[2, 2] = 0.5 / min(gains.adapt1.gamma_w, gains.adapt1.gamma_v)
+    N2p[2, 2] = 0.5 / min(gains.adapt2.gamma_w, gains.adapt2.gamma_v)
+    N3p[2, 2] = M22[0, 0]
 
     matrices = {"M11": M11, "M12": M12, "M21": M21, "M22": M22,
                 "N1": N1, "N2": N2, "N3": N3,
@@ -231,15 +220,12 @@ def build_pd_matrices(gains, m, J, assumptions):
                  "C5_1": C5_1, "C5_2": C5_2, "C5": C5,
                  "lam_m_J": lam_mJ, "lam_M_J": lam_MJ}
 
-    flags = {"note_psi2": "psi2 undefined in source; psi1 substituted in primed matrices",
-             "note_C5_2": "C5_2 built from C1_2 (printed subscript inconsistent with derivation)"}
-
     return LyapunovReport(
         matrices=matrices, eigenvalues=eigenvalues, verdicts=verdicts,
         constants=constants,
         c1_check=validate_c1(gains.c1, k_x, m),
         c2_check=validate_c2(gains.c2, k_R, J, a.psi1),
-        nu=nu, C5=C5, radius=radius, flags=flags)
+        nu=nu, C5=C5, radius=radius)
 
 
 def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
@@ -326,6 +312,6 @@ def format_report(report):
         lines.append(f"{key}: {fmt(report.constants[key])}")
     lines.append(f"nu: {fmt(report.nu)}")
     lines.append(f"bound_radius: {fmt(report.radius)}")
-    for key, note in report.flags.items():
-        lines.append(f"{key}: {note}")
+    lines.append("note_C5_2: C5_2 built from C1_2 (printed subscript inconsistent "
+                 "with derivation)")
     return "\n".join(lines)

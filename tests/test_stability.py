@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -188,6 +189,85 @@ def test_value_attitude_sandwich(rng):
         assert lo * z2 - 1e-9 <= V2 <= hi * z2 + 1e-9
 
 
+def sandwich_gain_sets(rng, n_random=3):
+    """(name, gains, m, J, assumptions) for the sandwich test: the synthetic
+    config, the same with k_x = 120, and n_random feasible sets drawn around
+    it (gains and learning rates scaled by 0.5-4, psi1 in [0.005, 0.05])."""
+    def setup(overrides=None):
+        cfg = load_config(SYNTHETIC_CONFIG, overrides=overrides)
+        return (cfg.gains(), cfg.get("quad", "mass"), cfg.get("quad", "inertia"),
+                cfg.assumptions())
+
+    sets = [("synthetic", *setup()), ("synthetic k_x=120", *setup({("gains", "k_x"): "120"}))]
+    g, m, J, a = sets[0][1:]
+    base = np.array([g.k_x, g.k_v, g.k_R, g.k_Omega, g.c1, g.c2,
+                     g.adapt1.kappa, g.adapt2.kappa, g.adapt1.gamma_w,
+                     g.adapt1.gamma_v, g.adapt2.gamma_w, g.adapt2.gamma_v])
+    for _ in range(200):
+        if len(sets) == 2 + n_random:
+            break
+        gains = gains_for(*(base * np.exp(rng.uniform(math.log(0.5), math.log(4.0), 12))))
+        a_r = dataclasses.replace(a, psi1=rng.uniform(0.005, 0.05))
+        if build_pd_matrices(gains, m, J, a_r).feasible:
+            sets.append((f"random {len(sets) - 1}", gains, m, J, a_r))
+    assert len(sets) == 2 + n_random
+    return sets
+
+
+def test_quadratic_forms_bracket_lyapunov_value(rng):
+    """Each sandwich matrix bounds the piece of V it is built for.
+
+    Sampled over error states with psi < psi1 and weight errors inside their
+    bounds (||W~|| <= 2 W_max, ||V~|| <= 2 V_max), on gain sets the report
+    calls feasible, with z1 = (|e_x|, |e_v|) and z2 = (|e_R|, |e_Om|):
+    - M11 and M12 bracket V1, and M21 and M22 bracket V2, weight terms
+      omitted;
+    - N1p bounds V1 and N2p bounds V2 with the weight terms, in z1 and z2
+      extended by ||Z~i|| = sqrt(||W~i||^2 + ||V~i||^2);
+    - N3p bounds V at e_Om = 0 with exact weights, in (|e_x|, |e_v|, |e_R|).
+    The N'_i bounds are what make nu = min lam_min(N_i) / lam_max(N'_i) a
+    decay rate.  Every ratio lower / upper must stay at or below 1.
+    """
+    def q(M, z):
+        return np.einsum("ni,ij,nj->n", z, M, z)
+
+    n = 2000
+    for name, gains, m, J, a in sandwich_gain_sets(rng):
+        rep = build_pd_matrices(gains, m, J, a)
+        assert rep.feasible, name
+        e_x, e_v, e_Om = (rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-2.0, 1.0, (n, 1))
+                          for _ in range(3))
+        # a rotation by theta about a unit axis u: psi = 1 - cos(theta) and
+        # e_R = sin(theta) u, with theta below the psi = psi1 angle
+        theta = rng.uniform(0.0, math.acos(1.0 - a.psi1), n)
+        u = rng.standard_normal((n, 3))
+        e_R = np.sin(theta)[:, None] * u / np.linalg.norm(u, axis=1, keepdims=True)
+        psi = 2.0 * np.sin(0.5 * theta) ** 2
+        bounds = 2.0 * np.array([a.W_max1, a.V_max1, a.W_max2, a.V_max2])
+        weight_sq = (rng.uniform(size=(n, 4)) * bounds) ** 2
+
+        V = np.array([
+            lyapunov_value(e_x[k], e_v[k], e_R[k], e_Om[k], psi[k], gains, m, J)[:2]
+            + lyapunov_value(e_x[k], e_v[k], e_R[k], e_Om[k], psi[k], gains, m, J,
+                             weight_sq=(weight_sq[k, :2], weight_sq[k, 2:]))[:2]
+            + lyapunov_value(e_x[k], e_v[k], e_R[k], np.zeros(3), psi[k], gains, m, J)[2:]
+            for k in range(n)])
+        V1t, V2t, V1, V2, V0 = V.T
+        nx, nv, nR, nOm = (np.linalg.norm(e, axis=1) for e in (e_x, e_v, e_R, e_Om))
+        Z1 = np.sqrt(weight_sq[:, 0] + weight_sq[:, 1])
+        Z2 = np.sqrt(weight_sq[:, 2] + weight_sq[:, 3])
+        z1, z2 = np.column_stack((nx, nv)), np.column_stack((nR, nOm))
+
+        mat = rep.matrices
+        ratios = {"M11": q(mat["M11"], z1) / V1t, "M12": V1t / q(mat["M12"], z1),
+                  "M21": q(mat["M21"], z2) / V2t, "M22": V2t / q(mat["M22"], z2),
+                  "N1p": V1 / q(mat["N1p"], np.column_stack((nx, nv, Z1))),
+                  "N2p": V2 / q(mat["N2p"], np.column_stack((nR, nOm, Z2))),
+                  "N3p": V0 / q(mat["N3p"], np.column_stack((nx, nv, nR)))}
+        worst = {key: float(r.max()) for key, r in ratios.items()}
+        assert max(worst.values()) <= 1.0 + 1e-12, (name, worst)
+
+
 # --- ultimate bound -------------------------------------------------------------
 
 def test_radius_zero_numerator():
@@ -232,7 +312,7 @@ def test_report_serialization():
     rep = build_pd_matrices(gains, m, J, a)
     text = format_report(rep)
     for token in ("c1_check: pass", "N3_positive_definite", "nu:",
-                  "bound_radius:", "C5:", "note_psi2: psi2"):
+                  "bound_radius:", "C5:", "note_C5_2:"):
         assert token in text
     # structured key: value lines only
     for line in text.splitlines():
