@@ -72,6 +72,7 @@ class RotorAeroParams:
                 raise ValueError(f"{name} must be strictly positive")
         if self.N_b < 1:
             raise ValueError("N_b must be at least 1")
+        object.__setattr__(self, "_solidity", self.N_b * self.chord / (math.pi * self.r_p))
         if not self.solidity < 1.0:
             raise ValueError("solidity ratio must be below 1")
 
@@ -83,7 +84,7 @@ class RotorAeroParams:
     @property
     def solidity(self):
         """Solidity ratio s = N_b c / (pi r_p)."""
-        return self.N_b * self.chord / (math.pi * self.r_p)
+        return self._solidity
 
 
 def advance_ratios(u, omega_j, r_p, omega_min=OMEGA_MIN):
@@ -107,6 +108,12 @@ def _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0):
     return 0.5 * s_cla * (theta0 * (1.0 / 3.0 + 0.5 * mu_x * mu_x) - 0.5 * (lam + mu_z))
 
 
+def _inflow_residual(lam, mu_x, mu_z, s_cla, theta0):
+    """Product-form inflow residual 2 lam w - C_T(lam), and w = |(mu_x, lam + mu_z)|."""
+    w = math.sqrt(mu_x * mu_x + (lam + mu_z) * (lam + mu_z))
+    return 2.0 * lam * w - _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0), w
+
+
 def solve_thrust_inflow(mu_x, mu_z, params):
     """Solve the coupled implicit equations for (C_T, lam).
 
@@ -127,13 +134,9 @@ def solve_thrust_inflow(mu_x, mu_z, params):
         If neither Newton nor bisection reaches the residual tolerance.
     """
     s_cla = params.solidity * params.C_la
-
-    def phi(lam):
-        w = math.sqrt(mu_x * mu_x + (lam + mu_z) * (lam + mu_z))
-        return 2.0 * lam * w - _ct_of_lambda(lam, mu_x, mu_z, s_cla, params.theta0), w
-
-    lam = math.sqrt(s_cla * params.theta0 / 12.0)
-    value, w = phi(lam)
+    theta0 = params.theta0
+    lam = math.sqrt(s_cla * theta0 / 12.0)
+    value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
     it = 0
     while abs(value) > 1e-13 and it < 50:
         if w > 1e-14:
@@ -142,16 +145,16 @@ def solve_thrust_inflow(mu_x, mu_z, params):
             slope = 0.25 * s_cla
         step = value / slope
         lam -= step
-        value, w = phi(lam)
+        value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
         if abs(step) < 1e-16 * max(1.0, abs(lam)):
             break
         it += 1
 
     if abs(value) > 1e-11:
-        # Newton stalled; bisect phi on [0, 1]
+        # Newton stalled; bisect the residual on [0, 1]
         lo, hi = 0.0, 1.0
-        flo, _ = phi(lo)
-        fhi, _ = phi(hi)
+        flo, _ = _inflow_residual(lo, mu_x, mu_z, s_cla, theta0)
+        fhi, _ = _inflow_residual(hi, mu_x, mu_z, s_cla, theta0)
         if flo == 0.0:
             lam, value = lo, 0.0
         elif flo * fhi > 0.0:
@@ -159,17 +162,17 @@ def solve_thrust_inflow(mu_x, mu_z, params):
         else:
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                fmid, _ = phi(mid)
+                fmid, _ = _inflow_residual(mid, mu_x, mu_z, s_cla, theta0)
                 if flo * fmid <= 0.0:
                     hi = mid
                 else:
                     lo, flo = mid, fmid
             lam = 0.5 * (lo + hi)
-            value, _ = phi(lam)
+            value, _ = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
             if abs(value) > 1e-11:
                 raise NoConvergence("bisection fallback stalled", residual=abs(value))
 
-    return _ct_of_lambda(lam, mu_x, mu_z, s_cla, params.theta0), lam
+    return _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0), lam
 
 
 def thrust_inflow_residuals(C_T, lam, mu_x, mu_z, params):

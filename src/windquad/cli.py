@@ -111,10 +111,11 @@ def cmd_sweep(args):
     if not values:
         raise ParseError("--values is empty")
 
+    # every value is validated before the first run, so a bad one costs none
+    configs = [load_config(args.config, overrides={(section, key): raw}) for raw in values]
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for raw in values:
-        cfg = load_config(args.config, overrides={(section, key): raw})
+    for raw, cfg in zip(values, configs):
         result = run_simulation(cfg)
         row = {"param": f"{section}.{key}", "value": raw}
         row.update(result.summary)

@@ -265,7 +265,11 @@ def calibrate_simplified(aero, quad):
     C_T' = C_T(0,0) rho A_p r_p^2 and C_Q' likewise, so the hover-trim rotor
     speed produces identical thrust in both plants.
     """
-    C_T, lam = solve_thrust_inflow(0.0, 0.0, aero)
+    try:
+        C_T, lam = solve_thrust_inflow(0.0, 0.0, aero)
+    except NoConvergence as exc:
+        raise ValidationError(f"calibrate = on: the hover solve of the [aero] rotor "
+                              f"found no trim ({exc})") from exc
     C_Q = torque_coefficient(C_T, lam, 0.0, 0.0, aero)
     scale = aero.rho * aero.A_p * aero.r_p ** 2
     return SimplifiedModelParams(C_T=C_T * scale, C_Q=C_Q * scale * aero.r_p)
@@ -292,6 +296,12 @@ def _validate(cfg):
         raise ValidationError("simulation.decimate must be >= 1")
     if cfg.get("simulation", "seed") < 0:
         raise ValidationError("simulation.seed must be >= 0")
+    # a synthetic target is scaled to its norm, which is then recomputed as
+    # the root of a sum of squares: that sum overflows with the norm's square
+    for key in ("target_w1", "target_v1", "target_w2", "target_v2"):
+        norm = cfg.get("disturbance", key)
+        if cfg.get("simulation", "plant") == "synthetic" and norm * norm == float("inf"):
+            raise ValidationError(f"disturbance.{key} must have a finite square, got {norm}")
     # object constructors own the physical invariants
     builders = (("quad", cfg.quad), ("aero", cfg.aero), ("simplified", cfg.simplified),
                 ("gains", cfg.gains), ("nn1", lambda: cfg.network(1)),
@@ -301,8 +311,7 @@ def _validate(cfg):
     for section, build in builders:
         try:
             build()
-        # NoConvergence: the hover solve of `calibrate = on` found no trim
-        except (ValueError, ValidationError, NoConvergence) as exc:
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"[{section}] {exc}") from exc
 
 

@@ -37,7 +37,9 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     for argv in (["run", "--config", path, "--duration", "0.02"],
                  ["validate-gains", "--config", path]):
         assert main(argv) == 2
-        assert "[simplified]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[simplified] calibrate = on: the hover solve" in err
+        assert "[aero]" in err
 
 
 def test_run_unknown_key_exit_code(tmp_path):
@@ -84,6 +86,24 @@ def test_run_rejects_non_finite_value(tmp_path, capsys, bad):
             failures.append((f"{section}.{key}", code, err.strip()))
     assert len(float_keys()) == 70
     assert failures == []
+
+
+def test_run_rejects_overflowing_target_norm(tmp_path, capsys):
+    # the target network is rescaled to this norm and its norm recomputed
+    # from a sum of squares, so a norm whose square overflows fails at load
+    # time; one whose square is finite still runs into the step abort
+    out = str(tmp_path / "out")
+    huge = 1e155
+    assert huge * huge == float("inf")
+    for key in ("target_w1", "target_v1", "target_w2", "target_v2"):
+        path = write(tmp_path, f"[simulation]\nplant = synthetic\nduration = 0.02\n"
+                               f"[disturbance]\n{key} = {huge!r}\n")
+        assert main(["run", "--config", path, "--out", out]) == 2
+        assert f"disturbance.{key}" in capsys.readouterr().err
+    path = write(tmp_path, "[simulation]\nplant = synthetic\nduration = 0.02\n"
+                           "[disturbance]\ntarget_w1 = 1e154\n")
+    assert main(["run", "--config", path, "--out", out]) == 3
+    assert "aborted at step" in capsys.readouterr().err
 
 
 def test_run_tangent_heading_without_speed(tmp_path, capsys):
@@ -224,6 +244,21 @@ def test_sweep(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("param,value,")
+
+
+def test_sweep_validates_every_value_before_running(tmp_path, capsys, monkeypatch):
+    # the invalid third value is found before the first two run
+    runs = []
+    run = windquad.cli.run_simulation
+    monkeypatch.setattr(windquad.cli, "run_simulation",
+                        lambda cfg: runs.append(cfg) or run(cfg))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--param", "quad.mass", "--values", "0.5,0.5,-1",
+                 "--out", str(out), "--config",
+                 write(tmp_path, "[simulation]\nduration = 0.05\n")]) == 2
+    assert "[quad]" in capsys.readouterr().err
+    assert runs == []
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_bad_param(tmp_path):
