@@ -86,6 +86,11 @@ class RotorAeroParams:
         """Solidity ratio s = N_b c / (pi r_p)."""
         return self._solidity
 
+    @property
+    def lam_guess(self):
+        """Hover-scale inflow sqrt(s C_la theta0 / 12), the cold Newton start."""
+        return math.sqrt(self._solidity * self.C_la * self.theta0 / 12.0)
+
 
 def advance_ratios(u, omega_j, r_p, omega_min=OMEGA_MIN):
     """In-plane and axial advance ratios (mu_x, mu_z) of the relative wind u.
@@ -114,7 +119,7 @@ def _inflow_residual(lam, mu_x, mu_z, s_cla, theta0):
     return 2.0 * lam * w - _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0), w
 
 
-def solve_thrust_inflow(mu_x, mu_z, params):
+def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
     """Solve the coupled implicit equations for (C_T, lam).
 
     The pair must satisfy
@@ -124,9 +129,12 @@ def solve_thrust_inflow(mu_x, mu_z, params):
 
     The second equation is handled in the singularity-free product form
     2 lam sqrt(mu_x^2 + (lam+mu_z)^2) - C_T(lam) = 0 and solved by Newton
-    iteration (at most 50, to residual 1e-13) from the hover-scale guess
-    sqrt(s C_la theta0 / 12), falling back to bisection on [0, 1] if Newton
-    leaves the bracket or stalls short of residual 1e-11.
+    iteration (at most 50 steps to residual 1e-13, then one last correction
+    from that residual) from lam0, or from the hover-scale guess
+    `params.lam_guess` when lam0 is None, falling back to bisection on
+    [0, 1] if Newton leaves the bracket or stalls short of residual 1e-11.
+    A caller that solves the same rotor repeatedly passes its last lam as
+    lam0 (a warm start).
 
     Raises
     ------
@@ -135,20 +143,26 @@ def solve_thrust_inflow(mu_x, mu_z, params):
     """
     s_cla = params.solidity * params.C_la
     theta0 = params.theta0
-    lam = math.sqrt(s_cla * theta0 / 12.0)
+    lam = params.lam_guess if lam0 is None else lam0
     value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
-    it = 0
-    while abs(value) > 1e-13 and it < 50:
+    for it in range(51):
         if w > 1e-14:
             slope = 2.0 * w + 2.0 * lam * (lam + mu_z) / w + 0.25 * s_cla
         else:
             slope = 0.25 * s_cla
         step = value / slope
+        if not abs(value) > 1e-13:
+            # converged: the residual in hand gives one more Newton correction
+            # without a new evaluation, which puts lam on the root to rounding
+            # whatever the start, so a warm and a cold solve agree
+            lam -= step
+            break
+        if it == 50:
+            break
         lam -= step
         value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
         if abs(step) < 1e-16 * max(1.0, abs(lam)):
             break
-        it += 1
 
     if abs(value) > 1e-11:
         # Newton stalled; bisect the residual on [0, 1]
@@ -215,7 +229,7 @@ def drag_force(v, v_w, C_d):
     return -C_d * math.hypot(*rel.tolist()) * rel
 
 
-def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
+def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN, inflow=None):
     """Total aerodynamic force (inertial) and moment (body) on the vehicle
     at packed state s.
 
@@ -234,6 +248,11 @@ def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
     The relative wind at rotor j is R^T (v_w - v) + Omega x r_j; R^T (v_w - v)
     is formed once and each rotor runs in float arithmetic.  RotorStopped
     names the rotor, 1-based as in the telemetry columns.
+
+    `inflow`, when given, is a list of four floats owned by the caller's run:
+    rotor j's inflow solve starts from inflow[j], which is then overwritten
+    with the solved lam, so the start carries across RK4 stages and steps.
+    Without it every solve starts cold from the hover-scale guess.
     """
     _, v, R, Omega = unpack_state(s)
     wx, wy, wz = ((v_w - v) @ R).tolist()
@@ -241,6 +260,8 @@ def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
     r_p = aero.r_p
     rho_A = aero.rho * aero.A_p
     flap_gain = 0.5 * aero.N_b * aero.K_beta
+    if inflow is None:
+        inflow = [None] * 4
     fx = fy = fz = mx = my = mz = 0.0
     rotors = zip(omegas.tolist(), quad.rotor_positions)
     for j, (omega_j, (rx, ry, rz)) in enumerate(rotors):
@@ -251,7 +272,8 @@ def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN):
                                         omega_j, r_p, omega_min)
         except RotorStopped as exc:
             raise RotorStopped(f"rotor {j + 1} {exc}") from None
-        C_T, lam = solve_thrust_inflow(mu_x, mu_z, aero)
+        C_T, lam = solve_thrust_inflow(mu_x, mu_z, aero, inflow[j])
+        inflow[j] = lam
         C_Q = torque_coefficient(C_T, lam, mu_x, mu_z, aero)
         alpha, (d1, d2, d3) = flap_direction(u1, u2, aero.C_alpha)
         tip2 = (r_p * omega_j) ** 2

@@ -119,6 +119,8 @@ def run_simulation(config):
 
     aero = config.aero() if mode == "full_aero" else None
     omega_min = config.get("aero", "omega_min")
+    # each rotor's last inflow, the warm start of its next solve
+    inflow = [aero.lam_guess] * 4 if aero is not None else None
 
     telemetry = np.empty((math.ceil(n_steps / decimate), len(COLUMNS)))
     nn_error_sq = np.empty((len(telemetry), 2)) if targets is not None else None
@@ -172,7 +174,7 @@ def run_simulation(config):
                     if stage_wind[0] != ts:
                         stage_wind[:] = ts, wind_at(wind, ts)
                     return resultant_wrench(s, stage_wind[1], omegas, quad,
-                                            aero, omega_min)
+                                            aero, omega_min, inflow)
             else:
                 f_cmd, M_cmd = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
 

@@ -294,9 +294,9 @@ def test_wrench_makes_four_scalar_solves(monkeypatch, quad, aero_s01, rng):
     calls = []
     solve = windquad.aero.solve_thrust_inflow
 
-    def counted(mu_x, mu_z, params):
+    def counted(mu_x, mu_z, params, lam0=None):
         calls.append((type(mu_x), type(mu_z)))
-        return solve(mu_x, mu_z, params)
+        return solve(mu_x, mu_z, params, lam0)
 
     monkeypatch.setattr(windquad.aero, "solve_thrust_inflow", counted)
     for n in range(1, 4):
@@ -372,6 +372,42 @@ def test_wrench_matches_reference_axial_wind(quad, aero_s01, rng):
         got = resultant_wrench(st, v_w, omegas, quad, aero_s01)
         assert_matches_reference(got, reference_wrench(st, v_w, omegas, quad, aero_s01))
         assert np.allclose(got[1][:2], 0.0, atol=1e-12)
+
+
+def test_wrench_with_carried_inflow_matches_cold_solve(quad, aero_s01, rng):
+    # the carried start moves only Newton's path, not the root it reaches:
+    # the list holds the previous state's solution, which is close for a
+    # small perturbation and far for a fresh random state
+    inflow = [aero_s01.lam_guess] * 4
+    for _ in range(500):
+        st = pack_state(np.zeros(3), 3.0 * rng.standard_normal(3), random_rotation(rng),
+                        2.0 * rng.standard_normal(3))
+        v_w = 5.0 * rng.standard_normal(3)
+        omegas = rng.uniform(250.0, 900.0, 4)
+        for nudge in (0.0, 1e-3):
+            s = st + nudge * rng.standard_normal(st.shape)
+            s[9:18] = st[9:18]
+            cold = resultant_wrench(s, v_w, omegas, quad, aero_s01)
+            warm = resultant_wrench(s, v_w, omegas, quad, aero_s01, 1.0, inflow)
+            assert_matches_reference(warm, cold)
+            assert all(isinstance(lam, float) and math.isfinite(lam) for lam in inflow)
+
+
+@pytest.mark.parametrize("lam0", [-1e3, -1.0, 0.0, 1e-9, 0.9, 1.0, 10.0, 1e6])
+def test_far_start_reaches_residual_tolerance(aero_s01, lam0):
+    # from a start far from the root, Newton either converges or hands over
+    # to the bisection fallback; both must meet the 1e-11 product-form residual
+    s_cla = aero_s01.solidity * aero_s01.C_la
+    for mu_x in np.linspace(0.0, 0.3, 7):
+        for mu_z in np.linspace(-0.05, 0.1, 7):
+            mu_x, mu_z = float(mu_x), float(mu_z)
+            C_T, lam = solve_thrust_inflow(mu_x, mu_z, aero_s01, lam0)
+            ct = 0.5 * s_cla * (aero_s01.theta0 * (1.0 / 3.0 + 0.5 * mu_x ** 2)
+                                - 0.5 * (lam + mu_z))
+            assert C_T == ct
+            assert abs(2.0 * lam * math.hypot(mu_x, lam + mu_z) - C_T) <= 1e-11
+            assert lam == pytest.approx(solve_thrust_inflow(mu_x, mu_z, aero_s01)[1],
+                                        abs=1e-10)
 
 
 def test_flap_moment_vanishes_without_wind(quad, aero_s01):

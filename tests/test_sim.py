@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import windquad.aero
 import windquad.sim
 from windquad.config import load_config
 from windquad.errors import NoConvergence, RotorStopped, SimulationAbort
@@ -11,6 +13,8 @@ from windquad.sim import (COLUMNS, FIELDS, read_csv, run_simulation,
                           summarize, write_csv, write_summary,
                           write_weights_csv)
 from windquad.adaptive import NNWeights
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fake_telemetry(t, e_x_norm):
@@ -296,6 +300,30 @@ def test_wind_sampled_once_per_stage_time(monkeypatch):
     }))
     assert len(res.telemetry) == 4
     assert len(times) == 3 * 20 + 4
+
+
+def test_warm_start_inflow_evaluations_per_solve(monkeypatch):
+    # each rotor's solve starts from its last inflow (carried across RK4
+    # stages and steps), which cuts the residual evaluations per solve from
+    # 5.0 (cold start from the hover guess) to about 2.75 on this scenario
+    counts = {"solves": 0, "residuals": 0}
+    solve, residual = windquad.aero.solve_thrust_inflow, windquad.aero._inflow_residual
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    def counted_residual(*args):
+        counts["residuals"] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(windquad.aero, "solve_thrust_inflow", counted_solve)
+    monkeypatch.setattr(windquad.aero, "_inflow_residual", counted_residual)
+    cfg = load_config(CONFIGS / "wind_circle.ini", {("simulation", "duration"): "0.5"})
+    run_simulation(cfg)
+    steps = round(0.5 / cfg.get("simulation", "dt"))
+    assert counts["solves"] == 16 * steps
+    assert counts["residuals"] / counts["solves"] <= 3.0
 
 
 # --- telemetry files -------------------------------------------------------------
