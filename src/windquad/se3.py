@@ -7,8 +7,10 @@ Rotation matrices map body-frame coordinates to inertial-frame coordinates
 (yaw-pitch-roll) sequence.  All angles in radians.
 
 Vectors and matrices are float ndarrays and are used as given; only
-expm_so3 converts its argument.
+expm_so3 takes a plain 3-sequence of floats, from which it builds its array.
 """
+
+import math
 
 import numpy as np
 
@@ -125,20 +127,32 @@ def expm_so3(phi):
     """Rotation exponential exp(hat(phi)) via the Rodrigues formula.
 
     phi may be any 3-sequence of floats: the integrator passes the chart of
-    an RK4 stage as a list, and this is where it becomes an array.
+    an RK4 stage as a list.  The matrix I + a hat(phi) + b (phi phi^T -
+    theta^2 I) is formed from the three floats and becomes one array here.
+
+    Raises
+    ------
+    DegenerateMatrix
+        If |phi|^2 is not finite (a NaN or infinite chart).
     """
-    phi = np.asarray(phi, dtype=float)
-    theta2 = float(phi @ phi)
-    K = hat(phi)
+    p1, p2, p3 = phi
+    q1, q2, q3 = p1 * p1, p2 * p2, p3 * p3
+    theta2 = q1 + q2 + q3
     if theta2 < 1e-8:
         # series keeps full double accuracy for theta < 1e-4
         a = 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0)
         b = 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0))
+    elif theta2 < math.inf:
+        theta = math.sqrt(theta2)
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / theta2
     else:
-        theta = np.sqrt(theta2)
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta2
-    return np.eye(3) + a * K + b * (K @ K)
+        raise DegenerateMatrix(f"rotation vector must have a finite norm, got |phi|^2 = {theta2}")
+    s1, s2, s3 = a * p1, a * p2, a * p3
+    b12, b13, b23 = b * p1 * p2, b * p1 * p3, b * p2 * p3
+    return np.array([[1.0 - b * (q2 + q3), b12 - s3, b13 + s2],
+                     [b12 + s3, 1.0 - b * (q1 + q3), b23 - s1],
+                     [b13 - s2, b23 + s1, 1.0 - b * (q1 + q2)]])
 
 
 def orthonormalize(M):

@@ -136,6 +136,24 @@ def test_expm_small_angle_series(rng):
     assert np.allclose(vee(0.5 * (R - R.T)), v, atol=1e-15)
 
 
+def test_expm_matches_matrix_exponential(rng):
+    # the float Rodrigues entries against a general-purpose expm, on both
+    # sides of the series switch at theta^2 = 1e-8 and up to theta = 3
+    for theta in np.concatenate(([1e-9, 1e-5, 9.9e-5, 1.01e-4], rng.uniform(0.0, 3.0, 50))):
+        axis = rng.standard_normal(3)
+        phi = theta * axis / np.linalg.norm(axis)
+        R = expm_so3(phi.tolist())
+        assert np.allclose(R, scipy.linalg.expm(hat(phi)), rtol=0.0, atol=1e-14)
+        assert is_rotation(R, tol=1e-14)
+
+
+@pytest.mark.parametrize("phi", [[math.inf, 0.0, 0.0], [0.0, math.nan, 0.0],
+                                 [1e200, 0.0, 0.0], [-math.inf, math.inf, 1.0]])
+def test_expm_rejects_non_finite_chart(phi):
+    with pytest.raises(DegenerateMatrix, match=r"finite norm"):
+        expm_so3(phi)
+
+
 def test_orthonormalize_idempotent(rng):
     R = random_rotation(rng)
     assert np.linalg.norm(orthonormalize(R) - R) < 1e-14
