@@ -24,6 +24,15 @@ ROTATION_TOL = 1e-9
 SKEW_TOL = 1e-8
 GIMBAL_TOL = 1e-6
 
+#: ||R^T R - I||_F at which orthonormalize counts R as closed: a few units
+#: of rounding (a Newton-Schulz step leaves at most 8.3e-16 near SO(3))
+ROUNDING_DEFECT = 1e-15
+#: ||M^T M - I||_F below which orthonormalize uses Newton-Schulz steps
+#: (four reach ROUNDING_DEFECT from the edge); farther inputs take the SVD
+POLAR_NEWTON_RANGE = 0.1
+#: step cap, after which the SVD takes over
+POLAR_NEWTON_STEPS = 6
+
 
 def hat(v):
     """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
@@ -158,16 +167,49 @@ def expm_so3(phi):
 def orthonormalize(M):
     """Closest rotation matrix in the polar/SVD sense.
 
-    Idempotent on valid rotations.
+    After the determinant and finiteness checks, a matrix near SO(3)
+    (||M^T M - I||_F < POLAR_NEWTON_RANGE) takes Newton-Schulz steps
+    R <- R (3I - R^T R) / 2, which converge quadratically to the polar
+    factor, until ||R^T R - I||_F is at most ROUNDING_DEFECT; a rotation
+    already there is returned unchanged.  A farther matrix takes the SVD.
 
     Raises
     ------
     DegenerateMatrix
-        If det M is not positive (NaN included) or M is near rank-deficient.
+        If det M is not positive (NaN included), an entry is not finite, or
+        M is near rank-deficient.
     """
     det = np.linalg.det(M)
     if not det > 0.0:
         raise DegenerateMatrix(f"determinant must be positive, got {det}")
+    (a, b, c), (d, e, f), (g, h, i) = M.tolist()
+    for steps in range(POLAR_NEWTON_STEPS + 1):
+        # Gram matrix G = R^T R and ||G - I||_F^2, in floats
+        g11, g22, g33 = a * a + d * d + g * g, b * b + e * e + h * h, c * c + f * f + i * i
+        g12, g13, g23 = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
+        x11, x22, x33 = g11 - 1.0, g22 - 1.0, g33 - 1.0
+        # products, not ** 2, which raises OverflowError on a huge entry
+        defect2 = (x11 * x11 + x22 * x22 + x33 * x33
+                   + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23))
+        if defect2 <= ROUNDING_DEFECT ** 2:
+            return np.array([[a, b, c], [d, e, f], [g, h, i]])
+        # a non-finite M gives a NaN or infinite defect and leaves here too
+        if steps == POLAR_NEWTON_STEPS or not defect2 < POLAR_NEWTON_RANGE ** 2:
+            break
+        # R (3I - G) / 2 = R H, H symmetric
+        h11, h22, h33 = 1.5 - 0.5 * g11, 1.5 - 0.5 * g22, 1.5 - 0.5 * g33
+        h12, h13, h23 = -0.5 * g12, -0.5 * g13, -0.5 * g23
+        a, b, c = (a * h11 + b * h12 + c * h13, a * h12 + b * h22 + c * h23,
+                   a * h13 + b * h23 + c * h33)
+        d, e, f = (d * h11 + e * h12 + f * h13, d * h12 + e * h22 + f * h23,
+                   d * h13 + e * h23 + f * h33)
+        g, h, i = (g * h11 + h * h12 + i * h13, g * h12 + h * h22 + i * h23,
+                   g * h13 + h * h23 + i * h33)
+
+    if not np.isfinite(M).all():
+        # an infinite entry can pass the determinant check (diag(inf, 1, 1)
+        # has det +inf), and np.linalg.svd does not return on it
+        raise DegenerateMatrix(f"matrix entries must be finite, got {M.tolist()}")
     U, s, Vt = np.linalg.svd(M)
     if s[-1] < 1e-12 * max(1.0, s[0]):
         raise DegenerateMatrix("matrix is near rank-deficient")

@@ -173,6 +173,28 @@ def test_orthonormalize_matches_polar_oracle(rng):
         assert np.allclose(Q, U, atol=1e-12)
 
 
+def test_orthonormalize_rejects_non_finite_entries():
+    # diag(inf, 1, 1) has det +inf, which passes the determinant check, and
+    # np.linalg.svd does not return on it: the entries are checked first
+    for M in (np.diag([np.inf, 1.0, 1.0]), np.diag([1.0, np.inf, np.inf]),
+              expm_so3([0.3, -0.2, 1.1]) + np.diag([0.0, 0.0, np.inf])):
+        with pytest.raises(DegenerateMatrix, match=r"must be finite"):
+            orthonormalize(M)
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateMatrix, match=r"got nan"):
+        orthonormalize(np.diag([np.nan, 1.0, 1.0]))
+
+
+def test_orthonormalize_keeps_rotations_and_far_inputs(rng):
+    # at the rounding level a rotation comes back bitwise; a huge or far
+    # (non-polar-Newton) input still takes the SVD
+    for _ in range(200):
+        R = random_rotation(rng)
+        if np.linalg.norm(R.T @ R - np.eye(3)) < 5e-16:
+            assert np.array_equal(orthonormalize(R), R)
+        for scale in (0.5, 3.0, 1e80):
+            assert np.allclose(orthonormalize(scale * R), R, atol=1e-14)
+
+
 def test_orthonormalize_rejects_reflections():
     with pytest.raises(DegenerateMatrix):
         orthonormalize(np.diag([1.0, 1.0, -1.0]))
