@@ -45,15 +45,19 @@ class WindField:
     def __post_init__(self):
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         d = np.asarray(self.direction, dtype=float)
-        n = np.linalg.norm(d)
         if self.kind not in ("none", "constant", "step_gust", "sinusoidal"):
             raise ValueError(f"unknown wind kind {self.kind!r}")
         if self.kind in ("step_gust", "sinusoidal"):
             if self.amplitude < 0.0:
                 raise ValueError("amplitude must be non-negative")
-            if n == 0.0:
+            if not np.isfinite(d).all():
+                raise ValueError(f"direction must be finite, got {d.tolist()}")
+            if not d.any():
                 raise ValueError("direction must be non-zero")
-            d = d / n
+            # scaled by the largest entry first, so that math.hypot cannot
+            # overflow (np.linalg.norm does at 1e300)
+            d = d / np.abs(d).max()
+            d = d / math.hypot(*d.tolist())
         object.__setattr__(self, "direction", d)
 
     @property

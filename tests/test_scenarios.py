@@ -38,6 +38,26 @@ def test_wind_rejects_unknown_kind():
         WindField(kind="tornado")
 
 
+@pytest.mark.parametrize("direction, unit", [
+    ([1e300, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([0.0, -1e300, 1e300], [0.0, -2 ** -0.5, 2 ** -0.5]),
+    ([1.7e308, 1.7e308, 1.7e308], [3 ** -0.5] * 3),
+    ([5e-324, 0.0, 0.0], [1.0, 0.0, 0.0]),
+])
+def test_gust_direction_extreme_scale(direction, unit):
+    # the direction is normalized without overflow (np.linalg.norm returned
+    # inf at 1e300, and the gust vanished) or underflow
+    f = WindField(kind="step_gust", amplitude=2.0, onset=1.0, direction=direction)
+    assert np.allclose(f.direction, unit, rtol=0.0, atol=1e-15)
+    assert np.allclose(wind_at(f, 1.0), 2.0 * np.array(unit), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("direction", [[np.inf, 0.0, 0.0], [0.0, np.nan, 1.0], [0.0, 0.0, 0.0]])
+def test_gust_direction_rejects_non_finite_or_zero(direction):
+    with pytest.raises(ValueError, match=r"direction must be (finite|non-zero)"):
+        WindField(kind="sinusoidal", amplitude=1.0, frequency=1.0, direction=direction)
+
+
 # --- trajectories ----------------------------------------------------------------
 
 def fd_check(gen, t, h=1e-4, tol=1e-6):
