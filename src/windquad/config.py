@@ -9,6 +9,7 @@ prints the full schema with defaults as a commented reference.
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from .aero import RotorAeroParams, solve_thrust_inflow, torque_coefficient
 from .controller import ControllerGains
 from .dynamics import DT_MAX, QuadParams, SimplifiedModelParams
 from .errors import NoConvergence, ParseError, ValidationError
-from .layout import pack_state
+from .layout import COLUMNS, pack_state
 from .scenarios import TrajectoryGenerator, WindField
 from .se3 import rotation_zyx
 from .stability import BoundAssumptions
@@ -292,8 +293,20 @@ def _validate(cfg):
                               f"one step of dt = {dt}, got {duration}")
     if cfg.get("simulation", "plant") not in PLANT_MODES:
         raise ValidationError(f"simulation.plant must be one of {PLANT_MODES}")
-    if cfg.get("simulation", "decimate") < 1:
+    decimate = cfg.get("simulation", "decimate")
+    if decimate < 1:
         raise ValidationError("simulation.decimate must be >= 1")
+    # the telemetry array of run_simulation: numpy cannot size one whose
+    # byte count overflows its index type
+    rows = math.ceil(round(duration / dt) / decimate)
+    if rows * len(COLUMNS) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ValidationError(f"simulation.duration = {duration} needs {rows} telemetry rows "
+                              f"at dt = {dt} and decimate = {decimate}, more than an "
+                              f"array can index")
+    # the thrust floor C_T' omega_min ** 2 of rotor_speed_from_thrust
+    omega_min = cfg.get("aero", "omega_min")
+    if omega_min * omega_min == float("inf"):
+        raise ValidationError(f"aero.omega_min must have a finite square, got {omega_min}")
     if cfg.get("simulation", "seed") < 0:
         raise ValidationError("simulation.seed must be >= 0")
     # a synthetic target is scaled to its norm, which is then recomputed as

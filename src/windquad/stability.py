@@ -19,7 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNu
+from .errors import DegenerateNu, ValidationError
+
+_POSITION = ("gains.k_x", "gains.c1", "quad.mass")
+_ATTITUDE = ("gains.k_r", "gains.c2", "quad.inertia")
+_DECAY1 = _POSITION + ("gains.k_v", "assumptions.psi1", "nn1.w_max", "nn1.v_max")
+_DECAY2 = _ATTITUDE + ("gains.k_omega", "nn2.w_max", "nn2.v_max")
+#: the config keys that feed each quantity build_pd_matrices requires to be
+#: finite, named when one of them overflows
+REPORT_INPUTS = {
+    "M11": _POSITION, "M12": _POSITION,
+    "M21": _ATTITUDE, "M22": _ATTITUDE + ("assumptions.psi1",),
+    "N1": _DECAY1 + ("nn1.kappa", "assumptions.x_d_max", "assumptions.v_d_max"),
+    "N2": _DECAY2 + ("nn2.kappa", "assumptions.e_max", "assumptions.b4"),
+    "N3": _DECAY1 + ("gains.k_r", "gains.c2", "assumptions.b1", "assumptions.e_x_max"),
+    "N1p": _POSITION + ("nn1.gamma_w", "nn1.gamma_v"),
+    "N2p": _ATTITUDE + ("assumptions.psi1", "nn2.gamma_w", "nn2.gamma_v"),
+    "N3p": _POSITION + ("gains.k_r", "assumptions.psi1"),
+    "C5_1": _DECAY1 + ("nn1.kappa", "assumptions.eps1"),
+    "C5_2": _DECAY2 + ("nn2.kappa", "assumptions.eps2"),
+}
 
 
 @dataclass(frozen=True)
@@ -139,6 +158,12 @@ def build_pd_matrices(gains, m, J, assumptions):
     ones bound its decay; nu is the smallest eigenvalue ratio.  A verdict is
     recorded per matrix; nu and the radius are meaningful only when every
     decay matrix is positive-definite (otherwise nu <= 0 is reported as-is).
+
+    Raises
+    ------
+    ValidationError
+        If a matrix entry, or C5_i with positive decay gains, overflows; the
+        message names the config keys in REPORT_INPUTS.
     """
     a = assumptions
     lam_mJ, lam_MJ = _eig_span(J)
@@ -165,10 +190,13 @@ def build_pd_matrices(gains, m, J, assumptions):
     k_Omb = k_Om - c2 * lam_MJ - C3_2
     k_ROm = c2 * (k_Om + C3_2)
 
-    C5_1 = (c1 * C1_1 ** 2 / (2.0 * k_xb) + C1_1 ** 2 / (2.0 * k_vb)
-            + kap1 * Z_max1 ** 2 / 2.0) if k_xb > 0.0 and k_vb > 0.0 else float("inf")
-    C5_2 = (c2 * C1_2 ** 2 / (2.0 * k_R) + C1_2 ** 2 / (2.0 * k_Omb)
-            + kap2 * Z_max2 ** 2 / 2.0) if k_Omb > 0.0 else float("inf")
+    # inf marks a decay gain that is not positive; products, not ** 2,
+    # which raises OverflowError where a product gives inf
+    decays1, decays2 = k_xb > 0.0 and k_vb > 0.0, k_Omb > 0.0
+    C5_1 = (c1 * C1_1 * C1_1 / (2.0 * k_xb) + C1_1 * C1_1 / (2.0 * k_vb)
+            + kap1 * Z_max1 * Z_max1 / 2.0) if decays1 else float("inf")
+    C5_2 = (c2 * C1_2 * C1_2 / (2.0 * k_R) + C1_2 * C1_2 / (2.0 * k_Omb)
+            + kap2 * Z_max2 * Z_max2 / 2.0) if decays2 else float("inf")
     C5 = C5_1 + C5_2
 
     M11 = 0.5 * np.array([[k_x, -m * c1], [-m * c1, m]])
@@ -204,6 +232,13 @@ def build_pd_matrices(gains, m, J, assumptions):
     matrices = {"M11": M11, "M12": M12, "M21": M21, "M22": M22,
                 "N1": N1, "N2": N2, "N3": N3,
                 "N1p": N1p, "N2p": N2p, "N3p": N3p}
+    # an entry that overflowed makes eigvalsh fail to converge, and an
+    # overflowed C5_i (with positive decay gains) an infinite radius
+    finite = dict(matrices, C5_1=C5_1 if decays1 else 0.0, C5_2=C5_2 if decays2 else 0.0)
+    for name, value in finite.items():
+        if not np.isfinite(value).all():
+            raise ValidationError(f"gain report: {name} is not finite; it is built from "
+                                  f"{', '.join(REPORT_INPUTS[name])}")
     eigenvalues = {name: np.linalg.eigvalsh(M) for name, M in matrices.items()}
     verdicts = {name: bool(eigenvalues[name][0] > 0.0) for name in matrices}
 

@@ -3,7 +3,8 @@ import pytest
 
 import windquad.cli
 from windquad.cli import main
-from windquad.config import SCHEMA
+from windquad.config import SCHEMA, load_config
+from windquad.errors import ValidationError
 from windquad.sim import COLUMNS, read_csv
 
 
@@ -104,6 +105,35 @@ def test_run_rejects_overflowing_target_norm(tmp_path, capsys):
                            "[disturbance]\ntarget_w1 = 1e154\n")
     assert main(["run", "--config", path, "--out", out]) == 3
     assert "aborted at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("simulation", "duration"), ("aero", "omega_min"), ("assumptions", "eps2"),
+    ("gains", "c1"), ("nn1", "w_max"), ("nn1", "v_max"), ("nn2", "w_max"), ("nn2", "v_max")])
+def test_run_rejects_overflowing_derived_quantities(tmp_path, capsys, section, key):
+    # the telemetry size, the thrust floor C_T' omega_min ** 2 and the gain
+    # report's matrices and C5_i each overflow at 1e300: a load-time error
+    # naming the key, not a traceback from np.empty, ** or eigvalsh
+    text = f"[{section}]\n{key} = 1e300\n"
+    if section != "simulation":
+        text = "[simulation]\nduration = 0.02\n" + text
+    path = write(tmp_path, text)
+    for argv in (["run", "--config", path, "--out", str(tmp_path / "out")],
+                 ["validate-gains", "--config", path]):
+        assert main(argv) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "telemetry.csv").exists()
+
+
+def test_derived_limits_sit_at_the_overflow():
+    # just inside each limit still loads
+    load_config(overrides={("aero", "omega_min"): "1e154"})
+    rows_max = np.iinfo(np.intp).max // (8 * len(COLUMNS))
+    load_config(overrides={("simulation", "duration"): str(0.9 * rows_max * 1e-3)})
+    with pytest.raises(ValidationError, match="simulation.duration"):
+        load_config(overrides={("simulation", "duration"): str(1.1 * rows_max * 1e-3)})
+    with pytest.raises(ValidationError, match="aero.omega_min"):
+        load_config(overrides={("aero", "omega_min"): "1e155"})
 
 
 def test_run_tangent_heading_without_speed(tmp_path, capsys):
@@ -264,3 +294,27 @@ def test_sweep_validates_every_value_before_running(tmp_path, capsys, monkeypatc
 def test_sweep_bad_param(tmp_path):
     assert main(["sweep", "--param", "nosuch", "--values", "1",
                  "--out", str(tmp_path)]) == 2
+
+
+# --- edge-value probe --------------------------------------------------------
+
+PROBE_VALUES = ("nan", "inf", "-1", "0", "1e300")
+PROBE_KEYS = [(section, key) for section, keys in SCHEMA.items() if section != "output"
+              for key in keys]
+
+
+@pytest.mark.parametrize("section, key", PROBE_KEYS,
+                         ids=[f"{section}.{key}" for section, key in PROBE_KEYS])
+def test_edge_value_probe(tmp_path, section, key):
+    # each value, in every entry of a vector key, either runs (0), fails at
+    # load time (2) or aborts naming a step (3); an uncaught exception, a
+    # numpy warning included, fails the test
+    width = len(SCHEMA[section][key][1].split())
+    for raw in PROBE_VALUES:
+        sections = {"simulation": {"duration": "0.02"}}
+        sections.setdefault(section, {})[key] = " ".join([raw] * width)
+        path = write(tmp_path, "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+            for name, entries in sections.items()))
+        code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        assert code in (0, 2, 3), f"{section}.{key} = {raw}"
