@@ -300,7 +300,7 @@ def _validate(cfg):
     # byte count overflows its index type
     rows = math.ceil(round(duration / dt) / decimate)
     if rows * len(COLUMNS) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise ValidationError(f"simulation.duration = {duration} needs {rows} telemetry rows "
+        raise ValidationError(f"simulation.duration = {duration} needs {rows:.3g} telemetry rows "
                               f"at dt = {dt} and decimate = {decimate}, more than an "
                               f"array can index")
     # the thrust floor C_T' omega_min ** 2 of rotor_speed_from_thrust
