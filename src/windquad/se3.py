@@ -167,11 +167,12 @@ def expm_so3(phi):
 def orthonormalize(M):
     """Closest rotation matrix in the polar/SVD sense.
 
-    After the determinant and finiteness checks, a matrix near SO(3)
+    After the determinant check, a matrix near SO(3)
     (||M^T M - I||_F < POLAR_NEWTON_RANGE) takes Newton-Schulz steps
     R <- R (3I - R^T R) / 2, which converge quadratically to the polar
     factor, until ||R^T R - I||_F is at most ROUNDING_DEFECT; a rotation
-    already there is returned unchanged.  A farther matrix takes the SVD.
+    already there is returned unchanged.  A farther matrix takes the SVD,
+    once its entries are checked finite (a non-finite one is never near).
 
     Raises
     ------
