@@ -145,21 +145,18 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
     theta0 = params.theta0
     lam = params.lam_guess if lam0 is None else lam0
     value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
-    for it in range(51):
+    for _ in range(50):
         if w > 1e-14:
             slope = 2.0 * w + 2.0 * lam * (lam + mu_z) / w + 0.25 * s_cla
         else:
             slope = 0.25 * s_cla
         step = value / slope
-        if not abs(value) > 1e-13:
-            # converged: the residual in hand gives one more Newton correction
-            # without a new evaluation, which puts lam on the root to rounding
-            # whatever the start, so a warm and a cold solve agree
-            lam -= step
-            break
-        if it == 50:
-            break
         lam -= step
+        if not abs(value) > 1e-13:
+            # converged: this last step, taken from the residual in hand
+            # without a new evaluation, puts lam on the root to rounding
+            # whatever the start, so a warm and a cold solve agree
+            break
         value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
         if abs(step) < 1e-16 * max(1.0, abs(lam)):
             break
