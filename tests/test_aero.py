@@ -380,13 +380,13 @@ def test_wrench_with_carried_inflow_matches_cold_solve(quad, aero_s01, rng):
     # small perturbation and far for a fresh random state
     inflow = [aero_s01.lam_guess] * 4
     for _ in range(500):
-        st = pack_state(np.zeros(3), 3.0 * rng.standard_normal(3), random_rotation(rng),
-                        2.0 * rng.standard_normal(3))
+        x, v, R, Omega = (np.zeros(3), 3.0 * rng.standard_normal(3), random_rotation(rng),
+                          2.0 * rng.standard_normal(3))
         v_w = 5.0 * rng.standard_normal(3)
         omegas = rng.uniform(250.0, 900.0, 4)
         for nudge in (0.0, 1e-3):
-            s = st + nudge * rng.standard_normal(st.shape)
-            s[9:18] = st[9:18]
+            s = pack_state(x, v + nudge * rng.standard_normal(3), R,
+                           Omega + nudge * rng.standard_normal(3))
             cold = resultant_wrench(s, v_w, omegas, quad, aero_s01)
             warm = resultant_wrench(s, v_w, omegas, quad, aero_s01, 1.0, inflow)
             assert_matches_reference(warm, cold)

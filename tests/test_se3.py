@@ -175,7 +175,7 @@ def test_orthonormalize_matches_polar_oracle(rng):
 
 def test_orthonormalize_rejects_non_finite_entries():
     # diag(inf, 1, 1) has det +inf, which passes the determinant check, and
-    # np.linalg.svd does not return on it: the entries are checked first
+    # np.linalg.svd does not return on it: the entries are checked before it
     for M in (np.diag([np.inf, 1.0, 1.0]), np.diag([1.0, np.inf, np.inf]),
               expm_so3([0.3, -0.2, 1.1]) + np.diag([0.0, 0.0, np.inf])):
         with pytest.raises(DegenerateMatrix, match=r"must be finite"):
