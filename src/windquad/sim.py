@@ -29,7 +29,7 @@ from .aero import resultant_wrench
 from .controller import GeometricAdaptiveController
 from .errors import (DegenerateMatrix, DegenerateThrust, HeadingDegenerate,
                      NoConvergence, NonFiniteWeights, RotorStopped,
-                     SimulationAbort)
+                     SimulationAbort, ValidationError)
 from .dynamics import simplified_wrench, step_rk4
 from .layout import (COLUMNS, FIELDS, OUTPUT, ROW_OUTPUT, ROW_STATE, STATE,
                      unpack_state)
@@ -90,7 +90,8 @@ def run_simulation(config):
 
     Deterministic for a fixed config and seed.  Raises SimulationAbort (with
     partial telemetry attached) on controller degeneracy, solver failure, or
-    a non-finite state.
+    a non-finite state, and ValidationError, before the first step, when the
+    telemetry array of simulation.duration cannot be allocated.
     """
     dt = config.get("simulation", "dt")
     duration = config.get("simulation", "duration")
@@ -122,7 +123,10 @@ def run_simulation(config):
     # each rotor's last inflow, the warm start of its next solve
     inflow = [aero.lam_guess] * 4 if aero is not None else None
 
-    telemetry = np.empty((math.ceil(n_steps / decimate), len(COLUMNS)))
+    try:
+        telemetry = np.empty((math.ceil(n_steps / decimate), len(COLUMNS)))
+    except MemoryError as exc:
+        raise ValidationError(f"simulation.duration = {duration}: {exc}") from None
     nn_error_sq = np.empty((len(telemetry), 2)) if targets is not None else None
     n_rec = 0
 

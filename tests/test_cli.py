@@ -136,6 +136,13 @@ def test_derived_limits_sit_at_the_overflow():
         load_config(overrides={("aero", "omega_min"): "1e155"})
 
 
+def test_run_unallocatable_telemetry_is_a_config_error(tmp_path, capsys):
+    # indexable, so it passes the load-time limit, but 2.2e15 rows are 1 EiB,
+    # beyond any 64-bit address space: np.empty fails before the first step
+    assert main(["run", "--duration", "2.2e12", "--out", str(tmp_path / "out")]) == 2
+    assert "config error: simulation.duration" in capsys.readouterr().err
+
+
 def test_run_tangent_heading_without_speed(tmp_path, capsys):
     path = write(tmp_path, "[trajectory]\nkind = circle\nomega = 0\n")
     assert main(["run", "--config", path, "--duration", "0.05"]) == 2
