@@ -14,28 +14,26 @@ from .sim import run_simulation, write_csv, write_summary, write_weights_csv
 from .stability import build_pd_matrices, format_report
 
 
-def _run_overrides(args):
-    ov = {}
-    if args.duration is not None:
-        ov[("simulation", "duration")] = str(args.duration)
-    if args.dt is not None:
-        ov[("simulation", "dt")] = str(args.dt)
-    if args.adaptation is not None:
-        ov[("simulation", "adaptation")] = args.adaptation
-    if args.plant is not None:
-        mode = {"full": "full_aero"}.get(args.plant, args.plant)
-        ov[("simulation", "plant")] = mode
-    if args.seed is not None:
-        ov[("simulation", "seed")] = str(args.seed)
-    if args.decimate is not None:
-        ov[("simulation", "decimate")] = str(args.decimate)
-    if args.wind is not None:
-        if args.wind.strip().lower() == "none":
-            ov[("wind", "kind")] = "none"
-        else:
-            ov[("wind", "kind")] = "constant"
-            ov[("wind", "base")] = args.wind
-    return ov
+class _Override(argparse.Action):
+    """A run flag that sets config keys: `sets` is the "section.key" that
+    takes the flag's value, or maps the value to {(section, key): text}."""
+
+    def __init__(self, *args, sets, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sets = sets if callable(sets) else lambda v: {tuple(sets.split(".")): str(v)}
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.overrides = {**namespace.overrides, **self.sets(value)}
+
+
+def _wind(text):
+    if text.strip().lower() == "none":
+        return {("wind", "kind"): "none"}
+    return {("wind", "kind"): "constant", ("wind", "base"): text}
+
+
+# --out DIR: the three [output] paths, as files in DIR
+OUT_FILES = {"csv": "telemetry.csv", "summary": "summary.txt", "weights": "weights.csv"}
 
 
 def _gain_report(cfg):
@@ -44,7 +42,9 @@ def _gain_report(cfg):
 
 
 def cmd_run(args):
-    cfg = load_config(args.config, overrides=_run_overrides(args))
+    out = {("output", key): os.path.join(args.out, name)
+           for key, name in OUT_FILES.items()} if args.out else {}
+    cfg = load_config(args.config, overrides={**args.overrides, **out})
     report = _gain_report(cfg)
     if not report.feasible:
         print("warning: gain feasibility checks failed "
@@ -52,14 +52,10 @@ def cmd_run(args):
         if args.strict:
             raise ValidationError("gain checks failed and --strict is set")
 
-    # --out names a directory for all three files, created before the run;
-    # otherwise [output] gives each path, and an empty one skips that file
+    # --out is created before the run; an empty [output] path skips its file
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        paths = [os.path.join(args.out, name)
-                 for name in ("telemetry.csv", "summary.txt", "weights.csv")]
-    else:
-        paths = [cfg.get("output", key) for key in ("csv", "summary", "weights")]
+    paths = [cfg.get("output", key) for key in OUT_FILES]
     csv_path, summary_path, weights_path = paths
     # a missing directory fails now rather than after the run; nothing is
     # created here, so an aborted run still leaves no summary and no weights
@@ -139,16 +135,19 @@ def build_parser():
     run = sub.add_parser("run", help="run one closed-loop simulation")
     run.add_argument("--config", default=None, help="config file (defaults apply if omitted)")
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--duration", type=float, default=None)
-    run.add_argument("--dt", type=float, default=None)
-    run.add_argument("--wind", default=None, help="'none' or 'vx,vy,vz' constant wind")
-    run.add_argument("--adaptation", choices=("on", "off"), default=None)
-    run.add_argument("--plant", choices=("full", "simplified", "synthetic"), default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--decimate", type=int, default=None)
+    run.add_argument("--duration", type=float, action=_Override, sets="simulation.duration")
+    run.add_argument("--dt", type=float, action=_Override, sets="simulation.dt")
+    run.add_argument("--wind", action=_Override, sets=_wind,
+                     help="'none' or 'vx,vy,vz' constant wind")
+    run.add_argument("--adaptation", choices=("on", "off"), action=_Override,
+                     sets="simulation.adaptation")
+    run.add_argument("--plant", choices=("full", "simplified", "synthetic"), action=_Override,
+                     sets=lambda p: {("simulation", "plant"): "full_aero" if p == "full" else p})
+    run.add_argument("--seed", type=int, action=_Override, sets="simulation.seed")
+    run.add_argument("--decimate", type=int, action=_Override, sets="simulation.decimate")
     run.add_argument("--strict", action="store_true",
                      help="treat failed gain checks as a configuration error")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, overrides={})
 
     vg = sub.add_parser("validate-gains", help="print the stability report")
     vg.add_argument("--config", default=None)

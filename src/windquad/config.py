@@ -332,51 +332,44 @@ def load_config(path=None, overrides=None):
     """Load, merge, and validate a configuration.
 
     path may be None (pure defaults).  `overrides` maps (section, key) to
-    value text and is applied after the file, before validation.
+    value text.  The SCHEMA defaults, the file (UTF-8) and the overrides are
+    read in that order into one parser, later text winning, and every value
+    is then parsed by the same loop.  `%` is a literal character.
 
     Raises
     ------
     ParseError
-        On syntax errors, unknown sections, or unknown keys.
+        On syntax errors, an unreadable file, unknown sections, or unknown keys.
     ValidationError
         On invariant violations.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if path is not None:
-        try:
-            with open(path) as fh:
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser.read_dict({section: {key: default for key, (_, default, _) in keys.items()}
+                      for section, keys in SCHEMA.items()})
+    layer = {}
+    for (section, key), raw in (overrides or {}).items():
+        layer.setdefault(section, {})[key] = raw
+    try:
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ParseError(str(exc)) from exc
+        parser.read_dict(layer, source="<overrides>")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ParseError(str(exc)) from exc
 
     values = {}
-    for section, keys in SCHEMA.items():
-        for key, (parse, default, _) in keys.items():
-            values[(section, key)] = parse(default)
-
     for section in parser.sections():
         if section not in SCHEMA:
             raise ParseError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ParseError(f"unknown key {key!r} in section [{section}]")
-            parse = SCHEMA[section][key][0]
             try:
-                values[(section, key)] = parse(raw)
+                values[(section, key)] = SCHEMA[section][key][0](raw)
             except ValueError as exc:
                 raise ParseError(f"[{section}] {key}: {exc}") from exc
-
-    if overrides:
-        for (section, key), raw in overrides.items():
-            if section not in SCHEMA or key not in SCHEMA[section]:
-                raise ParseError(f"unknown override {section}.{key}")
-            parse = SCHEMA[section][key][0]
-            try:
-                values[(section, key)] = parse(raw)
-            except ValueError as exc:
-                raise ParseError(f"override {section}.{key}: {exc}") from exc
 
     cfg = SimConfig(values=values)
     _validate(cfg)
