@@ -161,14 +161,17 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
         if abs(step) < 1e-16 * max(1.0, abs(lam)):
             break
 
-    if abs(value) > 1e-11:
+    # each check below is written negated, so that a NaN residual (a NaN
+    # input, or a NaN or infinite lam0) fails it: a non-finite result is
+    # never returned
+    if not abs(value) <= 1e-11:
         # Newton stalled; bisect the residual on [0, 1]
         lo, hi = 0.0, 1.0
         flo, _ = _inflow_residual(lo, mu_x, mu_z, s_cla, theta0)
         fhi, _ = _inflow_residual(hi, mu_x, mu_z, s_cla, theta0)
         if flo == 0.0:
             lam, value = lo, 0.0
-        elif flo * fhi > 0.0:
+        elif not flo * fhi <= 0.0:
             raise NoConvergence("no sign change on [0, 1]", residual=abs(value))
         else:
             for _ in range(200):
@@ -180,7 +183,7 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
                     lo, flo = mid, fmid
             lam = 0.5 * (lo + hi)
             value, _ = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
-            if abs(value) > 1e-11:
+            if not abs(value) <= 1e-11:
                 raise NoConvergence("bisection fallback stalled", residual=abs(value))
 
     return _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0), lam

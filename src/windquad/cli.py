@@ -57,12 +57,15 @@ def cmd_run(args):
         os.makedirs(args.out, exist_ok=True)
     paths = [cfg.get("output", key) for key in OUT_FILES]
     csv_path, summary_path, weights_path = paths
-    # a missing directory fails now rather than after the run; nothing is
-    # created here, so an aborted run still leaves no summary and no weights
+    # a missing directory or a path that is one fails now rather than after
+    # the run; nothing is created here, so an aborted run still leaves no
+    # summary and no weights
     for path in paths:
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
     try:
         result = run_simulation(cfg)
@@ -112,19 +115,26 @@ def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for raw, cfg in zip(values, configs):
-        result = run_simulation(cfg)
         row = {"param": f"{section}.{key}", "value": raw}
-        row.update(result.summary)
+        try:
+            row.update(run_simulation(cfg).summary, status="ok", abort_step="", reason="")
+        except SimulationAbort as exc:
+            print(f"error: {section}.{key} = {raw}: {exc}", file=sys.stderr)
+            # the file is split on plain commas
+            row.update(status="aborted", abort_step=exc.step,
+                       reason=str(exc.reason).replace(",", ";"))
         rows.append(row)
 
+    # an aborted run's row leaves the summary columns empty
+    finished = [row for row in rows if row["status"] == "ok"]
+    cols = list((finished or rows)[0])
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w") as fh:
-        cols = list(rows[0].keys())
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+            fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
     print(f"wrote {path} ({len(rows)} runs)")
-    return 0
+    return 0 if len(finished) == len(rows) else 3
 
 
 def build_parser():

@@ -9,7 +9,7 @@ from windquad.aero import (RotorAeroParams, advance_ratios,
                            solve_thrust_inflow, thrust_inflow_residuals,
                            torque_coefficient)
 from windquad.dynamics import SimplifiedModelParams, rotor_speed_from_thrust
-from windquad.errors import RotorStopped
+from windquad.errors import NoConvergence, RotorStopped
 from windquad.layout import pack_state, unpack_state
 from windquad.se3 import cross3, hat, rotation_zyx
 
@@ -408,6 +408,21 @@ def test_far_start_reaches_residual_tolerance(aero_s01, lam0):
             assert abs(2.0 * lam * math.hypot(mu_x, lam + mu_z) - C_T) <= 1e-11
             assert lam == pytest.approx(solve_thrust_inflow(mu_x, mu_z, aero_s01)[1],
                                         abs=1e-10)
+
+
+@pytest.mark.parametrize("mu_x, mu_z", [(math.nan, 0.02), (0.1, math.nan)])
+def test_nan_advance_ratio_raises(aero_s01, mu_x, mu_z):
+    # a NaN residual fails every convergence check instead of passing it
+    with pytest.raises(NoConvergence):
+        solve_thrust_inflow(mu_x, mu_z, aero_s01)
+
+
+@pytest.mark.parametrize("lam0", [math.nan, math.inf])
+def test_non_finite_start_falls_back_to_bisection(aero_s01, lam0):
+    C_T, lam = solve_thrust_inflow(0.1, 0.02, aero_s01, lam0)
+    assert math.isfinite(C_T) and math.isfinite(lam)
+    assert abs(2.0 * lam * math.hypot(0.1, lam + 0.02) - C_T) <= 1e-11
+    assert lam == pytest.approx(solve_thrust_inflow(0.1, 0.02, aero_s01)[1], abs=1e-10)
 
 
 def test_flap_moment_vanishes_without_wind(quad, aero_s01):

@@ -41,11 +41,29 @@ def test_run_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "[simplified] calibrate = on: the hover solve" in err
         assert "[aero]" in err
+    # config files are read as UTF-8
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[simulation]\nduration = 0.05  # \xff\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"config error: cannot read {path}" in capsys.readouterr().err
 
 
 def test_run_unknown_key_exit_code(tmp_path):
     path = write(tmp_path, "[simulation]\nfoo = 1\n")
     assert main(["run", "--config", path]) == 2
+
+
+def test_percent_is_a_literal_character(tmp_path, capsys):
+    # a file value and an override are read alike, without interpolation
+    path = write(tmp_path, "[simulation]\nplant = a%b\n")
+    for argv in (["run", "--config", path, "--duration", "0.05"],
+                 ["sweep", "--param", "simulation.plant", "--values", "a%b",
+                  "--out", str(tmp_path / "sweep")]):
+        assert main(argv) == 2
+        assert "config error: simulation.plant must be one of" in capsys.readouterr().err
+    path = output_config(tmp_path, csv="a%b.csv")
+    assert main(["run", "--config", path, "--duration", "0.05"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a%b.csv", "run.ini", "s.txt", "w.csv"]
 
 
 def test_run_duration_without_step_count(tmp_path, capsys):
@@ -201,7 +219,7 @@ def output_config(tmp_path, extra="", **names):
         f"{key} = {tmp_path / name if name else ''}\n" for key, name in names.items()))
 
 
-def test_run_config_output_paths(tmp_path):
+def test_run_config_output_paths(tmp_path, capsys):
     code = main(["run", "--config", output_config(tmp_path), "--duration", "0.2"])
     assert code == 0
     header, data = read_csv(str(tmp_path / "t.csv"))
@@ -209,6 +227,14 @@ def test_run_config_output_paths(tmp_path):
     text = (tmp_path / "s.txt").read_text()
     assert "rms_e_x:" in text and "bound_radius:" in text
     assert "final_nn1" in (tmp_path / "w.csv").read_text()
+    # --out DIR is the three [output] paths in DIR: the same files either way
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--duration", "0.2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout
+    out_names = ("telemetry.csv", "summary.txt", "weights.csv")
+    for name, out_name in zip(OUTPUT_NAMES.values(), out_names, strict=True):
+        assert (tmp_path / name).read_bytes() == (out / out_name).read_bytes()
 
 
 @pytest.mark.parametrize("skipped", sorted(OUTPUT_NAMES))
@@ -219,18 +245,42 @@ def test_run_config_output_empty_path_skips(tmp_path, skipped):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.ini", *expected])
 
 
-def test_run_config_output_missing_dir(tmp_path, capsys, monkeypatch):
-    # the missing directory is found before the run, not after it
+def count_runs(monkeypatch):
+    """List that gets one entry per run_simulation call of the CLI."""
     runs = []
     run = windquad.cli.run_simulation
     monkeypatch.setattr(windquad.cli, "run_simulation",
                         lambda cfg: runs.append(cfg) or run(cfg))
+    return runs
+
+
+def test_run_config_output_missing_dir(tmp_path, capsys, monkeypatch):
+    # the missing directory is found before the run, not after it
+    runs = count_runs(monkeypatch)
     missing = tmp_path / "missing" / "t.csv"
     path = write(tmp_path, f"[output]\ncsv = {missing}\n")
     assert main(["run", "--config", path, "--duration", "0.05"]) == 2
     err = capsys.readouterr().err
     assert "output error" in err and str(missing) in err
     assert runs == []
+
+
+def test_run_config_output_is_a_dir(tmp_path, capsys, monkeypatch):
+    # so is a path that names an existing directory
+    runs = count_runs(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    path = write(tmp_path, f"[output]\nsummary = {taken}\n")
+    assert main(["run", "--config", path, "--duration", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert "output error" in err and str(taken) in err
+    assert runs == []
+    assert main(["run", "--duration", "0.05", "--out", str(tmp_path)]) == 0
+    (tmp_path / "weights.csv").unlink()
+    (tmp_path / "weights.csv").mkdir()
+    assert main(["run", "--duration", "0.05", "--out", str(tmp_path)]) == 2
+    assert str(tmp_path / "weights.csv") in capsys.readouterr().err
+    assert len(runs) == 1
 
 
 def test_run_config_output_abort(tmp_path):
@@ -285,10 +335,7 @@ def test_sweep(tmp_path):
 
 def test_sweep_validates_every_value_before_running(tmp_path, capsys, monkeypatch):
     # the invalid third value is found before the first two run
-    runs = []
-    run = windquad.cli.run_simulation
-    monkeypatch.setattr(windquad.cli, "run_simulation",
-                        lambda cfg: runs.append(cfg) or run(cfg))
+    runs = count_runs(monkeypatch)
     out = tmp_path / "sweep"
     assert main(["sweep", "--param", "quad.mass", "--values", "0.5,0.5,-1",
                  "--out", str(out), "--config",
@@ -296,6 +343,29 @@ def test_sweep_validates_every_value_before_running(tmp_path, capsys, monkeypatc
     assert "[quad]" in capsys.readouterr().err
     assert runs == []
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_keeps_finished_runs(tmp_path, capsys):
+    # the third run aborts at step 0 (||A|| overflows); the two finished rows
+    # are written as before, the aborted one with its step and reason
+    out = tmp_path / "sweep"
+    config = write(tmp_path, "[simulation]\nduration = 0.05\n")
+    assert main(["sweep", "--param", "quad.mass", "--values", "0.5,0.6,1e300",
+                 "--out", str(out), "--config", config]) == 3
+    assert "quad.mass = 1e300: aborted at step 0" in capsys.readouterr().err
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","), strict=True)) for line in lines]
+    assert len(rows) == 3
+    assert [row["status"] for row in rows] == ["ok", "ok", "aborted"]
+    assert rows[2]["abort_step"] == "0"
+    assert rows[2]["reason"].startswith("controller degeneracy: ||A|| = inf")
+    assert rows[2]["rms_e_x"] == "" and rows[0]["steps"] == "50"
+    # a finished row keeps every column and value of a sweep without aborts
+    assert main(["sweep", "--param", "quad.mass", "--values", "0.5,0.6",
+                 "--out", str(tmp_path / "ok"), "--config", config]) == 0
+    ok_header, *ok_lines = (tmp_path / "ok" / "sweep.csv").read_text().splitlines()
+    assert ok_header == header
+    assert ok_lines == lines[:2]
 
 
 def test_sweep_bad_param(tmp_path):

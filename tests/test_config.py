@@ -90,8 +90,12 @@ def test_overrides_win(tmp_path):
 
 
 def test_unknown_override():
-    with pytest.raises(ParseError):
+    # overrides are checked like file lines, and their keys lowercased alike
+    with pytest.raises(ParseError, match=r"unknown section \[nope\]"):
         load_config(overrides={("nope", "nope"): "1"})
+    with pytest.raises(ParseError, match=r"unknown key 'nope' in section \[quad\]"):
+        load_config(overrides={("quad", "nope"): "1"})
+    assert load_config(overrides={("quad", "MASS"): "0.7"}).get("quad", "mass") == 0.7
 
 
 def test_calibrated_simplified_matches_hover():
