@@ -359,6 +359,9 @@ def load_config(path=None, overrides=None):
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
 
+    # ConfigParser would copy a [DEFAULT] section's keys into every section
+    if parser.defaults():
+        raise ParseError(f"unknown section [{parser.default_section}]")
     values = {}
     for section in parser.sections():
         if section not in SCHEMA:
@@ -366,8 +369,9 @@ def load_config(path=None, overrides=None):
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ParseError(f"unknown key {key!r} in section [{section}]")
+            parse = SCHEMA[section][key][0]
             try:
-                values[(section, key)] = SCHEMA[section][key][0](raw)
+                values[(section, key)] = parse(raw)
             except ValueError as exc:
                 raise ParseError(f"[{section}] {key}: {exc}") from exc
 

@@ -45,6 +45,10 @@ def test_unknown_section_rejected(tmp_path):
     path = write(tmp_path, "[warp_drive]\npower = 11\n")
     with pytest.raises(ParseError, match="warp_drive"):
         load_config(path)
+    # not a section of defaults for every other one
+    path = write(tmp_path, "[DEFAULT]\nduration = 1\n")
+    with pytest.raises(ParseError, match=r"unknown section \[DEFAULT\]"):
+        load_config(path)
 
 
 def test_syntax_error(tmp_path):
