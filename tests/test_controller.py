@@ -1,19 +1,24 @@
+import copy
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from windquad.adaptive import NNWeights
+from windquad.adaptive import (AdaptationGains, NNWeights, build_attitude_input,
+                               build_position_input, nn_output, update_weights)
+from windquad.aero import OMEGA_MIN
 from windquad.controller import (ControllerGains, GeometricAdaptiveController,
                                  compute_A, compute_Omega_c, compute_Rc,
                                  compute_moment, compute_thrust, mixing_matrix)
 from windquad.dynamics import SimplifiedModelParams, simplified_wrench, step_rk4
-from windquad.errors import DegenerateThrust, HeadingDegenerate
-from windquad.layout import OUTPUT, pack_state
+from windquad.errors import DegenerateThrust, HeadingDegenerate, NonFiniteWeights
+from windquad.layout import OUTPUT, OUTPUT_COLUMNS, pack_state, unpack_state
 from windquad.scenarios import TrajectoryGenerator, TrajectoryPoint, trajectory_at
-from windquad.se3 import expm_so3, is_rotation, rotation_zyx
+from windquad.se3 import (GIMBAL_TOL, cross3, euler_zyx, expm_so3, hat, is_rotation,
+                          rotation_zyx)
 
-from conftest import at_rest
+from conftest import at_rest, random_rotation
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -340,3 +345,223 @@ def test_command_mixing_consistency(quad):
     out = ctrl.step(state, hover_point(), 1e-3)
     recovered = mix @ out[OUTPUT["thrusts"]]
     assert np.allclose(recovered, [out[OUTPUT["f"]], *out[OUTPUT["M_c"]]], atol=1e-9)
+
+
+# --- the step against its array-arithmetic reference --------------------------
+
+class ReferenceController:
+    """Reference: the control step in numpy array arithmetic, one 3-vector or
+    3x3 array per quantity.  GeometricAdaptiveController.step computes the
+    same formulas in Python floats and must agree to rounding."""
+
+    def __init__(self, gains, quad, simplified, nn1, nn2, adaptation):
+        self.gains, self.quad, self.simplified = gains, quad, simplified
+        self.nn1, self.nn2, self.adaptation = nn1, nn2, adaptation
+        self.eps_thrust = 1e-6 * (quad.m * quad.g if quad.g > 0.0 else quad.m)
+        self.mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ))
+        self.history = deque(maxlen=3)
+        self.last_angles = np.zeros(3)
+
+    def step(self, s, traj, dt):
+        gains, quad, E3 = self.gains, self.quad, np.array([0.0, 0.0, 1.0])
+        x, v, R, Omega = unpack_state(s)
+        e_x = x - traj.x_d
+        e_v = v - traj.v_d
+        x_nn1 = build_position_input(x, v)
+        x_nn2, self.last_angles = build_attitude_input(
+            R, Omega, fallback_angles=self.last_angles)
+        nn1, nn2 = self.nn1, self.nn2
+        (d1, features1), (d2, features2) = nn_output((nn1, nn2), (x_nn1, x_nn2))
+
+        A = d1 - gains.k_x * e_x - gains.k_v * e_v - quad.m * quad.g * E3 + quad.m * traj.a_d
+        f = -float(A @ R[:, 2])
+        norm_A = np.linalg.norm(A)
+        if not self.eps_thrust < norm_A < np.inf:
+            raise DegenerateThrust(f"||A|| = {norm_A:.3e} not in ({self.eps_thrust:.3e}, inf)")
+        b3 = -A / norm_A
+        C = -cross3(b3, traj.b1_d)
+        norm_C = np.linalg.norm(C)
+        if not norm_C > 1e-6:
+            raise HeadingDegenerate("heading parallel to thrust axis")
+        b2 = -C / norm_C
+        R_c = np.column_stack((cross3(b2, b3), b2, b3))
+
+        self.history.append(R_c)
+        Omega_c = Omega_c_dot = np.zeros(3)
+        if len(self.history) >= 2:
+            def rate(R_prev, R_now):
+                M = R_now.T @ ((R_now - R_prev) / dt)
+                S = 0.5 * (M - M.T)
+                return np.array([S[2, 1], S[0, 2], S[1, 0]])
+
+            Omega_c = rate(self.history[-2], self.history[-1])
+            if len(self.history) == 3:
+                Omega_c_dot = (Omega_c - rate(self.history[-3], self.history[-2])) / dt
+
+        Q = R_c.T @ R
+        e_R = 0.5 * np.array([Q[2, 1] - Q[1, 2], Q[0, 2] - Q[2, 0], Q[1, 0] - Q[0, 1]])
+        psi = 0.5 * np.trace(np.eye(3) - Q)
+        e_Om = Omega - R.T @ R_c @ Omega_c
+        J = quad.J
+        ff = J @ (hat(Omega) @ R.T @ R_c @ Omega_c - R.T @ R_c @ Omega_c_dot)
+        M_c = (d2 - gains.k_R * e_R - gains.k_Omega * e_Om
+               + cross3(Omega, J @ Omega) - ff)
+
+        out = np.empty(len(OUTPUT_COLUMNS))
+        thrusts = self.mix_inv @ np.array([f, M_c[0], M_c[1], M_c[2]])
+        C_T, T_min = self.simplified.C_T, self.simplified.C_T * OMEGA_MIN ** 2
+        for j, T in enumerate(thrusts):
+            if T <= T_min:
+                omega, sat = OMEGA_MIN, float(T < T_min)
+            else:
+                omega, sat = np.sqrt(T / C_T), 0.0
+            out[OUTPUT["omegas"].start + j], out[OUTPUT["saturated"].start + j] = omega, sat
+        for name, value in (("e_x", e_x), ("e_v", e_v), ("e_R", e_R), ("e_Omega", e_Om),
+                            ("psi", psi), ("f", f), ("M_c", M_c), ("thrusts", thrusts),
+                            ("delta1_hat", d1), ("delta2_hat", d2),
+                            ("W1_norm", nn1.W_norm), ("V1_norm", nn1.V_norm),
+                            ("W2_norm", nn2.W_norm), ("V2_norm", nn2.V_norm)):
+            out[OUTPUT[name]] = value
+
+        if self.adaptation:
+            update_weights(nn1, x_nn1, features1, e_v + gains.c1 * e_x, gains.adapt1,
+                           dt, "nn1")
+            update_weights(nn2, x_nn2, features2, e_Om + gains.c2 * e_R, gains.adapt2,
+                           dt, "nn2")
+        return out
+
+
+def controller_pair(quad, nn1=None, nn2=None, adaptation=False, gains=None):
+    """A controller and its reference, each with its own copy of the networks."""
+    simp = SimplifiedModelParams(C_T=8.5e-6, C_Q=8.6e-8)
+    gains = gains or default_gains()
+    nn1 = nn1 if nn1 is not None else NNWeights.zeros()
+    nn2 = nn2 if nn2 is not None else NNWeights.zeros()
+    ctrl = GeometricAdaptiveController(gains, quad, simp, nn1=copy.deepcopy(nn1),
+                                       nn2=copy.deepcopy(nn2), adaptation=adaptation)
+    ref = ReferenceController(gains, quad, simp, copy.deepcopy(nn1), copy.deepcopy(nn2),
+                              adaptation)
+    return ctrl, ref
+
+
+def random_case(rng, quad):
+    """Random gains and networks, and three steps of nearby states and
+    trajectory points, so the last step has a full computed-attitude history."""
+    adapt = [AdaptationGains(*rng.uniform(0.1, 20.0, 2), rng.uniform(0.01, 0.5))
+             for _ in range(2)]
+    gains = ControllerGains(*rng.uniform(0.5, 10.0, 4), *rng.uniform(0.2, 2.0, 2),
+                            adapt1=adapt[0], adapt2=adapt[1])
+    nets = []
+    for _ in range(2):
+        W_norm, V_norm = rng.uniform(0.1, 3.0, 2)
+        # bounds on either side of the norms, so that some updates project
+        nets.append(NNWeights.random(rng, n_hidden=int(rng.integers(2, 12)),
+                                     W_norm=W_norm, V_norm=V_norm,
+                                     W_max=W_norm * rng.uniform(0.9, 1.5),
+                                     V_max=V_norm * rng.uniform(0.9, 1.5)))
+    x, v, Om = rng.standard_normal((3, 3))
+    R = random_rotation(rng)
+    x_d, v_d, a_d = rng.standard_normal((3, 3))
+    b1 = rng.standard_normal(3)
+    steps = []
+    for _ in range(3):
+        x, v, Om = (p + 0.05 * rng.standard_normal(3) for p in (x, v, Om))
+        R = R @ random_rotation(rng, 0.05)
+        x_d, v_d, a_d, b1 = (p + 0.05 * rng.standard_normal(3) for p in (x_d, v_d, a_d, b1))
+        traj = TrajectoryPoint(x_d, v_d, a_d, b1 / np.linalg.norm(b1), np.zeros(3))
+        steps.append((pack_state(x, v, R, Om), traj))
+    return gains, nets, steps, rng.uniform(1e-4, 5e-3)
+
+
+#: bound on |step - reference| of each output column, relative to the
+#: largest |reference| value of that column over the cases
+STEP_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("adaptation", [False, True])
+def test_step_matches_array_reference(quad, adaptation):
+    rng = np.random.default_rng(2024 + adaptation)
+    got, want, weight_err = [], [], 0.0
+    for _ in range(200):
+        gains, nets, steps, dt = random_case(rng, quad)
+        ctrl, ref = controller_pair(quad, *nets, adaptation=adaptation, gains=gains)
+        for s, traj in steps:
+            got.append(ctrl.step(s, traj, dt))
+            want.append(ref.step(s, traj, dt))
+            for w, w_ref in ((ctrl.nn1, ref.nn1), (ctrl.nn2, ref.nn2)):
+                for M, M_ref in ((w.W, w_ref.W), (w.V, w_ref.V)):
+                    weight_err = max(weight_err, float(np.abs(M - M_ref).max()
+                                                       / np.abs(M_ref).max()))
+    got, want = np.array(got), np.array(want)
+    scale = np.abs(want).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    err = np.abs(got - want).max(axis=0) / scale
+    worst = int(err.argmax())
+    assert err[worst] <= STEP_RTOL, f"column {OUTPUT_COLUMNS[worst]} off by {err[worst]:.2e}"
+    assert weight_err <= STEP_RTOL
+
+
+def degenerate_cases():
+    """(name, state, trajectory point, nn2) that the step must reject."""
+    hover = hover_point()
+    g = 9.81
+    nan_net = NNWeights.zeros()
+    nan_net.W = np.full_like(nan_net.W, math.nan)
+    return [
+        ("A zero", at_rest(), hover._replace(a_d=np.array([0.0, 0.0, g])), None),
+        ("A tiny", at_rest(), hover._replace(a_d=np.array([1e-7, 0.0, g])), None),
+        ("A nan", at_rest(), hover._replace(a_d=np.array([math.nan, 0.0, 0.0])), None),
+        ("A inf", at_rest(), hover._replace(a_d=np.array([math.inf, 0.0, 0.0])), None),
+        ("A overflows", at_rest(), hover._replace(a_d=np.array([1e200, 0.0, 1e200])), None),
+        ("heading nan", at_rest(), hover._replace(b1_d=np.array([math.nan, 0.0, 0.0])), None),
+        ("heading parallel", at_rest(), hover._replace(b1_d=np.array([0.0, 0.0, 1.0])), None),
+        ("weights nan", at_rest(), hover, nan_net),
+    ]
+
+
+@pytest.mark.parametrize("name, state, traj, nn2", degenerate_cases(),
+                         ids=[case[0] for case in degenerate_cases()])
+def test_step_degenerate_cases_match_reference(quad, name, state, traj, nn2):
+    errors = []
+    for impl in controller_pair(quad, nn2=nn2, adaptation=True):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                (DegenerateThrust, HeadingDegenerate, NonFiniteWeights)) as err:
+            impl.step(state, traj, 1e-3)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
+# --- gimbal-lock fallback through the step -------------------------------------
+
+def locked_state(Om):
+    """A state within GIMBAL_TOL of pitch pi/2."""
+    R = rotation_zyx(-0.3, 0.5 * math.pi - 0.1 * GIMBAL_TOL, 0.2)
+    return pack_state(np.zeros(3), np.zeros(3), R, Om)
+
+
+def attitude_output(nn2, angles, Om):
+    [(y, _)] = nn_output([nn2], [np.concatenate(([1.0], angles, Om))])
+    return y
+
+
+def test_step_gimbal_lock_reuses_previous_angles(quad, rng):
+    simp = SimplifiedModelParams(C_T=8.5e-6, C_Q=8.6e-8)
+    nn2 = NNWeights.random(rng, W_norm=1.0, V_norm=2.0)
+    ctrl = GeometricAdaptiveController(default_gains(), quad, simp, nn2=nn2,
+                                       adaptation=False)
+    R = rotation_zyx(0.4, 0.2, -0.1)
+    ctrl.step(pack_state(np.zeros(3), np.zeros(3), R, np.array([0.1, -0.2, 0.3])),
+              hover_point(), 1e-3)
+    Om = np.array([-0.2, 0.1, 0.05])
+    out = ctrl.step(locked_state(Om), hover_point(), 1e-3)
+    assert np.array_equal(out[OUTPUT["delta2_hat"]], attitude_output(nn2, euler_zyx(R), Om))
+
+
+def test_step_gimbal_lock_on_first_step_uses_zero_angles(quad, rng):
+    simp = SimplifiedModelParams(C_T=8.5e-6, C_Q=8.6e-8)
+    nn2 = NNWeights.random(rng, W_norm=1.0, V_norm=2.0)
+    ctrl = GeometricAdaptiveController(default_gains(), quad, simp, nn2=nn2,
+                                       adaptation=False)
+    Om = np.array([-0.2, 0.1, 0.05])
+    out = ctrl.step(locked_state(Om), hover_point(), 1e-3)
+    assert np.array_equal(out[OUTPUT["delta2_hat"]], attitude_output(nn2, np.zeros(3), Om))
