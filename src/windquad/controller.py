@@ -19,8 +19,18 @@ Rotor allocation uses the mixing matrix
 
 Row two differs from a commonly reproduced singular variant; it follows
 directly from the rotor positions (see README).
+
+The step computes in Python floats.  It unpacks the packed state, the
+trajectory point and both network outputs once with tolist(); the geometry
+helpers (compute_A, compute_thrust, compute_Rc, compute_Omega_c,
+compute_moment and se3.attitude_error, angular_velocity_error) take
+3-sequences of floats, and 3x3 matrices as three rows of floats, work in
+float arithmetic and return one array each, which the step unpacks again.
+Arrays are accepted as well.  The computed-attitude history holds rows of
+floats, and the step builds its (39,) output with one np.array call.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -31,10 +41,12 @@ from .adaptive import (AdaptationGains, NNWeights, build_attitude_input,
 from .aero import OMEGA_MIN
 from .dynamics import rotor_speed_from_thrust
 from .errors import DegenerateThrust, HeadingDegenerate
-from .layout import OUTPUT, OUTPUT_COLUMNS, unpack_state
-from .se3 import E3, angular_velocity_error, attitude_error, cross3, hat
+from .layout import STATE, unpack_state
+from .se3 import angular_velocity_error, attitude_error, computed_to_body
 
 HEADING_TOL = 1e-6
+
+_X, _V, _R, _OMEGA = (STATE[name] for name in ("x", "v", "R", "Omega"))
 
 
 @dataclass(frozen=True)
@@ -57,13 +69,19 @@ class ControllerGains:
 
 
 def compute_A(e_x, e_v, delta1_hat, a_d, gains, m, g):
-    """Acceleration command D1 - k_x e_x - k_v e_v - m g e3 + m a_d."""
-    return delta1_hat - gains.k_x * e_x - gains.k_v * e_v - m * g * E3 + m * a_d
+    """Acceleration command D1 - k_x e_x - k_v e_v - m g e3 + m a_d, a (3,) array."""
+    k_x, k_v = gains.k_x, gains.k_v
+    (x1, x2, x3), (v1, v2, v3) = e_x, e_v
+    (d1, d2, d3), (a1, a2, a3) = delta1_hat, a_d
+    return np.array([d1 - k_x * x1 - k_v * v1 + m * a1,
+                     d2 - k_x * x2 - k_v * v2 + m * a2,
+                     d3 - k_x * x3 - k_v * v3 - m * g + m * a3])
 
 
 def compute_thrust(A, R):
     """Total thrust f = -A^T R e3."""
-    return -float(A @ R[:, 2])
+    (a1, a2, a3), ((_, _, r13), (_, _, r23), (_, _, r33)) = A, R
+    return -(a1 * r13 + a2 * r23 + a3 * r33)
 
 
 def compute_Rc(A, b1_d, eps_thrust):
@@ -71,8 +89,11 @@ def compute_Rc(A, b1_d, eps_thrust):
 
     Column three is -A/||A||; column one is the projection of b1_d onto the
     plane orthogonal to it; column two completes the right-handed triad.
+    Returns a 3x3 array.
 
-    Both checks are negated comparisons, so a NaN norm fails them.
+    Both checks are negated comparisons, so a NaN norm fails them.  The norms
+    are square roots of sums of squares, so a finite A whose squares
+    overflow has norm inf, as with np.linalg.norm.
 
     Raises
     ------
@@ -82,47 +103,81 @@ def compute_Rc(A, b1_d, eps_thrust):
     HeadingDegenerate
         If b1_d is parallel to the commanded thrust axis or NaN.
     """
-    norm_A = np.linalg.norm(A)
-    if not eps_thrust < norm_A < np.inf:
+    a1, a2, a3 = A
+    norm_A = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    if not eps_thrust < norm_A < math.inf:
         raise DegenerateThrust(f"||A|| = {norm_A:.3e} not in ({eps_thrust:.3e}, inf)")
-    b3 = -A / norm_A
-    C = -cross3(b3, b1_d)
-    norm_C = np.linalg.norm(C)
+    # the columns b1 = (p1, p2, p3), b2 = (q1, q2, q3), b3 = (r1, r2, r3)
+    r1, r2, r3 = -a1 / norm_A, -a2 / norm_A, -a3 / norm_A
+    h1, h2, h3 = b1_d
+    # C = b1_d x b3
+    c1, c2, c3 = h2 * r3 - h3 * r2, h3 * r1 - h1 * r3, h1 * r2 - h2 * r1
+    norm_C = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
     if not norm_C > HEADING_TOL:
         raise HeadingDegenerate("heading parallel to thrust axis")
-    b2 = -C / norm_C
-    b1 = cross3(b2, b3)
-    return np.column_stack((b1, b2, b3))
+    q1, q2, q3 = -c1 / norm_C, -c2 / norm_C, -c3 / norm_C
+    p1, p2, p3 = q2 * r3 - q3 * r2, q3 * r1 - q1 * r3, q1 * r2 - q2 * r1
+    return np.array([[p1, q1, r1], [p2, q2, r2], [p3, q3, r3]])
 
 
 def compute_Omega_c(history, dt):
     """Computed angular velocity and acceleration from an R_c history.
 
-    `history` holds the last up-to-three computed attitudes, oldest first.
-    Backward differences: Omega_c = vee of the skew part of R_c^T Rdot_c;
-    zero until enough samples accumulate (first step returns zeros).
+    `history` holds the last up-to-three computed attitudes, oldest first,
+    each as three rows of floats.  Backward differences: Omega_c = vee of
+    the skew part of R_c^T Rdot_c; zero until enough samples accumulate
+    (first step returns zeros).  Returns two (3,) arrays.
     """
     if len(history) < 2:
         return np.zeros(3), np.zeros(3)
 
     def rate(R_prev, R_now):
-        M = R_now.T @ ((R_now - R_prev) / dt)
-        S = 0.5 * (M - M.T)
-        return np.array([S[2, 1], S[0, 2], S[1, 0]])
+        # vee of the skew part of M = R_now^T D, D = (R_now - R_prev) / dt
+        (n11, n12, n13), (n21, n22, n23), (n31, n32, n33) = R_now
+        (o11, o12, o13), (o21, o22, o23), (o31, o32, o33) = R_prev
+        d11, d12, d13 = (n11 - o11) / dt, (n12 - o12) / dt, (n13 - o13) / dt
+        d21, d22, d23 = (n21 - o21) / dt, (n22 - o22) / dt, (n23 - o23) / dt
+        d31, d32, d33 = (n31 - o31) / dt, (n32 - o32) / dt, (n33 - o33) / dt
+        m12 = n11 * d12 + n21 * d22 + n31 * d32
+        m13 = n11 * d13 + n21 * d23 + n31 * d33
+        m21 = n12 * d11 + n22 * d21 + n32 * d31
+        m23 = n12 * d13 + n22 * d23 + n32 * d33
+        m31 = n13 * d11 + n23 * d21 + n33 * d31
+        m32 = n13 * d12 + n23 * d22 + n33 * d32
+        return 0.5 * (m32 - m23), 0.5 * (m13 - m31), 0.5 * (m21 - m12)
 
-    Omega_c = rate(history[-2], history[-1])
+    w1, w2, w3 = rate(history[-2], history[-1])
     if len(history) < 3:
-        return Omega_c, np.zeros(3)
-    Omega_prev = rate(history[-3], history[-2])
-    return Omega_c, (Omega_c - Omega_prev) / dt
+        return np.array([w1, w2, w3]), np.zeros(3)
+    u1, u2, u3 = rate(history[-3], history[-2])
+    return np.array([w1, w2, w3]), np.array([(w1 - u1) / dt, (w2 - u2) / dt, (w3 - u3) / dt])
 
 
 def compute_moment(e_R, e_Omega, Omega, R, R_c, Omega_c, Omega_c_dot,
                    delta2_hat, J, gains):
-    """Moment law with gyroscopic and computed-attitude feedforward terms."""
-    ff = J @ (hat(Omega) @ R.T @ R_c @ Omega_c - R.T @ R_c @ Omega_c_dot)
-    return (delta2_hat - gains.k_R * e_R - gains.k_Omega * e_Omega
-            + cross3(Omega, J @ Omega) - ff)
+    """Moment law with gyroscopic and computed-attitude feedforward terms.
+
+    M = D2 - k_R e_R - k_Omega e_Omega + Omega x J Omega
+        - J (Omega x R^T R_c Omega_c - R^T R_c Omega_c_dot), a (3,) array.
+    """
+    w1, w2, w3 = Omega
+    u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
+    a1, a2, a3 = computed_to_body(R, R_c, Omega_c_dot)
+    # the bracket of the feedforward term
+    b1, b2, b3 = w2 * u3 - w3 * u2 - a1, w3 * u1 - w1 * u3 - a2, w1 * u2 - w2 * u1 - a3
+    (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = J
+    # J Omega and J times the bracket
+    h1 = J11 * w1 + J12 * w2 + J13 * w3
+    h2 = J21 * w1 + J22 * w2 + J23 * w3
+    h3 = J31 * w1 + J32 * w2 + J33 * w3
+    f1 = J11 * b1 + J12 * b2 + J13 * b3
+    f2 = J21 * b1 + J22 * b2 + J23 * b3
+    f3 = J31 * b1 + J32 * b2 + J33 * b3
+    k_R, k_Omega = gains.k_R, gains.k_Omega
+    (d1, d2, d3), (r1, r2, r3), (o1, o2, o3) = delta2_hat, e_R, e_Omega
+    return np.array([d1 - k_R * r1 - k_Omega * o1 + (w2 * h3 - w3 * h2) - f1,
+                     d2 - k_R * r2 - k_Omega * o2 + (w3 * h1 - w1 * h3) - f2,
+                     d3 - k_R * r3 - k_Omega * o3 + (w1 * h2 - w2 * h1) - f3])
 
 
 def mixing_matrix(d_h, C_TQ):
@@ -155,7 +210,8 @@ class GeometricAdaptiveController:
         base = quad.m * quad.g if quad.g > 0.0 else quad.m
         self.eps_thrust = 1e-6 * base
         self.omega_min = omega_min
-        self._mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ))
+        self._J = quad.J.tolist()
+        self._mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ)).tolist()
         self._rc_history = deque(maxlen=3)
         self._last_angles = np.zeros(3)
 
@@ -168,47 +224,56 @@ class GeometricAdaptiveController:
         to abort the run.
         """
         gains, quad = self.gains, self.quad
-        x, v, R, Omega = unpack_state(s)
-        e_x = x - traj.x_d
-        e_v = v - traj.v_d
-
-        x_nn1 = build_position_input(x, v)
+        x_s, v_s, R_s, Omega_s = unpack_state(s)
+        x_nn1 = build_position_input(x_s, v_s)
         x_nn2, self._last_angles = build_attitude_input(
-            R, Omega, fallback_angles=self._last_angles)
+            R_s, Omega_s, fallback_angles=self._last_angles)
         nn1, nn2 = self.nn1, self.nn2
         (delta1_hat, features1), (delta2_hat, features2) = nn_output(
             (nn1, nn2), (x_nn1, x_nn2))
 
-        A = compute_A(e_x, e_v, delta1_hat, traj.a_d, gains, quad.m, quad.g)
+        # everything below is Python floats, up to the output array
+        state = s.tolist()
+        x, v, Omega = state[_X], state[_V], state[_OMEGA]
+        r = state[_R]
+        R = (r[0:3], r[3:6], r[6:9])
+        x_d, v_d = traj.x_d.tolist(), traj.v_d.tolist()
+        delta1_hat, delta2_hat = delta1_hat.tolist(), delta2_hat.tolist()
+        e_x = [a - b for a, b in zip(x, x_d)]
+        e_v = [a - b for a, b in zip(v, v_d)]
+
+        A = compute_A(e_x, e_v, delta1_hat, traj.a_d.tolist(), gains, quad.m, quad.g).tolist()
         f = compute_thrust(A, R)
-        R_c = compute_Rc(A, traj.b1_d, self.eps_thrust)
+        R_c = compute_Rc(A, traj.b1_d.tolist(), self.eps_thrust).tolist()
 
         self._rc_history.append(R_c)
         Omega_c, Omega_c_dot = compute_Omega_c(self._rc_history, dt)
+        Omega_c, Omega_c_dot = Omega_c.tolist(), Omega_c_dot.tolist()
 
         e_R, psi = attitude_error(R, R_c)
-        e_Om = angular_velocity_error(R, R_c, Omega, Omega_c)
+        e_R = e_R.tolist()
+        e_Om = angular_velocity_error(R, R_c, Omega, Omega_c).tolist()
 
-        M_c = compute_moment(e_R, e_Om, Omega, R, R_c,
-                             Omega_c, Omega_c_dot, delta2_hat, quad.J, gains)
+        M_c = compute_moment(e_R, e_Om, Omega, R, R_c, Omega_c, Omega_c_dot,
+                             delta2_hat, self._J, gains).tolist()
 
-        out = np.empty(len(OUTPUT_COLUMNS))
-        thrusts = self._mix_inv @ np.array([f, M_c[0], M_c[1], M_c[2]])
-        omegas, saturated = out[OUTPUT["omegas"]], out[OUTPUT["saturated"]]
-        for j, T in enumerate(thrusts):
-            omegas[j], saturated[j] = rotor_speed_from_thrust(
-                T, self.simplified, self.omega_min)
-
-        for name, value in (("e_x", e_x), ("e_v", e_v), ("e_R", e_R), ("e_Omega", e_Om),
-                            ("psi", psi), ("f", f), ("M_c", M_c), ("thrusts", thrusts),
-                            ("delta1_hat", delta1_hat), ("delta2_hat", delta2_hat),
-                            ("W1_norm", nn1.W_norm), ("V1_norm", nn1.V_norm),
-                            ("W2_norm", nn2.W_norm), ("V2_norm", nn2.V_norm)):
-            out[OUTPUT[name]] = value
+        M1, M2, M3 = M_c
+        thrusts = [k_f * f + k_1 * M1 + k_2 * M2 + k_3 * M3
+                   for k_f, k_1, k_2, k_3 in self._mix_inv]
+        omegas, saturated = zip(*(rotor_speed_from_thrust(T, self.simplified, self.omega_min)
+                                  for T in thrusts))
+        # the fields in OUTPUT_SCHEMA order (the array reference of
+        # test_step_matches_array_reference writes them through OUTPUT)
+        out = np.array([*e_x, *e_v, *e_R, *e_Om, psi, f, *M_c, *thrusts, *omegas,
+                        *saturated, *delta1_hat, *delta2_hat,
+                        nn1.W_norm, nn1.V_norm, nn2.W_norm, nn2.V_norm])
 
         if self.adaptation:
-            update_weights(nn1, x_nn1, features1, e_v + gains.c1 * e_x, gains.adapt1,
-                           dt, "nn1")
-            update_weights(nn2, x_nn2, features2, e_Om + gains.c2 * e_R, gains.adapt2,
-                           dt, "nn2")
+            c1, c2 = gains.c1, gains.c2
+            update_weights(nn1, x_nn1, features1,
+                           np.array([b + c1 * a for a, b in zip(e_x, e_v)]),
+                           gains.adapt1, dt, "nn1")
+            update_weights(nn2, x_nn2, features2,
+                           np.array([b + c2 * a for a, b in zip(e_R, e_Om)]),
+                           gains.adapt2, dt, "nn2")
         return out

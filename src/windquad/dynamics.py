@@ -12,6 +12,7 @@ O(dt^4) error), and the step closes with the exponential map of the averaged
 body angular increment followed by re-orthonormalization.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,7 @@ def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):
     T_min = params.C_T * omega_min ** 2
     if T_cmd <= T_min:
         return omega_min, bool(T_cmd < T_min)
-    return np.sqrt(T_cmd / params.C_T), False
+    return math.sqrt(T_cmd / params.C_T), False
 
 
 def simplified_wrench(s, f, M_c, params, delta1=None, delta2=None):

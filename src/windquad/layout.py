@@ -4,6 +4,8 @@ A layout is a schema of (field, column name) for a one-column field and
 (field, [column names]) for a vector field.  The telemetry row is assembled
 from the state and controller-output schemas, so reordering a block moves
 its columns in the row and in every reader of the packed vector at once.
+The one writer of the controller output, GeometricAdaptiveController.step,
+lists its fields in OUTPUT_SCHEMA order and moves by hand.
 """
 
 import numpy as np

@@ -6,8 +6,11 @@ Rotation matrices map body-frame coordinates to inertial-frame coordinates
 (R^T R = I, det R = +1).  Euler angles use the intrinsic Z-Y-X
 (yaw-pitch-roll) sequence.  All angles in radians.
 
-Vectors and matrices are float ndarrays and are used as given; only
-expm_so3 takes a plain 3-sequence of floats, from which it builds its array.
+Vectors and matrices are float ndarrays and are used as given, except in
+the functions the controller step calls, which take 3-sequences of floats
+(and 3x3 matrices as three rows of floats) as well as arrays:
+attitude_error, computed_to_body, angular_velocity_error and expm_so3.  Each
+computes in float arithmetic and builds at most one array.
 """
 
 import math
@@ -76,6 +79,8 @@ def is_rotation(R, tol=ROTATION_TOL):
 def attitude_error(R, R_c):
     """Attitude error vector and configuration error of R relative to R_c.
 
+    R and R_c are 3x3: arrays, or three rows of floats.
+
     Returns
     -------
     e_R : (3,) ndarray
@@ -83,15 +88,41 @@ def attitude_error(R, R_c):
     psi : float
         0.5 * tr(I - R_c^T R), in [0, 2]; zero iff R == R_c.
     """
-    Q = R_c.T @ R
-    e_R = 0.5 * np.array([Q[2, 1] - Q[1, 2], Q[0, 2] - Q[2, 0], Q[1, 0] - Q[0, 1]])
-    psi = 0.5 * np.trace(np.eye(3) - Q)
-    return e_R, psi
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R
+    (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = R_c
+    # Q = R_c^T R, entry by entry
+    q11 = c11 * r11 + c21 * r21 + c31 * r31
+    q22 = c12 * r12 + c22 * r22 + c32 * r32
+    q33 = c13 * r13 + c23 * r23 + c33 * r33
+    q12 = c11 * r12 + c21 * r22 + c31 * r32
+    q21 = c12 * r11 + c22 * r21 + c32 * r31
+    q13 = c11 * r13 + c21 * r23 + c31 * r33
+    q31 = c13 * r11 + c23 * r21 + c33 * r31
+    q23 = c12 * r13 + c22 * r23 + c32 * r33
+    q32 = c13 * r12 + c23 * r22 + c33 * r32
+    e_R = np.array([0.5 * (q32 - q23), 0.5 * (q13 - q31), 0.5 * (q21 - q12)])
+    return e_R, 0.5 * ((1.0 - q11) + (1.0 - q22) + (1.0 - q33))
+
+
+def computed_to_body(R, R_c, w):
+    """R^T R_c w, a vector of the computed frame in body coordinates, as three
+    floats.  R and R_c are 3x3 (arrays or three rows of floats), w a
+    3-sequence."""
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R
+    (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = R_c
+    w1, w2, w3 = w
+    u1 = c11 * w1 + c12 * w2 + c13 * w3
+    u2 = c21 * w1 + c22 * w2 + c23 * w3
+    u3 = c31 * w1 + c32 * w2 + c33 * w3
+    return (r11 * u1 + r21 * u2 + r31 * u3, r12 * u1 + r22 * u2 + r32 * u3,
+            r13 * u1 + r23 * u2 + r33 * u3)
 
 
 def angular_velocity_error(R, R_c, Omega, Omega_c):
-    """Body angular velocity error Omega - R^T R_c Omega_c."""
-    return Omega - R.T @ R_c @ Omega_c
+    """Body angular velocity error Omega - R^T R_c Omega_c, a (3,) array."""
+    w1, w2, w3 = Omega
+    u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
+    return np.array([w1 - u1, w2 - u2, w3 - u3])
 
 
 def attitude_error_jacobian(Q):

@@ -474,8 +474,10 @@ def random_case(rng, quad):
 
 
 #: bound on |step - reference| of each output column, relative to the
-#: largest |reference| value of that column over the cases
-STEP_RTOL = 1e-12
+#: largest |reference| value of that column over the cases, and on each
+#: updated weight matrix, relative to its largest |entry|.  Measured: at most
+#: 1.3e-15 for the output (omega1, adaptation on) and 5.3e-15 for the weights.
+STEP_RTOL = 5e-14
 
 
 @pytest.mark.parametrize("adaptation", [False, True])

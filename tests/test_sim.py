@@ -225,7 +225,7 @@ def test_abort_on_degenerate_heading(monkeypatch):
         if round(t / DT) < ABORT_STEP:
             return traj
         return TrajectoryPoint(traj.x_d, traj.v_d, traj.a_d,
-                               b1_d=[0.0, 0.0, 1.0], b1_d_dot=np.zeros(3))
+                               b1_d=np.array([0.0, 0.0, 1.0]), b1_d_dot=np.zeros(3))
 
     monkeypatch.setattr(windquad.sim, "trajectory_at", patched)
     err = abort_of(short_run_config("simplified"))
