@@ -54,9 +54,7 @@ INERTIAL = ("x", "v", "x_d", "e_x", "e_v", "delta1_hat", "v_w")
 #: bounds on the largest |transformed - expected| of each column, as a
 #: fraction of the column's largest |value|.  Measured over 0.5 s: at most
 #: 1.4e-12 for the turn (Mc2 on full_aero; 3.7e-16 on simplified) and
-#: 1.3e-11 for the shift (Mc2).  With the controller step in numpy array
-#: arithmetic they were 6.7e-12 (omega1 on simplified) and 1.5e-11.  Each
-#: bound leaves a factor above 10.
+#: 1.3e-11 for the shift (Mc2).  Each bound leaves a factor above 10.
 TURN_RTOL = 1e-10
 SHIFT_RTOL = 2e-10
 
