@@ -28,7 +28,7 @@ class _Override(argparse.Action):
 
 def _wind(text):
     if text.strip().lower() == "none":
-        return {("wind", "kind"): "none"}
+        return {("wind", "kind"): "none", ("wind", "base"): "0 0 0"}
     return {("wind", "kind"): "constant", ("wind", "base"): text}
 
 

@@ -315,6 +315,17 @@ def _validate(cfg):
         norm = cfg.get("disturbance", key)
         if cfg.get("simulation", "plant") == "synthetic" and norm * norm == float("inf"):
             raise ValidationError(f"disturbance.{key} must have a finite square, got {norm}")
+    # a value the wind kind never reads would be dropped without a word:
+    # none is still air, and constant is the base alone
+    kind = cfg.get("wind", "kind")
+    base = cfg.get("wind", "base")
+    if kind == "none" and base.any():
+        raise ValidationError(f"wind.base = {' '.join(map(str, base.tolist()))} has no "
+                              f"effect under wind.kind = none; set wind.kind = constant")
+    amplitude = cfg.get("wind", "amplitude")
+    if kind in ("none", "constant") and amplitude != 0.0:
+        raise ValidationError(f"wind.amplitude = {amplitude} has no effect under "
+                              f"wind.kind = {kind}; set wind.kind = step_gust or sinusoidal")
     # object constructors own the physical invariants
     builders = (("quad", cfg.quad), ("aero", cfg.aero), ("simplified", cfg.simplified),
                 ("gains", cfg.gains), ("nn1", lambda: cfg.network(1)),

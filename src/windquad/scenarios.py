@@ -30,9 +30,12 @@ class TrajectoryPoint(NamedTuple):
 class WindField:
     """Ambient wind velocity profile, inertial frame.
 
-    kind: "none", "constant", "step_gust", or "sinusoidal".  base applies to
-    all kinds; the gust adds amplitude*direction after onset; the sinusoid
-    adds amplitude*direction*sin(2 pi frequency t).
+    kind: "none", "constant", "step_gust", or "sinusoidal".  "none" is still
+    air and reads no other field; the other kinds start from base; the gust
+    adds amplitude*direction after onset; the sinusoid adds
+    amplitude*direction*sin(2 pi frequency t).  The config loader rejects a
+    non-zero base under "none" and a non-zero amplitude under "none" or
+    "constant", which those kinds would ignore.
     """
 
     kind: str = "none"

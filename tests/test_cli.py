@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from windquad.cli import main
 from windquad.config import SCHEMA, load_config
 from windquad.errors import ValidationError
 from windquad.sim import COLUMNS, read_csv
+
+WIND_CIRCLE = str(Path(__file__).resolve().parent.parent / "configs" / "wind_circle.ini")
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -301,6 +305,25 @@ def test_run_wind_override(tmp_path):
     header, data = read_csv(str(out / "telemetry.csv"))
     vw1 = data[0][header.index("vw1")]
     assert vw1 == 1.0
+
+
+def test_wind_value_the_kind_ignores_is_rejected(tmp_path, capsys):
+    # kind none is still air and constant is the base alone: a base or an
+    # amplitude they would drop is a config error, not a windless run
+    cases = (("none", "base = 5 0 0\n", "wind.base"),
+             ("none", "amplitude = 2\n", "wind.amplitude"),
+             ("constant", "base = 5 0 0\namplitude = 2\n", "wind.amplitude"))
+    for kind, lines, named in cases:
+        path = write(tmp_path, "[simulation]\nplant = full_aero\nduration = 0.1\n"
+                               f"[wind]\nkind = {kind}\n{lines}")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+    # --wind none still turns off the wind of a config that sets a base
+    out = tmp_path / "calm"
+    assert main(["run", "--config", WIND_CIRCLE, "--wind", "none",
+                 "--duration", "0.05", "--out", str(out)]) == 0
+    header, data = read_csv(str(out / "telemetry.csv"))
+    assert not data[:, [header.index(c) for c in ("vw1", "vw2", "vw3")]].any()
 
 
 def test_run_plant_alias(tmp_path):
