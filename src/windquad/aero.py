@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, RotorStopped
-from .layout import unpack_state
 
 #: default floor on rotor speed [rad/s]; advance ratios diverge at zero speed
 OMEGA_MIN = 1.0
@@ -102,10 +101,9 @@ def advance_ratios(u, omega_j, r_p, omega_min=OMEGA_MIN):
     """
     if omega_j < omega_min:
         raise RotorStopped(f"speed {omega_j:.17g} rad/s below floor {omega_min:.17g}")
+    u1, u2, u3 = u
     tip = omega_j * r_p
-    mu_x = math.hypot(float(u[0]), float(u[1])) / tip
-    mu_z = float(u[2]) / tip
-    return mu_x, mu_z
+    return math.hypot(u1, u2) / tip, u3 / tip
 
 
 def _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0):
@@ -224,14 +222,22 @@ def flap_direction(u1, u2, C_alpha):
 
 
 def drag_force(v, v_w, C_d):
-    """Quadratic body drag -C_d ||v - v_w|| (v - v_w), inertial frame."""
-    rel = v - v_w
-    return -C_d * math.hypot(*rel.tolist()) * rel
+    """Quadratic body drag -C_d ||v - v_w|| (v - v_w), inertial frame, from
+    two 3-sequences of floats; returns three floats."""
+    (v1, v2, v3), (w1, w2, w3) = v, v_w
+    d1, d2, d3 = v1 - w1, v2 - w2, v3 - w3
+    k = -C_d * math.hypot(d1, d2, d3)
+    return k * d1, k * d2, k * d3
 
 
-def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN, inflow=None):
+def resultant_wrench(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEGA_MIN,
+                     inflow=None):
     """Total aerodynamic force (inertial) and moment (body) on the vehicle
-    at packed state s.
+    at velocity v, attitude R and body rates Omega.
+
+    v, Omega, the wind v_w and the four rotor speeds omegas are sequences
+    of floats and R is three rows of three floats, as an RK4 stage passes
+    them; returns (U_e, M_e), two 3-sequences of floats.
 
     Per rotor j with speed omegas[j]:
 
@@ -254,16 +260,16 @@ def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN, inflow=Non
     with the solved lam, so the start carries across RK4 stages and steps.
     Without it every solve starts cold from the hover-scale guess.
     """
-    _, v, R, Omega = unpack_state(s)
-    wx, wy, wz = ((v_w - v) @ R).tolist()
-    p, q, r = Omega.tolist()
+    R_arr = np.array(R)
+    wx, wy, wz = ((np.array(v_w) - np.array(v)) @ R_arr).tolist()
+    p, q, r = Omega
     r_p = aero.r_p
     rho_A = aero.rho * aero.A_p
     flap_gain = 0.5 * aero.N_b * aero.K_beta
     if inflow is None:
         inflow = [None] * 4
     fx = fy = fz = mx = my = mz = 0.0
-    rotors = zip(omegas.tolist(), quad.rotor_positions)
+    rotors = zip(omegas, quad.rotor_positions)
     for j, (omega_j, (rx, ry, rz)) in enumerate(rotors):
         u1 = wx + q * rz - r * ry
         u2 = wy + r * rx - p * rz
@@ -289,6 +295,6 @@ def resultant_wrench(s, v_w, omegas, quad, aero, omega_min=OMEGA_MIN, inflow=Non
         my += rz * t1 - rx * t3 + Q_j * d2 + flap * d2
         mz += rx * t2 - ry * t1 + Q_j * d3
 
-    U_e = R @ np.array([fx, fy, fz]) + drag_force(v, v_w, aero.C_d)
+    U_e = R_arr @ np.array([fx, fy, fz]) + np.array(drag_force(v, v_w, aero.C_d))
     U_e[2] += quad.m * quad.g
-    return U_e, np.array([mx, my, mz])
+    return U_e.tolist(), (mx, my, mz)

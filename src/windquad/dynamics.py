@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aero import OMEGA_MIN
-from .layout import pack_state, unpack_state
+from .layout import STATE, pack_state, unpack_state
 from .se3 import expm_so3, orthonormalize
 
 #: integrator step bound [s]
 DT_MAX = 0.05
+
+_X, _V, _R, _OMEGA = (STATE[name] for name in ("x", "v", "R", "Omega"))
 
 
 @dataclass(frozen=True)
@@ -85,28 +87,30 @@ class SimplifiedModelParams:
 
 
 def step_rk4(s, dt, wrench_fn, params, t=0.0):
-    """One classical RK4 step of the packed state s under wrench_fn(t, s).
+    """One classical RK4 step of the packed state s under a wrench callback.
 
     The stages integrate the 12 values y = (x, v, phi, Omega) as Python
     floats, phi being the rotation-vector chart about the initial attitude
-    (zero at stage 1, whose state is s itself).  wrench_fn receives each
-    stage as a packed state and returns (U_e, M_e).  dt must lie in
-    (0, DT_MAX].  Returns a new packed state.  Errors raised by wrench_fn
-    propagate; a non-finite attitude raises DegenerateMatrix.
+    R0 (zero at stage 1, whose state is s itself).  Each stage calls
+    wrench_fn(t, x, v, R, Omega) with x, v and Omega as lists of three
+    floats and R as three rows of three floats: stage 1 takes them from
+    s.tolist(), stages 2-4 take R from (R0 @ expm_so3(phi)).tolist(), the
+    product staying in numpy.  wrench_fn returns (U_e, M_e), two
+    3-sequences of floats.  dt must lie in (0, DT_MAX].  Returns a new
+    packed state, the one pack_state of the step.  Errors raised by
+    wrench_fn propagate; a non-finite attitude raises DegenerateMatrix.
     """
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
     m = params.m
-    x0, v0, R0, Omega0 = unpack_state(s)
+    R0 = unpack_state(s)[2]
     (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J.tolist()
     (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv.tolist()
 
-    def rates(ts, y, st):
+    def rates(ts, y, R):
         _, _, _, v1, v2, v3, p1, p2, p3, w1, w2, w3 = y
-        U_e, M_e = wrench_fn(ts, st)
-        U1, U2, U3 = U_e.tolist()
-        M1, M2, M3 = M_e.tolist()
+        (U1, U2, U3), (M1, M2, M3) = wrench_fn(ts, y[0:3], y[3:6], R, y[9:12])
         # chart rate Omega + phi x Omega / 2 + phi x (phi x Omega) / 12: the
         # inverse right-Jacobian series truncated after the second-order
         # term (the cubic term vanishes), enough for a fourth-order method
@@ -130,10 +134,12 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
 
     def stage(ts, h, k):
         y = [a + h * b for a, b in zip(y0, k)]
-        return rates(ts, y, pack_state(y[0:3], y[3:6], R0 @ expm_so3(y[6:9]), y[9:12]))
+        return rates(ts, y, (R0 @ expm_so3(y[6:9])).tolist())
 
-    y0 = x0.tolist() + v0.tolist() + [0.0, 0.0, 0.0] + Omega0.tolist()
-    k1 = rates(t, y0, s)
+    state = s.tolist()
+    r = state[_R]
+    y0 = state[_X] + state[_V] + [0.0, 0.0, 0.0] + state[_OMEGA]
+    k1 = rates(t, y0, [r[0:3], r[3:6], r[6:9]])
     k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
     k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
     k4 = stage(t + dt, dt, k3)
@@ -157,17 +163,22 @@ def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):
     return math.sqrt(T_cmd / params.C_T), False
 
 
-def simplified_wrench(s, f, M_c, params, delta1=None, delta2=None):
-    """Wrench of the simplified control model at packed state s, with
-    injected disturbances.
+def simplified_wrench(R, f, M_c, params, delta1=None, delta2=None):
+    """Wrench of the simplified control model at attitude R, with injected
+    disturbances.
 
     U_e = m g e3 - f R e3 - delta1 (inertial), M_e = M_c - delta2 (body).
+    R is three rows of three floats, f a float, and M_c, delta1 and delta2
+    3-sequences of floats; returns two 3-sequences of floats.
     """
-    R = unpack_state(s)[2]
-    U_e = params.m * params.g * np.array([0.0, 0.0, 1.0]) - f * R[:, 2]
+    (_, _, r13), (_, _, r23), (_, _, r33) = R
+    # 0.0 - f r, not -f r: the entries of m g e3 - f R e3 keep the sign of
+    # a zero product
+    U1, U2, U3 = 0.0 - f * r13, 0.0 - f * r23, params.m * params.g - f * r33
     if delta1 is not None:
-        U_e = U_e - delta1
-    M_e = M_c
+        d1, d2, d3 = delta1
+        U1, U2, U3 = U1 - d1, U2 - d2, U3 - d3
     if delta2 is not None:
-        M_e = M_e - delta2
-    return U_e, M_e
+        (c1, c2, c3), (d1, d2, d3) = M_c, delta2
+        M_c = (c1 - d1, c2 - d2, c3 - d3)
+    return (U1, U2, U3), M_c

@@ -152,14 +152,14 @@ def euler_zyx(R, tol=GIMBAL_TOL):
     GimbalLock
         If |cos(pitch)| < tol, i.e. pitch within ~tol of +-pi/2.
     """
-    sp = -R[2, 0]
+    sp = -R[2][0]
     sp = min(1.0, max(-1.0, sp))
     cp = np.sqrt(max(0.0, 1.0 - sp * sp))
     if cp < tol:
         raise GimbalLock(f"|cos(pitch)| = {cp:.2e} < {tol:.1e}")
     pitch = np.arcsin(sp)
-    yaw = np.arctan2(R[1, 0], R[0, 0])
-    roll = np.arctan2(R[2, 1], R[2, 2])
+    yaw = np.arctan2(R[1][0], R[0][0])
+    roll = np.arctan2(R[2][1], R[2][2])
     return np.array([yaw, pitch, roll])
 
 

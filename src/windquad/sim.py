@@ -31,8 +31,7 @@ from .errors import (DegenerateMatrix, DegenerateThrust, HeadingDegenerate,
                      NoConvergence, NonFiniteWeights, RotorStopped,
                      SimulationAbort, ValidationError)
 from .dynamics import simplified_wrench, step_rk4
-from .layout import (COLUMNS, FIELDS, OUTPUT, ROW_OUTPUT, ROW_STATE, STATE,
-                     unpack_state)
+from .layout import COLUMNS, FIELDS, OUTPUT, ROW_OUTPUT, ROW_STATE, STATE
 from .scenarios import trajectory_at, wind_at
 from .stability import lyapunov_value
 
@@ -47,16 +46,16 @@ class SimResult:
 
 
 def _injected_delta(cfg):
-    d1c = cfg.get("disturbance", "delta1")
-    d2c = cfg.get("disturbance", "delta2")
-    d1a = cfg.get("disturbance", "delta1_amp")
-    d2a = cfg.get("disturbance", "delta2_amp")
+    d1c, d2c, d1a, d2a = (cfg.get("disturbance", key).tolist()
+                          for key in ("delta1", "delta2", "delta1_amp", "delta2_amp"))
     f1 = cfg.get("disturbance", "delta1_freq")
     f2 = cfg.get("disturbance", "delta2_freq")
 
-    def delta(t, s):
-        return (d1c + d1a * math.sin(2.0 * math.pi * f1 * t),
-                d2c + d2a * math.sin(2.0 * math.pi * f2 * t))
+    def delta(t, x, v, R, Omega):
+        s1 = math.sin(2.0 * math.pi * f1 * t)
+        s2 = math.sin(2.0 * math.pi * f2 * t)
+        return ([c + a * s1 for c, a in zip(d1c, d1a)],
+                [c + a * s2 for c, a in zip(d2c, d2a)])
 
     return delta
 
@@ -74,13 +73,12 @@ def make_synthetic_targets(cfg):
 
 
 def _synthetic_delta(targets):
-    zero3 = np.zeros(3)
+    zero3 = (0.0, 0.0, 0.0)
 
-    def delta(t, s):
-        x, v, R, Omega = unpack_state(s)
+    def delta(t, x, v, R, Omega):
         x_nn2, _ = build_attitude_input(R, Omega, fallback_angles=zero3)
         (d1, _), (d2, _) = nn_output(targets, (build_position_input(x, v), x_nn2))
-        return d1, d2
+        return d1.tolist(), d2.tolist()
 
     return delta
 
@@ -169,22 +167,24 @@ def run_simulation(config):
                 row[FIELDS["v_w"]] = wind_at(wind, t)
                 n_rec += 1
 
+            # the wrench takes the stage and the commands as Python floats
+            command = out.tolist()
             if mode == "full_aero":
-                omegas = out[OUTPUT["omegas"]]
+                omegas = command[OUTPUT["omegas"]]
                 # RK4 stages 2 and 3 share one time: sample the wind once per time
                 stage_wind = [None, None]
 
-                def wrench(ts, s):
+                def wrench(ts, x, v, R, Omega):
                     if stage_wind[0] != ts:
-                        stage_wind[:] = ts, wind_at(wind, ts)
-                    return resultant_wrench(s, stage_wind[1], omegas, quad,
+                        stage_wind[:] = ts, wind_at(wind, ts).tolist()
+                    return resultant_wrench(v, R, Omega, stage_wind[1], omegas, quad,
                                             aero, omega_min, inflow)
             else:
-                f_cmd, M_cmd = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
+                f_cmd, M_cmd = command[OUTPUT["f"]], command[OUTPUT["M_c"]]
 
-                def wrench(ts, s):
-                    delta1, delta2 = delta_fn(ts, s)
-                    return simplified_wrench(s, f_cmd, M_cmd, quad,
+                def wrench(ts, x, v, R, Omega):
+                    delta1, delta2 = delta_fn(ts, x, v, R, Omega)
+                    return simplified_wrench(R, f_cmd, M_cmd, quad,
                                              delta1=delta1, delta2=delta2)
 
             try:

@@ -129,7 +129,7 @@ def test_criterion_2_newton_vs_bisection(aero_s01):
 def test_criterion_3_integrator_conservation():
     J = np.diag([0.02, 0.02, 0.04])
     quad = QuadParams(m=1.0, J=J, g=0.0)
-    free = lambda t, s: (np.zeros(3), np.zeros(3))
+    free = lambda t, x, v, R, Omega: (np.zeros(3), np.zeros(3))
 
     st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0]))
     _, _, R, Omega = unpack_state(st)
@@ -306,9 +306,9 @@ def velocity_error_residuals(dt, duration=2.0):
                + cross3(Omega, quad.J @ Omega))
         return f, M_c, R_c, e_x, e_v
 
-    def wrench(ts, s):
-        f, M_c, _, _, _ = control(ts, s)
-        return simplified_wrench(s, f, M_c, quad, delta1=delta1(ts))
+    def wrench(ts, x, v, R, Omega):
+        f, M_c, _, _, _ = control(ts, pack_state(x, v, R, Omega))
+        return simplified_wrench(R, f, M_c, quad, delta1=delta1(ts))
 
     st = at_rest()
     recs = []

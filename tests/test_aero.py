@@ -13,7 +13,7 @@ from windquad.errors import NoConvergence, RotorStopped
 from windquad.layout import pack_state, unpack_state
 from windquad.se3 import cross3, hat, rotation_zyx
 
-from conftest import at_rest, random_rotation
+from conftest import at_rest, random_rotation, stage_of
 
 
 def hover_quadratic_oracle(params):
@@ -215,7 +215,7 @@ def hover_trim_speed(quad, aero):
     """Scalar bisection for the rotor speed balancing gravity at hover."""
     def net(omega):
         st = at_rest()
-        U_e, _ = resultant_wrench(st, np.zeros(3), np.full(4, omega), quad, aero)
+        U_e, _ = resultant_wrench(*stage_of(st)[1:], np.zeros(3), np.full(4, omega), quad, aero)
         return U_e[2]
     lo, hi = 10.0, 5000.0
     assert net(lo) > 0 > net(hi)
@@ -230,7 +230,7 @@ def hover_trim_speed(quad, aero):
 
 def test_hover_symmetry(quad, aero_s01):
     st = at_rest()
-    U_e, M_e = resultant_wrench(st, np.zeros(3), np.full(4, 400.0), quad, aero_s01)
+    U_e, M_e = resultant_wrench(*stage_of(st)[1:], np.zeros(3), np.full(4, 400.0), quad, aero_s01)
     assert np.allclose(U_e[:2], 0.0, atol=1e-12)
     assert np.allclose(M_e, 0.0, atol=1e-12)
 
@@ -238,7 +238,7 @@ def test_hover_symmetry(quad, aero_s01):
 def test_hover_vertical_balance(quad, aero_s01):
     st = at_rest()
     omega = 400.0
-    U_e, _ = resultant_wrench(st, np.zeros(3), np.full(4, omega), quad, aero_s01)
+    U_e, _ = resultant_wrench(*stage_of(st)[1:], np.zeros(3), np.full(4, omega), quad, aero_s01)
     C_T, _ = solve_thrust_inflow(0.0, 0.0, aero_s01)
     T = C_T * aero_s01.rho * aero_s01.A_p * (aero_s01.r_p * omega) ** 2
     assert U_e[2] == pytest.approx(quad.m * quad.g - 4.0 * T, abs=1e-12)
@@ -247,7 +247,7 @@ def test_hover_vertical_balance(quad, aero_s01):
 def test_hover_trim(quad, aero_s01):
     omega_h = hover_trim_speed(quad, aero_s01)
     st = at_rest()
-    U_e, M_e = resultant_wrench(st, np.zeros(3), np.full(4, omega_h), quad, aero_s01)
+    U_e, M_e = resultant_wrench(*stage_of(st)[1:], np.zeros(3), np.full(4, omega_h), quad, aero_s01)
     assert np.linalg.norm(U_e) < 1e-9 * quad.m * quad.g
     assert np.allclose(M_e, 0.0, atol=1e-12)
 
@@ -258,11 +258,11 @@ def test_wrench_frame_consistency(quad, aero_s01, rng):
                     rng.standard_normal(3))
     v_w = np.array([4.0, -1.0, 0.5])
     omegas = np.array([380.0, 390.0, 385.0, 395.0])
-    U_e, M_e = resultant_wrench(st, v_w, omegas, quad, aero_s01)
+    U_e, M_e = resultant_wrench(*stage_of(st)[1:], v_w, omegas, quad, aero_s01)
     Q = rotation_zyx(0.9, 0.0, 0.0)
     x, v, R, Omega = unpack_state(st)
     st_rot = pack_state(Q @ x, Q @ v, Q @ R, Omega)
-    U_e2, M_e2 = resultant_wrench(st_rot, Q @ v_w, omegas, quad, aero_s01)
+    U_e2, M_e2 = resultant_wrench(*stage_of(st_rot)[1:], Q @ v_w, omegas, quad, aero_s01)
     assert np.allclose(U_e2, Q @ U_e, atol=1e-10)
     assert np.allclose(M_e2, M_e, atol=1e-12)
 
@@ -270,7 +270,7 @@ def test_wrench_frame_consistency(quad, aero_s01, rng):
 def test_wrench_propagates_rotor_stopped(quad, aero_s01):
     st = at_rest()
     with pytest.raises(RotorStopped, match=r"^rotor 2 speed 0\.5 rad/s below floor 1$"):
-        resultant_wrench(st, np.zeros(3), np.array([400.0, 0.5, 400.0, 400.0]), quad, aero_s01)
+        resultant_wrench(*stage_of(st)[1:], np.zeros(3), np.array([400.0, 0.5, 400.0, 400.0]), quad, aero_s01)
 
 
 def test_floored_rotor_speed_passes_aero_floor(quad, aero_s01):
@@ -282,7 +282,7 @@ def test_floored_rotor_speed_passes_aero_floor(quad, aero_s01):
     at_floor, sat = rotor_speed_from_thrust(simp.C_T * omega_min ** 2, simp, omega_min)
     assert not sat and at_floor == omega_min
     st = at_rest()
-    U_e, M_e = resultant_wrench(st, np.array([3.0, 0.0, 0.0]),
+    U_e, M_e = resultant_wrench(*stage_of(st)[1:], np.array([3.0, 0.0, 0.0]),
                                 np.array([clipped, at_floor, 400.0, 400.0]), quad,
                                 aero_s01, omega_min)
     assert np.all(np.isfinite(U_e)) and np.all(np.isfinite(M_e))
@@ -302,7 +302,8 @@ def test_wrench_makes_four_scalar_solves(monkeypatch, quad, aero_s01, rng):
     for n in range(1, 4):
         st = pack_state(np.zeros(3), rng.standard_normal(3), random_rotation(rng),
                         rng.standard_normal(3))
-        resultant_wrench(st, rng.standard_normal(3), np.full(4, 400.0), quad, aero_s01)
+        resultant_wrench(*stage_of(st)[1:], rng.standard_normal(3).tolist(), [400.0] * 4,
+                         quad, aero_s01)
         assert len(calls) == 4 * n
     assert set(calls) == {(float, float)}
 
@@ -348,7 +349,7 @@ def reference_wrench(state, v_w, omegas, quad, aero, omega_min=1.0):
 
 def assert_matches_reference(got, ref):
     for g, r in zip(got, ref):
-        assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r) + 1e-15
+        assert np.linalg.norm(np.subtract(g, r)) <= 1e-12 * np.linalg.norm(r) + 1e-15
 
 
 def test_wrench_matches_reference_random(quad, aero_s01, rng):
@@ -357,7 +358,7 @@ def test_wrench_matches_reference_random(quad, aero_s01, rng):
                         2.0 * rng.standard_normal(3))
         v_w = 5.0 * rng.standard_normal(3)
         omegas = rng.uniform(250.0, 900.0, 4)
-        assert_matches_reference(resultant_wrench(st, v_w, omegas, quad, aero_s01),
+        assert_matches_reference(resultant_wrench(*stage_of(st)[1:], v_w, omegas, quad, aero_s01),
                                  reference_wrench(st, v_w, omegas, quad, aero_s01))
 
 
@@ -369,7 +370,7 @@ def test_wrench_matches_reference_axial_wind(quad, aero_s01, rng):
         st = pack_state(np.zeros(3), np.zeros(3), R, np.zeros(3))
         v_w = R @ np.array([0.0, 0.0, w])
         omegas = np.full(4, rng.uniform(300.0, 600.0))
-        got = resultant_wrench(st, v_w, omegas, quad, aero_s01)
+        got = resultant_wrench(*stage_of(st)[1:], v_w, omegas, quad, aero_s01)
         assert_matches_reference(got, reference_wrench(st, v_w, omegas, quad, aero_s01))
         assert np.allclose(got[1][:2], 0.0, atol=1e-12)
 
@@ -387,8 +388,8 @@ def test_wrench_with_carried_inflow_matches_cold_solve(quad, aero_s01, rng):
         for nudge in (0.0, 1e-3):
             s = pack_state(x, v + nudge * rng.standard_normal(3), R,
                            Omega + nudge * rng.standard_normal(3))
-            cold = resultant_wrench(s, v_w, omegas, quad, aero_s01)
-            warm = resultant_wrench(s, v_w, omegas, quad, aero_s01, 1.0, inflow)
+            cold = resultant_wrench(*stage_of(s)[1:], v_w, omegas, quad, aero_s01)
+            warm = resultant_wrench(*stage_of(s)[1:], v_w, omegas, quad, aero_s01, 1.0, inflow)
             assert_matches_reference(warm, cold)
             assert all(isinstance(lam, float) and math.isfinite(lam) for lam in inflow)
 
@@ -428,7 +429,7 @@ def test_non_finite_start_falls_back_to_bisection(aero_s01, lam0):
 def test_flap_moment_vanishes_without_wind(quad, aero_s01):
     # zero relative wind at every rotor: no flapping contribution at all
     st = at_rest()
-    _, M_e = resultant_wrench(st, np.zeros(3), np.full(4, 420.0), quad, aero_s01)
+    _, M_e = resultant_wrench(*stage_of(st)[1:], np.zeros(3), np.full(4, 420.0), quad, aero_s01)
     assert np.allclose(M_e, 0.0, atol=1e-12)
 
 
@@ -437,7 +438,7 @@ def test_flap_moment_magnitude_bounded(quad, aero_s01):
     st = at_rest()
     v_w = np.array([6.0, 0.0, 0.0])
     omegas = np.full(4, 400.0)
-    _, M_e = resultant_wrench(st, v_w, omegas, quad, aero_s01)
+    _, M_e = resultant_wrench(*stage_of(st)[1:], v_w, omegas, quad, aero_s01)
     alpha_max = aero_s01.C_alpha * np.linalg.norm(v_w)
     flap_cap = 4 * 0.5 * aero_s01.N_b * aero_s01.K_beta * alpha_max * math.sqrt(2.0)
     # total moment also contains thrust-tilt and reaction-torque terms; bound

@@ -324,7 +324,7 @@ def test_closed_loop_error_decreases(quad):
         psi.append(out[OUTPUT["psi"]])
         f, M_c = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
         state = step_rk4(state, dt,
-                         lambda ts, s: simplified_wrench(s, f, M_c, quad),
+                         lambda ts, x, v, R, Omega: simplified_wrench(R, f, M_c, quad),
                          quad, k * dt)
     # after the initial transient the error envelope keeps shrinking
     # (a slow under-damped mode ripples below the envelope)

@@ -10,10 +10,10 @@ from windquad.errors import NotSkewSymmetric
 from windquad.layout import pack_state, unpack_state
 from windquad.se3 import cross3, expm_so3, orthonormalize
 
-from conftest import at_rest, random_rotation
+from conftest import at_rest, random_rotation, stage_of
 
 
-def free_wrench(t, s):
+def free_wrench(t, x, v, R, Omega):
     return np.zeros(3), np.zeros(3)
 
 
@@ -24,7 +24,7 @@ def test_ballistic_free_fall():
     st = at_rest()
     dt, T = 1e-3, 1.0
 
-    def wrench(t, s):
+    def wrench(t, x, v, R, Omega):
         return quad.m * quad.g * np.array([0.0, 0.0, 1.0]), np.zeros(3)
 
     for _ in range(int(T / dt)):
@@ -124,7 +124,7 @@ def test_step_rejects_bad_dt(quad):
 def test_step_propagates_wrench_errors(quad):
     st = at_rest()
 
-    def broken(t, s):
+    def broken(t, x, v, R, Omega):
         raise NotSkewSymmetric("boom")
 
     with pytest.raises(NotSkewSymmetric):
@@ -149,8 +149,8 @@ def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
     x0, v0, R0, Om0 = unpack_state(state)
 
     def rates(ts, x, v, phi, Omega):
-        s = pack_state(x, v, R0 @ expm_so3(phi), Omega)
-        U_e, M_e = wrench_fn(ts, s)
+        U_e, M_e = wrench_fn(ts, x.tolist(), v.tolist(), (R0 @ expm_so3(phi)).tolist(),
+                             Omega.tolist())
         return (v,
                 np.asarray(U_e, float) / m,
                 _dexpinv(phi, Omega),
@@ -182,15 +182,16 @@ def random_wrench(rng, quad, aero):
         f = rng.uniform(2.0, 8.0)
         M_c = 0.05 * rng.standard_normal(3)
         a, b = rng.standard_normal(3), rng.standard_normal(3)
-        def wrench(ts, s):
-            x, v, R, Omega = unpack_state(s)
-            return simplified_wrench(s, f, M_c, quad,
+        def wrench(ts, x, v, R, Omega):
+            x, v, R, Omega = (np.array(a) for a in (x, v, R, Omega))
+            return simplified_wrench(R, f, M_c, quad,
                                      delta1=a * np.sin(ts) + 0.1 * x - 0.2 * v,
                                      delta2=0.01 * b * Omega + 0.02 * R[:, 0])
         return wrench
     v_w = 5.0 * rng.standard_normal(3)
     omegas = rng.uniform(250.0, 900.0, 4)
-    return lambda ts, s: resultant_wrench(s, (1.0 + 0.1 * ts) * v_w, omegas, quad, aero)
+    return lambda ts, x, v, R, Omega: resultant_wrench(
+        v, R, Omega, ((1.0 + 0.1 * ts) * v_w).tolist(), omegas.tolist(), quad, aero)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.05])
@@ -245,6 +246,37 @@ def test_step_rk4_skips_exp_of_zero(quad, monkeypatch):
     assert len(calls) == 20
 
 
+def assert_floats(values, n=3):
+    assert len(values) == n and all(type(a) is float for a in values), values
+
+
+def test_step_rk4_hands_the_wrench_floats(quad, rng, monkeypatch):
+    # every stage reaches the wrench as Python floats (R as three rows of
+    # three), and the step packs one state, at its close
+    packs = []
+    pack = windquad.dynamics.pack_state
+    monkeypatch.setattr(windquad.dynamics, "pack_state",
+                        lambda *args: packs.append(1) or pack(*args))
+    times = []
+
+    def recording(ts, x, v, R, Omega):
+        assert type(ts) is float
+        times.append(ts)
+        for vec in (x, v, Omega):
+            assert_floats(vec)
+        assert len(R) == 3
+        for row in R:
+            assert_floats(row)
+        return (0.1, -0.2, 4.0), (0.01, -0.02, 0.003)
+
+    st = pack_state(rng.standard_normal(3), rng.standard_normal(3), random_rotation(rng),
+                    rng.standard_normal(3))
+    for k in range(5):
+        st = step_rk4(st, 1e-3, recording, quad, k * 1e-3)
+    assert len(times) == 20
+    assert len(packs) == 5
+
+
 # --- rotor speed inversion ---------------------------------------------------
 
 def test_rotor_speed_exact_inversion():
@@ -272,21 +304,21 @@ def test_rotor_speed_clips_negative():
 
 def test_simplified_hover_trim(quad):
     st = at_rest()
-    U_e, M_e = simplified_wrench(st, quad.m * quad.g, np.zeros(3), quad)
+    U_e, M_e = simplified_wrench(stage_of(st)[2], quad.m * quad.g, np.zeros(3), quad)
     assert np.allclose(U_e, 0.0, atol=1e-12)
     assert np.allclose(M_e, 0.0)
 
 
 def test_simplified_disturbance_sign(quad):
     st = at_rest()
-    U_e, _ = simplified_wrench(st, quad.m * quad.g, np.zeros(3), quad,
+    U_e, _ = simplified_wrench(stage_of(st)[2], quad.m * quad.g, np.zeros(3), quad,
                                delta1=np.array([1.0, 0.0, 0.0]))
     assert np.allclose(U_e, [-1.0, 0.0, 0.0])
 
 
 def test_simplified_moment_passthrough(quad):
     st = at_rest()
-    _, M_e = simplified_wrench(st, 0.0, np.array([0.0, 0.0, 0.1]), quad)
+    _, M_e = simplified_wrench(stage_of(st)[2], 0.0, np.array([0.0, 0.0, 0.1]), quad)
     assert np.allclose(M_e, [0.0, 0.0, 0.1])
 
 

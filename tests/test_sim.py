@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -176,7 +177,7 @@ def fault_at_abort_step(monkeypatch, fault):
     def patched(state, dt, wrench, params, t):
         if round(t / dt) == ABORT_STEP:
             plant = wrench
-            wrench = lambda ts, s: fault(*plant(ts, s))
+            wrench = lambda ts, *stage: fault(*plant(ts, *stage))
         return step_rk4(state, dt, wrench, params, t)
 
     monkeypatch.setattr(windquad.sim, "step_rk4", patched)
@@ -209,7 +210,7 @@ def test_abort_on_plant_failure(monkeypatch, exc):
 def test_abort_on_non_finite_state(monkeypatch):
     # a NaN force reaches v and, through the later RK4 stages, x; the
     # rotation and body rates stay finite, and x is checked first
-    fault_at_abort_step(monkeypatch, lambda U_e, M_e: (U_e * np.nan, M_e))
+    fault_at_abort_step(monkeypatch, lambda U_e, M_e: ([u * np.nan for u in U_e], M_e))
     err = abort_of(short_run_config("simplified"))
     assert err.reason == "non-finite state component x"
     assert_partial_telemetry(err, ABORT_STEP // DECIMATE + 1)
@@ -258,6 +259,30 @@ def test_decimation_keeps_recorded_rows(plant):
     assert np.array_equal(sparse.telemetry, every.telemetry[::7])
     if plant == "synthetic":
         assert np.array_equal(sparse.nn_error_sq, every.nn_error_sq[::7])
+
+
+@pytest.mark.parametrize("plant", ["simplified", "synthetic", "full_aero"])
+def test_plant_wrench_takes_floats(monkeypatch, plant):
+    # run_simulation hands the plant wrench the stage, the commands, the
+    # disturbances and the wind as Python floats
+    def is_floats(value):
+        return all(is_floats(a) if isinstance(a, (list, tuple)) else type(a) is float
+                   for a in value)
+
+    calls = []
+    for name in ("simplified_wrench", "resultant_wrench"):
+        wrench = getattr(windquad.sim, name)
+
+        def recording(*args, wrench=wrench, **kwargs):
+            # every argument but the parameter objects
+            values = [a for a in (*args, *kwargs.values()) if not dataclasses.is_dataclass(a)]
+            calls.append(is_floats(values))
+            return wrench(*args, **kwargs)
+
+        monkeypatch.setattr(windquad.sim, name, recording)
+    run_simulation(short_run_config(plant))
+    assert len(calls) == 4 * round(0.02 / DT)
+    assert all(calls)
 
 
 def test_lyapunov_only_on_recorded_steps(monkeypatch):
