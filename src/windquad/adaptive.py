@@ -120,20 +120,22 @@ def nn_output(nets, inputs):
 
 
 def build_position_input(x, v):
-    """Position-network input [1, x, v]."""
-    return np.concatenate(([1.0], x, v))
+    """Position-network input [1, x, v], from two 3-sequences of floats."""
+    return np.array([1.0, *x, *v])
 
 
 def build_attitude_input(R, Omega, fallback_angles=None):
     """Attitude-network input [1, yaw, pitch, roll, Omega].
 
-    Near gimbal lock the last valid angle set may be substituted via
-    `fallback_angles`; without one the GimbalLock propagates.
+    R is three rows of three floats (or a 3x3 array) and Omega a 3-sequence
+    of floats.  Near gimbal lock the last valid angle set may be
+    substituted via `fallback_angles`; without one the GimbalLock
+    propagates.
 
     Returns
     -------
     x_nn : (7,) ndarray
-    angles : (3,) ndarray
+    angles : three floats
         The angles actually used (callers keep these as the next fallback).
     """
     try:
@@ -142,7 +144,7 @@ def build_attitude_input(R, Omega, fallback_angles=None):
         if fallback_angles is None:
             raise
         angles = fallback_angles
-    return np.concatenate(([1.0], angles, Omega)), angles
+    return np.array([1.0, *angles, *Omega]), angles
 
 
 def project_to_ball(M, bound, name="M"):

@@ -41,7 +41,7 @@ from .adaptive import (AdaptationGains, NNWeights, build_attitude_input,
 from .aero import OMEGA_MIN
 from .dynamics import rotor_speed_from_thrust
 from .errors import DegenerateThrust, HeadingDegenerate
-from .layout import STATE, unpack_state
+from .layout import STATE
 from .se3 import angular_velocity_error, attitude_error, computed_to_body
 
 HEADING_TOL = 1e-6
@@ -213,7 +213,7 @@ class GeometricAdaptiveController:
         self._J = quad.J.tolist()
         self._mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ)).tolist()
         self._rc_history = deque(maxlen=3)
-        self._last_angles = np.zeros(3)
+        self._last_angles = (0.0, 0.0, 0.0)
 
     def step(self, s, traj, dt):
         """Compute the command for packed state s and advance the networks.
@@ -224,19 +224,19 @@ class GeometricAdaptiveController:
         to abort the run.
         """
         gains, quad = self.gains, self.quad
-        x_s, v_s, R_s, Omega_s = unpack_state(s)
-        x_nn1 = build_position_input(x_s, v_s)
-        x_nn2, self._last_angles = build_attitude_input(
-            R_s, Omega_s, fallback_angles=self._last_angles)
-        nn1, nn2 = self.nn1, self.nn2
-        (delta1_hat, features1), (delta2_hat, features2) = nn_output(
-            (nn1, nn2), (x_nn1, x_nn2))
-
-        # everything below is Python floats, up to the output array
+        # everything is Python floats, apart from the network inputs, the
+        # forwards and the weight update, up to the output array
         state = s.tolist()
         x, v, Omega = state[_X], state[_V], state[_OMEGA]
         r = state[_R]
         R = (r[0:3], r[3:6], r[6:9])
+        x_nn1 = build_position_input(x, v)
+        x_nn2, self._last_angles = build_attitude_input(
+            R, Omega, fallback_angles=self._last_angles)
+        nn1, nn2 = self.nn1, self.nn2
+        (delta1_hat, features1), (delta2_hat, features2) = nn_output(
+            (nn1, nn2), (x_nn1, x_nn2))
+
         x_d, v_d = traj.x_d.tolist(), traj.v_d.tolist()
         delta1_hat, delta2_hat = delta1_hat.tolist(), delta2_hat.tolist()
         e_x = [a - b for a, b in zip(x, x_d)]

@@ -145,22 +145,20 @@ def rotation_zyx(yaw, pitch, roll):
 
 
 def euler_zyx(R, tol=GIMBAL_TOL):
-    """Intrinsic Z-Y-X (yaw, pitch, roll) angles of a rotation matrix.
+    """Intrinsic Z-Y-X (yaw, pitch, roll) angles of a rotation matrix, as
+    three floats.  R is 3x3: three rows of floats, or an array.
 
     Raises
     ------
     GimbalLock
         If |cos(pitch)| < tol, i.e. pitch within ~tol of +-pi/2.
     """
-    sp = -R[2][0]
-    sp = min(1.0, max(-1.0, sp))
-    cp = np.sqrt(max(0.0, 1.0 - sp * sp))
+    (r11, _, _), (r21, _, _), (r31, r32, r33) = R
+    sp = min(1.0, max(-1.0, -r31))
+    cp = math.sqrt(max(0.0, 1.0 - sp * sp))
     if cp < tol:
         raise GimbalLock(f"|cos(pitch)| = {cp:.2e} < {tol:.1e}")
-    pitch = np.arcsin(sp)
-    yaw = np.arctan2(R[1][0], R[0][0])
-    roll = np.arctan2(R[2][1], R[2][2])
-    return np.array([yaw, pitch, roll])
+    return math.atan2(r21, r11), math.asin(sp), math.atan2(r32, r33)
 
 
 def expm_so3(phi):
