@@ -14,8 +14,6 @@ the body frame.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NoConvergence, RotorStopped
 
 #: default floor on rotor speed [rad/s]; advance ratios diverge at zero speed
@@ -260,8 +258,13 @@ def resultant_wrench(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEGA_MIN,
     with the solved lam, so the start carries across RK4 stages and steps.
     Without it every solve starts cold from the hover-scale guess.
     """
-    R_arr = np.array(R)
-    wx, wy, wz = ((np.array(v_w) - np.array(v)) @ R_arr).tolist()
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R
+    (v1, v2, v3), (w1, w2, w3) = v, v_w
+    # R^T (v_w - v)
+    g1, g2, g3 = w1 - v1, w2 - v2, w3 - v3
+    wx = r11 * g1 + r21 * g2 + r31 * g3
+    wy = r12 * g1 + r22 * g2 + r32 * g3
+    wz = r13 * g1 + r23 * g2 + r33 * g3
     p, q, r = Omega
     r_p = aero.r_p
     rho_A = aero.rho * aero.A_p
@@ -295,6 +298,9 @@ def resultant_wrench(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEGA_MIN,
         my += rz * t1 - rx * t3 + Q_j * d2 + flap * d2
         mz += rx * t2 - ry * t1 + Q_j * d3
 
-    U_e = R_arr @ np.array([fx, fy, fz]) + np.array(drag_force(v, v_w, aero.C_d))
-    U_e[2] += quad.m * quad.g
-    return U_e.tolist(), (mx, my, mz)
+    # R (f_x, f_y, f_z) + drag + m g e3
+    D1, D2, D3 = drag_force(v, v_w, aero.C_d)
+    return ((r11 * fx + r12 * fy + r13 * fz + D1,
+             r21 * fx + r22 * fy + r23 * fz + D2,
+             r31 * fx + r32 * fy + r33 * fz + D3 + quad.m * quad.g),
+            (mx, my, mz))
