@@ -108,6 +108,7 @@ def run_simulation(config):
         adaptation=config.get("simulation", "adaptation"),
         omega_min=config.get("aero", "omega_min"))
     state = config.initial_state()
+    J = quad.J.tolist()
 
     targets = None
     if mode == "synthetic":
@@ -153,6 +154,8 @@ def run_simulation(config):
             except NonFiniteWeights as exc:
                 abort(k, f"adaptation failure: {exc}")
 
+            # the Lyapunov row and the wrench take the commands as Python floats
+            command = out.tolist()
             if record:
                 row = telemetry[n_rec]
                 row[FIELDS["t"]] = t
@@ -162,13 +165,11 @@ def run_simulation(config):
                 if weight_sq is not None:
                     nn_error_sq[n_rec] = [W_sq + V_sq for W_sq, V_sq in weight_sq]
                 row[FIELDS["V1"]], row[FIELDS["V2"]], row[FIELDS["V"]] = lyapunov_value(
-                    *(row[FIELDS[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
-                    gains, quad.m, quad.J, weight_sq=weight_sq)
+                    *(command[OUTPUT[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
+                    gains, quad.m, J, weight_sq=weight_sq)
                 row[FIELDS["v_w"]] = wind_at(wind, t)
                 n_rec += 1
 
-            # the wrench takes the stage and the commands as Python floats
-            command = out.tolist()
             if mode == "full_aero":
                 omegas = command[OUTPUT["omegas"]]
                 # RK4 stages 2 and 3 share one time: sample the wind once per time

@@ -275,16 +275,28 @@ def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
     adds the term ||W~i||_F^2 / (2 gamma_w) + ||V~i||_F^2 / (2 gamma_v).
     Omitted, the weight terms are dropped and the value covers tracking
     errors only.
+
+    The errors are 3-sequences of floats and J three rows of three floats,
+    as the simulation passes them, or arrays; the value is computed in
+    float arithmetic and returned as three floats.
     """
     V01 = V02 = 0.0
     if weight_sq is not None:
         V01, V02 = (W_sq / (2.0 * a.gamma_w) + V_sq / (2.0 * a.gamma_v)
                     for (W_sq, V_sq), a in zip(weight_sq, (gains.adapt1, gains.adapt2)))
 
-    V1 = (0.5 * gains.k_x * e_x @ e_x + 0.5 * m * e_v @ e_v
-          + m * gains.c1 * e_x @ e_v + V01)
-    V2 = (0.5 * e_Omega @ (J @ e_Omega) + gains.k_R * psi
-          + gains.c2 * e_R @ (J @ e_Omega) + V02)
+    (x1, x2, x3), (v1, v2, v3) = e_x, e_v
+    (r1, r2, r3), (w1, w2, w3) = e_R, e_Omega
+    (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = J
+    # J e_Omega
+    h1 = J11 * w1 + J12 * w2 + J13 * w3
+    h2 = J21 * w1 + J22 * w2 + J23 * w3
+    h3 = J31 * w1 + J32 * w2 + J33 * w3
+    V1 = (0.5 * gains.k_x * (x1 * x1 + x2 * x2 + x3 * x3)
+          + 0.5 * m * (v1 * v1 + v2 * v2 + v3 * v3)
+          + m * gains.c1 * (x1 * v1 + x2 * v2 + x3 * v3) + V01)
+    V2 = (0.5 * (w1 * h1 + w2 * h2 + w3 * h3) + gains.k_R * psi
+          + gains.c2 * (r1 * h1 + r2 * h2 + r3 * h3) + V02)
     return float(V1), float(V2), float(V1 + V2)
 
 

@@ -150,6 +150,46 @@ def test_value_weight_terms():
     assert V2 == 0.0
 
 
+def test_value_matches_matrix_formula(rng):
+    # the float evaluation against the docstring formula written with @, on
+    # random error states, each with a random full inertia, random gains
+    # that keep V positive-definite and random weight errors
+    def reference(e_x, e_v, e_R, e_Om, psi, g, m, J, weight_sq=None):
+        V01 = V02 = 0.0
+        if weight_sq is not None:
+            (W1, V1_sq), (W2, V2_sq) = weight_sq
+            V01 = W1 / (2.0 * g.adapt1.gamma_w) + V1_sq / (2.0 * g.adapt1.gamma_v)
+            V02 = W2 / (2.0 * g.adapt2.gamma_w) + V2_sq / (2.0 * g.adapt2.gamma_v)
+        V1 = (g.k_x / 2.0 * e_x @ e_x + m / 2.0 * e_v @ e_v + m * g.c1 * e_x @ e_v + V01)
+        V2 = 0.5 * e_Om @ J @ e_Om + g.k_R * psi + g.c2 * e_R @ J @ e_Om + V02
+        return V1, V2, V1 + V2
+
+    for _ in range(1000):
+        Q = random_rotation(rng)
+        lam = rng.uniform(0.004, 0.02, 3)
+        J = Q @ np.diag(lam) @ Q.T
+        J = 0.5 * (J + J.T)
+        m = rng.uniform(0.3, 3.0)
+        k_x, k_v, k_R, k_Om, gw1, gv1, gw2, gv2 = rng.uniform(0.5, 20.0, 8)
+        g = gains_for(k_x=k_x, k_v=k_v, k_R=k_R, k_Om=k_Om,
+                      c1=rng.uniform(0.01, 0.9) * math.sqrt(k_x / m),
+                      c2=rng.uniform(0.01, 0.9) * math.sqrt(k_R * lam.min()) / lam.max(),
+                      gw1=gw1, gv1=gv1, gw2=gw2, gv2=gv2)
+        e_x, e_v, e_Om = (rng.standard_normal(3) * 10.0 ** rng.uniform(-2.0, 1.0)
+                          for _ in range(3))
+        e_R, psi = attitude_error(random_rotation(rng), random_rotation(rng))
+        weight_sq = tuple(tuple(rng.uniform(0.0, 4.0, 2)) for _ in range(2))
+        for w in (None, weight_sq):
+            ref = reference(e_x, e_v, e_R, e_Om, psi, g, m, J, w)
+            args = (e_x, e_v, e_R, e_Om, psi, g, m)
+            for got in (lyapunov_value(*(a.tolist() if isinstance(a, np.ndarray) else a
+                                         for a in args), J.tolist(), weight_sq=w),
+                        lyapunov_value(*args, J, weight_sq=w)):
+                assert all(type(v) is float for v in got)
+                for v, r in zip(got, ref):
+                    assert abs(v - r) <= 1e-14 * abs(r)
+
+
 def test_value_sandwich(rng):
     # lam_min(M11) |Z11|^2 + V01 <= V1 <= lam_max(M12) |Z11|^2 + V01
     g = gains_for(k_x=16.0, c1=1.0)
