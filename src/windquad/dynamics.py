@@ -172,8 +172,8 @@ def simplified_wrench(R, f, M_c, params, delta1=None, delta2=None):
     3-sequences of floats; returns two 3-sequences of floats.
     """
     (_, _, r13), (_, _, r23), (_, _, r33) = R
-    # 0.0 - f r, not -f r: the entries of m g e3 - f R e3 keep the sign of
-    # a zero product
+    # 0.0 - f r as in (m g) 0.0 - f r of m g e3 - f R e3: a zero product
+    # gives +0.0 there, where -f r gives -0.0
     U1, U2, U3 = 0.0 - f * r13, 0.0 - f * r23, params.m * params.g - f * r33
     if delta1 is not None:
         d1, d2, d3 = delta1
