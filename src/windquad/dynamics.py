@@ -10,6 +10,12 @@ the chart rate is the body angular velocity corrected by the inverse
 right-Jacobian series (truncated at second order, which preserves the global
 O(dt^4) error), and the step closes with the exponential map of the averaged
 body angular increment followed by re-orthonormalization.
+
+The stage is a float interface: a wrench callback receives (t, x, v, R,
+Omega) as Python floats, R as three rows, and returns (U_e, M_e) as two
+float triples; simplified_wrench computes such a wrench.  Arrays appear only
+in the product R0 exp(hat(phi)) of each stage and in the one packed state a
+step builds, at its close.
 """
 
 import math
@@ -18,13 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aero import OMEGA_MIN
-from .layout import STATE, pack_state, unpack_state
+from .layout import pack_state, unpack_state
 from .se3 import expm_so3, orthonormalize
 
 #: integrator step bound [s]
 DT_MAX = 0.05
-
-_X, _V, _R, _OMEGA = (STATE[name] for name in ("x", "v", "R", "Omega"))
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,9 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
     floats, phi being the rotation-vector chart about the initial attitude
     R0 (zero at stage 1, whose state is s itself).  Each stage calls
     wrench_fn(t, x, v, R, Omega) with x, v and Omega as lists of three
-    floats and R as three rows of three floats: stage 1 takes them from
-    s.tolist(), stages 2-4 take R from (R0 @ expm_so3(phi)).tolist(), the
-    product staying in numpy.  wrench_fn returns (U_e, M_e), two
+    floats and R as three rows of three floats: stage 1 takes them from s
+    with tolist(), stages 2-4 take R from (R0 @ expm_so3(phi)).tolist(),
+    the product staying in numpy.  wrench_fn returns (U_e, M_e), two
     3-sequences of floats.  dt must lie in (0, DT_MAX].  Returns a new
     packed state, the one pack_state of the step.  Errors raised by
     wrench_fn propagate; a non-finite attitude raises DegenerateMatrix.
@@ -104,7 +108,7 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
     m = params.m
-    R0 = unpack_state(s)[2]
+    x0, v0, R0, Omega0 = unpack_state(s)
     (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J.tolist()
     (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv.tolist()
 
@@ -136,10 +140,8 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
         y = [a + h * b for a, b in zip(y0, k)]
         return rates(ts, y, (R0 @ expm_so3(y[6:9])).tolist())
 
-    state = s.tolist()
-    r = state[_R]
-    y0 = state[_X] + state[_V] + [0.0, 0.0, 0.0] + state[_OMEGA]
-    k1 = rates(t, y0, [r[0:3], r[3:6], r[6:9]])
+    y0 = x0.tolist() + v0.tolist() + [0.0, 0.0, 0.0] + Omega0.tolist()
+    k1 = rates(t, y0, R0.tolist())
     k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
     k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
     k4 = stage(t + dt, dt, k3)

@@ -45,5 +45,4 @@ def at_rest():
 def stage_of(s):
     """(x, v, R, Omega) of a packed state as an RK4 stage passes them to a
     wrench callback: lists of three floats, R as three rows of three."""
-    x, v, R, Omega = (a.tolist() for a in unpack_state(s))
-    return x, v, R, Omega
+    return tuple(a.tolist() for a in unpack_state(s))
