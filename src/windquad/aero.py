@@ -9,6 +9,12 @@ off the hub axis; a quadratic body drag acts at the center of mass.
 Frames: relative wind and thrust directions in the body frame (z down),
 drag and the resultant force in the inertial frame, the resultant moment in
 the body frame.
+
+Everything here computes in Python floats and builds no array:
+resultant_wrench takes an RK4 stage as step_rk4 hands it (v, Omega and the
+wind as float triples, R as three rows of floats) and returns two float
+triples, drag_force takes and returns float triples, and the per-rotor
+functions take scalars.
 """
 
 import math

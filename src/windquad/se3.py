@@ -7,10 +7,12 @@ Rotation matrices map body-frame coordinates to inertial-frame coordinates
 (yaw-pitch-roll) sequence.  All angles in radians.
 
 Vectors and matrices are float ndarrays and are used as given, except in
-the functions the controller step calls, which take 3-sequences of floats
-(and 3x3 matrices as three rows of floats) as well as arrays:
-attitude_error, computed_to_body, angular_velocity_error and expm_so3.  Each
-computes in float arithmetic and builds at most one array.
+the functions the controller step, the integrator and the network inputs
+call, which take 3-sequences of floats (and 3x3 matrices as three rows of
+floats) as well as arrays: attitude_error, computed_to_body,
+angular_velocity_error, expm_so3 and euler_zyx.  Each computes in float
+arithmetic and builds at most one array; euler_zyx uses math and returns
+three floats.
 """
 
 import math
