@@ -88,10 +88,16 @@ def sigmoid_features(z):
     sigma in z has a zero first row and diag(ds) below, ds_k = s_k (1 - s_k);
     only the (n,) vector ds is returned.
     """
-    # exp(-|z|) lies in [0, 1], so neither side can overflow
-    e = np.exp(-np.abs(z))
-    s = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.concatenate(([1.0], s)), s * (1.0 - s)
+    # e = exp(-|z|) lies in [0, 1], so neither side can overflow: s is
+    # 1 / (1 + e) for z >= 0 and e / (1 + e) below, divided into sigma[1:]
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    sigma = np.empty(len(z) + 1)
+    sigma[0] = 1.0
+    s = sigma[1:]
+    np.divide(np.where(z >= 0.0, 1.0, e), e + 1.0, out=s)
+    return sigma, s * (1.0 - s)
 
 
 def nn_output(nets, inputs):
@@ -147,6 +153,12 @@ def build_attitude_input(R, Omega, fallback_angles=None):
     return np.array([1.0, *angles, *Omega]), angles
 
 
+def _frobenius(M):
+    """||M||_F as np.linalg.norm forms it: the root of the flattened dot."""
+    r = M.ravel("K")
+    return math.sqrt(r @ r)
+
+
 def project_to_ball(M, bound, name="M"):
     """Radial projection of M onto the Frobenius ball of radius `bound`.
 
@@ -155,12 +167,12 @@ def project_to_ball(M, bound, name="M"):
     """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
-    n = np.linalg.norm(M)
+    n = _frobenius(M)
     if not math.isfinite(n):
         raise NonFiniteWeights(f"{name} has Frobenius norm {n}")
     while n > bound:
         M = M * (bound / n)
-        n = np.linalg.norm(M)
+        n = _frobenius(M)
     return M, n
 
 
@@ -183,9 +195,13 @@ def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
         raise DimensionMismatch(f"error signal {a.shape} vs W {w.W.shape}")
 
     z, sigma, ds = features
-    W_dot = (-gains.gamma_w * np.outer(sigma - np.concatenate(([0.0], ds * z)), a)
+    # sigma - sigma' z with the bias entry untouched, then outer products as
+    # column times row
+    u = sigma.copy()
+    u[1:] -= ds * z
+    W_dot = (-gains.gamma_w * (u[:, None] * a)
              - gains.kappa * gains.gamma_w * w.W)
-    V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))
+    V_dot = (-gains.gamma_v * (x_nn[:, None] * (ds * (w.W[1:] @ a)))
              - gains.kappa * gains.gamma_v * w.V)
 
     W, W_norm = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")

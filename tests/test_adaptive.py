@@ -365,3 +365,46 @@ def test_update_with_passed_features_matches_recomputation(rng, hidden):
         ref_W, ref_V = reference_update_weights(w, x_nn, a, g, 1e-2)
         update(w, x_nn, a, g, 1e-2)
         assert np.array_equal(w.W, ref_W) and np.array_equal(w.V, ref_V)
+
+
+# --- reference: the update law with numpy's outer product and norm ----------
+
+def outer_update_weights(w, x_nn, features, a, gains, dt):
+    """update_weights as np.outer, np.concatenate and np.linalg.norm form it;
+    returns the new (W, V, W_norm, V_norm) and leaves w unchanged."""
+    z, sigma, ds = features
+    W_dot = (-gains.gamma_w * np.outer(sigma - np.concatenate(([0.0], ds * z)), a)
+             - gains.kappa * gains.gamma_w * w.W)
+    V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))
+             - gains.kappa * gains.gamma_v * w.V)
+
+    def project(M, bound):
+        n = np.linalg.norm(M)
+        while n > bound:
+            M = M * (bound / n)
+            n = np.linalg.norm(M)
+        return M, n
+
+    W, W_norm = project(w.W + dt * W_dot, w.W_max)
+    V, V_norm = project(w.V + dt * V_dot, w.V_max)
+    return W, V, W_norm, V_norm
+
+
+@pytest.mark.parametrize("hidden", [2, 10, 17])
+def test_update_bytes_equal_outer_product_form(rng, hidden):
+    g = AdaptationGains(gamma_w=20.0, gamma_v=10.0, kappa=0.015)
+    projected = 0
+    for _ in range(2000):
+        # bounds at the drawn norms, so the projection is often active
+        w = NNWeights.random(rng, n_hidden=hidden, W_norm=rng.uniform(0.1, 3.0),
+                             V_norm=rng.uniform(0.1, 5.0))
+        x_nn = np.concatenate(([1.0], 10.0 * rng.standard_normal(6)))
+        a = rng.standard_normal(3)
+        _, *features = separate_output(w, x_nn)
+        ref = outer_update_weights(w, x_nn, features, a, g, 1e-2)
+        update_weights(w, x_nn, features, a, g, 1e-2)
+        projected += ref[2] == w.W_max
+        got = (w.W, w.V, w.W_norm, w.V_norm)
+        assert all(np.asarray(x).tobytes() == np.asarray(r).tobytes()
+                   for x, r in zip(got, ref))
+    assert projected > 100
