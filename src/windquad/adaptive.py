@@ -5,6 +5,13 @@ compensation term, the other the attitude-channel term.  Each network is
 y = W^T sigma(V^T x) with a fixed bias feature, sigmoid hidden units, and
 weight matrices driven by a damped gradient-style update law; Frobenius-ball
 projection keeps both matrices inside configured norm bounds at all times.
+
+Each network's weights live in an NNWeights, which update_weights advances
+by rebinding its arrays.  The forward pass runs on a NetworkPair: copies of
+both networks' matrices as one block-diagonal pair, evaluated by nn_output
+in one pass on the (14,) input of build_network_input.  The holder of a
+pair copies updated weights into it with refresh().  The synthetic plant's
+target networks form a pair of their own that is never refreshed.
 """
 
 import math
@@ -100,47 +107,72 @@ def sigmoid_features(z):
     return sigma, s * (1.0 - s)
 
 
-def nn_output(nets, inputs):
-    """Outputs W^T sigma(V^T x) of a sequence of networks, one input each.
+class NetworkPair:
+    """Two networks held as one block-diagonal pair of matrices.
 
-    The pre-activations of all networks pass through one sigmoid_features
-    call; the sigmoid works element by element, so each network's values
-    equal those of a separate evaluation.  Returns one (y, (z, sigma, ds))
-    per network: the output, its pre-activation z = V^T x, the features
-    sigma(z) with bias, and the diagonal ds of their Jacobian, which
-    update_weights takes instead of recomputing the forward pass.
+    For networks (W1, V1) with h1 hidden units and (W2, V2) with h2 the
+    blocks are
+
+        V = [[V1, 0, 0 ],        W = [[W1, 0 ],
+             [0,  0, V2]],            [0,  W2]],
+
+    on the input [x_nn1, x_nn2].  Column h1 of V is zero: the feature it
+    feeds is overwritten with the second network's bias, so the features
+    are [1, s1, 1, s2] and each network's share of z, sigma and ds is a
+    view.  The blocks are copies of the networks' arrays, written at
+    construction and by refresh(); the off-diagonal blocks stay zero.
     """
-    zs = []
-    for w, x_nn in zip(nets, inputs, strict=True):
-        if x_nn.shape != (w.V.shape[0],):
-            raise DimensionMismatch(f"input {x_nn.shape} vs V {w.V.shape}")
-        zs.append(w.V.T @ x_nn)
-    sigma, ds = sigmoid_features(np.concatenate(zs))
-    out, lo = [], 0
-    for w, z in zip(nets, zs):
-        hi = lo + len(z)
-        sig = np.concatenate(([1.0], sigma[1 + lo:1 + hi]))
-        out.append((w.W.T @ sig, (z, sig, ds[lo:hi])))
-        lo = hi
-    return out
+
+    def __init__(self, nn1, nn2):
+        (n1, h1), (n2, h2) = nn1.V.shape, nn2.V.shape
+        o1 = nn1.W.shape[1]
+        self.V = np.zeros((n1 + n2, h1 + 1 + h2))
+        self.W = np.zeros((h1 + h2 + 2, o1 + nn2.W.shape[1]))
+        # each network's entries of the input; the second network's
+        # entries of z, sigma and ds start at bias2
+        self.inputs = (slice(0, n1), slice(n1, None))
+        self.bias2 = h1 + 1
+        # the diagonal blocks, as views, in the order refresh() fills them
+        self._blocks = (self.V[:n1, :h1], self.V[n1:, h1 + 1:],
+                        self.W[:h1 + 1, :o1], self.W[h1 + 1:, o1:])
+        self.refresh(nn1, nn2)
+
+    def refresh(self, nn1, nn2):
+        """Copy the networks' current V and W into their diagonal blocks."""
+        for block, M in zip(self._blocks, (nn1.V, nn2.V, nn1.W, nn2.W)):
+            block[...] = M
 
 
-def build_position_input(x, v):
-    """Position-network input [1, x, v], from two 3-sequences of floats."""
-    return np.array([1.0, *x, *v])
+def nn_output(pair, x_nn):
+    """Outputs [y1, y2] of a NetworkPair on the input [x_nn1, x_nn2].
+
+    One forward pass: z = V^T x_nn, one sigmoid_features call, and
+    y = W^T sigma.  Returns y and, per network, the (z, sigma, ds) that
+    update_weights takes instead of recomputing the forward pass: the
+    pre-activation, the features with bias, and the diagonal of their
+    Jacobian, each a view into the pass's arrays.
+    """
+    if x_nn.shape != (pair.V.shape[0],):
+        raise DimensionMismatch(f"input {x_nn.shape} vs V {pair.V.shape}")
+    z = pair.V.T @ x_nn
+    sigma, ds = sigmoid_features(z)
+    k = pair.bias2
+    sigma[k] = 1.0
+    return pair.W.T @ sigma, ((z[:k - 1], sigma[:k], ds[:k - 1]), (z[k:], sigma[k:], ds[k:]))
 
 
-def build_attitude_input(R, Omega, fallback_angles=None):
-    """Attitude-network input [1, yaw, pitch, roll, Omega].
+def build_network_input(x, v, R, Omega, fallback_angles=None):
+    """Input [1, x, v, 1, yaw, pitch, roll, Omega] of the network pair.
 
-    R is three rows of three floats (or a 3x3 array) and Omega a 3-sequence
-    of floats.  Near gimbal lock the last valid angle set may be
-    substituted via `fallback_angles`; without one the GimbalLock
-    propagates.
+    The first seven entries feed the position network, the last seven the
+    attitude network.  x, v and Omega are 3-sequences of floats and R is
+    three rows of three floats (or a 3x3 array).  Near gimbal lock the last
+    valid angle set may be substituted via `fallback_angles`; without one
+    the GimbalLock propagates.
 
     Returns
     -------
-    x_nn : (7,) ndarray
+    x_nn : (14,) ndarray
     angles : three floats
         The angles actually used (callers keep these as the next fallback).
     """
@@ -150,7 +182,7 @@ def build_attitude_input(R, Omega, fallback_angles=None):
         if fallback_angles is None:
             raise
         angles = fallback_angles
-    return np.array([1.0, *angles, *Omega]), angles
+    return np.array([1.0, *x, *v, 1.0, *angles, *Omega]), angles
 
 
 def _frobenius(M):

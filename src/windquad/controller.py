@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import (AdaptationGains, NNWeights, build_attitude_input,
-                       build_position_input, nn_output, update_weights)
+from .adaptive import (AdaptationGains, NetworkPair, NNWeights, build_network_input,
+                       nn_output, update_weights)
 from .aero import OMEGA_MIN
 from .dynamics import rotor_speed_from_thrust
 from .errors import DegenerateThrust, HeadingDegenerate
@@ -193,7 +193,8 @@ def mixing_matrix(d_h, C_TQ):
 class GeometricAdaptiveController:
     """Stateful control loop: one instance per simulation.
 
-    Owns the two adaptive networks, which it updates in place, and the short
+    Owns the two adaptive networks, which it updates in place, their
+    block-diagonal pair, which it refreshes after each update, and the short
     computed-attitude history used for finite-difference feedforward.
     `adaptation=False` freezes the weights, which with zero initial weights
     reproduces the pure geometric controller.
@@ -206,6 +207,7 @@ class GeometricAdaptiveController:
         self.simplified = simplified
         self.nn1 = nn1 if nn1 is not None else NNWeights.zeros()
         self.nn2 = nn2 if nn2 is not None else NNWeights.zeros()
+        self.pair = NetworkPair(self.nn1, self.nn2)
         self.adaptation = adaptation
         base = quad.m * quad.g if quad.g > 0.0 else quad.m
         self.eps_thrust = 1e-6 * base
@@ -224,21 +226,20 @@ class GeometricAdaptiveController:
         to abort the run.
         """
         gains, quad = self.gains, self.quad
-        # everything is Python floats, apart from the network inputs, the
-        # forwards and the weight update, up to the output array
+        # everything is Python floats, apart from the network input, the
+        # forward pass and the weight update, up to the output array
         state = s.tolist()
         x, v, Omega = state[_X], state[_V], state[_OMEGA]
         r = state[_R]
         R = (r[0:3], r[3:6], r[6:9])
-        x_nn1 = build_position_input(x, v)
-        x_nn2, self._last_angles = build_attitude_input(
-            R, Omega, fallback_angles=self._last_angles)
-        nn1, nn2 = self.nn1, self.nn2
-        (delta1_hat, features1), (delta2_hat, features2) = nn_output(
-            (nn1, nn2), (x_nn1, x_nn2))
+        x_nn, self._last_angles = build_network_input(
+            x, v, R, Omega, fallback_angles=self._last_angles)
+        nn1, nn2, pair = self.nn1, self.nn2, self.pair
+        y, (features1, features2) = nn_output(pair, x_nn)
 
         x_d, v_d = traj.x_d.tolist(), traj.v_d.tolist()
-        delta1_hat, delta2_hat = delta1_hat.tolist(), delta2_hat.tolist()
+        y = y.tolist()
+        delta1_hat, delta2_hat = y[0:3], y[3:6]
         e_x = [a - b for a, b in zip(x, x_d)]
         e_v = [a - b for a, b in zip(v, v_d)]
 
@@ -270,10 +271,13 @@ class GeometricAdaptiveController:
 
         if self.adaptation:
             c1, c2 = gains.c1, gains.c2
-            update_weights(nn1, x_nn1, features1,
+            in1, in2 = pair.inputs
+            update_weights(nn1, x_nn[in1], features1,
                            np.array([b + c1 * a for a, b in zip(e_x, e_v)]),
                            gains.adapt1, dt, "nn1")
-            update_weights(nn2, x_nn2, features2,
+            update_weights(nn2, x_nn[in2], features2,
                            np.array([b + c2 * a for a, b in zip(e_R, e_Om)]),
                            gains.adapt2, dt, "nn2")
+            # the pair's only writer: the blocks follow the rebound arrays
+            pair.refresh(nn1, nn2)
         return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import NNWeights, build_attitude_input, build_position_input, nn_output
+from .adaptive import NetworkPair, NNWeights, build_network_input, nn_output
 from .aero import resultant_wrench
 from .controller import GeometricAdaptiveController
 from .errors import (DegenerateMatrix, DegenerateThrust, HeadingDegenerate,
@@ -73,12 +73,15 @@ def make_synthetic_targets(cfg):
 
 
 def _synthetic_delta(targets):
+    # the targets are never updated, so their pair is built once per run
+    pair = NetworkPair(*targets)
     zero3 = (0.0, 0.0, 0.0)
 
     def delta(t, x, v, R, Omega):
-        x_nn2, _ = build_attitude_input(R, Omega, fallback_angles=zero3)
-        (d1, _), (d2, _) = nn_output(targets, (build_position_input(x, v), x_nn2))
-        return d1.tolist(), d2.tolist()
+        x_nn, _ = build_network_input(x, v, R, Omega, fallback_angles=zero3)
+        y, _ = nn_output(pair, x_nn)
+        y = y.tolist()
+        return y[0:3], y[3:6]
 
     return delta
 

@@ -1,23 +1,39 @@
 import numpy as np
 import pytest
 
-from windquad.adaptive import (AdaptationGains, NNWeights,
-                               build_attitude_input, build_position_input,
-                               nn_output, project_to_ball, sigmoid_features,
-                               update_weights)
+from windquad.adaptive import (AdaptationGains, NetworkPair, NNWeights,
+                               build_network_input, nn_output, project_to_ball,
+                               sigmoid_features, update_weights)
 from windquad.errors import DimensionMismatch, GimbalLock, NonFiniteWeights
 from windquad.se3 import rotation_zyx
 
+from conftest import random_rotation
+
+
+def network_output(w, x_nn):
+    """Reference: one network evaluated on its own, as
+    (W^T sigma, z, sigma, ds)."""
+    z = w.V.T @ x_nn
+    sigma, ds = sigmoid_features(z)
+    return w.W.T @ sigma, z, sigma, ds
+
+
+def zero_like(w):
+    n_in, n_hidden = w.V.shape
+    return NNWeights.zeros(n_in=n_in - 1, n_hidden=n_hidden, n_out=w.W.shape[1])
+
 
 def output(w, x_nn):
-    """Output of one network through the sequence interface."""
-    [(y, _)] = nn_output([w], [x_nn])
-    return y
+    """Output of one network through the pair forward, beside a zero network."""
+    y, _ = nn_output(NetworkPair(w, zero_like(w)), np.concatenate((x_nn, x_nn)))
+    return y[:w.W.shape[1]]
 
 
 def update(w, x_nn, a, gains, dt):
-    """update_weights, in place on w, fed with the forward pass of nn_output."""
-    [(_, features)] = nn_output([w], [x_nn])
+    """update_weights, in place on w, fed with the forward pass of the
+    reference network_output (the pair's features differ from it in the
+    last bits, see test_pair_output_matches_per_network_oracle)."""
+    _, *features = network_output(w, x_nn)
     update_weights(w, x_nn, features, a, gains, dt)
 
 
@@ -80,7 +96,7 @@ def test_sigmoid_jacobian_central_difference(rng):
 
 def test_output_zero_weights():
     w = NNWeights.zeros()
-    assert np.allclose(output(w, build_position_input(np.ones(3), np.ones(3))), 0.0)
+    assert np.allclose(output(w, position_input(np.ones(3), np.ones(3))), 0.0)
 
 
 def test_output_hand_value():
@@ -116,35 +132,48 @@ def test_output_lipschitz_in_input(rng):
 
 # --- input builders ----------------------------------------------------------
 
+# the position network reads x_nn[:7], the attitude network x_nn[7:]
+
+def position_input(x, v):
+    x_nn, _ = build_network_input(x, v, np.eye(3), np.zeros(3))
+    return x_nn[:7]
+
+
+def attitude_input(R, Omega, fallback_angles=None):
+    x_nn, angles = build_network_input(np.zeros(3), np.zeros(3), R, Omega,
+                                       fallback_angles=fallback_angles)
+    return x_nn[7:], angles
+
+
 def test_position_input_zero():
-    assert np.allclose(build_position_input(np.zeros(3), np.zeros(3)),
+    assert np.allclose(position_input(np.zeros(3), np.zeros(3)),
                        [1, 0, 0, 0, 0, 0, 0])
 
 
 def test_position_input_concatenation():
-    x_nn = build_position_input([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+    x_nn = position_input([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert np.allclose(x_nn, [1, 1, 2, 3, 4, 5, 6])
     assert x_nn[0] == 1.0
 
 
 def test_attitude_input_identity():
-    x_nn, angles = build_attitude_input(np.eye(3), np.zeros(3))
+    x_nn, angles = attitude_input(np.eye(3), np.zeros(3))
     assert np.allclose(x_nn, [1, 0, 0, 0, 0, 0, 0])
     assert np.allclose(angles, 0.0)
 
 
 def test_attitude_input_yaw():
     R = rotation_zyx(0.3, 0.0, 0.0)
-    x_nn, _ = build_attitude_input(R, np.array([0.0, 0.0, 1.0]))
+    x_nn, _ = attitude_input(R, np.array([0.0, 0.0, 1.0]))
     assert np.allclose(x_nn, [1, 0.3, 0, 0, 0, 0, 1], atol=1e-12)
 
 
 def test_attitude_input_gimbal_fallback():
     R = rotation_zyx(0.0, np.pi / 2, 0.0)
     with pytest.raises(GimbalLock):
-        build_attitude_input(R, np.zeros(3))
+        attitude_input(R, np.zeros(3))
     last = np.array([0.1, 1.5, -0.2])
-    x_nn, angles = build_attitude_input(R, np.zeros(3), fallback_angles=last)
+    x_nn, angles = attitude_input(R, np.zeros(3), fallback_angles=last)
     assert np.allclose(angles, last)
     assert np.allclose(x_nn[1:4], last)
 
@@ -184,7 +213,7 @@ def test_update_damping_only(rng):
     w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     dt = 1e-3
-    x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
+    x_nn = position_input(rng.standard_normal(3), rng.standard_normal(3))
     W0, V0 = w.W, w.V
     update(w, x_nn, np.zeros(3), g, dt)
     assert np.allclose(w.W, (1 - g.kappa * g.gamma_w * dt) * W0, atol=1e-14)
@@ -195,7 +224,7 @@ def test_update_from_zero_weights():
     w = NNWeights.zeros(n_in=6, n_hidden=2, n_out=3)
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     a = np.array([0.5, -0.2, 0.1])
-    x_nn = build_position_input(np.ones(3), np.zeros(3))
+    x_nn = position_input(np.ones(3), np.zeros(3))
     update(w, x_nn, a, g, 1e-3)
     sigma0 = np.array([1.0, 0.5, 0.5])
     assert np.allclose(w.V, 0.0)
@@ -206,7 +235,7 @@ def test_update_respects_bounds(rng):
     w = NNWeights.zeros(n_in=6, n_hidden=10, n_out=3, W_max=0.05, V_max=0.05)
     g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
     for _ in range(500):
-        x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
+        x_nn = position_input(rng.standard_normal(3), rng.standard_normal(3))
         a = rng.standard_normal(3)
         update(w, x_nn, a, g, 1e-3)
         assert w.W_norm <= w.W_max and w.V_norm <= w.V_max
@@ -216,7 +245,7 @@ def test_geometric_decay_with_zero_error(rng):
     w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.5)
     dt = 1e-3
-    x_nn = build_position_input(np.zeros(3), np.zeros(3))
+    x_nn = position_input(np.zeros(3), np.zeros(3))
     Wn0, Vn0 = w.W_norm, w.V_norm
     n = 200
     for _ in range(n):
@@ -312,29 +341,37 @@ def test_architecture_fits_smooth_function(rng):
     assert np.max(np.abs(pred - y)) <= 0.05
 
 
-# --- one forward pass for a sequence of networks -----------------------------
+# --- one forward pass for a network pair ---------------------------------------
 
-def separate_output(w, x_nn):
-    """One network evaluated on its own sigmoid_features call."""
-    z = w.V.T @ x_nn
-    sigma, ds = sigmoid_features(z)
-    return w.W.T @ sigma, z, sigma, ds
-
-
-@pytest.mark.parametrize("hidden", [(10, 10), (10, 7), (1, 17)])
-def test_stacked_output_matches_separate(rng, hidden):
+@pytest.mark.parametrize("hidden", [(10, 10), (10, 7), (1, 17), None])
+def test_pair_output_matches_per_network_oracle(rng, hidden):
+    # networks and inputs drawn as random_case of test_controller draws them;
+    # hidden None draws both sizes per pair from 2 to 11.  The block sums
+    # add zeros between the terms, so the grouping differs and the pair
+    # agrees with the oracle to rounding, not bitwise.  Each tolerance is
+    # set by the terms summed: a dot product's rounding scales with the sum
+    # of |terms|, and z cancels far below it
     for _ in range(2000):
-        nets = [NNWeights.random(rng, n_hidden=h, W_norm=rng.uniform(0.1, 3.0),
-                                 V_norm=rng.uniform(0.1, 5.0)) for h in hidden]
-        inputs = [np.concatenate(([1.0], 10.0 * rng.standard_normal(6))) for _ in nets]
-        for (y, features), w, x_nn in zip(nn_output(nets, inputs), nets, inputs):
-            for got, ref in zip((y, *features), separate_output(w, x_nn)):
-                assert np.array_equal(got, ref)
+        sizes = hidden or rng.integers(2, 12, 2)
+        nets = [NNWeights.random(rng, n_hidden=int(h), W_norm=rng.uniform(0.1, 3.0),
+                                 V_norm=rng.uniform(0.1, 3.0)) for h in sizes]
+        x, v, Om = rng.standard_normal((3, 3))
+        x_nn, _ = build_network_input(x, v, random_rotation(rng), Om)
+        y, features = nn_output(NetworkPair(*nets), x_nn)
+        for got_y, got_features, w, x_w in zip((y[:3], y[3:]), features, nets,
+                                               (x_nn[:7], x_nn[7:])):
+            ref_y, ref_z, ref_sigma, ref_ds = network_output(w, x_w)
+            scales = (np.abs(w.W).T @ np.abs(ref_sigma), np.abs(w.V).T @ np.abs(x_w), 1.0, 1.0)
+            for got, ref, scale in zip((got_y, *got_features),
+                                       (ref_y, ref_z, ref_sigma, ref_ds), scales):
+                assert got.shape == ref.shape
+                assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, scale))
 
 
 def test_stacked_output_dimension_check():
+    pair = NetworkPair(NNWeights.zeros(), NNWeights.zeros())
     with pytest.raises(DimensionMismatch):
-        nn_output([NNWeights.zeros(), NNWeights.zeros()], [np.zeros(7), np.zeros(5)])
+        nn_output(pair, np.zeros(12))
 
 
 # --- reference: the update law recomputing its forward pass ------------------
@@ -400,7 +437,7 @@ def test_update_bytes_equal_outer_product_form(rng, hidden):
                              V_norm=rng.uniform(0.1, 5.0))
         x_nn = np.concatenate(([1.0], 10.0 * rng.standard_normal(6)))
         a = rng.standard_normal(3)
-        _, *features = separate_output(w, x_nn)
+        _, *features = network_output(w, x_nn)
         ref = outer_update_weights(w, x_nn, features, a, g, 1e-2)
         update_weights(w, x_nn, features, a, g, 1e-2)
         projected += ref[2] == w.W_max

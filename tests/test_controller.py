@@ -5,8 +5,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from windquad.adaptive import (AdaptationGains, NNWeights, build_attitude_input,
-                               build_position_input, nn_output, update_weights)
+from windquad.adaptive import (AdaptationGains, NetworkPair, NNWeights, build_network_input,
+                               nn_output, update_weights)
 from windquad.aero import OMEGA_MIN
 from windquad.controller import (ControllerGains, GeometricAdaptiveController,
                                  compute_A, compute_Omega_c, compute_Rc,
@@ -367,11 +367,12 @@ class ReferenceController:
         x, v, R, Omega = unpack_state(s)
         e_x = x - traj.x_d
         e_v = v - traj.v_d
-        x_nn1 = build_position_input(x, v)
-        x_nn2, self.last_angles = build_attitude_input(
-            R, Omega, fallback_angles=self.last_angles)
+        x_nn, self.last_angles = build_network_input(
+            x, v, R, Omega, fallback_angles=self.last_angles)
+        x_nn1, x_nn2 = x_nn[:7], x_nn[7:]
         nn1, nn2 = self.nn1, self.nn2
-        (d1, features1), (d2, features2) = nn_output((nn1, nn2), (x_nn1, x_nn2))
+        y, (features1, features2) = nn_output(NetworkPair(nn1, nn2), x_nn)
+        d1, d2 = y[0:3], y[3:6]
 
         A = d1 - gains.k_x * e_x - gains.k_v * e_v - quad.m * quad.g * E3 + quad.m * traj.a_d
         f = -float(A @ R[:, 2])
@@ -503,6 +504,33 @@ def test_step_matches_array_reference(quad, adaptation):
     assert weight_err <= STEP_RTOL
 
 
+def test_pair_blocks_follow_the_updated_weights(quad):
+    # the staleness guard: after 200 adapted closed-loop steps the
+    # controller's block pair equals one built afresh from its networks, and
+    # its off-diagonal blocks are still exactly zero
+    rng = np.random.default_rng(99)
+    gains, nets, _, _ = random_case(rng, quad)
+    ctrl, _ = controller_pair(quad, *nets, adaptation=True, gains=gains)
+    initial_W = ctrl.pair.W.copy()
+    gen = TrajectoryGenerator(kind="hover", center=np.zeros(3))
+    state = pack_state(np.array([0.4, -0.2, 0.1]), np.zeros(3), rotation_zyx(0.2, 0.1, -0.1),
+                       np.zeros(3))
+    dt = 1e-3
+    for k in range(200):
+        out = ctrl.step(state, trajectory_at(gen, k * dt), dt)
+        f, M_c = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
+        state = step_rk4(state, dt,
+                         lambda ts, x, v, R, Omega: simplified_wrench(R, f, M_c, quad),
+                         quad, k * dt)
+    pair, fresh = ctrl.pair, NetworkPair(ctrl.nn1, ctrl.nn2)
+    (n1, h1), o1 = ctrl.nn1.V.shape, ctrl.nn1.W.shape[1]
+    assert not pair.V[:n1, h1:].any() and not pair.V[n1:, :h1 + 1].any()
+    assert not pair.W[:h1 + 1, o1:].any() and not pair.W[h1 + 1:, :o1].any()
+    assert pair.W.tobytes() == fresh.W.tobytes() and pair.V.tobytes() == fresh.V.tobytes()
+    # the weights moved, so blocks left as constructed would differ
+    assert not np.array_equal(pair.W, initial_W)
+
+
 def degenerate_cases():
     """(name, state, trajectory point, nn2) that the step must reject."""
     hover = hover_point()
@@ -542,8 +570,11 @@ def locked_state(Om):
 
 
 def attitude_output(nn2, angles, Om):
-    [(y, _)] = nn_output([nn2], [np.concatenate(([1.0], angles, Om))])
-    return y
+    # the pair forward of the controller: a zero nn1 beside nn2, at the
+    # zero position and velocity of locked_state
+    pair = NetworkPair(NNWeights.zeros(), nn2)
+    y, _ = nn_output(pair, np.concatenate(([1.0], np.zeros(6), [1.0], angles, Om)))
+    return y[3:6]
 
 
 def test_step_gimbal_lock_reuses_previous_angles(quad, rng):
