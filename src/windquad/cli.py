@@ -45,6 +45,9 @@ def cmd_run(args):
     out = {("output", key): os.path.join(args.out, name)
            for key, name in OUT_FILES.items()} if args.out else {}
     cfg = load_config(args.config, overrides={**args.overrides, **out})
+    ignored = cfg.ignored()
+    for line in ignored:
+        print(f"ignored: {line}", file=sys.stderr)
     report = _gain_report(cfg)
     if not report.feasible:
         print("warning: gain feasibility checks failed "
@@ -77,7 +80,8 @@ def cmd_run(args):
     if csv_path:
         write_csv(telemetry, csv_path)
     if summary is not None and summary_path:
-        write_summary(summary, summary_path, report_text=format_report(report))
+        write_summary(summary, summary_path, report_text=format_report(report),
+                      ignored=ignored)
     if aborted is None and weights_path:
         write_weights_csv([("final_nn1", result.weights[0]),
                            ("final_nn2", result.weights[1])], weights_path)
@@ -112,6 +116,8 @@ def cmd_sweep(args):
 
     # every value is validated before the first run, so a bad one costs none
     configs = [load_config(args.config, overrides={(section, key): raw}) for raw in values]
+    for line in dict.fromkeys(line for cfg in configs for line in cfg.ignored()):
+        print(f"ignored: {line}", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for raw, cfg in zip(values, configs):

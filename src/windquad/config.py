@@ -253,6 +253,18 @@ class SimConfig:
             W_max1=self.get("nn1", "w_max"), V_max1=self.get("nn1", "v_max"),
             W_max2=self.get("nn2", "w_max"), V_max2=self.get("nn2", "v_max"))
 
+    def ignored(self):
+        """`section.key = value` of each set key that the selected plant never
+        reads: a non-zero injected disturbance off the simplified plant.
+
+        Reported rather than rejected, so that one file serves every plant.
+        """
+        if self.get("simulation", "plant") == "simplified":
+            return []
+        keys = ("delta1", "delta2", "delta1_amp", "delta2_amp")
+        return [f"disturbance.{key} = {' '.join(map(str, value.tolist()))}"
+                for key in keys if (value := self.get("disturbance", key)).any()]
+
     def initial_state(self):
         """Packed initial state (see layout.STATE)."""
         return pack_state(self.get("initial", "x"), self.get("initial", "v"),

@@ -276,11 +276,14 @@ def read_csv(path):
     return header, np.array(data, dtype=float).reshape(len(data), len(header))
 
 
-def write_summary(summary, path, report_text=None):
-    """Write `key: value` summary lines, optionally with a stability report."""
+def write_summary(summary, path, report_text=None, ignored=()):
+    """Write `key: value` summary lines, then one `ignored: section.key = value`
+    line per ignored config key, optionally with a stability report."""
     with open(path, "w") as fh:
         for key, val in summary.items():
             fh.write(f"{key}: {val}\n")
+        for line in ignored:
+            fh.write(f"ignored: {line}\n")
         if report_text:
             fh.write("\n# stability report\n")
             fh.write(report_text + "\n")

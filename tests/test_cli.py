@@ -326,6 +326,35 @@ def test_wind_value_the_kind_ignores_is_rejected(tmp_path, capsys):
     assert not data[:, [header.index(c) for c in ("vw1", "vw2", "vw3")]].any()
 
 
+def test_disturbance_the_plant_ignores_is_reported(tmp_path, capsys):
+    # the injected disturbance acts on the simplified plant alone; elsewhere
+    # each non-zero key is listed on stderr and in summary.txt, and the run
+    # goes on, so that --plant still works on one file
+    path = write(tmp_path, "[simulation]\nduration = 0.02\n[disturbance]\n"
+                           "delta1 = 1 0 0\ndelta2 = 0 0 0.05\n"
+                           "delta1_amp = 0 0.5 0\ndelta1_freq = 2\n"
+                           "delta2_amp = 0 0 0\ndelta2_freq = 3\n")
+    lines = ["ignored: disturbance.delta1 = 1.0 0.0 0.0",
+             "ignored: disturbance.delta2 = 0.0 0.0 0.05",
+             "ignored: disturbance.delta1_amp = 0.0 0.5 0.0"]
+    for plant in ("full", "synthetic"):
+        out = tmp_path / plant
+        assert main(["run", "--config", path, "--plant", plant, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("ignored:")] == lines
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert [line for line in summary if line.startswith("ignored:")] == lines
+    out = tmp_path / "simplified"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert "ignored" not in capsys.readouterr().err
+    assert "ignored" not in (out / "summary.txt").read_text()
+    # a sweep lists each line once, however many of its runs drop the key
+    assert main(["sweep", "--config", path, "--param", "simulation.plant",
+                 "--values", "full_aero,synthetic,synthetic", "--out", str(tmp_path / "sw")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("ignored:")] == lines
+
+
 def test_run_plant_alias(tmp_path):
     out = tmp_path / "o"
     code = main(["run", "--duration", "0.05", "--plant", "full",
