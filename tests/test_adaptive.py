@@ -10,6 +10,20 @@ from windquad.se3 import rotation_zyx
 from conftest import random_rotation
 
 
+def build_position_input(x, v):
+    """Position-network share of build_network_input: x_nn[:7] = [1, x, v]."""
+    x_nn, _ = build_network_input(x, v, np.eye(3), np.zeros(3))
+    return x_nn[:7]
+
+
+def build_attitude_input(R, Omega, fallback_angles=None):
+    """Attitude-network share of build_network_input, x_nn[7:] =
+    [1, yaw, pitch, roll, Omega], and the angles used."""
+    x_nn, angles = build_network_input(np.zeros(3), np.zeros(3), R, Omega,
+                                       fallback_angles=fallback_angles)
+    return x_nn[7:], angles
+
+
 def network_output(w, x_nn):
     """Reference: one network evaluated on its own, as
     (W^T sigma, z, sigma, ds)."""
@@ -96,7 +110,7 @@ def test_sigmoid_jacobian_central_difference(rng):
 
 def test_output_zero_weights():
     w = NNWeights.zeros()
-    assert np.allclose(output(w, position_input(np.ones(3), np.ones(3))), 0.0)
+    assert np.allclose(output(w, build_position_input(np.ones(3), np.ones(3))), 0.0)
 
 
 def test_output_hand_value():
@@ -132,48 +146,35 @@ def test_output_lipschitz_in_input(rng):
 
 # --- input builders ----------------------------------------------------------
 
-# the position network reads x_nn[:7], the attitude network x_nn[7:]
-
-def position_input(x, v):
-    x_nn, _ = build_network_input(x, v, np.eye(3), np.zeros(3))
-    return x_nn[:7]
-
-
-def attitude_input(R, Omega, fallback_angles=None):
-    x_nn, angles = build_network_input(np.zeros(3), np.zeros(3), R, Omega,
-                                       fallback_angles=fallback_angles)
-    return x_nn[7:], angles
-
-
 def test_position_input_zero():
-    assert np.allclose(position_input(np.zeros(3), np.zeros(3)),
+    assert np.allclose(build_position_input(np.zeros(3), np.zeros(3)),
                        [1, 0, 0, 0, 0, 0, 0])
 
 
 def test_position_input_concatenation():
-    x_nn = position_input([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+    x_nn = build_position_input([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert np.allclose(x_nn, [1, 1, 2, 3, 4, 5, 6])
     assert x_nn[0] == 1.0
 
 
 def test_attitude_input_identity():
-    x_nn, angles = attitude_input(np.eye(3), np.zeros(3))
+    x_nn, angles = build_attitude_input(np.eye(3), np.zeros(3))
     assert np.allclose(x_nn, [1, 0, 0, 0, 0, 0, 0])
     assert np.allclose(angles, 0.0)
 
 
 def test_attitude_input_yaw():
     R = rotation_zyx(0.3, 0.0, 0.0)
-    x_nn, _ = attitude_input(R, np.array([0.0, 0.0, 1.0]))
+    x_nn, _ = build_attitude_input(R, np.array([0.0, 0.0, 1.0]))
     assert np.allclose(x_nn, [1, 0.3, 0, 0, 0, 0, 1], atol=1e-12)
 
 
 def test_attitude_input_gimbal_fallback():
     R = rotation_zyx(0.0, np.pi / 2, 0.0)
     with pytest.raises(GimbalLock):
-        attitude_input(R, np.zeros(3))
+        build_attitude_input(R, np.zeros(3))
     last = np.array([0.1, 1.5, -0.2])
-    x_nn, angles = attitude_input(R, np.zeros(3), fallback_angles=last)
+    x_nn, angles = build_attitude_input(R, np.zeros(3), fallback_angles=last)
     assert np.allclose(angles, last)
     assert np.allclose(x_nn[1:4], last)
 
@@ -213,7 +214,7 @@ def test_update_damping_only(rng):
     w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     dt = 1e-3
-    x_nn = position_input(rng.standard_normal(3), rng.standard_normal(3))
+    x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
     W0, V0 = w.W, w.V
     update(w, x_nn, np.zeros(3), g, dt)
     assert np.allclose(w.W, (1 - g.kappa * g.gamma_w * dt) * W0, atol=1e-14)
@@ -224,7 +225,7 @@ def test_update_from_zero_weights():
     w = NNWeights.zeros(n_in=6, n_hidden=2, n_out=3)
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     a = np.array([0.5, -0.2, 0.1])
-    x_nn = position_input(np.ones(3), np.zeros(3))
+    x_nn = build_position_input(np.ones(3), np.zeros(3))
     update(w, x_nn, a, g, 1e-3)
     sigma0 = np.array([1.0, 0.5, 0.5])
     assert np.allclose(w.V, 0.0)
@@ -235,7 +236,7 @@ def test_update_respects_bounds(rng):
     w = NNWeights.zeros(n_in=6, n_hidden=10, n_out=3, W_max=0.05, V_max=0.05)
     g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
     for _ in range(500):
-        x_nn = position_input(rng.standard_normal(3), rng.standard_normal(3))
+        x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
         a = rng.standard_normal(3)
         update(w, x_nn, a, g, 1e-3)
         assert w.W_norm <= w.W_max and w.V_norm <= w.V_max
@@ -245,7 +246,7 @@ def test_geometric_decay_with_zero_error(rng):
     w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.5)
     dt = 1e-3
-    x_nn = position_input(np.zeros(3), np.zeros(3))
+    x_nn = build_position_input(np.zeros(3), np.zeros(3))
     Wn0, Vn0 = w.W_norm, w.V_norm
     n = 200
     for _ in range(n):
