@@ -24,10 +24,12 @@ The step computes in Python floats.  It unpacks the packed state, the
 trajectory point and both network outputs once with tolist(); the geometry
 helpers (compute_A, compute_thrust, compute_Rc, compute_Omega_c,
 compute_moment and se3.attitude_error, angular_velocity_error) take
-3-sequences of floats, and 3x3 matrices as three rows of floats, work in
-float arithmetic and return one array each, which the step unpacks again.
-Arrays are accepted as well.  The computed-attitude history holds rows of
-floats, and the step builds its (39,) output with one np.array call.
+3-sequences of floats, and 3x3 matrices as three rows of floats, and work
+in float arithmetic.  compute_A, compute_moment and angular_velocity_error
+return three floats; compute_Rc, compute_Omega_c and attitude_error return
+arrays, which the step unpacks again.  Arrays are accepted as well.  The
+computed-attitude history holds rows of floats, and the step builds its
+(39,) output with one np.array call.
 """
 
 import math
@@ -41,12 +43,10 @@ from .adaptive import (AdaptationGains, NetworkPair, NNWeights, build_network_in
 from .aero import OMEGA_MIN
 from .dynamics import rotor_speed_from_thrust
 from .errors import DegenerateThrust, HeadingDegenerate
-from .layout import STATE
+from .layout import state_floats
 from .se3 import angular_velocity_error, attitude_error, computed_to_body
 
 HEADING_TOL = 1e-6
-
-_X, _V, _R, _OMEGA = (STATE[name] for name in ("x", "v", "R", "Omega"))
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,13 @@ class ControllerGains:
 
 
 def compute_A(e_x, e_v, delta1_hat, a_d, gains, m, g):
-    """Acceleration command D1 - k_x e_x - k_v e_v - m g e3 + m a_d, a (3,) array."""
+    """Acceleration command D1 - k_x e_x - k_v e_v - m g e3 + m a_d, three floats."""
     k_x, k_v = gains.k_x, gains.k_v
     (x1, x2, x3), (v1, v2, v3) = e_x, e_v
     (d1, d2, d3), (a1, a2, a3) = delta1_hat, a_d
-    return np.array([d1 - k_x * x1 - k_v * v1 + m * a1,
-                     d2 - k_x * x2 - k_v * v2 + m * a2,
-                     d3 - k_x * x3 - k_v * v3 - m * g + m * a3])
+    return (d1 - k_x * x1 - k_v * v1 + m * a1,
+            d2 - k_x * x2 - k_v * v2 + m * a2,
+            d3 - k_x * x3 - k_v * v3 - m * g + m * a3)
 
 
 def compute_thrust(A, R):
@@ -158,7 +158,7 @@ def compute_moment(e_R, e_Omega, Omega, R, R_c, Omega_c, Omega_c_dot,
     """Moment law with gyroscopic and computed-attitude feedforward terms.
 
     M = D2 - k_R e_R - k_Omega e_Omega + Omega x J Omega
-        - J (Omega x R^T R_c Omega_c - R^T R_c Omega_c_dot), a (3,) array.
+        - J (Omega x R^T R_c Omega_c - R^T R_c Omega_c_dot), three floats.
     """
     w1, w2, w3 = Omega
     u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
@@ -175,9 +175,9 @@ def compute_moment(e_R, e_Omega, Omega, R, R_c, Omega_c, Omega_c_dot,
     f3 = J31 * b1 + J32 * b2 + J33 * b3
     k_R, k_Omega = gains.k_R, gains.k_Omega
     (d1, d2, d3), (r1, r2, r3), (o1, o2, o3) = delta2_hat, e_R, e_Omega
-    return np.array([d1 - k_R * r1 - k_Omega * o1 + (w2 * h3 - w3 * h2) - f1,
-                     d2 - k_R * r2 - k_Omega * o2 + (w3 * h1 - w1 * h3) - f2,
-                     d3 - k_R * r3 - k_Omega * o3 + (w1 * h2 - w2 * h1) - f3])
+    return (d1 - k_R * r1 - k_Omega * o1 + (w2 * h3 - w3 * h2) - f1,
+            d2 - k_R * r2 - k_Omega * o2 + (w3 * h1 - w1 * h3) - f2,
+            d3 - k_R * r3 - k_Omega * o3 + (w1 * h2 - w2 * h1) - f3)
 
 
 def mixing_matrix(d_h, C_TQ):
@@ -212,7 +212,6 @@ class GeometricAdaptiveController:
         base = quad.m * quad.g if quad.g > 0.0 else quad.m
         self.eps_thrust = 1e-6 * base
         self.omega_min = omega_min
-        self._J = quad.J.tolist()
         self._mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ)).tolist()
         self._rc_history = deque(maxlen=3)
         self._last_angles = (0.0, 0.0, 0.0)
@@ -228,10 +227,7 @@ class GeometricAdaptiveController:
         gains, quad = self.gains, self.quad
         # everything is Python floats, apart from the network input, the
         # forward pass and the weight update, up to the output array
-        state = s.tolist()
-        x, v, Omega = state[_X], state[_V], state[_OMEGA]
-        r = state[_R]
-        R = (r[0:3], r[3:6], r[6:9])
+        x, v, R, Omega = state_floats(s)
         x_nn, self._last_angles = build_network_input(
             x, v, R, Omega, fallback_angles=self._last_angles)
         nn1, nn2, pair = self.nn1, self.nn2, self.pair
@@ -243,7 +239,7 @@ class GeometricAdaptiveController:
         e_x = [a - b for a, b in zip(x, x_d)]
         e_v = [a - b for a, b in zip(v, v_d)]
 
-        A = compute_A(e_x, e_v, delta1_hat, traj.a_d.tolist(), gains, quad.m, quad.g).tolist()
+        A = compute_A(e_x, e_v, delta1_hat, traj.a_d.tolist(), gains, quad.m, quad.g)
         f = compute_thrust(A, R)
         R_c = compute_Rc(A, traj.b1_d.tolist(), self.eps_thrust).tolist()
 
@@ -253,10 +249,10 @@ class GeometricAdaptiveController:
 
         e_R, psi = attitude_error(R, R_c)
         e_R = e_R.tolist()
-        e_Om = angular_velocity_error(R, R_c, Omega, Omega_c).tolist()
+        e_Om = angular_velocity_error(R, R_c, Omega, Omega_c)
 
         M_c = compute_moment(e_R, e_Om, Omega, R, R_c, Omega_c, Omega_c_dot,
-                             delta2_hat, self._J, gains).tolist()
+                             delta2_hat, quad.J_rows, gains)
 
         M1, M2, M3 = M_c
         thrusts = [k_f * f + k_1 * M1 + k_2 * M2 + k_3 * M3

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aero import OMEGA_MIN
-from .layout import pack_state, unpack_state
+from .layout import pack_state, state_floats, unpack_state
 from .se3 import expm_so3, orthonormalize
 
 #: integrator step bound [s]
@@ -58,10 +58,23 @@ class QuadParams:
         if self.g < 0.0:
             raise ValueError("g must be non-negative")
         object.__setattr__(self, "_J_inv", np.linalg.inv(self.J))
+        # the float step reads both as rows, made once here
+        object.__setattr__(self, "_J_rows", self.J.tolist())
+        object.__setattr__(self, "_J_inv_rows", self._J_inv.tolist())
 
     @property
     def J_inv(self):
         return self._J_inv
+
+    @property
+    def J_rows(self):
+        """J as three rows of three floats."""
+        return self._J_rows
+
+    @property
+    def J_inv_rows(self):
+        """J^-1 as three rows of three floats."""
+        return self._J_inv_rows
 
     @property
     def rotor_positions(self):
@@ -108,9 +121,10 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
     m = params.m
-    x0, v0, R0, Omega0 = unpack_state(s)
-    (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J.tolist()
-    (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv.tolist()
+    x0, v0, R0, Omega0 = state_floats(s)
+    R0_array = unpack_state(s)[2]
+    (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J_rows
+    (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv_rows
 
     def rates(ts, y, R):
         _, _, _, v1, v2, v3, p1, p2, p3, w1, w2, w3 = y
@@ -138,17 +152,17 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
 
     def stage(ts, h, k):
         y = [a + h * b for a, b in zip(y0, k)]
-        return rates(ts, y, (R0 @ expm_so3(y[6:9])).tolist())
+        return rates(ts, y, (R0_array @ expm_so3(y[6:9])).tolist())
 
-    y0 = x0.tolist() + v0.tolist() + [0.0, 0.0, 0.0] + Omega0.tolist()
-    k1 = rates(t, y0, R0.tolist())
+    y0 = x0 + v0 + [0.0, 0.0, 0.0] + Omega0
+    k1 = rates(t, y0, R0)
     k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
     k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
     k4 = stage(t + dt, dt, k3)
     sixth = dt / 6.0
     y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
          for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-    return pack_state(y[0:3], y[3:6], orthonormalize(R0 @ expm_so3(y[6:9])), y[9:12])
+    return pack_state(y[0:3], y[3:6], orthonormalize(R0_array @ expm_so3(y[6:9])), y[9:12])
 
 
 def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):

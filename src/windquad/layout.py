@@ -4,8 +4,10 @@ A layout is a schema of (field, column name) for a one-column field and
 (field, [column names]) for a vector field.  The telemetry row is assembled
 from the state and controller-output schemas, so reordering a block moves
 its columns in the row and in every reader of the packed vector at once.
-The one writer of the controller output, GeometricAdaptiveController.step,
-lists its fields in OUTPUT_SCHEMA order and moves by hand.
+The three writers list their fields in schema order and move by hand: each
+builds its vector from Python floats in one call.  They are pack_state (the
+state), GeometricAdaptiveController.step (the controller output) and
+sim.run_simulation (the telemetry row, assigned in one write).
 """
 
 import numpy as np
@@ -67,29 +69,27 @@ OUTPUT_COLUMNS, OUTPUT = _layout(OUTPUT_SCHEMA)
 COLUMNS, FIELDS = _layout(SCHEMA)
 
 
-def _block(schema):
-    """Row columns of a schema that SCHEMA includes whole."""
-    first = FIELDS[schema[0][0]]
-    start = first.start if isinstance(first, slice) else first
-    return slice(start, start + len(_layout(schema)[0]))
-
-
-#: where the packed state and the controller output sit in a telemetry row
-ROW_STATE, ROW_OUTPUT = _block(STATE_SCHEMA), _block(OUTPUT_SCHEMA)
-
 _X, _V, _R, _OMEGA = (STATE[name] for name in ("x", "v", "R", "Omega"))
 
 
 def pack_state(x, v, R, Omega):
-    """Packed (18,) state from position, velocity, 3x3 attitude, body rates."""
-    s = np.empty(len(STATE_COLUMNS))
-    s[_X] = x
-    s[_V] = v
-    s[_R] = np.ravel(R)
-    s[_OMEGA] = Omega
-    return s
+    """Packed (18,) state from position, velocity, 3x3 attitude, body rates.
+
+    R is an array or three rows of floats; the 18 values become the array in
+    one call, listed in STATE_SCHEMA order.
+    """
+    r1, r2, r3 = R
+    return np.array([*x, *v, *r1, *r2, *r3, *Omega], dtype=float)
 
 
 def unpack_state(s):
     """Views (x, v, R, Omega) into a packed state, R as a 3x3 matrix."""
     return s[_X], s[_V], s[_R].reshape(3, 3), s[_OMEGA]
+
+
+def state_floats(s):
+    """(x, v, R, Omega) of a packed state as Python floats, from one tolist():
+    x, v and Omega as lists of three, R as three rows of three."""
+    state = s.tolist()
+    r = state[_R]
+    return state[_X], state[_V], (r[0:3], r[3:6], r[6:9]), state[_OMEGA]

@@ -121,10 +121,10 @@ def computed_to_body(R, R_c, w):
 
 
 def angular_velocity_error(R, R_c, Omega, Omega_c):
-    """Body angular velocity error Omega - R^T R_c Omega_c, a (3,) array."""
+    """Body angular velocity error Omega - R^T R_c Omega_c, three floats."""
     w1, w2, w3 = Omega
     u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
-    return np.array([w1 - u1, w2 - u2, w3 - u3])
+    return w1 - u1, w2 - u2, w3 - u3
 
 
 def attitude_error_jacobian(Q):
@@ -198,7 +198,10 @@ def expm_so3(phi):
 def orthonormalize(M):
     """Closest rotation matrix in the polar/SVD sense.
 
-    After the determinant check, a matrix near SO(3)
+    M is 3x3: an array, or three rows of floats as the integrator's close
+    passes it; the rotation is returned in the same form, a (3, 3) array or
+    three tuples of three floats.  The determinant is a cofactor expansion
+    in floats.  After its check, a matrix near SO(3)
     (||M^T M - I||_F < POLAR_NEWTON_RANGE) takes Newton-Schulz steps
     R <- R (3I - R^T R) / 2, which converge quadratically to the polar
     factor, until ||R^T R - I||_F is at most ROUNDING_DEFECT; a rotation
@@ -211,10 +214,16 @@ def orthonormalize(M):
         If det M is not positive (NaN included), an entry is not finite, or
         M is near rank-deficient.
     """
-    det = np.linalg.det(M)
-    if not det > 0.0:
+    is_array = isinstance(M, np.ndarray)
+    rows = M.tolist() if is_array else M
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    entries = (a, b, c, d, e, f, g, h, i)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # a cofactor holds 0 * inf = NaN on some infinite entries, where an LU
+    # determinant is +-inf: without a NaN entry, the finiteness check below
+    # names such a matrix
+    if not det > 0.0 and (det == det or any(x != x for x in entries)):
         raise DegenerateMatrix(f"determinant must be positive, got {det}")
-    (a, b, c), (d, e, f), (g, h, i) = M.tolist()
     for steps in range(POLAR_NEWTON_STEPS + 1):
         # Gram matrix G = R^T R and ||G - I||_F^2, in floats
         g11, g22, g33 = a * a + d * d + g * g, b * b + e * e + h * h, c * c + f * f + i * i
@@ -224,7 +233,8 @@ def orthonormalize(M):
         defect2 = (x11 * x11 + x22 * x22 + x33 * x33
                    + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23))
         if defect2 <= ROUNDING_DEFECT ** 2:
-            return np.array([[a, b, c], [d, e, f], [g, h, i]])
+            R = ((a, b, c), (d, e, f), (g, h, i))
+            return np.array(R) if is_array else R
         # a non-finite M gives a NaN or infinite defect and leaves here too
         if steps == POLAR_NEWTON_STEPS or not defect2 < POLAR_NEWTON_RANGE ** 2:
             break
@@ -238,11 +248,11 @@ def orthonormalize(M):
         g, h, i = (g * h11 + h * h12 + i * h13, g * h12 + h * h22 + i * h23,
                    g * h13 + h * h23 + i * h33)
 
-    if not np.isfinite(M).all():
+    if not all(map(math.isfinite, entries)):
         # an infinite entry can pass the determinant check (diag(inf, 1, 1)
         # has det +inf), and np.linalg.svd does not return on it
-        raise DegenerateMatrix(f"matrix entries must be finite, got {M.tolist()}")
-    U, s, Vt = np.linalg.svd(M)
+        raise DegenerateMatrix(f"matrix entries must be finite, got {[list(r) for r in rows]}")
+    U, s, Vt = np.linalg.svd(np.array(rows, dtype=float))
     if s[-1] < 1e-12 * max(1.0, s[0]):
         raise DegenerateMatrix("matrix is near rank-deficient")
     R = U @ Vt
@@ -251,4 +261,4 @@ def orthonormalize(M):
         # kept as a hard guarantee of det(+1)
         U[:, -1] = -U[:, -1]
         R = U @ Vt
-    return R
+    return R if is_array else tuple(map(tuple, R.tolist()))

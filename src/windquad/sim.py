@@ -31,7 +31,7 @@ from .errors import (DegenerateMatrix, DegenerateThrust, HeadingDegenerate,
                      NoConvergence, NonFiniteWeights, RotorStopped,
                      SimulationAbort, ValidationError)
 from .dynamics import simplified_wrench, step_rk4
-from .layout import COLUMNS, FIELDS, OUTPUT, ROW_OUTPUT, ROW_STATE, STATE
+from .layout import COLUMNS, FIELDS, OUTPUT, STATE
 from .scenarios import trajectory_at, wind_at
 from .stability import lyapunov_value
 
@@ -46,16 +46,17 @@ class SimResult:
 
 
 def _injected_delta(cfg):
-    d1c, d2c, d1a, d2a = (cfg.get("disturbance", key).tolist()
-                          for key in ("delta1", "delta2", "delta1_amp", "delta2_amp"))
+    (c1, c2, c3), (d1, d2, d3), (a1, a2, a3), (b1, b2, b3) = (
+        cfg.get("disturbance", key).tolist()
+        for key in ("delta1", "delta2", "delta1_amp", "delta2_amp"))
     f1 = cfg.get("disturbance", "delta1_freq")
     f2 = cfg.get("disturbance", "delta2_freq")
 
     def delta(t, x, v, R, Omega):
         s1 = math.sin(2.0 * math.pi * f1 * t)
         s2 = math.sin(2.0 * math.pi * f2 * t)
-        return ([c + a * s1 for c, a in zip(d1c, d1a)],
-                [c + a * s2 for c, a in zip(d2c, d2a)])
+        return ((c1 + a1 * s1, c2 + a2 * s1, c3 + a3 * s1),
+                (d1 + b1 * s2, d2 + b2 * s2, d3 + b3 * s2))
 
     return delta
 
@@ -111,7 +112,6 @@ def run_simulation(config):
         adaptation=config.get("simulation", "adaptation"),
         omega_min=config.get("aero", "omega_min"))
     state = config.initial_state()
-    J = quad.J.tolist()
 
     targets = None
     if mode == "synthetic":
@@ -160,17 +160,15 @@ def run_simulation(config):
             # the Lyapunov row and the wrench take the commands as Python floats
             command = out.tolist()
             if record:
-                row = telemetry[n_rec]
-                row[FIELDS["t"]] = t
-                row[ROW_STATE] = state
-                row[FIELDS["x_d"]] = traj.x_d
-                row[ROW_OUTPUT] = out
                 if weight_sq is not None:
                     nn_error_sq[n_rec] = [W_sq + V_sq for W_sq, V_sq in weight_sq]
-                row[FIELDS["V1"]], row[FIELDS["V2"]], row[FIELDS["V"]] = lyapunov_value(
+                V1, V2, V = lyapunov_value(
                     *(command[OUTPUT[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
-                    gains, quad.m, J, weight_sq=weight_sq)
-                row[FIELDS["v_w"]] = wind_at(wind, t)
+                    gains, quad.m, quad.J_rows, weight_sq=weight_sq)
+                # one write, in SCHEMA order: t, state, x_d, output, the
+                # three Lyapunov columns, v_w
+                telemetry[n_rec] = [t, *state.tolist(), *traj.x_d.tolist(), *command,
+                                    V1, V2, V, *wind_at(wind, t).tolist()]
                 n_rec += 1
 
             if mode == "full_aero":
