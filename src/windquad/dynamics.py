@@ -13,9 +13,11 @@ body angular increment followed by re-orthonormalization.
 
 The stage is a float interface: a wrench callback receives (t, x, v, R,
 Omega) as Python floats, R as three rows, and returns (U_e, M_e) as two
-float triples; simplified_wrench computes such a wrench.  Arrays appear only
-in the product R0 exp(hat(phi)) of each stage and in the one packed state a
-step builds, at its close.
+float triples; simplified_wrench computes such a wrench.  The step reads the
+packed state with one tolist() and composes each stage attitude
+R0 exp(hat(phi)) in floats from the Rodrigues entries of expm_so3.  Arrays
+appear only in expm_so3's result, whose rows the step reads back, and in the
+one packed state a step builds, at its close.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aero import OMEGA_MIN
-from .layout import pack_state, state_floats, unpack_state
+from .layout import pack_state, state_floats
 from .se3 import expm_so3, orthonormalize
 
 #: integrator step bound [s]
@@ -111,18 +113,20 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
     R0 (zero at stage 1, whose state is s itself).  Each stage calls
     wrench_fn(t, x, v, R, Omega) with x, v and Omega as lists of three
     floats and R as three rows of three floats: stage 1 takes them from s
-    with tolist(), stages 2-4 take R from (R0 @ expm_so3(phi)).tolist(),
-    the product staying in numpy.  wrench_fn returns (U_e, M_e), two
-    3-sequences of floats.  dt must lie in (0, DT_MAX].  Returns a new
-    packed state, the one pack_state of the step.  Errors raised by
-    wrench_fn propagate; a non-finite attitude raises DegenerateMatrix.
+    with one tolist(), stages 2-4 compose R = R0 exp(hat(phi)) in floats
+    from the rows of R0 and of expm_so3(phi), J and J^-1 are the float rows
+    of params, and the close passes the composed rows to orthonormalize.
+    wrench_fn returns (U_e, M_e), two 3-sequences of floats.  dt must lie
+    in (0, DT_MAX].  Returns a new packed state, the one pack_state of the
+    step.  Errors raised by wrench_fn propagate; a non-finite attitude
+    raises DegenerateMatrix.
     """
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
     m = params.m
     x0, v0, R0, Omega0 = state_floats(s)
-    R0_array = unpack_state(s)[2]
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = R0
     (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J_rows
     (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv_rows
 
@@ -150,9 +154,19 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
                 K21 * e1 + K22 * e2 + K23 * e3,
                 K31 * e1 + K32 * e2 + K33 * e3)
 
+    def attitude(phi):
+        # R0 exp(hat(phi)), three rows of floats
+        (e11, e12, e13), (e21, e22, e23), (e31, e32, e33) = expm_so3(phi).tolist()
+        return ((a11 * e11 + a12 * e21 + a13 * e31, a11 * e12 + a12 * e22 + a13 * e32,
+                 a11 * e13 + a12 * e23 + a13 * e33),
+                (a21 * e11 + a22 * e21 + a23 * e31, a21 * e12 + a22 * e22 + a23 * e32,
+                 a21 * e13 + a22 * e23 + a23 * e33),
+                (a31 * e11 + a32 * e21 + a33 * e31, a31 * e12 + a32 * e22 + a33 * e32,
+                 a31 * e13 + a32 * e23 + a33 * e33))
+
     def stage(ts, h, k):
         y = [a + h * b for a, b in zip(y0, k)]
-        return rates(ts, y, (R0_array @ expm_so3(y[6:9])).tolist())
+        return rates(ts, y, attitude(y[6:9]))
 
     y0 = x0 + v0 + [0.0, 0.0, 0.0] + Omega0
     k1 = rates(t, y0, R0)
@@ -162,7 +176,7 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
     sixth = dt / 6.0
     y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
          for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-    return pack_state(y[0:3], y[3:6], orthonormalize(R0_array @ expm_so3(y[6:9])), y[9:12])
+    return pack_state(y[0:3], y[3:6], orthonormalize(attitude(y[6:9])), y[9:12])
 
 
 def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):

@@ -143,14 +143,20 @@ def _dexpinv(phi, Omega):
     return Omega + 0.5 * c + cross3(phi, c) / 12.0
 
 
+def compose(R0, phi):
+    """R0 exp(hat(phi)) as three rows of floats, each entry summed left to right."""
+    A, E = R0.tolist(), expm_so3(phi).tolist()
+    return [[A[i][0] * E[0][j] + A[i][1] * E[1][j] + A[i][2] * E[2][j] for j in range(3)]
+            for i in range(3)]
+
+
 def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
     """step_rk4 with each RK4 stage written out per component (x, v, phi, Omega)."""
     m, J, J_inv = params.m, params.J, params.J_inv
     x0, v0, R0, Om0 = unpack_state(state)
 
     def rates(ts, x, v, phi, Omega):
-        U_e, M_e = wrench_fn(ts, x.tolist(), v.tolist(), (R0 @ expm_so3(phi)).tolist(),
-                             Omega.tolist())
+        U_e, M_e = wrench_fn(ts, x.tolist(), v.tolist(), compose(R0, phi), Omega.tolist())
         return (v,
                 np.asarray(U_e, float) / m,
                 _dexpinv(phi, Omega),
@@ -172,7 +178,7 @@ def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
     phi = sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     Om_new = Om0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
 
-    R_new = orthonormalize(R0 @ expm_so3(phi))
+    R_new = orthonormalize(compose(R0, phi))
     return pack_state(x_new, v_new, R_new, Om_new)
 
 
