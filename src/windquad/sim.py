@@ -198,10 +198,13 @@ def run_simulation(config):
                 # non-finite chart increment can make it degenerate
                 abort(k, f"non-finite state component R ({exc})")
 
-            finite = np.isfinite(state)
-            if not finite.all():
-                name = next(name for name, cols in STATE.items() if not finite[cols].all())
-                abort(k, f"non-finite state component {name}")
+            # a finite float sum proves every entry finite; a NaN or an
+            # infinite entry makes it non-finite, and so can an overflow
+            if not math.isfinite(sum(state.tolist())):
+                finite = np.isfinite(state)
+                if not finite.all():
+                    name = next(name for name, cols in STATE.items() if not finite[cols].all())
+                    abort(k, f"non-finite state component {name}")
 
     summary = summarize(telemetry)
     return SimResult(telemetry=telemetry, summary=summary, targets=targets,
