@@ -182,6 +182,21 @@ SCHEMA = {
     },
 }
 
+#: keys that only some plants read: (section, key) -> the plants that read
+#: it, in the order SimConfig.ignored() lists them.  The disturbance
+#: frequencies are left out: a sine moves nothing without its amplitude,
+#: which is listed.  aero.omega_min is left out: the controller's thrust
+#: floor reads it on every plant.
+PLANT_KEYS = {
+    **{("disturbance", key): ("simplified",)
+       for key in ("delta1", "delta2", "delta1_amp", "delta2_amp")},
+    **{("disturbance", key): ("synthetic",)
+       for key in ("target_w1", "target_v1", "target_w2", "target_v2")},
+    ("simulation", "seed"): ("synthetic",),
+    **{("aero", key): ("full_aero",) for key in SCHEMA["aero"] if key != "omega_min"},
+    ("quad", "d_v"): ("full_aero",),
+}
+
 
 @dataclass
 class SimConfig:
@@ -254,16 +269,26 @@ class SimConfig:
             W_max2=self.get("nn2", "w_max"), V_max2=self.get("nn2", "v_max"))
 
     def ignored(self):
-        """`section.key = value` of each set key that the selected plant never
-        reads: a non-zero injected disturbance off the simplified plant.
+        """`section.key = value` of each key in PLANT_KEYS that the selected
+        plant never reads and that differs from its SCHEMA default.  The
+        [aero] keys are read on every plant under simplified.calibrate = on.
 
         Reported rather than rejected, so that one file serves every plant.
         """
-        if self.get("simulation", "plant") == "simplified":
-            return []
-        keys = ("delta1", "delta2", "delta1_amp", "delta2_amp")
-        return [f"disturbance.{key} = {' '.join(map(str, value.tolist()))}"
-                for key in keys if (value := self.get("disturbance", key)).any()]
+        plant = self.get("simulation", "plant")
+        calibrate = self.get("simplified", "calibrate")
+        lines = []
+        for (section, key), plants in PLANT_KEYS.items():
+            if plant in plants or (section == "aero" and calibrate):
+                continue
+            value = self.get(section, key)
+            parse, default, _ = SCHEMA[section][key]
+            if np.array_equal(value, parse(default)):
+                continue
+            text = (" ".join(map(str, value.tolist())) if isinstance(value, np.ndarray)
+                    else str(value))
+            lines.append(f"{section}.{key} = {text}")
+        return lines
 
     def initial_state(self):
         """Packed initial state (see layout.STATE)."""

@@ -355,6 +355,22 @@ def test_disturbance_the_plant_ignores_is_reported(tmp_path, capsys):
     assert [line for line in err if line.startswith("ignored:")] == lines
 
 
+@pytest.mark.parametrize("plant, section, line", [
+    ("full_aero", "[disturbance]\ntarget_w1 = 5\n", "disturbance.target_w1 = 5.0"),
+    ("simplified", "[quad]\nd_v = -0.5\n", "quad.d_v = -0.5"),
+], ids=["target_off_synthetic", "d_v_off_aero"])
+def test_key_the_plant_ignores_is_reported(tmp_path, capsys, plant, section, line):
+    # a synthetic target norm off the synthetic plant and a rotor height off
+    # the aero plant leave the run unchanged: each is listed, the run exits 0
+    path = write(tmp_path, f"[simulation]\nplant = {plant}\nduration = 0.05\n{section}")
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [e for e in err if e.startswith("ignored:")] == [f"ignored: {line}"]
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert [e for e in summary if e.startswith("ignored:")] == [f"ignored: {line}"]
+
+
 def test_run_plant_alias(tmp_path):
     out = tmp_path / "o"
     code = main(["run", "--duration", "0.05", "--plant", "full",

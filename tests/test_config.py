@@ -117,3 +117,24 @@ def test_schema_reference_text_is_loadable(tmp_path):
     path = write(tmp_path, text)
     cfg = load_config(path)
     assert cfg.get("simulation", "dt") == 1e-3
+
+
+@pytest.mark.parametrize("plant, calibrate, expected", [
+    ("simplified", "off", ["disturbance.target_v2 = 0.3", "simulation.seed = 4",
+                           "aero.r_p = 0.1", "aero.n_b = 3", "quad.d_v = -0.5"]),
+    ("simplified", "on", ["disturbance.target_v2 = 0.3", "simulation.seed = 4",
+                          "quad.d_v = -0.5"]),
+    ("synthetic", "off", ["disturbance.delta2 = 0.0 0.1 0.0", "aero.r_p = 0.1",
+                          "aero.n_b = 3", "quad.d_v = -0.5"]),
+    ("full_aero", "off", ["disturbance.delta2 = 0.0 0.1 0.0", "disturbance.target_v2 = 0.3",
+                          "simulation.seed = 4"]),
+])
+def test_ignored_lists_keys_off_their_plant(tmp_path, plant, calibrate, expected):
+    # each plant-specific key set away from its default is listed on the
+    # plants that never read it; aero.omega_min (the thrust floor of every
+    # plant) and the keys left at their defaults never are
+    path = write(tmp_path, f"[simulation]\nplant = {plant}\nseed = 4\n"
+                           f"[simplified]\ncalibrate = {calibrate}\n"
+                           "[quad]\nd_v = -0.5\n[aero]\nr_p = 0.1\nn_b = 3\nomega_min = 2\n"
+                           "rho = 1.225\n[disturbance]\ndelta2 = 0 0.1 0\ntarget_v2 = 0.3\n")
+    assert load_config(path).ignored() == expected
