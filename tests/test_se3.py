@@ -184,6 +184,49 @@ def test_orthonormalize_rejects_non_finite_entries():
         orthonormalize(np.diag([np.nan, 1.0, 1.0]))
 
 
+def test_orthonormalize_determinant_sign_matches_lapack(rng):
+    # the cofactor determinant decides as np.linalg.det does wherever
+    # |det| > 1e-9: a negative one is rejected by name, a positive one is
+    # not; near-singular matrices are drawn as two random rows and a third
+    # close to their span
+    checked = 0
+    for k in range(4000):
+        M = rng.standard_normal((3, 3))
+        if k % 2:
+            M[2] = rng.standard_normal() * M[0] + rng.standard_normal() * M[1]
+            M[2] += 10.0 ** rng.uniform(-9.0, -6.0) * rng.standard_normal(3)
+        det = np.linalg.det(M)
+        if abs(det) <= 1e-9:
+            continue
+        checked += 1
+        if det < 0.0:
+            with pytest.raises(DegenerateMatrix, match=r"determinant must be positive"):
+                orthonormalize(M)
+        else:
+            try:
+                orthonormalize(M)
+            except DegenerateMatrix as exc:
+                assert "determinant" not in str(exc)
+    assert checked > 3000
+
+
+def test_orthonormalize_rows_match_array_form(rng):
+    # the integrator's close passes three rows of floats and gets three
+    # tuples back: the same rotation, bitwise, and the same errors
+    for scale in (1.0, 1.0 + 1e-7, 3.0):
+        for _ in range(50):
+            M = scale * (random_rotation(rng) + 1e-9 * rng.standard_normal((3, 3)))
+            got = orthonormalize(tuple(map(tuple, M.tolist())))
+            assert type(got) is tuple and all(type(r) is tuple for r in got)
+            assert np.array_equal(np.array(got), orthonormalize(M))
+    for M in (np.diag([1.0, np.inf, np.inf]), np.diag([1.0, 1.0, -1.0])):
+        with pytest.raises(DegenerateMatrix) as from_array:
+            orthonormalize(M)
+        with pytest.raises(DegenerateMatrix) as from_rows:
+            orthonormalize(M.tolist())
+        assert str(from_rows.value) == str(from_array.value)
+
+
 def test_orthonormalize_keeps_rotations_and_far_inputs(rng):
     # at the rounding level a rotation comes back bitwise; a huge or far
     # (non-polar-Newton) input still takes the SVD

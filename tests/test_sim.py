@@ -9,6 +9,7 @@ import windquad.aero
 import windquad.sim
 from windquad.config import load_config
 from windquad.errors import NoConvergence, RotorStopped, SimulationAbort
+from windquad.layout import OUTPUT, STATE
 from windquad.scenarios import TrajectoryPoint
 from windquad.sim import (COLUMNS, FIELDS, read_csv, run_simulation,
                           summarize, write_csv, write_summary,
@@ -325,6 +326,50 @@ def test_wind_sampled_once_per_stage_time(monkeypatch):
     }))
     assert len(res.telemetry) == 4
     assert len(times) == 3 * 20 + 4
+
+
+@pytest.mark.parametrize("name", ["baseline", "wind_circle"])
+def test_telemetry_blocks_equal_their_sources(monkeypatch, name):
+    # each row is written in one assignment: every block, read through
+    # FIELDS, must be bitwise what its source returned at that step
+    sources = {"step": [], "traj": [], "out": [], "lyap": [], "wind": {}}
+
+    def recorder(key, fn):
+        def recording(*args, **kwargs):
+            value = fn(*args, **kwargs)
+            sources[key].append(value)
+            return value
+        return recording
+
+    def wind_at(field_, t, fn=windquad.sim.wind_at):
+        sources["wind"][t] = value = fn(field_, t)
+        return value
+
+    for key, attr in (("step", "step_rk4"), ("traj", "trajectory_at"),
+                      ("lyap", "lyapunov_value")):
+        monkeypatch.setattr(windquad.sim, attr, recorder(key, getattr(windquad.sim, attr)))
+    monkeypatch.setattr(windquad.sim, "wind_at", wind_at)
+    step = windquad.sim.GeometricAdaptiveController.step
+    monkeypatch.setattr(windquad.sim.GeometricAdaptiveController, "step",
+                        lambda ctrl, *args: recorder("out", step)(ctrl, *args))
+    cfg = load_config(CONFIGS / f"{name}.ini", overrides={
+        ("simulation", "duration"): "0.05", ("simulation", "decimate"): "3"})
+    res = run_simulation(cfg)
+    dt = cfg.get("simulation", "dt")
+    states = [cfg.initial_state(), *sources["step"]]
+    checked = set()
+    assert len(res.telemetry) == len(sources["lyap"]) == math.ceil(len(sources["out"]) / 3)
+    for j, row in enumerate(res.telemetry):
+        k = 3 * j
+        t = k * dt
+        blocks = {"t": t, "x_d": sources["traj"][k].x_d, "v_w": sources["wind"][t]}
+        blocks.update((field, states[k][cols]) for field, cols in STATE.items())
+        blocks.update((field, sources["out"][k][cols]) for field, cols in OUTPUT.items())
+        blocks.update(zip(("V1", "V2", "V"), sources["lyap"][j]))
+        for field, value in blocks.items():
+            assert np.array_equal(row[FIELDS[field]], value), (j, field)
+        checked.update(blocks)
+    assert checked == set(FIELDS)
 
 
 def test_warm_start_inflow_evaluations_per_solve(monkeypatch):
