@@ -191,21 +191,6 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
     return _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0), lam
 
 
-def thrust_inflow_residuals(C_T, lam, mu_x, mu_z, params):
-    """Residuals of the two implicit equations at (C_T, lam).
-
-    The inflow residual uses the product form, which stays defined at the
-    hover singular point mu = 0, lam = 0.
-    """
-    s_cla = params.solidity * params.C_la
-    r1 = C_T - _ct_of_lambda(lam, mu_x, mu_z, s_cla, params.theta0)
-    w = math.sqrt(mu_x * mu_x + (lam + mu_z) * (lam + mu_z))
-    r2 = 2.0 * lam * w - C_T
-    if w > 1e-12:
-        r2 /= 2.0 * w
-    return r1, r2
-
-
 def torque_coefficient(C_T, lam, mu_x, mu_z, params):
     """Torque coefficient C_Q = C_T (lam + mu_z) + C_D0 s / 8 (1 + 3 mu_x^2)."""
     return C_T * (lam + mu_z) + params.C_D0 * params.solidity / 8.0 * (1.0 + 3.0 * mu_x * mu_x)

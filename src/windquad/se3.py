@@ -25,7 +25,6 @@ E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
-ROTATION_TOL = 1e-9
 SKEW_TOL = 1e-8
 GIMBAL_TOL = 1e-6
 
@@ -48,13 +47,6 @@ def hat(v):
     ])
 
 
-def cross3(a, b):
-    """Cross product of two 3-vectors; avoids np.cross axis overhead."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
 def vee(M, tol=SKEW_TOL):
     """Inverse of the hat map.
 
@@ -67,15 +59,6 @@ def vee(M, tol=SKEW_TOL):
     if defect > tol:
         raise NotSkewSymmetric(f"||M + M^T||_F = {defect:.3e} > {tol:.1e}")
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
-
-
-def is_rotation(R, tol=ROTATION_TOL):
-    """True if R satisfies the rotation-matrix invariants within tol."""
-    if R.shape != (3, 3):
-        return False
-    if np.linalg.norm(R.T @ R - np.eye(3)) > tol:
-        return False
-    return abs(np.linalg.det(R) - 1.0) <= tol
 
 
 def attitude_error(R, R_c):
@@ -125,14 +108,6 @@ def angular_velocity_error(R, R_c, Omega, Omega_c):
     w1, w2, w3 = Omega
     u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
     return w1 - u1, w2 - u2, w3 - u3
-
-
-def attitude_error_jacobian(Q):
-    """Matrix C(Q) = 0.5 (tr(Q) I - Q) appearing in the e_R rate equation.
-
-    For Q in SO(3) its operator norm is at most one.
-    """
-    return 0.5 * (np.trace(Q) * np.eye(3) - Q)
 
 
 def rotation_zyx(yaw, pitch, roll):

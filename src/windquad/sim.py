@@ -265,18 +265,6 @@ def write_csv(telemetry, path):
                header=",".join(COLUMNS), comments="")
 
 
-def read_csv(path):
-    """Read a telemetry CSV back as (header list, (rows, columns) float array).
-
-    A header-only file gives shape (0, len(header)).
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = [[float(tok) for tok in line.strip().split(",")]
-                for line in fh if line.strip()]
-    return header, np.array(data, dtype=float).reshape(len(data), len(header))
-
-
 def write_summary(summary, path, report_text=None, ignored=()):
     """Write `key: value` summary lines, then one `ignored: section.key = value`
     line per ignored config key, optionally with a stability report."""

@@ -328,18 +328,6 @@ def set_d_functional(e_x, e_v, e_R, e_Omega, Z_tilde_sq1, Z_tilde_sq2,
     return sq + Z_tilde_sq1 / gamma1 + Z_tilde_sq2 / gamma2
 
 
-def thrust_mismatch_term(f, R, R_c):
-    """Force component from imperfect attitude tracking.
-
-    (f / (e3^T R_c^T R e3)) [ (e3^T R_c^T R e3) R e3 - R_c e3 ]; appears in
-    the velocity-error equation and vanishes when R e3 aligns with R_c e3.
-    """
-    r3 = R[:, 2]
-    rc3 = R_c[:, 2]
-    align = float(rc3 @ r3)
-    return (f / align) * (align * r3 - rc3)
-
-
 def format_report(report):
     """Render a report as structured 'key: value' text, 6 significant digits."""
     lines = []

@@ -13,19 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windquad.aero import solve_thrust_inflow, thrust_inflow_residuals
+from windquad.aero import solve_thrust_inflow
 from windquad.config import load_config
 from windquad.controller import (ControllerGains, compute_A, compute_Rc,
                                  compute_thrust)
 from windquad.dynamics import QuadParams, simplified_wrench, step_rk4
 from windquad.layout import pack_state, unpack_state
-from windquad.se3 import attitude_error, cross3
+from windquad.se3 import attitude_error
 from windquad.sim import FIELDS, run_simulation
 from windquad.stability import (build_pd_matrices, set_d_functional,
-                                thrust_mismatch_term, ultimate_bound,
-                                validate_c1)
+                                ultimate_bound, validate_c1)
 
 from conftest import at_rest
+from oracles import cross3, thrust_inflow_residuals, thrust_mismatch_term
 from test_aero import bisection_oracle
 
 

@@ -6,14 +6,14 @@ import pytest
 import windquad.aero
 from windquad.aero import (RotorAeroParams, advance_ratios,
                            drag_force, flap_direction, resultant_wrench,
-                           solve_thrust_inflow, thrust_inflow_residuals,
-                           torque_coefficient)
+                           solve_thrust_inflow, torque_coefficient)
 from windquad.dynamics import SimplifiedModelParams, rotor_speed_from_thrust
 from windquad.errors import NoConvergence, RotorStopped
 from windquad.layout import pack_state, unpack_state
-from windquad.se3 import cross3, hat, rotation_zyx
+from windquad.se3 import hat, rotation_zyx
 
 from conftest import at_rest, random_rotation, stage_of
+from oracles import cross3, thrust_inflow_residuals
 
 
 def hover_quadratic_oracle(params):

@@ -7,7 +7,9 @@ import windquad.cli
 from windquad.cli import main
 from windquad.config import SCHEMA, load_config
 from windquad.errors import ValidationError
-from windquad.sim import COLUMNS, read_csv
+from windquad.sim import COLUMNS
+
+from oracles import read_csv
 
 WIND_CIRCLE = str(Path(__file__).resolve().parent.parent / "configs" / "wind_circle.ini")
 

@@ -8,9 +8,10 @@ from windquad.dynamics import (QuadParams, SimplifiedModelParams,
                                step_rk4)
 from windquad.errors import NotSkewSymmetric
 from windquad.layout import pack_state, unpack_state
-from windquad.se3 import cross3, expm_so3, orthonormalize
+from windquad.se3 import expm_so3, orthonormalize
 
 from conftest import at_rest, random_rotation, stage_of
+from oracles import cross3
 
 
 def free_wrench(t, x, v, R, Omega):

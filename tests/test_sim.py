@@ -11,10 +11,11 @@ from windquad.config import load_config
 from windquad.errors import NoConvergence, RotorStopped, SimulationAbort
 from windquad.layout import OUTPUT, STATE
 from windquad.scenarios import TrajectoryPoint
-from windquad.sim import (COLUMNS, FIELDS, read_csv, run_simulation,
-                          summarize, write_csv, write_summary,
-                          write_weights_csv)
+from windquad.sim import (COLUMNS, FIELDS, run_simulation, summarize,
+                          write_csv, write_summary, write_weights_csv)
 from windquad.adaptive import NNWeights
+
+from oracles import read_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -12,10 +12,11 @@ from windquad.errors import DegenerateNu
 from windquad.se3 import attitude_error
 from windquad.stability import (BoundAssumptions, build_pd_matrices,
                                 format_report, lyapunov_value,
-                                set_d_functional, thrust_mismatch_term,
-                                ultimate_bound, validate_c1, validate_c2)
+                                set_d_functional, ultimate_bound,
+                                validate_c1, validate_c2)
 
 from conftest import random_rotation
+from oracles import thrust_mismatch_term
 
 SYNTHETIC_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "synthetic.ini")
 
