@@ -10,9 +10,11 @@ Vectors and matrices are float ndarrays and are used as given, except in
 the functions the controller step, the integrator and the network inputs
 call, which take 3-sequences of floats (and 3x3 matrices as three rows of
 floats) as well as arrays: attitude_error, computed_to_body,
-angular_velocity_error, expm_so3 and euler_zyx.  Each computes in float
-arithmetic and builds at most one array; euler_zyx uses math and returns
-three floats.
+angular_velocity_error, expm_so3, orthonormalize and euler_zyx.  Each
+computes in float arithmetic and builds at most one array:
+computed_to_body and angular_velocity_error return three floats, euler_zyx
+uses math and returns three floats, and orthonormalize returns the form it
+was given (its determinant is a cofactor expansion in floats).
 """
 
 import math
