@@ -117,7 +117,8 @@ def compute_Rc(A, b1_d, eps_thrust):
         raise HeadingDegenerate("heading parallel to thrust axis")
     q1, q2, q3 = -c1 / norm_C, -c2 / norm_C, -c3 / norm_C
     p1, p2, p3 = q2 * r3 - q3 * r2, q3 * r1 - q1 * r3, q1 * r2 - q2 * r1
-    return np.array([[p1, q1, r1], [p2, q2, r2], [p3, q3, r3]])
+    # one flat list, reshaped: numpy builds it faster than three nested rows
+    return np.array([p1, q1, r1, p2, q2, r2, p3, q3, r3]).reshape(3, 3)
 
 
 def compute_Omega_c(history, dt):

@@ -167,9 +167,10 @@ def expm_so3(phi):
         raise DegenerateMatrix(f"rotation vector must have a finite norm, got |phi|^2 = {theta2}")
     s1, s2, s3 = a * p1, a * p2, a * p3
     b12, b13, b23 = b * p1 * p2, b * p1 * p3, b * p2 * p3
-    return np.array([[1.0 - b * (q2 + q3), b12 - s3, b13 + s2],
-                     [b12 + s3, 1.0 - b * (q1 + q3), b23 - s1],
-                     [b13 - s2, b23 + s1, 1.0 - b * (q1 + q2)]])
+    # one flat list, reshaped: numpy builds it faster than three nested rows
+    return np.array([1.0 - b * (q2 + q3), b12 - s3, b13 + s2,
+                     b12 + s3, 1.0 - b * (q1 + q3), b23 - s1,
+                     b13 - s2, b23 + s1, 1.0 - b * (q1 + q2)]).reshape(3, 3)
 
 
 def orthonormalize(M):
