@@ -20,16 +20,11 @@ Rotor allocation uses the mixing matrix
 Row two differs from a commonly reproduced singular variant; it follows
 directly from the rotor positions (see README).
 
-The step computes in Python floats.  It unpacks the packed state, the
-trajectory point and both network outputs once with tolist(); the geometry
-helpers (compute_A, compute_thrust, compute_Rc, compute_Omega_c,
-compute_moment and se3.attitude_error, angular_velocity_error) take
-3-sequences of floats, and 3x3 matrices as three rows of floats, and work
-in float arithmetic.  compute_A, compute_moment and angular_velocity_error
-return three floats; compute_Rc, compute_Omega_c and attitude_error return
-arrays, which the step unpacks again.  Arrays are accepted as well.  The
-computed-attitude history holds rows of floats, and the step builds its
-(39,) output with one np.array call.
+The step computes in Python floats: it reads the packed state and the
+network outputs with one tolist() each, and the geometry helpers take and
+return 3-sequences of floats and 3x3 matrices as three rows of floats.
+Arrays remain in the network input, the forward pass and the error signals
+of the weight update.
 """
 
 import math
@@ -89,7 +84,7 @@ def compute_Rc(A, b1_d, eps_thrust):
 
     Column three is -A/||A||; column one is the projection of b1_d onto the
     plane orthogonal to it; column two completes the right-handed triad.
-    Returns a 3x3 array.
+    Returns three rows of floats.
 
     Both checks are negated comparisons, so a NaN norm fails them.  The norms
     are square roots of sums of squares, so a finite A whose squares
@@ -117,8 +112,7 @@ def compute_Rc(A, b1_d, eps_thrust):
         raise HeadingDegenerate("heading parallel to thrust axis")
     q1, q2, q3 = -c1 / norm_C, -c2 / norm_C, -c3 / norm_C
     p1, p2, p3 = q2 * r3 - q3 * r2, q3 * r1 - q1 * r3, q1 * r2 - q2 * r1
-    # one flat list, reshaped: numpy builds it faster than three nested rows
-    return np.array([p1, q1, r1, p2, q2, r2, p3, q3, r3]).reshape(3, 3)
+    return (p1, q1, r1), (p2, q2, r2), (p3, q3, r3)
 
 
 def compute_Omega_c(history, dt):
@@ -127,10 +121,10 @@ def compute_Omega_c(history, dt):
     `history` holds the last up-to-three computed attitudes, oldest first,
     each as three rows of floats.  Backward differences: Omega_c = vee of
     the skew part of R_c^T Rdot_c; zero until enough samples accumulate
-    (first step returns zeros).  Returns two (3,) arrays.
+    (first step returns zeros).  Returns two float triples.
     """
     if len(history) < 2:
-        return np.zeros(3), np.zeros(3)
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
 
     def rate(R_prev, R_now):
         # vee of the skew part of M = R_now^T D, D = (R_now - R_prev) / dt
@@ -147,11 +141,11 @@ def compute_Omega_c(history, dt):
         m32 = n13 * d12 + n23 * d22 + n33 * d32
         return 0.5 * (m32 - m23), 0.5 * (m13 - m31), 0.5 * (m21 - m12)
 
-    w1, w2, w3 = rate(history[-2], history[-1])
+    w1, w2, w3 = Omega_c = rate(history[-2], history[-1])
     if len(history) < 3:
-        return np.array([w1, w2, w3]), np.zeros(3)
+        return Omega_c, (0.0, 0.0, 0.0)
     u1, u2, u3 = rate(history[-3], history[-2])
-    return np.array([w1, w2, w3]), np.array([(w1 - u1) / dt, (w2 - u2) / dt, (w3 - u3) / dt])
+    return Omega_c, ((w1 - u1) / dt, (w2 - u2) / dt, (w3 - u3) / dt)
 
 
 def compute_moment(e_R, e_Omega, Omega, R, R_c, Omega_c, Omega_c_dot,
@@ -220,36 +214,34 @@ class GeometricAdaptiveController:
     def step(self, s, traj, dt):
         """Compute the command for packed state s and advance the networks.
 
-        Returns a new (39,) vector laid out as layout.OUTPUT; its weight norms
-        are those of the weights the command used, before this step's update.
+        Returns a list of 39 floats laid out as layout.OUTPUT, the clip flags
+        as 1.0 or 0.0; its weight norms are those of the weights the command
+        used, before this step's update.
         Degenerate-geometry errors propagate to the caller, which is expected
         to abort the run.
         """
         gains, quad = self.gains, self.quad
         # everything is Python floats, apart from the network input, the
-        # forward pass and the weight update, up to the output array
+        # forward pass and the weight update
         x, v, R, Omega = state_floats(s)
         x_nn, self._last_angles = build_network_input(
             x, v, R, Omega, fallback_angles=self._last_angles)
         nn1, nn2, pair = self.nn1, self.nn2, self.pair
         y, (features1, features2) = nn_output(pair, x_nn)
 
-        x_d, v_d = traj.x_d.tolist(), traj.v_d.tolist()
         y = y.tolist()
         delta1_hat, delta2_hat = y[0:3], y[3:6]
-        e_x = [a - b for a, b in zip(x, x_d)]
-        e_v = [a - b for a, b in zip(v, v_d)]
+        e_x = [a - b for a, b in zip(x, traj.x_d)]
+        e_v = [a - b for a, b in zip(v, traj.v_d)]
 
-        A = compute_A(e_x, e_v, delta1_hat, traj.a_d.tolist(), gains, quad.m, quad.g)
+        A = compute_A(e_x, e_v, delta1_hat, traj.a_d, gains, quad.m, quad.g)
         f = compute_thrust(A, R)
-        R_c = compute_Rc(A, traj.b1_d.tolist(), self.eps_thrust).tolist()
+        R_c = compute_Rc(A, traj.b1_d, self.eps_thrust)
 
         self._rc_history.append(R_c)
         Omega_c, Omega_c_dot = compute_Omega_c(self._rc_history, dt)
-        Omega_c, Omega_c_dot = Omega_c.tolist(), Omega_c_dot.tolist()
 
         e_R, psi = attitude_error(R, R_c)
-        e_R = e_R.tolist()
         e_Om = angular_velocity_error(R, R_c, Omega, Omega_c)
 
         M_c = compute_moment(e_R, e_Om, Omega, R, R_c, Omega_c, Omega_c_dot,
@@ -262,9 +254,9 @@ class GeometricAdaptiveController:
                                   for T in thrusts))
         # the fields in OUTPUT_SCHEMA order (the array reference of
         # test_step_matches_array_reference writes them through OUTPUT)
-        out = np.array([*e_x, *e_v, *e_R, *e_Om, psi, f, *M_c, *thrusts, *omegas,
-                        *saturated, *delta1_hat, *delta2_hat,
-                        nn1.W_norm, nn1.V_norm, nn2.W_norm, nn2.V_norm])
+        out = [*e_x, *e_v, *e_R, *e_Om, psi, f, *M_c, *thrusts, *omegas,
+               *map(float, saturated), *delta1_hat, *delta2_hat,
+               nn1.W_norm, nn1.V_norm, nn2.W_norm, nn2.V_norm]
 
         if self.adaptation:
             c1, c2 = gains.c1, gains.c2

@@ -15,9 +15,8 @@ The stage is a float interface: a wrench callback receives (t, x, v, R,
 Omega) as Python floats, R as three rows, and returns (U_e, M_e) as two
 float triples; simplified_wrench computes such a wrench.  The step reads the
 packed state with one tolist() and composes each stage attitude
-R0 exp(hat(phi)) in floats from the Rodrigues entries of expm_so3.  Arrays
-appear only in expm_so3's result, whose rows the step reads back, and in the
-one packed state a step builds, at its close.
+R0 exp(hat(phi)) in floats from the rows of expm_so3.  Its one array is the
+packed state it builds at its close.
 """
 
 import math
@@ -156,7 +155,7 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
 
     def attitude(phi):
         # R0 exp(hat(phi)), three rows of floats
-        (e11, e12, e13), (e21, e22, e23), (e31, e32, e33) = expm_so3(phi).tolist()
+        (e11, e12, e13), (e21, e22, e23), (e31, e32, e33) = expm_so3(phi)
         return ((a11 * e11 + a12 * e21 + a13 * e31, a11 * e12 + a12 * e22 + a13 * e32,
                  a11 * e13 + a12 * e23 + a13 * e33),
                 (a21 * e11 + a22 * e21 + a23 * e31, a21 * e12 + a22 * e22 + a23 * e32,

@@ -7,23 +7,24 @@ against declared maxima.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-_E1 = np.array([1.0, 0.0, 0.0])
+_ZERO3 = (0.0, 0.0, 0.0)
+_E1 = (1.0, 0.0, 0.0)
 
 
 class TrajectoryPoint(NamedTuple):
     """Desired position and its first two derivatives, inertial frame, and
-    the unit heading direction with its rate."""
+    the unit heading direction with its rate, each three floats."""
 
-    x_d: np.ndarray
-    v_d: np.ndarray
-    a_d: np.ndarray
-    b1_d: np.ndarray
-    b1_d_dot: np.ndarray
+    x_d: tuple
+    v_d: tuple
+    a_d: tuple
+    b1_d: tuple
+    b1_d_dot: tuple
 
 
 @dataclass(frozen=True)
@@ -34,33 +35,33 @@ class WindField:
     air and reads no other field; the other kinds start from base; the gust
     adds amplitude*direction after onset; the sinusoid adds
     amplitude*direction*sin(2 pi frequency t).  The config loader rejects a
-    non-zero base under "none" and a non-zero amplitude under "none" or
-    "constant", which those kinds would ignore.
+    non-default value of a field that the kind does not read.
     """
 
     kind: str = "none"
-    base: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    base: tuple = _ZERO3
     amplitude: float = 0.0
     onset: float = 0.0
     frequency: float = 0.0
-    direction: np.ndarray = field(default_factory=lambda: _E1.copy())
+    direction: tuple = _E1
 
     def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        d = np.asarray(self.direction, dtype=float)
+        object.__setattr__(self, "base", tuple(map(float, self.base)))
+        d = tuple(map(float, self.direction))
         if self.kind not in ("none", "constant", "step_gust", "sinusoidal"):
             raise ValueError(f"unknown wind kind {self.kind!r}")
         if self.kind in ("step_gust", "sinusoidal"):
             if self.amplitude < 0.0:
                 raise ValueError("amplitude must be non-negative")
-            if not np.isfinite(d).all():
-                raise ValueError(f"direction must be finite, got {d.tolist()}")
-            if not d.any():
+            if not all(map(math.isfinite, d)):
+                raise ValueError(f"direction must be finite, got {list(d)}")
+            if not any(d):
                 raise ValueError("direction must be non-zero")
             # scaled by the largest entry first, so that math.hypot cannot
             # overflow (np.linalg.norm does at 1e300)
-            d = d / np.abs(d).max()
-            d = d / math.hypot(*d.tolist())
+            scale = max(map(abs, d))
+            norm = math.hypot(*(x / scale for x in d))
+            d = tuple(x / scale / norm for x in d)
         object.__setattr__(self, "direction", d)
 
     @property
@@ -72,15 +73,16 @@ class WindField:
 
 
 def wind_at(field_, t):
-    """Wind velocity of a WindField at time t >= 0 [m/s, inertial]."""
+    """Wind velocity of a WindField at time t >= 0 [m/s, inertial], three floats."""
     if field_.kind == "none":
-        return np.zeros(3)
-    v = field_.base.copy()
+        return _ZERO3
     if field_.kind == "step_gust" and t >= field_.onset:
-        v = v + field_.amplitude * field_.direction
+        scale = field_.amplitude
     elif field_.kind == "sinusoidal":
-        v = v + field_.amplitude * math.sin(2.0 * math.pi * field_.frequency * t) * field_.direction
-    return v
+        scale = field_.amplitude * math.sin(2.0 * math.pi * field_.frequency * t)
+    else:
+        return field_.base
+    return tuple(b + scale * d for b, d in zip(field_.base, field_.direction))
 
 
 @dataclass(frozen=True)
@@ -100,14 +102,14 @@ class TrajectoryGenerator:
     """
 
     kind: str = "hover"
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    center: tuple = _ZERO3
     radius: float = 1.0
     omega: float = 0.5
     v_z: float = 0.0
     heading: str = "tangent"
-    amplitudes: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.0]))
-    frequencies: np.ndarray = field(default_factory=lambda: np.array([1.0, 2.0, 0.0]))
-    phases: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.5 * math.pi, 0.0]))
+    amplitudes: tuple = (1.0, 1.0, 0.0)
+    frequencies: tuple = (1.0, 2.0, 0.0)
+    phases: tuple = (0.0, 0.5 * math.pi, 0.0)
 
     def __post_init__(self):
         if self.kind not in ("hover", "circle", "helix", "lissajous"):
@@ -115,7 +117,7 @@ class TrajectoryGenerator:
         if self.heading not in ("tangent", "fixed"):
             raise ValueError(f"unknown heading law {self.heading!r}")
         for name in ("center", "amplitudes", "frequencies", "phases"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if self.kind in ("circle", "helix"):
             if self.radius <= 0.0:
                 raise ValueError("radius must be positive")
@@ -129,7 +131,7 @@ class TrajectoryGenerator:
             return 0.0
         if self.kind in ("circle", "helix"):
             return math.hypot(self.radius * self.omega, self.v_z)
-        return float(np.linalg.norm(self.amplitudes * self.frequencies))
+        return float(np.linalg.norm(np.multiply(self.amplitudes, self.frequencies)))
 
     @property
     def max_accel(self):
@@ -137,7 +139,7 @@ class TrajectoryGenerator:
             return 0.0
         if self.kind in ("circle", "helix"):
             return self.radius * self.omega ** 2
-        return float(np.linalg.norm(self.amplitudes * self.frequencies ** 2))
+        return float(np.linalg.norm(np.multiply(self.amplitudes, np.square(self.frequencies))))
 
     @property
     def max_jerk(self):
@@ -145,31 +147,30 @@ class TrajectoryGenerator:
             return 0.0
         if self.kind in ("circle", "helix"):
             return self.radius * abs(self.omega) ** 3
-        return float(np.linalg.norm(self.amplitudes * np.abs(self.frequencies) ** 3))
+        return float(np.linalg.norm(np.multiply(self.amplitudes, np.abs(self.frequencies) ** 3)))
 
 
 def trajectory_at(gen, t):
     """TrajectoryPoint of a generator at time t >= 0."""
     if gen.kind == "hover":
-        return TrajectoryPoint(x_d=gen.center, v_d=np.zeros(3), a_d=np.zeros(3),
-                               b1_d=_E1, b1_d_dot=np.zeros(3))
+        return TrajectoryPoint(x_d=gen.center, v_d=_ZERO3, a_d=_ZERO3, b1_d=_E1, b1_d_dot=_ZERO3)
 
     if gen.kind in ("circle", "helix"):
-        r, w = gen.radius, gen.omega
+        r, w, v_z = gen.radius, gen.omega, gen.v_z
         c, s = math.cos(w * t), math.sin(w * t)
-        x = gen.center + np.array([r * c, r * s, -gen.v_z * t])
-        v = np.array([-r * w * s, r * w * c, -gen.v_z])
-        a = np.array([-r * w * w * c, -r * w * w * s, 0.0])
+        c1, c2, c3 = gen.center
+        x = (c1 + r * c, c2 + r * s, c3 + -v_z * t)
+        v = (-r * w * s, r * w * c, -v_z)
+        a = (-r * w * w * c, -r * w * w * s, 0.0)
         if gen.heading == "fixed":
-            return TrajectoryPoint(x_d=x, v_d=v, a_d=a, b1_d=_E1, b1_d_dot=np.zeros(3))
+            return TrajectoryPoint(x_d=x, v_d=v, a_d=a, b1_d=_E1, b1_d_dot=_ZERO3)
         # unit tangent; speed is constant so its rate is analytic
-        speed = math.hypot(r * w, gen.v_z)
-        b1 = v / speed
-        return TrajectoryPoint(x_d=x, v_d=v, a_d=a, b1_d=b1, b1_d_dot=a / speed)
+        speed = math.hypot(r * w, v_z)
+        return TrajectoryPoint(x_d=x, v_d=v, a_d=a, b1_d=tuple(vi / speed for vi in v),
+                               b1_d_dot=tuple(ai / speed for ai in a))
 
-    # lissajous
-    arg = gen.frequencies * t + gen.phases
-    x = gen.center + gen.amplitudes * np.sin(arg)
-    v = gen.amplitudes * gen.frequencies * np.cos(arg)
-    a = -gen.amplitudes * gen.frequencies ** 2 * np.sin(arg)
-    return TrajectoryPoint(x_d=x, v_d=v, a_d=a, b1_d=_E1, b1_d_dot=np.zeros(3))
+    # lissajous, axis by axis
+    x, v, a = zip(*((c + A * math.sin(f * t + p), A * f * math.cos(f * t + p),
+                     -A * (f * f) * math.sin(f * t + p))
+                    for c, A, f, p in zip(gen.center, gen.amplitudes, gen.frequencies, gen.phases)))
+    return TrajectoryPoint(x_d=x, v_d=v, a_d=a, b1_d=_E1, b1_d_dot=_ZERO3)

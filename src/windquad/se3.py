@@ -1,4 +1,5 @@
-"""Rotation-group primitives: hat/vee maps, attitude errors, Euler angles.
+"""Rotation-group primitives: hat/vee maps, attitude errors, Euler angles,
+the rotation exponential and the projection onto SO(3).
 
 Conventions
 -----------
@@ -6,15 +7,12 @@ Rotation matrices map body-frame coordinates to inertial-frame coordinates
 (R^T R = I, det R = +1).  Euler angles use the intrinsic Z-Y-X
 (yaw-pitch-roll) sequence.  All angles in radians.
 
-Vectors and matrices are float ndarrays and are used as given, except in
-the functions the controller step, the integrator and the network inputs
-call, which take 3-sequences of floats (and 3x3 matrices as three rows of
-floats) as well as arrays: attitude_error, computed_to_body,
-angular_velocity_error, expm_so3, orthonormalize and euler_zyx.  Each
-computes in float arithmetic and builds at most one array:
-computed_to_body and angular_velocity_error return three floats, euler_zyx
-uses math and returns three floats, and orthonormalize returns the form it
-was given (its determinant is a cofactor expansion in floats).
+The functions that the controller step, the integrator and the network
+inputs call work in Python floats: attitude_error, computed_to_body,
+angular_velocity_error, expm_so3, orthonormalize and euler_zyx take
+3-sequences of floats and 3x3 matrices as three rows of floats (arrays
+too), and return floats, a matrix as three rows.  rotation_zyx, which the
+config loader calls, returns an array.
 """
 
 import math
@@ -66,11 +64,11 @@ def vee(M, tol=SKEW_TOL):
 def attitude_error(R, R_c):
     """Attitude error vector and configuration error of R relative to R_c.
 
-    R and R_c are 3x3: arrays, or three rows of floats.
+    R and R_c are 3x3: three rows of floats, or arrays.
 
     Returns
     -------
-    e_R : (3,) ndarray
+    e_R : three floats
         0.5 * (R_c^T R - R^T R_c)^vee.
     psi : float
         0.5 * tr(I - R_c^T R), in [0, 2]; zero iff R == R_c.
@@ -87,7 +85,7 @@ def attitude_error(R, R_c):
     q31 = c13 * r11 + c23 * r21 + c33 * r31
     q23 = c12 * r13 + c22 * r23 + c32 * r33
     q32 = c13 * r12 + c23 * r22 + c33 * r32
-    e_R = np.array([0.5 * (q32 - q23), 0.5 * (q13 - q31), 0.5 * (q21 - q12)])
+    e_R = (0.5 * (q32 - q23), 0.5 * (q13 - q31), 0.5 * (q21 - q12))
     return e_R, 0.5 * ((1.0 - q11) + (1.0 - q22) + (1.0 - q33))
 
 
@@ -143,9 +141,9 @@ def euler_zyx(R, tol=GIMBAL_TOL):
 def expm_so3(phi):
     """Rotation exponential exp(hat(phi)) via the Rodrigues formula.
 
-    phi may be any 3-sequence of floats: the integrator passes the chart of
-    an RK4 stage as a list.  The matrix I + a hat(phi) + b (phi phi^T -
-    theta^2 I) is formed from the three floats and becomes one array here.
+    phi is a 3-sequence of floats: the integrator passes the chart of an
+    RK4 stage as a list.  Returns I + a hat(phi) + b (phi phi^T - theta^2 I)
+    as three rows of floats.
 
     Raises
     ------
@@ -167,24 +165,24 @@ def expm_so3(phi):
         raise DegenerateMatrix(f"rotation vector must have a finite norm, got |phi|^2 = {theta2}")
     s1, s2, s3 = a * p1, a * p2, a * p3
     b12, b13, b23 = b * p1 * p2, b * p1 * p3, b * p2 * p3
-    # one flat list, reshaped: numpy builds it faster than three nested rows
-    return np.array([1.0 - b * (q2 + q3), b12 - s3, b13 + s2,
-                     b12 + s3, 1.0 - b * (q1 + q3), b23 - s1,
-                     b13 - s2, b23 + s1, 1.0 - b * (q1 + q2)]).reshape(3, 3)
+    return ((1.0 - b * (q2 + q3), b12 - s3, b13 + s2),
+            (b12 + s3, 1.0 - b * (q1 + q3), b23 - s1),
+            (b13 - s2, b23 + s1, 1.0 - b * (q1 + q2)))
 
 
 def orthonormalize(M):
-    """Closest rotation matrix in the polar/SVD sense.
+    """Closest rotation matrix in the polar/SVD sense, as three rows of floats.
 
-    M is 3x3: an array, or three rows of floats as the integrator's close
-    passes it; the rotation is returned in the same form, a (3, 3) array or
-    three tuples of three floats.  The determinant is a cofactor expansion
-    in floats.  After its check, a matrix near SO(3)
-    (||M^T M - I||_F < POLAR_NEWTON_RANGE) takes Newton-Schulz steps
-    R <- R (3I - R^T R) / 2, which converge quadratically to the polar
-    factor, until ||R^T R - I||_F is at most ROUNDING_DEFECT; a rotation
-    already there is returned unchanged.  A farther matrix takes the SVD,
-    once its entries are checked finite (a non-finite one is never near).
+    M is 3x3: three rows of floats as the integrator's close passes them,
+    or an array; its entries are read as Python floats, on which an
+    overflow or 0 * inf gives inf or NaN without a numpy warning.  The
+    determinant is a cofactor expansion in floats.  After its check, a
+    matrix near SO(3) (||M^T M - I||_F < POLAR_NEWTON_RANGE) takes
+    Newton-Schulz steps R <- R (3I - R^T R) / 2, which converge
+    quadratically to the polar factor, until ||R^T R - I||_F is at most
+    ROUNDING_DEFECT; a rotation already there is returned unchanged.  A
+    farther matrix takes the SVD, once its entries are checked finite (a
+    non-finite one is never near).
 
     Raises
     ------
@@ -192,10 +190,8 @@ def orthonormalize(M):
         If det M is not positive (NaN included), an entry is not finite, or
         M is near rank-deficient.
     """
-    is_array = isinstance(M, np.ndarray)
-    rows = M.tolist() if is_array else M
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    entries = (a, b, c, d, e, f, g, h, i)
+    r1, r2, r3 = M
+    entries = a, b, c, d, e, f, g, h, i = tuple(map(float, (*r1, *r2, *r3)))
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     # a cofactor holds 0 * inf = NaN on some infinite entries, where an LU
     # determinant is +-inf: without a NaN entry, the finiteness check below
@@ -211,8 +207,7 @@ def orthonormalize(M):
         defect2 = (x11 * x11 + x22 * x22 + x33 * x33
                    + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23))
         if defect2 <= ROUNDING_DEFECT ** 2:
-            R = ((a, b, c), (d, e, f), (g, h, i))
-            return np.array(R) if is_array else R
+            return (a, b, c), (d, e, f), (g, h, i)
         # a non-finite M gives a NaN or infinite defect and leaves here too
         if steps == POLAR_NEWTON_STEPS or not defect2 < POLAR_NEWTON_RANGE ** 2:
             break
@@ -226,11 +221,12 @@ def orthonormalize(M):
         g, h, i = (g * h11 + h * h12 + i * h13, g * h12 + h * h22 + i * h23,
                    g * h13 + h * h23 + i * h33)
 
+    rows = [list(entries[k:k + 3]) for k in (0, 3, 6)]
     if not all(map(math.isfinite, entries)):
         # an infinite entry can pass the determinant check (diag(inf, 1, 1)
         # has det +inf), and np.linalg.svd does not return on it
-        raise DegenerateMatrix(f"matrix entries must be finite, got {[list(r) for r in rows]}")
-    U, s, Vt = np.linalg.svd(np.array(rows, dtype=float))
+        raise DegenerateMatrix(f"matrix entries must be finite, got {rows}")
+    U, s, Vt = np.linalg.svd(np.array(rows))
     if s[-1] < 1e-12 * max(1.0, s[0]):
         raise DegenerateMatrix("matrix is near rank-deficient")
     R = U @ Vt
@@ -239,4 +235,4 @@ def orthonormalize(M):
         # kept as a hard guarantee of det(+1)
         U[:, -1] = -U[:, -1]
         R = U @ Vt
-    return R if is_array else tuple(map(tuple, R.tolist()))
+    return tuple(tuple(map(float, row)) for row in R)

@@ -131,6 +131,8 @@ def run_simulation(config):
         raise ValidationError(f"simulation.duration = {duration}: {exc}") from None
     nn_error_sq = np.empty((len(telemetry), 2)) if targets is not None else None
     n_rec = 0
+    # the state as floats: the finiteness check and the next telemetry row
+    state_row = state.tolist()
 
     def abort(step, reason):
         err = SimulationAbort(step, reason)
@@ -157,32 +159,30 @@ def run_simulation(config):
             except NonFiniteWeights as exc:
                 abort(k, f"adaptation failure: {exc}")
 
-            # the Lyapunov row and the wrench take the commands as Python floats
-            command = out.tolist()
             if record:
                 if weight_sq is not None:
                     nn_error_sq[n_rec] = [W_sq + V_sq for W_sq, V_sq in weight_sq]
                 V1, V2, V = lyapunov_value(
-                    *(command[OUTPUT[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
+                    *(out[OUTPUT[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
                     gains, quad.m, quad.J_rows, weight_sq=weight_sq)
                 # one write, in SCHEMA order: t, state, x_d, output, the
                 # three Lyapunov columns, v_w
-                telemetry[n_rec] = [t, *state.tolist(), *traj.x_d.tolist(), *command,
-                                    V1, V2, V, *wind_at(wind, t).tolist()]
+                telemetry[n_rec] = [t, *state_row, *traj.x_d, *out,
+                                    V1, V2, V, *wind_at(wind, t)]
                 n_rec += 1
 
             if mode == "full_aero":
-                omegas = command[OUTPUT["omegas"]]
+                omegas = out[OUTPUT["omegas"]]
                 # RK4 stages 2 and 3 share one time: sample the wind once per time
                 stage_wind = [None, None]
 
                 def wrench(ts, x, v, R, Omega):
                     if stage_wind[0] != ts:
-                        stage_wind[:] = ts, wind_at(wind, ts).tolist()
+                        stage_wind[:] = ts, wind_at(wind, ts)
                     return resultant_wrench(v, R, Omega, stage_wind[1], omegas, quad,
                                             aero, omega_min, inflow)
             else:
-                f_cmd, M_cmd = command[OUTPUT["f"]], command[OUTPUT["M_c"]]
+                f_cmd, M_cmd = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
 
                 def wrench(ts, x, v, R, Omega):
                     delta1, delta2 = delta_fn(ts, x, v, R, Omega)
@@ -200,7 +200,8 @@ def run_simulation(config):
 
             # a finite float sum proves every entry finite; a NaN or an
             # infinite entry makes it non-finite, and so can an overflow
-            if not math.isfinite(sum(state.tolist())):
+            state_row = state.tolist()
+            if not math.isfinite(sum(state_row)):
                 finite = np.isfinite(state)
                 if not finite.all():
                     name = next(name for name, cols in STATE.items() if not finite[cols].all())

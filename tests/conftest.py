@@ -34,7 +34,7 @@ def random_rotation(rng, max_angle=math.pi):
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)
-    return expm_so3(angle * axis)
+    return np.array(expm_so3(angle * axis))
 
 
 def at_rest():

@@ -300,8 +300,9 @@ def velocity_error_residuals(dt, duration=2.0):
         e_x, e_v, R, Omega = unpack_state(s)     # hover target at the origin
         A = compute_A(e_x, e_v, np.zeros(3), np.zeros(3), gains, quad.m, quad.g)
         f = compute_thrust(A, R)
-        R_c = compute_Rc(A, b1_d, 1e-6 * quad.m * quad.g)
+        R_c = np.array(compute_Rc(A, b1_d, 1e-6 * quad.m * quad.g))
         e_R, _ = attitude_error(R, R_c)
+        e_R = np.array(e_R)
         M_c = (-gains.k_R * e_R - gains.k_Omega * Omega
                + cross3(Omega, quad.J @ Omega))
         return f, M_c, R_c, e_x, e_v

@@ -117,7 +117,7 @@ def test_Rc_always_rotation(rng):
         b1 /= np.linalg.norm(b1)
         if np.linalg.norm(np.cross(-A / np.linalg.norm(A), b1)) < 1e-3:
             continue
-        R_c = compute_Rc(A, b1, 1e-9)
+        R_c = np.array(compute_Rc(A, b1, 1e-9))
         assert is_rotation(R_c, tol=1e-12)
         assert np.allclose(R_c[:, 2], -A / np.linalg.norm(A), atol=1e-12)
 
@@ -125,7 +125,7 @@ def test_Rc_always_rotation(rng):
 def test_Rc_first_column_is_heading_projection(rng):
     A = np.array([1.0, -2.0, -9.0])
     b1 = np.array([0.6, 0.8, 0.0])
-    R_c = compute_Rc(A, b1, 1e-9)
+    R_c = np.array(compute_Rc(A, b1, 1e-9))
     b3 = R_c[:, 2]
     proj = b1 - b3 * (b3 @ b1)
     assert np.allclose(R_c[:, 0], proj / np.linalg.norm(proj), atol=1e-12)
@@ -148,7 +148,7 @@ def test_rates_analytic_yaw():
     w = 0.5
     for dt in (1e-3, 5e-4):
         history = [expm_so3(np.array([0, 0, w]) * (k * dt)) for k in range(3)]
-        Om, _ = compute_Omega_c(history, dt)
+        Om, _ = map(np.array, compute_Omega_c(history, dt))
         err = np.linalg.norm(Om - [0, 0, w])
         assert err < w * dt  # at worst first-order accurate
 

@@ -44,15 +44,15 @@ def test_principal_axis_spin_exact():
         st = step_rk4(st, dt, free_wrench, quad)
     _, _, R, Omega = unpack_state(st)
     assert np.allclose(Omega, Om0, atol=1e-13)
-    assert np.linalg.norm(R - expm_so3(Om0 * T)) < 1e-8
+    assert np.linalg.norm(R - np.array(expm_so3(Om0 * T))) < 1e-8
 
 
 def symmetric_top_closed_form(Om0, J, t):
     """R(t), Omega(t) for a torque-free symmetric top (J1 == J2)."""
     s = Om0[2] * (J[2, 2] - J[0, 0]) / J[0, 0]
     e3 = np.array([0.0, 0.0, 1.0])
-    R = expm_so3(t * (Om0 + s * e3)) @ expm_so3(-s * t * e3)
-    Om = expm_so3(s * t * e3) @ Om0
+    R = np.array(expm_so3(t * (Om0 + s * e3))) @ np.array(expm_so3(-s * t * e3))
+    Om = np.array(expm_so3(s * t * e3)) @ Om0
     return R, Om
 
 
@@ -146,7 +146,7 @@ def _dexpinv(phi, Omega):
 
 def compose(R0, phi):
     """R0 exp(hat(phi)) as three rows of floats, each entry summed left to right."""
-    A, E = R0.tolist(), expm_so3(phi).tolist()
+    A, E = R0.tolist(), expm_so3(phi)
     return [[A[i][0] * E[0][j] + A[i][1] * E[1][j] + A[i][2] * E[2][j] for j in range(3)]
             for i in range(3)]
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from windquad.scenarios import (TrajectoryGenerator, WindField, trajectory_at,
-                                wind_at)
+from windquad.scenarios import (TrajectoryGenerator, TrajectoryPoint, WindField,
+                                trajectory_at, wind_at)
 
 
 # --- wind fields ---------------------------------------------------------------
@@ -60,10 +60,15 @@ def test_gust_direction_rejects_non_finite_or_zero(direction):
 
 # --- trajectories ----------------------------------------------------------------
 
+def point_at(gen, t):
+    """trajectory_at with each field read as an array."""
+    return TrajectoryPoint(*map(np.array, trajectory_at(gen, t)))
+
+
 def fd_check(gen, t, h=1e-4, tol=1e-6):
-    plus = trajectory_at(gen, t + h)
-    minus = trajectory_at(gen, t - h)
-    here = trajectory_at(gen, t)
+    plus = point_at(gen, t + h)
+    minus = point_at(gen, t - h)
+    here = point_at(gen, t)
     assert np.linalg.norm((plus.x_d - minus.x_d) / (2 * h) - here.v_d) < tol
     assert np.linalg.norm((plus.v_d - minus.v_d) / (2 * h) - here.a_d) < tol
     assert np.linalg.norm((plus.b1_d - minus.b1_d) / (2 * h) - here.b1_d_dot) < tol
@@ -113,8 +118,8 @@ def test_declared_bounds_hold():
         assert a <= gen.max_accel + 1e-9
         # jerk bound via finite differences of acceleration
         h = 1e-4
-        j = max(np.linalg.norm((trajectory_at(gen, t + h).a_d
-                                - trajectory_at(gen, t - h).a_d) / (2 * h))
+        j = max(np.linalg.norm((point_at(gen, t + h).a_d
+                                - point_at(gen, t - h).a_d) / (2 * h))
                 for t in ts[::40])
         assert j <= gen.max_jerk + 1e-4
 

@@ -72,6 +72,7 @@ def test_psi_bounds_random(rng):
         R = random_rotation(rng, max_angle=0.98 * math.pi)
         R_c = random_rotation(rng, max_angle=0.98 * math.pi)
         e_R, psi = attitude_error(R, R_c)
+        e_R = np.array(e_R)
         if psi >= 1.999:
             continue
         n2 = float(e_R @ e_R)
@@ -131,7 +132,7 @@ def test_expm_quarter_turn():
 
 def test_expm_small_angle_series(rng):
     v = 1e-6 * rng.standard_normal(3)
-    R = expm_so3(v)
+    R = np.array(expm_so3(v))
     assert is_rotation(R, tol=1e-14)
     assert np.allclose(vee(0.5 * (R - R.T)), v, atol=1e-15)
 
@@ -142,7 +143,7 @@ def test_expm_matches_matrix_exponential(rng):
     for theta in np.concatenate(([1e-9, 1e-5, 9.9e-5, 1.01e-4], rng.uniform(0.0, 3.0, 50))):
         axis = rng.standard_normal(3)
         phi = theta * axis / np.linalg.norm(axis)
-        R = expm_so3(phi.tolist())
+        R = np.array(expm_so3(phi.tolist()))
         assert np.allclose(R, scipy.linalg.expm(hat(phi)), rtol=0.0, atol=1e-14)
         assert is_rotation(R, tol=1e-14)
 
@@ -156,7 +157,7 @@ def test_expm_rejects_non_finite_chart(phi):
 
 def test_orthonormalize_idempotent(rng):
     R = random_rotation(rng)
-    assert np.linalg.norm(orthonormalize(R) - R) < 1e-14
+    assert np.linalg.norm(np.array(orthonormalize(R)) - R) < 1e-14
 
 
 def test_orthonormalize_removes_scale():
@@ -167,7 +168,7 @@ def test_orthonormalize_matches_polar_oracle(rng):
     for _ in range(50):
         R = random_rotation(rng)
         M = R + 1e-6 * rng.standard_normal((3, 3))
-        Q = orthonormalize(M)
+        Q = np.array(orthonormalize(M))
         assert np.linalg.norm(Q.T @ Q - np.eye(3)) < 1e-14
         U, _ = scipy.linalg.polar(M)
         assert np.allclose(Q, U, atol=1e-12)
@@ -233,7 +234,7 @@ def test_orthonormalize_keeps_rotations_and_far_inputs(rng):
     for _ in range(200):
         R = random_rotation(rng)
         if np.linalg.norm(R.T @ R - np.eye(3)) < 5e-16:
-            assert np.array_equal(orthonormalize(R), R)
+            assert np.array_equal(np.array(orthonormalize(R)), R)
         for scale in (0.5, 3.0, 1e80):
             assert np.allclose(orthonormalize(scale * R), R, atol=1e-14)
 

@@ -179,6 +179,7 @@ def test_value_matches_matrix_formula(rng):
         e_x, e_v, e_Om = (rng.standard_normal(3) * 10.0 ** rng.uniform(-2.0, 1.0)
                           for _ in range(3))
         e_R, psi = attitude_error(random_rotation(rng), random_rotation(rng))
+        e_R = np.array(e_R)
         weight_sq = tuple(tuple(rng.uniform(0.0, 4.0, 2)) for _ in range(2))
         for w in (None, weight_sq):
             ref = reference(e_x, e_v, e_R, e_Om, psi, g, m, J, w)
@@ -220,6 +221,7 @@ def test_value_attitude_sandwich(rng):
         R = random_rotation(rng, 1.2)
         R_c = random_rotation(rng, 1.2)
         e_R, psi = attitude_error(R, R_c)
+        e_R = np.array(e_R)
         if psi > psi1:
             continue
         n += 1
