@@ -5,10 +5,6 @@ class WindquadError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotSkewSymmetric(WindquadError):
-    """Input to the vee map is not skew-symmetric within tolerance."""
-
-
 class GimbalLock(WindquadError):
     """Euler extraction requested too close to pitch = +-pi/2."""
 

@@ -1,5 +1,5 @@
-"""Rotation-group primitives: hat/vee maps, attitude errors, Euler angles,
-the rotation exponential and the projection onto SO(3).
+"""Rotation-group primitives: attitude errors, Euler angles, the rotation
+exponential and the projection onto SO(3).
 
 Conventions
 -----------
@@ -19,13 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateMatrix, GimbalLock, NotSkewSymmetric
+from .errors import DegenerateMatrix, GimbalLock
 
-E1 = np.array([1.0, 0.0, 0.0])
-E2 = np.array([0.0, 1.0, 0.0])
-E3 = np.array([0.0, 0.0, 1.0])
-
-SKEW_TOL = 1e-8
 GIMBAL_TOL = 1e-6
 
 #: ||R^T R - I||_F at which orthonormalize counts R as closed: a few units
@@ -36,29 +31,6 @@ ROUNDING_DEFECT = 1e-15
 POLAR_NEWTON_RANGE = 0.1
 #: step cap, after which the SVD takes over
 POLAR_NEWTON_STEPS = 6
-
-
-def hat(v):
-    """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
-def vee(M, tol=SKEW_TOL):
-    """Inverse of the hat map.
-
-    Raises
-    ------
-    NotSkewSymmetric
-        If ||M + M^T||_F exceeds `tol`.
-    """
-    defect = np.linalg.norm(M + M.T)
-    if defect > tol:
-        raise NotSkewSymmetric(f"||M + M^T||_F = {defect:.3e} > {tol:.1e}")
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
 def attitude_error(R, R_c):

@@ -9,9 +9,43 @@ import math
 import numpy as np
 
 from windquad.aero import _ct_of_lambda
+from windquad.errors import WindquadError
+
+E1 = np.array([1.0, 0.0, 0.0])
+E2 = np.array([0.0, 1.0, 0.0])
+E3 = np.array([0.0, 0.0, 1.0])
+
+SKEW_TOL = 1e-8
 
 #: tolerance of is_rotation
 ROTATION_TOL = 1e-9
+
+
+class NotSkewSymmetric(WindquadError):
+    """Input to the vee map is not skew-symmetric within tolerance."""
+
+
+def hat(v):
+    """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
+    return np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+
+
+def vee(M, tol=SKEW_TOL):
+    """Inverse of the hat map.
+
+    Raises
+    ------
+    NotSkewSymmetric
+        If ||M + M^T||_F exceeds `tol`.
+    """
+    defect = np.linalg.norm(M + M.T)
+    if defect > tol:
+        raise NotSkewSymmetric(f"||M + M^T||_F = {defect:.3e} > {tol:.1e}")
+    return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
 def cross3(a, b):

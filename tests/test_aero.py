@@ -10,10 +10,10 @@ from windquad.aero import (RotorAeroParams, advance_ratios,
 from windquad.dynamics import SimplifiedModelParams, rotor_speed_from_thrust
 from windquad.errors import NoConvergence, RotorStopped
 from windquad.layout import pack_state, unpack_state
-from windquad.se3 import hat, rotation_zyx
+from windquad.se3 import rotation_zyx
 
 from conftest import at_rest, random_rotation, stage_of
-from oracles import cross3, thrust_inflow_residuals
+from oracles import cross3, hat, thrust_inflow_residuals
 
 
 def hover_quadratic_oracle(params):

@@ -15,10 +15,10 @@ from windquad.dynamics import SimplifiedModelParams, simplified_wrench, step_rk4
 from windquad.errors import DegenerateThrust, HeadingDegenerate, NonFiniteWeights
 from windquad.layout import OUTPUT, OUTPUT_COLUMNS, pack_state, unpack_state
 from windquad.scenarios import TrajectoryGenerator, TrajectoryPoint, trajectory_at
-from windquad.se3 import GIMBAL_TOL, euler_zyx, expm_so3, hat, rotation_zyx
+from windquad.se3 import GIMBAL_TOL, euler_zyx, expm_so3, rotation_zyx
 
 from conftest import at_rest, random_rotation
-from oracles import cross3, is_rotation
+from oracles import cross3, hat, is_rotation
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])

@@ -6,12 +6,11 @@ from windquad.aero import resultant_wrench
 from windquad.dynamics import (QuadParams, SimplifiedModelParams,
                                rotor_speed_from_thrust, simplified_wrench,
                                step_rk4)
-from windquad.errors import NotSkewSymmetric
 from windquad.layout import pack_state, unpack_state
 from windquad.se3 import expm_so3, orthonormalize
 
 from conftest import at_rest, random_rotation, stage_of
-from oracles import cross3
+from oracles import NotSkewSymmetric, cross3
 
 
 def free_wrench(t, x, v, R, Omega):

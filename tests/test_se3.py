@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from windquad.errors import DegenerateMatrix, GimbalLock, NotSkewSymmetric
+from windquad.errors import DegenerateMatrix, GimbalLock
 from windquad.se3 import (attitude_error, angular_velocity_error, euler_zyx,
-                          expm_so3, hat, orthonormalize, rotation_zyx, vee)
+                          expm_so3, orthonormalize, rotation_zyx)
 
 from conftest import random_rotation
-from oracles import attitude_error_jacobian, is_rotation
+from oracles import NotSkewSymmetric, attitude_error_jacobian, hat, is_rotation, vee
 
 E1, E2, E3 = np.eye(3)
 
