@@ -197,6 +197,29 @@ PLANT_KEYS = {
     ("quad", "d_v"): ("full_aero",),
 }
 
+#: keys that their own section's switch reads under some of its values
+#: only: (section, key) -> (switch key, the switch values that read it).
+#: Under any other switch value, a value that differs from its SCHEMA
+#: default is rejected at load time, since the run would drop it unread.
+SWITCH_KEYS = {
+    ("wind", "base"): ("kind", ("constant", "step_gust", "sinusoidal")),
+    ("wind", "amplitude"): ("kind", ("step_gust", "sinusoidal")),
+    ("wind", "onset"): ("kind", ("step_gust",)),
+    ("wind", "frequency"): ("kind", ("sinusoidal",)),
+    ("wind", "direction"): ("kind", ("step_gust", "sinusoidal")),
+    ("simplified", "c_t"): ("calibrate", (False,)),
+    ("simplified", "c_q"): ("calibrate", (False,)),
+}
+
+
+def _text(value):
+    """A parsed value as config text: a vector space-separated, a switch on/off."""
+    if isinstance(value, np.ndarray):
+        return " ".join(map(str, value.tolist()))
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return str(value)
+
 
 @dataclass
 class SimConfig:
@@ -206,6 +229,11 @@ class SimConfig:
 
     def get(self, section, key):
         return self.values[(section, key)]
+
+    def is_default(self, section, key):
+        """True when the value equals the SCHEMA default of its key."""
+        parse, default, _ = SCHEMA[section][key]
+        return np.array_equal(self.get(section, key), parse(default))
 
     # -- constructed objects -------------------------------------------------
 
@@ -279,15 +307,10 @@ class SimConfig:
         calibrate = self.get("simplified", "calibrate")
         lines = []
         for (section, key), plants in PLANT_KEYS.items():
-            if plant in plants or (section == "aero" and calibrate):
+            if (plant in plants or (section == "aero" and calibrate)
+                    or self.is_default(section, key)):
                 continue
-            value = self.get(section, key)
-            parse, default, _ = SCHEMA[section][key]
-            if np.array_equal(value, parse(default)):
-                continue
-            text = (" ".join(map(str, value.tolist())) if isinstance(value, np.ndarray)
-                    else str(value))
-            lines.append(f"{section}.{key} = {text}")
+            lines.append(f"{section}.{key} = {_text(self.get(section, key))}")
         return lines
 
     def initial_state(self):
@@ -352,17 +375,13 @@ def _validate(cfg):
         norm = cfg.get("disturbance", key)
         if cfg.get("simulation", "plant") == "synthetic" and norm * norm == float("inf"):
             raise ValidationError(f"disturbance.{key} must have a finite square, got {norm}")
-    # a value the wind kind never reads would be dropped without a word:
-    # none is still air, and constant is the base alone
-    kind = cfg.get("wind", "kind")
-    base = cfg.get("wind", "base")
-    if kind == "none" and base.any():
-        raise ValidationError(f"wind.base = {' '.join(map(str, base.tolist()))} has no "
-                              f"effect under wind.kind = none; set wind.kind = constant")
-    amplitude = cfg.get("wind", "amplitude")
-    if kind in ("none", "constant") and amplitude != 0.0:
-        raise ValidationError(f"wind.amplitude = {amplitude} has no effect under "
-                              f"wind.kind = {kind}; set wind.kind = step_gust or sinusoidal")
+    for (section, key), (switch, readers) in SWITCH_KEYS.items():
+        state = cfg.get(section, switch)
+        if state not in readers and not cfg.is_default(section, key):
+            raise ValidationError(
+                f"{section}.{key} = {_text(cfg.get(section, key))} has no effect under "
+                f"{section}.{switch} = {_text(state)}; it is read under "
+                f"{section}.{switch} = {' | '.join(map(_text, readers))}")
     # object constructors own the physical invariants
     builders = (("quad", cfg.quad), ("aero", cfg.aero), ("simplified", cfg.simplified),
                 ("gains", cfg.gains), ("nn1", lambda: cfg.network(1)),

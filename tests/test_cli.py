@@ -328,6 +328,34 @@ def test_wind_value_the_kind_ignores_is_rejected(tmp_path, capsys):
     assert not data[:, [header.index(c) for c in ("vw1", "vw2", "vw3")]].any()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[simplified]\ncalibrate = on\nc_t = 1e-5\n", "simplified.c_t"),
+    ("[simplified]\ncalibrate = on\nc_q = 1e-7\n", "simplified.c_q"),
+    ("[wind]\nkind = constant\nbase = 1 0 0\nonset = 2\n", "wind.onset"),
+    ("[wind]\nkind = sinusoidal\namplitude = 1\nfrequency = 1\nonset = 2\n", "wind.onset"),
+    ("[wind]\nkind = none\nfrequency = 1\n", "wind.frequency"),
+    ("[wind]\nkind = step_gust\namplitude = 1\nfrequency = 1\n", "wind.frequency"),
+    ("[wind]\nkind = none\ndirection = 0 1 0\n", "wind.direction"),
+    ("[wind]\nkind = constant\nbase = 1 0 0\ndirection = 0 1 0\n", "wind.direction"),
+    # the same keys under a switch value that reads them
+    ("[simplified]\ncalibrate = off\nc_t = 1e-5\nc_q = 1e-7\n", None),
+    ("[wind]\nkind = step_gust\namplitude = 1\nonset = 0.01\ndirection = 0 1 0\n", None),
+    ("[wind]\nkind = sinusoidal\namplitude = 1\nfrequency = 5\ndirection = 0 1 0\n", None),
+], ids=["c_t-calibrate", "c_q-calibrate", "onset-constant", "onset-sinusoidal",
+        "frequency-none", "frequency-step_gust", "direction-none", "direction-constant",
+        "read-calibrate-off", "read-step_gust", "read-sinusoidal"])
+def test_key_its_switch_ignores_is_rejected(tmp_path, capsys, text, named):
+    # a key that its own section's switch never reads exits 2 naming it
+    # (config.SWITCH_KEYS); a switch value that reads it runs
+    path = write(tmp_path, "[simulation]\nplant = full_aero\nduration = 0.02\n" + text)
+    code = main(["run", "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if named is None:
+        assert code == 0, err
+    else:
+        assert code == 2 and f"{named} = " in err and "has no effect" in err
+
+
 def test_disturbance_the_plant_ignores_is_reported(tmp_path, capsys):
     # the injected disturbance acts on the simplified plant alone; elsewhere
     # each non-zero key is listed on stderr and in summary.txt, and the run
