@@ -1,5 +1,7 @@
+import cProfile
 import dataclasses
 import math
+import pstats
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +397,62 @@ def test_warm_start_inflow_evaluations_per_solve(monkeypatch):
     steps = round(0.5 / cfg.get("simulation", "dt"))
     assert counts["solves"] == 16 * steps
     assert counts["residuals"] / counts["solves"] <= 3.0
+
+
+#: numpy calls per step of each config that build an array or read one back,
+#: at most, by the profiler's label of the call
+CONVERSION_BUDGET = {
+    "baseline": {"numpy.array": 2, "tolist": 4, "numpy.zeros": 0},
+    "synthetic": {"numpy.array": 8, "tolist": 8, "numpy.zeros": 0},
+    "wind_circle": {"numpy.array": 4, "tolist": 4, "numpy.zeros": 0},
+}
+PROFILER_LABELS = {"numpy.array": "<built-in method numpy.array>",
+                   "tolist": "<method 'tolist' of 'numpy.ndarray' objects>",
+                   "numpy.zeros": "<built-in method numpy.zeros>"}
+#: the (file, function) each call may come from: the array boundary of
+#: README "Array conventions".  Arrays: the packed state, the network
+#: input and the error signals of the weight update (in the controller
+#: step).  Reads: the packed state (state_floats, and run_simulation's one
+#: read per step) and the network outputs (the controller step and the
+#: synthetic plant's delta).
+CONVERSION_SITES = {
+    "numpy.array": {("layout.py", "pack_state"), ("adaptive.py", "build_network_input"),
+                    ("controller.py", "step")},
+    "tolist": {("layout.py", "state_floats"), ("sim.py", "run_simulation"),
+               ("controller.py", "step"), ("sim.py", "delta")},
+    "numpy.zeros": set(),
+}
+
+
+def conversion_calls(name, steps):
+    """{call: {(file, function): count}} of CONVERSION_BUDGET's calls in a
+    cProfile'd run_simulation of configs/<name>.ini over `steps` steps."""
+    cfg = load_config(CONFIGS / f"{name}.ini")
+    cfg = load_config(CONFIGS / f"{name}.ini", overrides={
+        ("simulation", "duration"): str(steps * cfg.get("simulation", "dt"))})
+    profile = cProfile.Profile()
+    profile.runcall(run_simulation, cfg)
+    stats = pstats.Stats(profile).stats
+    calls = {}
+    for call, label in PROFILER_LABELS.items():
+        _, _, _, _, callers = stats.get(("~", 0, label), (0, 0, 0, 0, {}))
+        calls[call] = {(Path(file).name, function): count
+                       for (file, _, function), (_, count, _, _) in callers.items()}
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSION_BUDGET))
+def test_array_conversions_per_step(name):
+    # helpers inside the step return floats, so a step builds an array only
+    # where numpy computes or the state is packed, and reads one back only
+    # from those: counted over 200 steps, the difference of a 201-step and
+    # a 1-step run, which cancels the setup
+    one, more = conversion_calls(name, 1), conversion_calls(name, 201)
+    for call, budget in CONVERSION_BUDGET[name].items():
+        added = {site: n - one[call].get(site, 0) for site, n in more[call].items()}
+        added = {site: n for site, n in added.items() if n}
+        assert set(added) <= CONVERSION_SITES[call], (call, added)
+        assert sum(added.values()) <= 200 * budget, (call, added)
 
 
 # --- telemetry files -------------------------------------------------------------
