@@ -5,9 +5,10 @@ A layout is a schema of (field, column name) for a one-column field and
 from the state and controller-output schemas, so reordering a block moves
 its columns in the row and in every reader of the packed vector at once.
 The three writers list their fields in schema order and move by hand: each
-builds its vector from Python floats in one call.  They are pack_state (the
-state), GeometricAdaptiveController.step (the controller output) and
-sim.run_simulation (the telemetry row, assigned in one write).
+builds its row from Python floats in one expression.  They are pack_state
+(the state, one array), GeometricAdaptiveController.step (the controller
+output, a list) and sim.run_simulation (the telemetry row, assigned in one
+write).
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ STATE_SCHEMA = (
     ("Omega", _axes("Om")),
 )
 
-#: controller output of one step (39,): tracking errors, the attitude
+#: controller output of one step, 39 floats: tracking errors, the attitude
 #: configuration error, thrust and moment commands, per-rotor thrusts,
 #: speeds and clip flags (1.0 when clipped), both network outputs and the
 #: Frobenius norms of the weights that produced them
