@@ -11,7 +11,10 @@ by rebinding its arrays.  The forward pass runs on a NetworkPair: copies of
 both networks' matrices as one block-diagonal pair, evaluated by nn_output
 in one pass on the (14,) input of build_network_input.  The holder of a
 pair copies updated weights into it with refresh().  The synthetic plant's
-target networks form a pair of their own that is never refreshed.
+target networks form a pair of their own that is never refreshed.  A pair
+built from zero networks runs its forward pass once and returns that result
+until it is refreshed, so an adaptation-off run makes no forward pass per
+step.
 """
 
 import math
@@ -121,6 +124,13 @@ class NetworkPair:
     are [1, s1, 1, s2] and each network's share of z, sigma and ds is a
     view.  The blocks are copies of the networks' arrays, written at
     construction and by refresh(); the off-diagonal blocks stay zero.
+
+    A pair whose blocks are all zero at construction (the zero start of
+    the controller's networks) keeps the result of one forward pass, with
+    read-only arrays, and nn_output returns it until refresh() is called.
+    On a finite input every entry of z = V^T x_nn is +0.0, since the bias
+    entry 1.0 adds +0.0 to each column, so z, sigma, ds and y = +0.0 do
+    not depend on the input.
     """
 
     def __init__(self, nn1, nn2):
@@ -136,9 +146,16 @@ class NetworkPair:
         self._blocks = (self.V[:n1, :h1], self.V[n1:, h1 + 1:],
                         self.W[:h1 + 1, :o1], self.W[h1 + 1:, o1:])
         self.refresh(nn1, nn2)
+        if not any(block.any() for block in self._blocks):
+            y, features = nn_output(self, np.zeros(n1 + n2))
+            for a in (y, *features[0], *features[1]):
+                a.flags.writeable = False
+            self._zero_output = y, features
 
     def refresh(self, nn1, nn2):
-        """Copy the networks' current V and W into their diagonal blocks."""
+        """Copy the networks' current V and W into their diagonal blocks,
+        and drop the kept result of a zero pair."""
+        self._zero_output = None
         for block, M in zip(self._blocks, (nn1.V, nn2.V, nn1.W, nn2.W)):
             block[...] = M
 
@@ -151,9 +168,17 @@ def nn_output(pair, x_nn):
     update_weights takes instead of recomputing the forward pass: the
     pre-activation, the features with bias, and the diagonal of their
     Jacobian, each a view into the pass's arrays.
+
+    A zero pair returns the result it keeps, whose arrays are read-only.
+    That result equals the forward pass on any finite x_nn only (a zero
+    weight times inf is NaN).  run_simulation aborts on a non-finite state
+    before the next step builds its input; an RK4 stage that hands the
+    synthetic plant a non-finite input makes that step's state non-finite.
     """
     if x_nn.shape != (pair.V.shape[0],):
         raise DimensionMismatch(f"input {x_nn.shape} vs V {pair.V.shape}")
+    if pair._zero_output is not None:
+        return pair._zero_output
     z = pair.V.T @ x_nn
     sigma, ds = sigmoid_features(z)
     k = pair.bias2

@@ -11,7 +11,9 @@ on the raised SimulationAbort.
 Plant modes
 -----------
 simplified:  U_e = m g e3 - f R e3 - delta1(t), M_e = M_c - delta2(t) with
-             the configured constant-plus-sinusoid disturbance.
+             the configured constant-plus-sinusoid disturbance.  A
+             disturbance that is +0.0 at every time is left out of the
+             wrench, which is then bit-for-bit the same.
 synthetic:   delta_i generated by a known random target network of the same
              architecture (seeded), so ideal weights are available and the
              full Lyapunov value including weight-error terms is recorded.
@@ -46,9 +48,19 @@ class SimResult:
 
 
 def _injected_delta(cfg):
+    """The configured constant-plus-sinusoid delta(t, x, v, R, Omega), or
+    None when it is +0.0 at every time: both constants +0.0 and both
+    amplitudes zero."""
     (c1, c2, c3), (d1, d2, d3), (a1, a2, a3), (b1, b2, b3) = (
         cfg.get("disturbance", key).tolist()
         for key in ("delta1", "delta2", "delta1_amp", "delta2_amp"))
+    consts = (c1, c2, c3, d1, d2, d3)
+    # c + a sin is then 0.0 + (+-0.0) = +0.0, and u - (+0.0) is u for every
+    # float u; a constant -0.0 would give -0.0 there, and u - (-0.0) turns
+    # a -0.0 u into +0.0
+    if (not any((*consts, a1, a2, a3, b1, b2, b3))
+            and all(math.copysign(1.0, c) > 0.0 for c in consts)):
+        return None
     f1 = cfg.get("disturbance", "delta1_freq")
     f2 = cfg.get("disturbance", "delta2_freq")
 
@@ -184,10 +196,14 @@ def run_simulation(config):
             else:
                 f_cmd, M_cmd = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
 
-                def wrench(ts, x, v, R, Omega):
-                    delta1, delta2 = delta_fn(ts, x, v, R, Omega)
-                    return simplified_wrench(R, f_cmd, M_cmd, quad,
-                                             delta1=delta1, delta2=delta2)
+                if delta_fn is None:
+                    def wrench(ts, x, v, R, Omega):
+                        return simplified_wrench(R, f_cmd, M_cmd, quad)
+                else:
+                    def wrench(ts, x, v, R, Omega):
+                        delta1, delta2 = delta_fn(ts, x, v, R, Omega)
+                        return simplified_wrench(R, f_cmd, M_cmd, quad,
+                                                 delta1=delta1, delta2=delta2)
 
             try:
                 state = step_rk4(state, dt, wrench, quad, t)

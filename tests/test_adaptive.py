@@ -375,6 +375,69 @@ def test_stacked_output_dimension_check():
         nn_output(pair, np.zeros(12))
 
 
+# --- the kept result of a zero pair ---------------------------------------------
+
+def pass_arrays(result):
+    """y, then z, sigma and ds of each network, of one nn_output result."""
+    y, features = result
+    return [y, *(a for f in features for a in f)]
+
+
+def finite_inputs(rng, n):
+    """Pair inputs with the bias entries 1.0 of build_network_input and the
+    other entries finite, from 1e-300 to 1e300 in size, with +-1e300, the
+    largest float, the smallest subnormal and both zeros mixed in."""
+    big = np.finfo(float).max
+    specials = np.array([1e300, -1e300, big, -big, 5e-324, -5e-324, 0.0, -0.0])
+    for _ in range(n):
+        x_nn = rng.standard_normal(14) * 10.0 ** rng.uniform(-300.0, 300.0, 14)
+        pick = rng.random(14) < 0.3
+        x_nn[pick] = rng.choice(specials, pick.sum())
+        x_nn[[0, 7]] = 1.0
+        yield x_nn
+
+
+@pytest.mark.parametrize("hidden", [(10, 10), (1, 17)])
+def test_zero_pair_result_bytes_equal_forward_pass(rng, hidden):
+    nets = [NNWeights.zeros(n_hidden=h) for h in hidden]
+    kept = NetworkPair(*nets)
+    # refresh() drops a kept result, so this pair runs the forward pass
+    forward = NetworkPair(*nets)
+    forward.refresh(*nets)
+    for x_nn in finite_inputs(rng, 1000):
+        got = pass_arrays(nn_output(kept, x_nn))
+        ref = pass_arrays(nn_output(forward, x_nn))
+        assert all(a.flags.writeable for a in ref)
+        assert [a.shape for a in got] == [a.shape for a in ref]
+        assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref))
+
+
+def test_zero_pair_refreshed_matches_fresh_pair(rng):
+    # the controller's sequence: the zero start, one step on the kept
+    # result, then refresh() with the updated weights
+    for _ in range(200):
+        sizes = rng.integers(2, 12, 2)
+        pair = NetworkPair(*(NNWeights.zeros(n_hidden=int(h)) for h in sizes))
+        x, v, Om = rng.standard_normal((3, 3))
+        x_nn, _ = build_network_input(x, v, random_rotation(rng), Om)
+        nn_output(pair, x_nn)
+        nets = [NNWeights.random(rng, n_hidden=int(h), W_norm=rng.uniform(0.1, 3.0),
+                                 V_norm=rng.uniform(0.1, 3.0)) for h in sizes]
+        pair.refresh(*nets)
+        got = pass_arrays(nn_output(pair, x_nn))
+        ref = pass_arrays(nn_output(NetworkPair(*nets), x_nn))
+        assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref))
+        assert np.any(got[0])
+
+
+def test_zero_pair_result_is_read_only():
+    pair = NetworkPair(NNWeights.zeros(), NNWeights.zeros())
+    x_nn, _ = build_network_input(np.ones(3), np.ones(3), np.eye(3), np.ones(3))
+    for a in pass_arrays(nn_output(pair, x_nn)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
 # --- reference: the update law recomputing its forward pass ------------------
 
 def reference_update_weights(w, x_nn, a, gains, dt):

@@ -289,6 +289,21 @@ def test_plant_wrench_takes_floats(monkeypatch, plant):
     assert all(calls)
 
 
+@pytest.mark.parametrize("overrides, left_out", [
+    ({}, True),
+    # a frequency moves nothing without its amplitude
+    ({"delta1_freq": "5", "delta2_freq": "3"}, True),
+    ({"delta2_amp": "0 0 0.05", "delta2_freq": "3"}, False),
+    # a constant -0.0 makes the delta -0.0 at some times, and u - (-0.0)
+    # turns a -0.0 u into +0.0
+    ({"delta1": "-0 0 0"}, False),
+], ids=["defaults", "frequencies", "delta2_amp", "negative-zero"])
+def test_zero_disturbance_is_left_out(overrides, left_out):
+    cfg = load_config(overrides={("disturbance", key): value
+                                 for key, value in overrides.items()})
+    assert (windquad.sim._injected_delta(cfg) is None) == left_out
+
+
 def test_lyapunov_only_on_recorded_steps(monkeypatch):
     calls = []
     lyapunov_value = windquad.sim.lyapunov_value
