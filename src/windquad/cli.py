@@ -8,7 +8,7 @@ import errno
 import os
 import sys
 
-from .config import load_config
+from .config import SCHEMA, load_config
 from .errors import ParseError, SimulationAbort, ValidationError
 from .sim import run_simulation, write_csv, write_summary, write_weights_csv
 from .stability import build_pd_matrices, format_report
@@ -27,9 +27,13 @@ class _Override(argparse.Action):
 
 
 def _wind(text):
+    # every [wind] key back at its default (kind none, still air) first, so
+    # that the flag replaces a gust or sine wind of the file instead of
+    # tripping on the keys that its own kind does not read
+    calm = {("wind", key): default for key, (_, default, _) in SCHEMA["wind"].items()}
     if text.strip().lower() == "none":
-        return {("wind", "kind"): "none", ("wind", "base"): "0 0 0"}
-    return {("wind", "kind"): "constant", ("wind", "base"): text}
+        return calm
+    return {**calm, ("wind", "kind"): "constant", ("wind", "base"): text}
 
 
 # --out DIR: the three [output] paths, as files in DIR

@@ -209,6 +209,11 @@ SWITCH_KEYS = {
     ("wind", "direction"): ("kind", ("step_gust", "sinusoidal")),
     ("simplified", "c_t"): ("calibrate", (False,)),
     ("simplified", "c_q"): ("calibrate", (False,)),
+    # trajectory_at reads v_z on a circle too: a climbing circle is a helix
+    **{("trajectory", key): ("kind", ("circle", "helix"))
+       for key in ("radius", "omega", "heading", "v_z")},
+    **{("trajectory", key): ("kind", ("lissajous",))
+       for key in ("amplitudes", "frequencies", "phases")},
 }
 
 

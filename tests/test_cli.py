@@ -320,12 +320,23 @@ def test_wind_value_the_kind_ignores_is_rejected(tmp_path, capsys):
                                f"[wind]\nkind = {kind}\n{lines}")
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
-    # --wind none still turns off the wind of a config that sets a base
-    out = tmp_path / "calm"
-    assert main(["run", "--config", WIND_CIRCLE, "--wind", "none",
+    # --wind none still turns off the wind of a config that sets a base,
+    # and of one with a gust, whose amplitude, onset and direction it resets
+    gust = write(tmp_path, "[simulation]\nplant = full_aero\n[wind]\nkind = step_gust\n"
+                           "base = 1 0 0\namplitude = 2\nonset = 0.01\ndirection = 0 1 0\n",
+                 "gust.ini")
+    for name, config in (("calm", WIND_CIRCLE), ("calm_gust", gust)):
+        out = tmp_path / name
+        assert main(["run", "--config", config, "--wind", "none",
+                     "--duration", "0.05", "--out", str(out)]) == 0
+        header, data = read_csv(str(out / "telemetry.csv"))
+        assert not data[:, [header.index(c) for c in ("vw1", "vw2", "vw3")]].any()
+    # and --wind vx,vy,vz replaces the gust with that constant wind
+    out = tmp_path / "steady"
+    assert main(["run", "--config", gust, "--wind", "0,3,0",
                  "--duration", "0.05", "--out", str(out)]) == 0
     header, data = read_csv(str(out / "telemetry.csv"))
-    assert not data[:, [header.index(c) for c in ("vw1", "vw2", "vw3")]].any()
+    assert (data[:, [header.index(c) for c in ("vw1", "vw2", "vw3")]] == [0.0, 3.0, 0.0]).all()
 
 
 @pytest.mark.parametrize("text, named", [
@@ -341,9 +352,25 @@ def test_wind_value_the_kind_ignores_is_rejected(tmp_path, capsys):
     ("[simplified]\ncalibrate = off\nc_t = 1e-5\nc_q = 1e-7\n", None),
     ("[wind]\nkind = step_gust\namplitude = 1\nonset = 0.01\ndirection = 0 1 0\n", None),
     ("[wind]\nkind = sinusoidal\namplitude = 1\nfrequency = 5\ndirection = 0 1 0\n", None),
+    ("[trajectory]\nkind = hover\nradius = 3\n", "trajectory.radius"),
+    ("[trajectory]\nkind = lissajous\nomega = 1\n", "trajectory.omega"),
+    ("[trajectory]\nkind = hover\nheading = fixed\n", "trajectory.heading"),
+    ("[trajectory]\nkind = lissajous\nv_z = 0.5\n", "trajectory.v_z"),
+    ("[trajectory]\nkind = circle\namplitudes = 1 0 0\n", "trajectory.amplitudes"),
+    ("[trajectory]\nkind = helix\nfrequencies = 1 1 0\n", "trajectory.frequencies"),
+    ("[trajectory]\nkind = hover\nphases = 0 0 0\n", "trajectory.phases"),
+    # small paths that start at the initial position, which the default
+    # vehicle tracks on the aero plant
+    *((f"[trajectory]\nkind = {kind}\ncenter = -0.1 0 0\nradius = 0.1\nomega = 0.5\n"
+       "heading = fixed\nv_z = 0.01\n", None) for kind in ("circle", "helix")),
+    ("[trajectory]\nkind = lissajous\namplitudes = 0.01 0.01 0\nfrequencies = 1 1 0\n"
+     "phases = 0 0 0\n", None),
 ], ids=["c_t-calibrate", "c_q-calibrate", "onset-constant", "onset-sinusoidal",
         "frequency-none", "frequency-step_gust", "direction-none", "direction-constant",
-        "read-calibrate-off", "read-step_gust", "read-sinusoidal"])
+        "read-calibrate-off", "read-step_gust", "read-sinusoidal",
+        "radius-hover", "omega-lissajous", "heading-hover", "v_z-lissajous",
+        "amplitudes-circle", "frequencies-helix", "phases-hover",
+        "read-circle", "read-helix", "read-lissajous"])
 def test_key_its_switch_ignores_is_rejected(tmp_path, capsys, text, named):
     # a key that its own section's switch never reads exits 2 naming it
     # (config.SWITCH_KEYS); a switch value that reads it runs
@@ -378,6 +405,17 @@ def test_disturbance_the_plant_ignores_is_reported(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert "ignored" not in capsys.readouterr().err
     assert "ignored" not in (out / "summary.txt").read_text()
+    # and each moves the simplified run: a zero disturbance is left out of
+    # the wrench, a moment sine alone is not
+    sine = write(tmp_path, "[simulation]\nduration = 0.02\n[disturbance]\n"
+                           "delta2_amp = 0 0 0.05\ndelta2_freq = 3\n", "sine.ini")
+    calm = write(tmp_path, "[simulation]\nduration = 0.02\n", "calm.ini")
+    for name, config in (("sine", sine), ("calm", calm)):
+        assert main(["run", "--config", config, "--out", str(tmp_path / name)]) == 0
+    _, calm_data = read_csv(str(tmp_path / "calm" / "telemetry.csv"))
+    for name in ("simplified", "sine"):
+        _, data = read_csv(str(tmp_path / name / "telemetry.csv"))
+        assert not np.array_equal(data, calm_data), name
     # a sweep lists each line once, however many of its runs drop the key
     assert main(["sweep", "--config", path, "--param", "simulation.plant",
                  "--values", "full_aero,synthetic,synthetic", "--out", str(tmp_path / "sw")]) == 0
