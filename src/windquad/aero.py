@@ -13,8 +13,17 @@ the body frame.
 Everything here computes in Python floats and builds no array:
 resultant_wrench takes an RK4 stage as step_rk4 hands it (v, Omega and the
 wind as float triples, R as three rows of floats) and returns two float
-triples, drag_force takes and returns float triples, and the per-rotor
-functions take scalars.
+triples, and drag_force takes and returns float triples.
+
+The per-rotor path is one float kernel: the wrench loop writes out the
+advance ratios, the flapped thrust direction and the alternating torque sign
+inline and calls solve_thrust_inflow once per rotor, whose Newton loop writes
+out the residual and C_T inline.  RotorAeroParams computes its derived
+constants (solidity, s C_la / 2, s C_la / 4, the hover-scale inflow guess,
+A_p, rho A_p, the flap gain N_b K_beta / 2, C_D0 s / 8) once, at
+construction.  A rotor below the speed floor or an inflow solve that fails
+aborts with a message naming the rotor; a solver failure also gives the
+rotor's advance ratios.
 """
 
 import math
@@ -75,14 +84,30 @@ class RotorAeroParams:
                 raise ValueError(f"{name} must be strictly positive")
         if self.N_b < 1:
             raise ValueError("N_b must be at least 1")
-        object.__setattr__(self, "_solidity", self.N_b * self.chord / (math.pi * self.r_p))
-        if not self.solidity < 1.0:
+        # derived constants, set once: the inflow solve and the wrench read
+        # them on every rotor evaluation
+        s = self.N_b * self.chord / (math.pi * self.r_p)
+        if not s < 1.0:
             raise ValueError("solidity ratio must be below 1")
+        s_cla = s * self.C_la
+        try:
+            A_p = math.pi * self.r_p ** 2
+        except OverflowError:
+            raise ValueError("r_p is too large: the disk area pi r_p^2 overflows") from None
+        for name, value in (("_solidity", s),
+                            ("_half_s_cla", 0.5 * s_cla),
+                            ("_quarter_s_cla", 0.25 * s_cla),
+                            ("_lam_guess", math.sqrt(s_cla * self.theta0 / 12.0)),
+                            ("_A_p", A_p),
+                            ("_rho_A", self.rho * A_p),
+                            ("_flap_gain", 0.5 * self.N_b * self.K_beta),
+                            ("_profile_torque", self.C_D0 * s / 8.0)):
+            object.__setattr__(self, name, value)
 
     @property
     def A_p(self):
         """Rotor disk area pi r_p^2 [m^2]."""
-        return math.pi * self.r_p ** 2
+        return self._A_p
 
     @property
     def solidity(self):
@@ -92,33 +117,7 @@ class RotorAeroParams:
     @property
     def lam_guess(self):
         """Hover-scale inflow sqrt(s C_la theta0 / 12), the cold Newton start."""
-        return math.sqrt(self._solidity * self.C_la * self.theta0 / 12.0)
-
-
-def advance_ratios(u, omega_j, r_p, omega_min=OMEGA_MIN):
-    """In-plane and axial advance ratios (mu_x, mu_z) of the relative wind u.
-
-    Raises
-    ------
-    RotorStopped
-        If omega_j < omega_min.
-    """
-    if omega_j < omega_min:
-        raise RotorStopped(f"speed {omega_j:.17g} rad/s below floor {omega_min:.17g}")
-    u1, u2, u3 = u
-    tip = omega_j * r_p
-    return math.hypot(u1, u2) / tip, u3 / tip
-
-
-def _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0):
-    """Thrust coefficient from blade-element theory at a given inflow."""
-    return 0.5 * s_cla * (theta0 * (1.0 / 3.0 + 0.5 * mu_x * mu_x) - 0.5 * (lam + mu_z))
-
-
-def _inflow_residual(lam, mu_x, mu_z, s_cla, theta0):
-    """Product-form inflow residual 2 lam w - C_T(lam), and w = |(mu_x, lam + mu_z)|."""
-    w = math.sqrt(mu_x * mu_x + (lam + mu_z) * (lam + mu_z))
-    return 2.0 * lam * w - _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0), w
+        return self._lam_guess
 
 
 def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
@@ -138,20 +137,28 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
     A caller that solves the same rotor repeatedly passes its last lam as
     lam0 (a warm start).
 
+    The residual and C_T are written out inline, with the lam-free part
+    theta0 (1/3 + mu_x^2/2) of C_T formed once per solve.
+
     Raises
     ------
     NoConvergence
         If neither Newton nor bisection reaches the residual tolerance.
     """
-    s_cla = params.solidity * params.C_la
-    theta0 = params.theta0
-    lam = params.lam_guess if lam0 is None else lam0
-    value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
+    half_s_cla = params._half_s_cla
+    quarter_s_cla = params._quarter_s_cla
+    blade = params.theta0 * (1.0 / 3.0 + 0.5 * mu_x * mu_x)
+    mu_x2 = mu_x * mu_x
+    lam = params._lam_guess if lam0 is None else lam0
+    # residual 2 lam w - C_T(lam), with a = lam + mu_z and w = |(mu_x, a)|
+    a = lam + mu_z
+    w = math.sqrt(mu_x2 + a * a)
+    value = 2.0 * lam * w - half_s_cla * (blade - 0.5 * a)
     for _ in range(50):
         if w > 1e-14:
-            slope = 2.0 * w + 2.0 * lam * (lam + mu_z) / w + 0.25 * s_cla
+            slope = 2.0 * w + 2.0 * lam * a / w + quarter_s_cla
         else:
-            slope = 0.25 * s_cla
+            slope = quarter_s_cla
         step = value / slope
         lam -= step
         if not abs(value) > 1e-13:
@@ -159,8 +166,12 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
             # without a new evaluation, puts lam on the root to rounding
             # whatever the start, so a warm and a cold solve agree
             break
-        value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
-        if abs(step) < 1e-16 * max(1.0, abs(lam)):
+        a = lam + mu_z
+        w = math.sqrt(mu_x2 + a * a)
+        value = 2.0 * lam * w - half_s_cla * (blade - 0.5 * a)
+        # abs(step) < 1e-16 max(1, |lam|), spelled without a max call
+        size = abs(lam)
+        if abs(step) < 1e-16 * (size if size > 1.0 else 1.0):
             break
 
     # each check below is written negated, so that a NaN residual (a NaN
@@ -168,9 +179,12 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
     # never returned
     if not abs(value) <= 1e-11:
         # Newton stalled; bisect the residual on [0, 1]
+        def residual(lam):
+            a = lam + mu_z
+            return 2.0 * lam * math.sqrt(mu_x2 + a * a) - half_s_cla * (blade - 0.5 * a)
+
         lo, hi = 0.0, 1.0
-        flo, _ = _inflow_residual(lo, mu_x, mu_z, s_cla, theta0)
-        fhi, _ = _inflow_residual(hi, mu_x, mu_z, s_cla, theta0)
+        flo, fhi = residual(lo), residual(hi)
         if flo == 0.0:
             lam, value = lo, 0.0
         elif not flo * fhi <= 0.0:
@@ -178,36 +192,22 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
         else:
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                fmid, _ = _inflow_residual(mid, mu_x, mu_z, s_cla, theta0)
+                fmid = residual(mid)
                 if flo * fmid <= 0.0:
                     hi = mid
                 else:
                     lo, flo = mid, fmid
             lam = 0.5 * (lo + hi)
-            value, _ = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
+            value = residual(lam)
             if not abs(value) <= 1e-11:
                 raise NoConvergence("bisection fallback stalled", residual=abs(value))
 
-    return _ct_of_lambda(lam, mu_x, mu_z, s_cla, theta0), lam
+    return half_s_cla * (blade - 0.5 * (lam + mu_z)), lam
 
 
 def torque_coefficient(C_T, lam, mu_x, mu_z, params):
     """Torque coefficient C_Q = C_T (lam + mu_z) + C_D0 s / 8 (1 + 3 mu_x^2)."""
-    return C_T * (lam + mu_z) + params.C_D0 * params.solidity / 8.0 * (1.0 + 3.0 * mu_x * mu_x)
-
-
-def flap_direction(u1, u2, C_alpha):
-    """Flapping angle and tilted thrust direction for in-plane wind (u1, u2).
-
-    Returns (alpha, (d1, d2, d3)) with d a unit vector in the body frame.  At
-    zero in-plane wind the direction is the limit -e3.
-    """
-    planar = math.hypot(u1, u2)
-    if planar < 1e-12:
-        return 0.0, (0.0, 0.0, -1.0)
-    alpha = C_alpha * planar
-    sa = math.sin(alpha)
-    return alpha, (-sa * u1 / planar, -sa * u2 / planar, -math.cos(alpha))
+    return C_T * (lam + mu_z) + params._profile_torque * (1.0 + 3.0 * mu_x * mu_x)
 
 
 def drag_force(v, v_w, C_d):
@@ -241,8 +241,11 @@ def resultant_wrench(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEGA_MIN,
     Force:  U_e = m g e3 + drag + R sum_j T_j d_j.
 
     The relative wind at rotor j is R^T (v_w - v) + Omega x r_j; R^T (v_w - v)
-    is formed once and each rotor runs in float arithmetic.  RotorStopped
-    names the rotor, 1-based as in the telemetry columns.
+    is formed once and each rotor runs in float arithmetic, one
+    solve_thrust_inflow call per rotor.  RotorStopped names the rotor,
+    1-based as in the telemetry columns; a NoConvergence from the solve is
+    raised again naming the rotor and its advance ratios mu_x and mu_z, with
+    the solver's residual kept.
 
     `inflow`, when given, is a list of four floats owned by the caller's run:
     rotor j's inflow solve starts from inflow[j], which is then overwritten
@@ -257,28 +260,42 @@ def resultant_wrench(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEGA_MIN,
     wy = r12 * g1 + r22 * g2 + r32 * g3
     wz = r13 * g1 + r23 * g2 + r33 * g3
     p, q, r = Omega
-    r_p = aero.r_p
-    rho_A = aero.rho * aero.A_p
-    flap_gain = 0.5 * aero.N_b * aero.K_beta
+    r_p, C_alpha = aero.r_p, aero.C_alpha
+    rho_A, flap_gain = aero._rho_A, aero._flap_gain
     if inflow is None:
         inflow = [None] * 4
     fx = fy = fz = mx = my = mz = 0.0
+    sign = 1.0  # reactive torque sign, alternating from rotor 1
     rotors = zip(omegas, quad.rotor_positions)
     for j, (omega_j, (rx, ry, rz)) in enumerate(rotors):
+        if omega_j < omega_min:
+            raise RotorStopped(f"rotor {j + 1} speed {omega_j:.17g} rad/s "
+                               f"below floor {omega_min:.17g}")
         u1 = wx + q * rz - r * ry
         u2 = wy + r * rx - p * rz
+        # advance ratios of the relative wind (u1, u2, u3)
+        planar = math.hypot(u1, u2)
+        tip = omega_j * r_p
+        mu_x, mu_z = planar / tip, (wz + p * ry - q * rx) / tip
         try:
-            mu_x, mu_z = advance_ratios((u1, u2, wz + p * ry - q * rx),
-                                        omega_j, r_p, omega_min)
-        except RotorStopped as exc:
-            raise RotorStopped(f"rotor {j + 1} {exc}") from None
-        C_T, lam = solve_thrust_inflow(mu_x, mu_z, aero, inflow[j])
+            C_T, lam = solve_thrust_inflow(mu_x, mu_z, aero, inflow[j])
+        except NoConvergence as exc:
+            raise NoConvergence(f"rotor {j + 1} {exc} at mu_x = {mu_x:.17g}, "
+                                f"mu_z = {mu_z:.17g}", residual=exc.residual) from None
         inflow[j] = lam
         C_Q = torque_coefficient(C_T, lam, mu_x, mu_z, aero)
-        alpha, (d1, d2, d3) = flap_direction(u1, u2, aero.C_alpha)
-        tip2 = (r_p * omega_j) ** 2
+        # flapping angle alpha and the flapped thrust direction d; at zero
+        # in-plane wind d is the limit -e3
+        if planar < 1e-12:
+            alpha, d1, d2, d3 = 0.0, 0.0, 0.0, -1.0
+        else:
+            alpha = C_alpha * planar
+            sa = math.sin(alpha)
+            d1, d2, d3 = -sa * u1 / planar, -sa * u2 / planar, -math.cos(alpha)
+        tip2 = tip ** 2
         T_j = C_T * rho_A * tip2
-        Q_j = (-1.0) ** j * C_Q * rho_A * r_p * tip2
+        Q_j = sign * C_Q * rho_A * r_p * tip2
+        sign = -sign
         t1, t2, t3 = T_j * d1, T_j * d2, T_j * d3
         fx += t1
         fy += t2

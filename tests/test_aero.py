@@ -1,19 +1,23 @@
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 import windquad.aero
-from windquad.aero import (RotorAeroParams, advance_ratios,
-                           drag_force, flap_direction, resultant_wrench,
+from windquad.aero import (RotorAeroParams, drag_force, resultant_wrench,
                            solve_thrust_inflow, torque_coefficient)
 from windquad.dynamics import SimplifiedModelParams, rotor_speed_from_thrust
 from windquad.errors import NoConvergence, RotorStopped
 from windquad.layout import pack_state, unpack_state
 from windquad.se3 import rotation_zyx
 
+import oracles
 from conftest import at_rest, random_rotation, stage_of
-from oracles import cross3, hat, thrust_inflow_residuals
+from oracles import (advance_ratios, cross3, flap_direction, hat,
+                     resultant_wrench_oracle, solve_thrust_inflow_oracle,
+                     thrust_inflow_residuals)
 
 
 def hover_quadratic_oracle(params):
@@ -394,7 +398,13 @@ def test_wrench_with_carried_inflow_matches_cold_solve(quad, aero_s01, rng):
             assert all(isinstance(lam, float) and math.isfinite(lam) for lam in inflow)
 
 
-@pytest.mark.parametrize("lam0", [-1e3, -1.0, 0.0, 1e-9, 0.9, 1.0, 10.0, 1e6])
+#: Newton starts far from the inflow root, and the advance-ratio grid they are tried on
+FAR_STARTS = [-1e3, -1.0, 0.0, 1e-9, 0.9, 1.0, 10.0, 1e6]
+MU_GRID = [(float(mu_x), float(mu_z)) for mu_x in np.linspace(0.0, 0.3, 7)
+           for mu_z in np.linspace(-0.05, 0.1, 7)]
+
+
+@pytest.mark.parametrize("lam0", FAR_STARTS)
 def test_far_start_reaches_residual_tolerance(aero_s01, lam0):
     # from a start far from the root, Newton either converges or hands over
     # to the bisection fallback; both must meet the 1e-11 product-form residual
@@ -424,6 +434,158 @@ def test_non_finite_start_falls_back_to_bisection(aero_s01, lam0):
     assert math.isfinite(C_T) and math.isfinite(lam)
     assert abs(2.0 * lam * math.hypot(0.1, lam + 0.02) - C_T) <= 1e-11
     assert lam == pytest.approx(solve_thrust_inflow(0.1, 0.02, aero_s01)[1], abs=1e-10)
+
+
+# --- the fused per-rotor kernel against its unfused composition -------------
+# resultant_wrench and solve_thrust_inflow write the advance ratios, the
+# flapped direction, the inflow residual and C_T out inline; the oracles call
+# one function per quantity.  Every float is compared bit for bit (float.hex
+# tells -0.0 from 0.0).
+
+def bits(values):
+    """float.hex of every float in a nested tuple/list of floats."""
+    if isinstance(values, float):
+        return values.hex()
+    return [bits(v) for v in values]
+
+
+def solve_outcome(solve, *args):
+    """(C_T, lam) of a solve as bits, or the message and residual it raised."""
+    try:
+        return bits(solve(*args))
+    except NoConvergence as exc:
+        return str(exc), repr(exc.residual)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Residual evaluations so far: sqrt calls in windquad.aero (one per
+    inline residual) and _inflow_residual calls of the oracle."""
+    counts = {"kernel": 0, "oracle": 0}
+
+    def counted_sqrt(x):
+        counts["kernel"] += 1
+        return math.sqrt(x)
+
+    residual = oracles._inflow_residual
+
+    def counted_residual(*args):
+        counts["oracle"] += 1
+        return residual(*args)
+
+    counting_math = types.SimpleNamespace(**vars(math))
+    counting_math.sqrt = counted_sqrt
+    monkeypatch.setattr(windquad.aero, "math", counting_math)
+    monkeypatch.setattr(oracles, "_inflow_residual", counted_residual)
+    return counts
+
+
+def assert_same_solve(evaluations, mu_x, mu_z, params, lam0):
+    # same result or error, after the same number of residual evaluations
+    # (so the same Newton path, stall and cap checks included)
+    before = dict(evaluations)
+    assert solve_outcome(solve_thrust_inflow, mu_x, mu_z, params, lam0) == \
+        solve_outcome(solve_thrust_inflow_oracle, mu_x, mu_z, params, lam0)
+    assert evaluations["kernel"] - before["kernel"] == evaluations["oracle"] - before["oracle"]
+
+
+def test_wrench_bitwise_equals_oracle_composition(quad, aero_s01, rng):
+    # cold starts, then a carried inflow list per side across all stages
+    carried, carried_oracle = [aero_s01.lam_guess] * 4, [aero_s01.lam_guess] * 4
+    for _ in range(1000):
+        st = pack_state(np.zeros(3), 3.0 * rng.standard_normal(3), random_rotation(rng),
+                        2.0 * rng.standard_normal(3))
+        stage = stage_of(st)[1:]
+        v_w = (5.0 * rng.standard_normal(3)).tolist()
+        omegas = rng.uniform(250.0, 900.0, 4).tolist()
+        args = (*stage, v_w, omegas, quad, aero_s01)
+        assert bits(resultant_wrench(*args)) == bits(resultant_wrench_oracle(*args))
+        assert bits(resultant_wrench(*args, 1.0, carried)) == \
+            bits(resultant_wrench_oracle(*args, 1.0, carried_oracle))
+        assert bits(carried) == bits(carried_oracle)
+
+
+def test_wrench_bitwise_equals_oracle_axial_wind(quad, aero_s01, rng):
+    # every rotor on the unflapped branch (planar < 1e-12), cold and carried
+    carried, carried_oracle = [aero_s01.lam_guess] * 4, [aero_s01.lam_guess] * 4
+    for w in (-4.0, -0.5, 0.0, 1e-9, 2.5):
+        R = random_rotation(rng)
+        stage = stage_of(pack_state(np.zeros(3), np.zeros(3), R, np.zeros(3)))[1:]
+        # exactly axial in the body frame, as R^T (v_w - v) computes it
+        v_w = [w * R[0, 2], w * R[1, 2], w * R[2, 2]]
+        args = (*stage, v_w, [rng.uniform(300.0, 600.0)] * 4, quad, aero_s01)
+        wrench = resultant_wrench(*args)
+        assert bits(wrench) == bits(resultant_wrench_oracle(*args))
+        assert bits(resultant_wrench(*args, 1.0, carried)) == \
+            bits(resultant_wrench_oracle(*args, 1.0, carried_oracle))
+        assert bits(carried) == bits(carried_oracle)
+
+
+@pytest.mark.parametrize("lam0", [None, *FAR_STARTS])
+def test_solve_bitwise_equals_oracle_far_starts(evaluations, aero_s01, lam0):
+    for mu_x, mu_z in MU_GRID:
+        assert_same_solve(evaluations, mu_x, mu_z, aero_s01, lam0)
+
+
+@pytest.mark.parametrize("mu_x, mu_z, lam0", [
+    (math.nan, 0.02, None), (0.1, math.nan, None), (0.1, 0.02, math.nan),
+    (0.1, 0.02, math.inf), (0.1, 0.02, -math.inf),
+    # Newton stops on its stall check: near the root, and with lam far
+    # above 1 within the residual tolerance, then short of it (bisection)
+    (0.0, -1000.0, None), (0.0, -100.0, 1e3), (0.0, -1000.0, 1e6),
+    # Newton runs into its 50-step cap
+    (0.0, 0.3, -1e6),
+    # no sign change on [0, 1]: the abort of a diverged full_aero run
+    (1875.2141825864655, 2364.3215981845142, 0.07)])
+def test_solve_bitwise_equals_oracle_bisection_and_failures(evaluations, aero_s01,
+                                                            mu_x, mu_z, lam0):
+    assert_same_solve(evaluations, mu_x, mu_z, aero_s01, lam0)
+
+
+def test_solve_takes_bisection_path_from_non_finite_start(evaluations, aero_s01):
+    # the bisection fallback runs its 200 halvings plus the bracket and final
+    # evaluations, against at most 51 for Newton
+    before = evaluations["kernel"]
+    solve_thrust_inflow(0.1, 0.02, aero_s01, math.nan)
+    assert evaluations["kernel"] - before > 200
+
+
+def test_cached_constants_follow_replace(quad, aero_s01, rng):
+    # dataclasses.replace runs __post_init__ again, so no derived constant
+    # keeps the value of the instance it was copied from
+    changes = {"r_p": 0.1, "theta0": 0.27}
+    replaced = dataclasses.replace(aero_s01, **changes)
+    fresh = RotorAeroParams(**{**{f.name: getattr(aero_s01, f.name)
+                                  for f in dataclasses.fields(aero_s01)}, **changes})
+    assert bits([replaced.solidity, replaced.A_p, replaced.lam_guess]) == \
+        bits([fresh.solidity, fresh.A_p, fresh.lam_guess])
+    st = pack_state(np.zeros(3), rng.standard_normal(3), random_rotation(rng, 0.4),
+                    rng.standard_normal(3))
+    args = (*stage_of(st)[1:], [4.0, -1.0, 0.5], [380.0, 390.0, 385.0, 395.0], quad)
+    got = resultant_wrench(*args, replaced)
+    assert bits(got) == bits(resultant_wrench(*args, fresh))
+    assert bits(got) != bits(resultant_wrench(*args, aero_s01))
+
+
+def test_wrench_names_rotor_of_failed_solve(monkeypatch, quad, aero_s01):
+    # the third rotor's solve fails: the message gains the rotor and its
+    # advance ratios, and the solver's residual is kept
+    solve, seen = windquad.aero.solve_thrust_inflow, []
+
+    def failing_third(mu_x, mu_z, params, lam0=None):
+        seen.append((mu_x, mu_z))
+        if len(seen) == 3:
+            raise NoConvergence("bisection fallback stalled", residual=0.25)
+        return solve(mu_x, mu_z, params, lam0)
+
+    monkeypatch.setattr(windquad.aero, "solve_thrust_inflow", failing_third)
+    with pytest.raises(NoConvergence) as err:
+        resultant_wrench(*stage_of(at_rest())[1:], [3.0, 0.0, 1.0], [400.0] * 4,
+                         quad, aero_s01)
+    mu_x, mu_z = seen[2]
+    assert str(err.value) == (f"rotor 3 bisection fallback stalled at mu_x = {mu_x:.17g}, "
+                              f"mu_z = {mu_z:.17g}")
+    assert err.value.residual == 0.25
 
 
 def test_flap_moment_vanishes_without_wind(quad, aero_s01):
@@ -456,3 +618,10 @@ def test_params_reject_high_solidity():
 def test_params_sweep_area():
     p = RotorAeroParams(r_p=0.2)
     assert p.A_p == pytest.approx(math.pi * 0.04, abs=1e-12)
+
+
+def test_params_reject_overflowing_disk_area():
+    # pi r_p^2 is formed at construction; an overflow is a ValueError, which
+    # config loading turns into exit 2 naming [aero]
+    with pytest.raises(ValueError, match="r_p is too large"):
+        RotorAeroParams(r_p=1e300)

@@ -2,6 +2,8 @@ import cProfile
 import dataclasses
 import math
 import pstats
+import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +213,28 @@ def test_abort_on_plant_failure(monkeypatch, exc):
     assert_partial_telemetry(err, ABORT_STEP // DECIMATE + 1)
 
 
+def test_abort_on_inflow_solve_failure_names_rotor_and_advance_ratios():
+    # this climbing circle diverges (thrust commands reach 7e4 N) until an
+    # inflow solve finds no root on [0, 1]; the reason names the rotor and
+    # the advance ratios the solve was given
+    cfg = load_config(overrides={
+        ("simulation", "plant"): "full_aero",
+        ("simulation", "duration"): "0.02",
+        ("trajectory", "kind"): "circle",
+        ("trajectory", "radius"): "0.5",
+        ("trajectory", "omega"): "1",
+        ("trajectory", "heading"): "fixed",
+        ("trajectory", "v_z"): "0.1",
+    })
+    with pytest.raises(SimulationAbort) as err:
+        run_simulation(cfg)
+    assert err.value.step == 13
+    match = re.fullmatch(r"plant failure: rotor [1-4] no sign change on \[0, 1\] "
+                         r"at mu_x = (\S+), mu_z = (\S+)", err.value.reason)
+    assert match, err.value.reason
+    assert all(math.isfinite(float(mu)) for mu in match.groups())
+
+
 def test_abort_on_non_finite_state(monkeypatch):
     # a NaN force reaches v and, through the later RK4 stages, x; the
     # rotation and body rates stay finite, and x is checked first
@@ -393,20 +417,29 @@ def test_telemetry_blocks_equal_their_sources(monkeypatch, name):
 def test_warm_start_inflow_evaluations_per_solve(monkeypatch):
     # each rotor's solve starts from its last inflow (carried across RK4
     # stages and steps), which cuts the residual evaluations per solve from
-    # 5.0 (cold start from the hover guess) to about 2.75 on this scenario
+    # 5.0 (cold start from the hover guess) to about 2.75 on this scenario.
+    # The solve writes its residual inline with one sqrt each, so the
+    # sqrt calls made inside a solve count its residual evaluations
     counts = {"solves": 0, "residuals": 0}
-    solve, residual = windquad.aero.solve_thrust_inflow, windquad.aero._inflow_residual
+    solve = windquad.aero.solve_thrust_inflow
+    solving = [False]
 
     def counted_solve(*args):
         counts["solves"] += 1
-        return solve(*args)
+        solving[0] = True
+        try:
+            return solve(*args)
+        finally:
+            solving[0] = False
 
-    def counted_residual(*args):
-        counts["residuals"] += 1
-        return residual(*args)
+    def counted_sqrt(x):
+        counts["residuals"] += solving[0]
+        return math.sqrt(x)
 
+    counting_math = types.SimpleNamespace(**vars(math))
+    counting_math.sqrt = counted_sqrt
     monkeypatch.setattr(windquad.aero, "solve_thrust_inflow", counted_solve)
-    monkeypatch.setattr(windquad.aero, "_inflow_residual", counted_residual)
+    monkeypatch.setattr(windquad.aero, "math", counting_math)
     cfg = load_config(CONFIGS / "wind_circle.ini", {("simulation", "duration"): "0.5"})
     run_simulation(cfg)
     steps = round(0.5 / cfg.get("simulation", "dt"))
