@@ -59,9 +59,13 @@ class QuadParams:
         if self.g < 0.0:
             raise ValueError("g must be non-negative")
         object.__setattr__(self, "_J_inv", np.linalg.inv(self.J))
-        # the float step reads both as rows, made once here
+        # the float step reads both as rows, and the aero wrench the rotor
+        # hubs on every call: made once here
         object.__setattr__(self, "_J_rows", self.J.tolist())
         object.__setattr__(self, "_J_inv_rows", self._J_inv.tolist())
+        d_h, d_v = self.d_h, self.d_v
+        object.__setattr__(self, "_rotor_positions", (
+            (d_h, 0.0, d_v), (0.0, -d_h, d_v), (-d_h, 0.0, d_v), (0.0, d_h, d_v)))
 
     @property
     def J_inv(self):
@@ -80,8 +84,7 @@ class QuadParams:
     @property
     def rotor_positions(self):
         """The four rotor hubs (body frame) as (x, y, z) float tuples."""
-        d_h, d_v = self.d_h, self.d_v
-        return ((d_h, 0.0, d_v), (0.0, -d_h, d_v), (-d_h, 0.0, d_v), (0.0, d_h, d_v))
+        return self._rotor_positions
 
 
 @dataclass(frozen=True)

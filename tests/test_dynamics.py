@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -338,11 +340,13 @@ def test_quad_params_reject_bad_inertia():
 
 
 def test_rotor_positions_pattern(quad):
-    r1, r2, r3, r4 = quad.rotor_positions
-    assert np.allclose(r1, [quad.d_h, 0.0, quad.d_v])
-    assert np.allclose(r2, [0.0, -quad.d_h, quad.d_v])
-    assert np.allclose(r3, [-quad.d_h, 0.0, quad.d_v])
-    assert np.allclose(r4, [0.0, quad.d_h, quad.d_v])
+    # the hubs are made in __post_init__, which dataclasses.replace runs again
+    for q in (quad, dataclasses.replace(quad, d_h=0.2, d_v=-0.03)):
+        r1, r2, r3, r4 = q.rotor_positions
+        assert np.allclose(r1, [q.d_h, 0.0, q.d_v])
+        assert np.allclose(r2, [0.0, -q.d_h, q.d_v])
+        assert np.allclose(r3, [-q.d_h, 0.0, q.d_v])
+        assert np.allclose(r4, [0.0, q.d_h, q.d_v])
 
 
 def test_simplified_params_ratio():
