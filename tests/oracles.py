@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from windquad.aero import OMEGA_MIN, drag_force, torque_coefficient
+from windquad.aero import OMEGA_MIN, drag_force
 from windquad.errors import NoConvergence, RotorStopped, WindquadError
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -120,10 +120,14 @@ def _inflow_residual(lam, mu_x, mu_z, s_cla, theta0):
 
 def solve_thrust_inflow_oracle(mu_x, mu_z, params, lam0=None):
     """windquad.aero.solve_thrust_inflow with the residual and C_T as calls:
-    the same Newton steps, caps, bisection fallback and errors."""
+    the same Newton steps, caps, bisection fallback and errors.  The cold
+    start is formed here from the fields, not read from the params."""
     s_cla = params.solidity * params.C_la
     theta0 = params.theta0
-    lam = params.lam_guess if lam0 is None else lam0
+    if lam0 is None:
+        lam = math.sqrt(params.solidity * params.C_la * params.theta0 / 12.0)
+    else:
+        lam = lam0
     value, w = _inflow_residual(lam, mu_x, mu_z, s_cla, theta0)
     for _ in range(50):
         if w > 1e-14:
@@ -179,7 +183,9 @@ def flap_direction(u1, u2, C_alpha):
 def resultant_wrench_oracle(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEGA_MIN,
                             inflow=None):
     """windquad.aero.resultant_wrench composed from the per-rotor functions
-    above (same arguments, same float expressions in the same order)."""
+    above (same arguments, same float expressions in the same order).  The
+    disk area, flap gain and C_Q are formed here from the fields, not read
+    from the params' derived constants."""
     (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R
     (v1, v2, v3), (w1, w2, w3) = v, v_w
     g1, g2, g3 = w1 - v1, w2 - v2, w3 - v3
@@ -188,7 +194,7 @@ def resultant_wrench_oracle(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEG
     wz = r13 * g1 + r23 * g2 + r33 * g3
     p, q, r = Omega
     r_p = aero.r_p
-    rho_A = aero.rho * aero.A_p
+    rho_A = aero.rho * (math.pi * aero.r_p ** 2)
     flap_gain = 0.5 * aero.N_b * aero.K_beta
     if inflow is None:
         inflow = [None] * 4
@@ -204,7 +210,7 @@ def resultant_wrench_oracle(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEG
             raise RotorStopped(f"rotor {j + 1} {exc}") from None
         C_T, lam = solve_thrust_inflow_oracle(mu_x, mu_z, aero, inflow[j])
         inflow[j] = lam
-        C_Q = torque_coefficient(C_T, lam, mu_x, mu_z, aero)
+        C_Q = C_T * (lam + mu_z) + aero.C_D0 * aero.solidity / 8.0 * (1.0 + 3.0 * mu_x * mu_x)
         alpha, (d1, d2, d3) = flap_direction(u1, u2, aero.C_alpha)
         tip2 = (r_p * omega_j) ** 2
         T_j = C_T * rho_A * tip2
