@@ -6,15 +6,13 @@ y = W^T sigma(V^T x) with a fixed bias feature, sigmoid hidden units, and
 weight matrices driven by a damped gradient-style update law; Frobenius-ball
 projection keeps both matrices inside configured norm bounds at all times.
 
-Each network's weights live in an NNWeights, which update_weights advances
-by rebinding its arrays.  The forward pass runs on a NetworkPair: copies of
-both networks' matrices as one block-diagonal pair, evaluated by nn_output
-in one pass on the (14,) input of build_network_input.  The holder of a
-pair copies updated weights into it with refresh().  The synthetic plant's
-target networks form a pair of their own that is never refreshed.  A pair
-built from zero networks runs its forward pass once and returns that result
-until it is refreshed, so an adaptation-off run makes no forward pass per
-step.
+The forward pass runs on a NetworkPair, the only store of both networks'
+weights: one block-diagonal pair of matrices, evaluated by nn_output in one
+pass on the (14,) input of build_network_input.  The pair's `nets` are two
+NNWeights whose W and V are views of its diagonal blocks, so update_weights,
+which writes each network's new matrices into its arrays, updates the pair
+as well.  The synthetic plant's target networks form a pair of their own
+that is never updated.
 """
 
 import math
@@ -122,15 +120,11 @@ class NetworkPair:
     on the input [x_nn1, x_nn2].  Column h1 of V is zero: the feature it
     feeds is overwritten with the second network's bias, so the features
     are [1, s1, 1, s2] and each network's share of z, sigma and ds is a
-    view.  The blocks are copies of the networks' arrays, written at
-    construction and by refresh(); the off-diagonal blocks stay zero.
-
-    A pair whose blocks are all zero at construction (the zero start of
-    the controller's networks) keeps the result of one forward pass, with
-    read-only arrays, and nn_output returns it until refresh() is called.
-    On a finite input every entry of z = V^T x_nn is +0.0, since the bias
-    entry 1.0 adds +0.0 to each column, so z, sigma, ds and y = +0.0 do
-    not depend on the input.
+    view.  The constructor copies the two given networks into the diagonal
+    blocks, once, and leaves them unchanged.  `nets` are two NNWeights,
+    with the given networks' bounds, whose W and V are views of the
+    diagonal blocks: an update_weights on one of them writes into the pair,
+    and the off-diagonal blocks stay zero.
     """
 
     def __init__(self, nn1, nn2):
@@ -142,22 +136,12 @@ class NetworkPair:
         # entries of z, sigma and ds start at bias2
         self.inputs = (slice(0, n1), slice(n1, None))
         self.bias2 = h1 + 1
-        # the diagonal blocks, as views, in the order refresh() fills them
-        self._blocks = (self.V[:n1, :h1], self.V[n1:, h1 + 1:],
-                        self.W[:h1 + 1, :o1], self.W[h1 + 1:, o1:])
-        self.refresh(nn1, nn2)
-        if not any(block.any() for block in self._blocks):
-            y, features = nn_output(self, np.zeros(n1 + n2))
-            for a in (y, *features[0], *features[1]):
-                a.flags.writeable = False
-            self._zero_output = y, features
-
-    def refresh(self, nn1, nn2):
-        """Copy the networks' current V and W into their diagonal blocks,
-        and drop the kept result of a zero pair."""
-        self._zero_output = None
-        for block, M in zip(self._blocks, (nn1.V, nn2.V, nn1.W, nn2.W)):
-            block[...] = M
+        blocks = ((self.W[:h1 + 1, :o1], self.V[:n1, :h1]),
+                  (self.W[h1 + 1:, o1:], self.V[n1:, h1 + 1:]))
+        for (W, V), nn in zip(blocks, (nn1, nn2)):
+            W[...], V[...] = nn.W, nn.V
+        self.nets = tuple(NNWeights(W=W, V=V, W_max=nn.W_max, V_max=nn.V_max)
+                          for (W, V), nn in zip(blocks, (nn1, nn2)))
 
 
 def nn_output(pair, x_nn):
@@ -168,17 +152,9 @@ def nn_output(pair, x_nn):
     update_weights takes instead of recomputing the forward pass: the
     pre-activation, the features with bias, and the diagonal of their
     Jacobian, each a view into the pass's arrays.
-
-    A zero pair returns the result it keeps, whose arrays are read-only.
-    That result equals the forward pass on any finite x_nn only (a zero
-    weight times inf is NaN).  run_simulation aborts on a non-finite state
-    before the next step builds its input; an RK4 stage that hands the
-    synthetic plant a non-finite input makes that step's state non-finite.
     """
     if x_nn.shape != (pair.V.shape[0],):
         raise DimensionMismatch(f"input {x_nn.shape} vs V {pair.V.shape}")
-    if pair._zero_output is not None:
-        return pair._zero_output
     z = pair.V.T @ x_nn
     sigma, ds = sigmoid_features(z)
     k = pair.bias2
@@ -241,8 +217,9 @@ def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
 
     evaluated at the estimated pre-activation z = V^T x_nn.  `features` is
     the (z, sigma, ds) that nn_output returned for w and x_nn.  `name`
-    labels the network in errors.  Updates w in place: W, V and their norms
-    are rebound, never written into, once both projections succeed.
+    labels the network in errors.  Updates w in place, once both
+    projections succeed: the new matrices are written into w.W and w.V (the
+    blocks of a NetworkPair, for one of its `nets`) and the norms rebound.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -263,4 +240,5 @@ def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
 
     W, W_norm = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")
     V, V_norm = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")
-    w.W, w.V, w.W_norm, w.V_norm = W, V, W_norm, V_norm
+    w.W[...], w.V[...] = W, V
+    w.W_norm, w.V_norm = W_norm, V_norm

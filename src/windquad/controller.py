@@ -188,11 +188,14 @@ def mixing_matrix(d_h, C_TQ):
 class GeometricAdaptiveController:
     """Stateful control loop: one instance per simulation.
 
-    Owns the two adaptive networks, which it updates in place, their
-    block-diagonal pair, which it refreshes after each update, and the short
-    computed-attitude history used for finite-difference feedforward.
-    `adaptation=False` freezes the weights, which with zero initial weights
-    reproduces the pure geometric controller.
+    Owns a block-diagonal pair of the two adaptive networks, copied from the
+    given ones, and the short computed-attitude history used for
+    finite-difference feedforward.  `nn1` and `nn2` are the pair's `nets`,
+    which the weight update writes into; the given networks are left
+    unchanged.  `adaptation=False` freezes the weights, which with zero
+    initial weights reproduces the pure geometric controller: the output of
+    frozen zero networks is then evaluated once, here, and no step builds
+    a network input.
     """
 
     def __init__(self, gains, quad, simplified, nn1=None, nn2=None,
@@ -200,10 +203,16 @@ class GeometricAdaptiveController:
         self.gains = gains
         self.quad = quad
         self.simplified = simplified
-        self.nn1 = nn1 if nn1 is not None else NNWeights.zeros()
-        self.nn2 = nn2 if nn2 is not None else NNWeights.zeros()
-        self.pair = NetworkPair(self.nn1, self.nn2)
+        self.pair = NetworkPair(nn1 if nn1 is not None else NNWeights.zeros(),
+                                nn2 if nn2 is not None else NNWeights.zeros())
+        self.nn1, self.nn2 = self.pair.nets
         self.adaptation = adaptation
+        # the outputs of frozen networks whose blocks are all zero: +0.0 on
+        # every finite input; None when each step evaluates the networks
+        self._frozen_y = None
+        if not (adaptation or self.pair.W.any() or self.pair.V.any()):
+            y, _ = nn_output(self.pair, np.zeros(self.pair.V.shape[0]))
+            self._frozen_y = y.tolist()
         base = quad.m * quad.g if quad.g > 0.0 else quad.m
         self.eps_thrust = 1e-6 * base
         self.omega_min = omega_min
@@ -224,12 +233,13 @@ class GeometricAdaptiveController:
         # everything is Python floats, apart from the network input, the
         # forward pass and the weight update
         x, v, R, Omega = state_floats(s)
-        x_nn, self._last_angles = build_network_input(
-            x, v, R, Omega, fallback_angles=self._last_angles)
-        nn1, nn2, pair = self.nn1, self.nn2, self.pair
-        y, (features1, features2) = nn_output(pair, x_nn)
-
-        y = y.tolist()
+        y = self._frozen_y
+        if y is None:
+            x_nn, self._last_angles = build_network_input(
+                x, v, R, Omega, fallback_angles=self._last_angles)
+            y, (features1, features2) = nn_output(self.pair, x_nn)
+            y = y.tolist()
+        nn1, nn2 = self.nn1, self.nn2
         delta1_hat, delta2_hat = y[0:3], y[3:6]
         e_x = [a - b for a, b in zip(x, traj.x_d)]
         e_v = [a - b for a, b in zip(v, traj.v_d)]
@@ -260,13 +270,11 @@ class GeometricAdaptiveController:
 
         if self.adaptation:
             c1, c2 = gains.c1, gains.c2
-            in1, in2 = pair.inputs
+            in1, in2 = self.pair.inputs
             update_weights(nn1, x_nn[in1], features1,
                            np.array([b + c1 * a for a, b in zip(e_x, e_v)]),
                            gains.adapt1, dt, "nn1")
             update_weights(nn2, x_nn[in2], features2,
                            np.array([b + c2 * a for a, b in zip(e_R, e_Om)]),
                            gains.adapt2, dt, "nn2")
-            # the pair's only writer: the blocks follow the rebound arrays
-            pair.refresh(nn1, nn2)
         return out

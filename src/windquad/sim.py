@@ -160,7 +160,7 @@ def run_simulation(config):
             record = k % decimate == 0
             weight_sq = None
             if record and targets is not None:
-                # before the step, whose weight update rebinds the arrays
+                # before the step, whose weight update writes into the arrays
                 weight_sq = [(np.sum((tgt.W - nn.W) ** 2), np.sum((tgt.V - nn.V) ** 2))
                              for tgt, nn in zip(targets, (ctrl.nn1, ctrl.nn2))]
 

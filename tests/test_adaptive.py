@@ -144,6 +144,7 @@ def test_output_lipschitz_in_input(rng):
         assert np.linalg.norm(dy) <= L * np.linalg.norm(dx) * (1 + 1e-6)
 
 
+
 # --- input builders ----------------------------------------------------------
 
 def test_position_input_zero():
@@ -215,7 +216,7 @@ def test_update_damping_only(rng):
     g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
     dt = 1e-3
     x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
-    W0, V0 = w.W, w.V
+    W0, V0 = w.W.copy(), w.V.copy()
     update(w, x_nn, np.zeros(3), g, dt)
     assert np.allclose(w.W, (1 - g.kappa * g.gamma_w * dt) * W0, atol=1e-14)
     assert np.allclose(w.V, (1 - g.kappa * g.gamma_v * dt) * V0, atol=1e-14)
@@ -256,16 +257,20 @@ def test_geometric_decay_with_zero_error(rng):
     assert Vn == pytest.approx(Vn0 * (1 - g.kappa * g.gamma_v * dt) ** n, rel=1e-9)
 
 
-def test_update_leaves_previous_arrays_unchanged(rng):
+def test_update_writes_into_the_same_arrays(rng):
     w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
+    W0, V0 = w.W, w.V
     g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
     for _ in range(50):
-        W0, V0 = w.W, w.V
-        W0_copy, V0_copy = W0.copy(), V0.copy()
-        update(w, np.concatenate(([1.0], rng.standard_normal(6))), rng.standard_normal(3),
-               g, 1e-2)
-        assert w.W is not W0 and w.V is not V0
-        assert np.array_equal(W0, W0_copy) and np.array_equal(V0, V0_copy)
+        before = W0.copy(), V0.copy()
+        x_nn = np.concatenate(([1.0], rng.standard_normal(6)))
+        a = rng.standard_normal(3)
+        ref_W, ref_V = reference_update_weights(w, x_nn, a, g, 1e-2)
+        update(w, x_nn, a, g, 1e-2)
+        assert w.W is W0 and w.V is V0
+        assert not np.array_equal(W0, before[0]) and not np.array_equal(V0, before[1])
+        assert np.allclose(W0, ref_W, rtol=1e-12, atol=1e-15)
+        assert np.allclose(V0, ref_V, rtol=1e-12, atol=1e-15)
 
 
 def test_norms_track_weights_bitwise(rng):
@@ -375,68 +380,25 @@ def test_stacked_output_dimension_check():
         nn_output(pair, np.zeros(12))
 
 
-# --- the kept result of a zero pair ---------------------------------------------
 
-def pass_arrays(result):
-    """y, then z, sigma and ds of each network, of one nn_output result."""
-    y, features = result
-    return [y, *(a for f in features for a in f)]
-
-
-def finite_inputs(rng, n):
-    """Pair inputs with the bias entries 1.0 of build_network_input and the
-    other entries finite, from 1e-300 to 1e300 in size, with +-1e300, the
-    largest float, the smallest subnormal and both zeros mixed in."""
-    big = np.finfo(float).max
-    specials = np.array([1e300, -1e300, big, -big, 5e-324, -5e-324, 0.0, -0.0])
-    for _ in range(n):
-        x_nn = rng.standard_normal(14) * 10.0 ** rng.uniform(-300.0, 300.0, 14)
-        pick = rng.random(14) < 0.3
-        x_nn[pick] = rng.choice(specials, pick.sum())
-        x_nn[[0, 7]] = 1.0
-        yield x_nn
-
-
-@pytest.mark.parametrize("hidden", [(10, 10), (1, 17)])
-def test_zero_pair_result_bytes_equal_forward_pass(rng, hidden):
-    nets = [NNWeights.zeros(n_hidden=h) for h in hidden]
-    kept = NetworkPair(*nets)
-    # refresh() drops a kept result, so this pair runs the forward pass
-    forward = NetworkPair(*nets)
-    forward.refresh(*nets)
-    for x_nn in finite_inputs(rng, 1000):
-        got = pass_arrays(nn_output(kept, x_nn))
-        ref = pass_arrays(nn_output(forward, x_nn))
-        assert all(a.flags.writeable for a in ref)
-        assert [a.shape for a in got] == [a.shape for a in ref]
-        assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref))
-
-
-def test_zero_pair_refreshed_matches_fresh_pair(rng):
-    # the controller's sequence: the zero start, one step on the kept
-    # result, then refresh() with the updated weights
-    for _ in range(200):
-        sizes = rng.integers(2, 12, 2)
-        pair = NetworkPair(*(NNWeights.zeros(n_hidden=int(h)) for h in sizes))
-        x, v, Om = rng.standard_normal((3, 3))
-        x_nn, _ = build_network_input(x, v, random_rotation(rng), Om)
-        nn_output(pair, x_nn)
-        nets = [NNWeights.random(rng, n_hidden=int(h), W_norm=rng.uniform(0.1, 3.0),
-                                 V_norm=rng.uniform(0.1, 3.0)) for h in sizes]
-        pair.refresh(*nets)
-        got = pass_arrays(nn_output(pair, x_nn))
-        ref = pass_arrays(nn_output(NetworkPair(*nets), x_nn))
-        assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref))
-        assert np.any(got[0])
-
-
-def test_zero_pair_result_is_read_only():
-    pair = NetworkPair(NNWeights.zeros(), NNWeights.zeros())
-    x_nn, _ = build_network_input(np.ones(3), np.ones(3), np.eye(3), np.ones(3))
-    for a in pass_arrays(nn_output(pair, x_nn)):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1.0
-
+def test_pair_nets_are_views_of_the_blocks(rng):
+    given = [NNWeights.random(rng, n_hidden=h, W_norm=0.5, V_norm=1.5, W_max=1.0, V_max=2.0)
+             for h in (10, 7)]
+    copies = [(w.W.copy(), w.V.copy()) for w in given]
+    pair = NetworkPair(*given)
+    x, v, Om = rng.standard_normal((3, 3))
+    x_nn, _ = build_network_input(x, v, random_rotation(rng), Om)
+    _, features = nn_output(pair, x_nn)
+    for w, f, inputs in zip(pair.nets, features, pair.inputs):
+        update_weights(w, x_nn[inputs], f, rng.standard_normal(3), AdaptationGains(), 1e-2)
+    for w, nn, (W, V) in zip(pair.nets, given, copies):
+        assert np.shares_memory(w.W, pair.W) and np.shares_memory(w.V, pair.V)
+        assert (w.W_max, w.V_max) == (nn.W_max, nn.V_max)
+        # the update wrote into the pair, and the given networks were copied
+        assert not np.array_equal(w.W, W) and not np.array_equal(w.V, V)
+        assert np.array_equal(nn.W, W) and np.array_equal(nn.V, V)
+    fresh = NetworkPair(*pair.nets)
+    assert fresh.W.tobytes() == pair.W.tobytes() and fresh.V.tobytes() == pair.V.tobytes()
 
 # --- reference: the update law recomputing its forward pass ------------------
 

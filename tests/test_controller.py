@@ -5,6 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import windquad.controller
 from windquad.adaptive import (AdaptationGains, NetworkPair, NNWeights, build_network_input,
                                nn_output, update_weights)
 from windquad.aero import OMEGA_MIN
@@ -285,9 +286,9 @@ def test_step_output_norms_are_those_of_the_weights_used(quad, rng):
     state = pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
                        rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05]))
     for _ in range(3):
-        used = [(w.W.copy(), w.V.copy()) for w in nets]
+        used = [(w.W.copy(), w.V.copy()) for w in (ctrl.nn1, ctrl.nn2)]
         out = ctrl.step(state, hover_point(), 1e-3)
-        for i, (w, (W, V)) in enumerate(zip(nets, used), start=1):
+        for i, (w, (W, V)) in enumerate(zip((ctrl.nn1, ctrl.nn2), used), start=1):
             # the update ran, so the norms read before it differ from w's now
             assert not np.array_equal(w.W, W) and not np.array_equal(w.V, V)
             assert out[OUTPUT[f"W{i}_norm"]] == np.linalg.norm(W)
@@ -504,10 +505,9 @@ def test_step_matches_array_reference(quad, adaptation):
     assert weight_err <= STEP_RTOL
 
 
-def test_pair_blocks_follow_the_updated_weights(quad):
-    # the staleness guard: after 200 adapted closed-loop steps the
-    # controller's block pair equals one built afresh from its networks, and
-    # its off-diagonal blocks are still exactly zero
+def adapted_controller(quad, steps):
+    """A controller with random networks after `steps` adapted closed-loop
+    steps, and a copy of its pair's W from before them."""
     rng = np.random.default_rng(99)
     gains, nets, _, _ = random_case(rng, quad)
     ctrl, _ = controller_pair(quad, *nets, adaptation=True, gains=gains)
@@ -516,12 +516,20 @@ def test_pair_blocks_follow_the_updated_weights(quad):
     state = pack_state(np.array([0.4, -0.2, 0.1]), np.zeros(3), rotation_zyx(0.2, 0.1, -0.1),
                        np.zeros(3))
     dt = 1e-3
-    for k in range(200):
+    for k in range(steps):
         out = ctrl.step(state, trajectory_at(gen, k * dt), dt)
         f, M_c = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
         state = step_rk4(state, dt,
                          lambda ts, x, v, R, Omega: simplified_wrench(R, f, M_c, quad),
                          quad, k * dt)
+    return ctrl, initial_W
+
+
+def test_pair_blocks_follow_the_updated_weights(quad):
+    # after 200 adapted closed-loop steps the controller's block pair equals
+    # one built afresh from its networks, and its off-diagonal blocks are
+    # still exactly zero
+    ctrl, initial_W = adapted_controller(quad, 200)
     pair, fresh = ctrl.pair, NetworkPair(ctrl.nn1, ctrl.nn2)
     (n1, h1), o1 = ctrl.nn1.V.shape, ctrl.nn1.W.shape[1]
     assert not pair.V[:n1, h1:].any() and not pair.V[n1:, :h1 + 1].any()
@@ -529,6 +537,52 @@ def test_pair_blocks_follow_the_updated_weights(quad):
     assert pair.W.tobytes() == fresh.W.tobytes() and pair.V.tobytes() == fresh.V.tobytes()
     # the weights moved, so blocks left as constructed would differ
     assert not np.array_equal(pair.W, initial_W)
+
+
+def test_controller_networks_are_the_pair(quad, rng):
+    # the networks the update writes into are views of the pair's blocks, so
+    # the pair's forward pass is that of copies of the adapted networks
+    ctrl, _ = adapted_controller(quad, 50)
+    for w in (ctrl.nn1, ctrl.nn2):
+        assert np.shares_memory(w.W, ctrl.pair.W) and np.shares_memory(w.V, ctrl.pair.V)
+    fresh = NetworkPair(copy.deepcopy(ctrl.nn1), copy.deepcopy(ctrl.nn2))
+    for _ in range(100):
+        x, v, Om = rng.standard_normal((3, 3))
+        x_nn, _ = build_network_input(x, v, random_rotation(rng), Om)
+        (y, features), (y_ref, features_ref) = nn_output(ctrl.pair, x_nn), nn_output(fresh, x_nn)
+        assert y.tobytes() == y_ref.tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for f, f_ref in zip(features, features_ref) for a, b in zip(f, f_ref))
+
+
+@pytest.mark.parametrize("adaptation, nn2_norm, per_step", [
+    (False, 0.0, False), (True, 0.0, True), (False, 1.0, True)],
+    ids=["frozen_zero", "adapting_zero", "frozen_nonzero"])
+def test_frozen_zero_networks_are_evaluated_once(quad, monkeypatch, adaptation, nn2_norm,
+                                                per_step):
+    calls = {"build_network_input": 0, "nn_output": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(windquad.controller, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(windquad.controller, name, counted)
+    rng = np.random.default_rng(3)
+    nn2 = NNWeights.random(rng, W_norm=1.0, V_norm=2.0) if nn2_norm else None
+    simp = SimplifiedModelParams(C_T=8.5e-6, C_Q=8.6e-8)
+    ctrl = GeometricAdaptiveController(default_gains(), quad, simp, nn2=nn2,
+                                       adaptation=adaptation)
+    built = dict(calls)
+    # frozen zero networks: one forward pass, on a zero input, when built
+    assert built == {"build_network_input": 0, "nn_output": 0 if per_step else 1}
+    state = pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
+                       rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05]))
+    for _ in range(5):
+        out = ctrl.step(state, hover_point(), 1e-3)
+    assert {name: n - built[name] for name, n in calls.items()} == dict.fromkeys(
+        calls, 5 if per_step else 0)
+    if not per_step:
+        deltas = [*out[OUTPUT["delta1_hat"]], *out[OUTPUT["delta2_hat"]]]
+        assert all(d == 0.0 and math.copysign(1.0, d) > 0.0 for d in deltas)
 
 
 def degenerate_cases():

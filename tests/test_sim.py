@@ -450,7 +450,7 @@ def test_warm_start_inflow_evaluations_per_solve(monkeypatch):
 #: numpy calls per step of each config that build an array or read one back,
 #: at most, by the profiler's label of the call
 CONVERSION_BUDGET = {
-    "baseline": {"numpy.array": 2, "tolist": 4, "numpy.zeros": 0},
+    "baseline": {"numpy.array": 1, "tolist": 3, "numpy.zeros": 0},
     "synthetic": {"numpy.array": 8, "tolist": 8, "numpy.zeros": 0},
     "wind_circle": {"numpy.array": 4, "tolist": 4, "numpy.zeros": 0},
 }
