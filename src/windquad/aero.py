@@ -90,6 +90,10 @@ class RotorAeroParams:
         if not s < 1.0:
             raise ValueError("solidity ratio must be below 1")
         s_cla = s * self.C_la
+        # where w vanishes (the hover start) the inflow solve's Newton slope
+        # is s C_la / 4, which it divides by
+        if not 0.25 * s_cla > 0.0:
+            raise ValueError(f"C_la = {self.C_la!r} is too small: s C_la / 4 underflows to 0")
         try:
             A_p = math.pi * self.r_p ** 2
         except OverflowError:

@@ -625,3 +625,12 @@ def test_params_reject_overflowing_disk_area():
     # config loading turns into exit 2 naming [aero]
     with pytest.raises(ValueError, match="r_p is too large"):
         RotorAeroParams(r_p=1e300)
+
+
+def test_params_reject_underflowing_lift_slope():
+    # s C_la / 4 is the Newton slope of the hover start, where w = 0: one
+    # that underflows to 0 is a ValueError, not a division by zero in the solve
+    with pytest.raises(ValueError, match=r"C_la = 5e-324 is too small"):
+        RotorAeroParams(C_la=5e-324)
+    p = RotorAeroParams(C_la=1e-300)
+    assert p._quarter_s_cla > 0.0

@@ -149,6 +149,20 @@ def test_run_rejects_overflowing_derived_quantities(tmp_path, capsys, section, k
         assert not (tmp_path / "out" / "telemetry.csv").exists()
 
 
+
+@pytest.mark.parametrize("text", [
+    "[simulation]\nplant = full_aero\nduration = 0.02\n",
+    "[simulation]\nduration = 0.02\n[simplified]\ncalibrate = on\n"],
+    ids=["full_aero", "calibrate"])
+def test_run_rejects_underflowing_lift_slope(tmp_path, capsys, text):
+    # s C_la / 4 underflows to 0 at c_la = 5e-324: a load-time error naming
+    # [aero], not a ZeroDivisionError traceback from the inflow solve
+    path = write(tmp_path, text + "[aero]\nc_la = 5e-324\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "[aero]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "telemetry.csv").exists()
+
+
 def test_derived_limits_sit_at_the_overflow():
     # just inside each limit still loads
     load_config(overrides={("aero", "omega_min"): "1e154"})
