@@ -79,8 +79,11 @@ class NNWeights:
         """
         W = rng.standard_normal((n_hidden + 1, n_out))
         V = rng.standard_normal((n_in + 1, n_hidden))
-        W *= W_norm / np.linalg.norm(W)
-        V *= V_norm / np.linalg.norm(V)
+        # a matrix without entries (V of a width-0 network, which is a
+        # learned bias) keeps its norm 0
+        for M, norm in ((W, W_norm), (V, V_norm)):
+            if M.size:
+                M *= norm / np.linalg.norm(M)
         return cls(W=W, V=V, W_max=W_max or max(W_norm, 1e-12),
                    V_max=V_max or max(V_norm, 1e-12))
 

@@ -145,6 +145,16 @@ def test_output_lipschitz_in_input(rng):
 
 
 
+def test_random_width_zero_network_is_a_bias(rng):
+    # V has no entries to scale, so it keeps norm 0 and no division by it
+    # runs (the suite turns numpy's divide-by-zero warning into an error)
+    w = NNWeights.random(rng, n_hidden=0, W_norm=0.7, V_norm=1.5)
+    assert w.V.shape == (7, 0) and w.V_norm == 0.0
+    assert w.W_norm == pytest.approx(0.7, rel=1e-15)
+    for _ in range(10):
+        x = np.concatenate(([1.0], rng.standard_normal(6)))
+        assert np.array_equal(output(w, x), w.W[0])
+
 # --- input builders ----------------------------------------------------------
 
 def test_position_input_zero():

@@ -163,6 +163,17 @@ def test_run_rejects_underflowing_lift_slope(tmp_path, capsys, text):
     assert not (tmp_path / "out" / "telemetry.csv").exists()
 
 
+@pytest.mark.parametrize("section", ["nn1", "nn2"])
+def test_run_synthetic_width_zero_network(tmp_path, capsys, section):
+    # a width-0 network is a learned bias: its target's V has no entries to
+    # scale, so the run prints no numpy warning (the suite makes one an error)
+    path = write(tmp_path, f"[simulation]\nplant = synthetic\nduration = 0.02\n"
+                           f"[{section}]\nhidden = 0\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    header, data = read_csv(str(tmp_path / "out" / "telemetry.csv"))
+    assert np.isfinite(data).all()
+
 def test_derived_limits_sit_at_the_overflow():
     # just inside each limit still loads
     load_config(overrides={("aero", "omega_min"): "1e154"})
