@@ -231,6 +231,8 @@ class SimConfig:
     """Typed, validated configuration for one simulation run."""
 
     values: dict = field(default_factory=dict)
+    # simplified()'s result, built once (under calibrate = on an inflow solve)
+    _simplified: object = field(default=None, init=False, repr=False, compare=False)
 
     def get(self, section, key):
         return self.values[(section, key)]
@@ -256,10 +258,14 @@ class SimConfig:
             K_beta=self.get("aero", "k_beta"), C_d=self.get("aero", "c_d"))
 
     def simplified(self):
-        if self.get("simplified", "calibrate"):
-            return calibrate_simplified(self.aero(), self.quad())
-        return SimplifiedModelParams(C_T=self.get("simplified", "c_t"),
-                                     C_Q=self.get("simplified", "c_q"))
+        """The SimplifiedModelParams, built on the first call (by _validate)."""
+        if self._simplified is None:
+            if self.get("simplified", "calibrate"):
+                self._simplified = calibrate_simplified(self.aero(), self.quad())
+            else:
+                self._simplified = SimplifiedModelParams(C_T=self.get("simplified", "c_t"),
+                                                         C_Q=self.get("simplified", "c_q"))
+        return self._simplified
 
     def gains(self):
         g1 = AdaptationGains(gamma_w=self.get("nn1", "gamma_w"),

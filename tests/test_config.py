@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import windquad.config
 from windquad.config import (calibrate_simplified, default_config_text,
                              load_config)
 from windquad.errors import ParseError, ValidationError
 from windquad.layout import unpack_state
+from windquad.sim import run_simulation
 
 
 def write(tmp_path, text):
@@ -109,6 +111,22 @@ def test_calibrated_simplified_matches_hover():
     assert simp.C_T == pytest.approx(direct.C_T)
     assert simp.C_Q == pytest.approx(direct.C_Q)
     assert simp.C_T > 0 and simp.C_TQ > 0
+
+
+def test_calibration_runs_once_per_run(monkeypatch):
+    # load_config's validation builds the calibrated parameters, and the run
+    # reads the same object instead of solving the hover inflow again
+    calls = []
+
+    def counted(aero, quad):
+        calls.append(1)
+        return calibrate_simplified(aero, quad)
+
+    monkeypatch.setattr(windquad.config, "calibrate_simplified", counted)
+    cfg = load_config(overrides={("simplified", "calibrate"): "on",
+                                 ("simulation", "duration"): "0.005"})
+    run_simulation(cfg)
+    assert len(calls) == 1
 
 
 def test_schema_reference_text_is_loadable(tmp_path):
