@@ -555,11 +555,10 @@ def test_controller_networks_are_the_pair(quad, rng):
                    for f, f_ref in zip(features, features_ref) for a, b in zip(f, f_ref))
 
 
-@pytest.mark.parametrize("adaptation, nn2_norm, per_step", [
-    (False, 0.0, False), (True, 0.0, True), (False, 1.0, True)],
-    ids=["frozen_zero", "adapting_zero", "frozen_nonzero"])
-def test_frozen_zero_networks_are_evaluated_once(quad, monkeypatch, adaptation, nn2_norm,
-                                                per_step):
+@pytest.mark.parametrize("adaptation, random_nn2", [(False, False), (True, False), (False, True)],
+                         ids=["frozen_zero", "adapting_zero", "frozen_nonzero"])
+def test_frozen_zero_networks_are_evaluated_once(quad, monkeypatch, adaptation, random_nn2):
+    per_step = adaptation or random_nn2
     calls = {"build_network_input": 0, "nn_output": 0}
     for name in calls:
         def counted(*args, _name=name, _call=getattr(windquad.controller, name), **kwargs):
@@ -567,7 +566,7 @@ def test_frozen_zero_networks_are_evaluated_once(quad, monkeypatch, adaptation, 
             return _call(*args, **kwargs)
         monkeypatch.setattr(windquad.controller, name, counted)
     rng = np.random.default_rng(3)
-    nn2 = NNWeights.random(rng, W_norm=1.0, V_norm=2.0) if nn2_norm else None
+    nn2 = NNWeights.random(rng, W_norm=1.0, V_norm=2.0) if random_nn2 else None
     simp = SimplifiedModelParams(C_T=8.5e-6, C_Q=8.6e-8)
     ctrl = GeometricAdaptiveController(default_gains(), quad, simp, nn2=nn2,
                                        adaptation=adaptation)
