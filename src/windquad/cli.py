@@ -36,19 +36,24 @@ def _wind(text):
     return {**calm, ("wind", "kind"): "constant", ("wind", "base"): text}
 
 
-# --out DIR: the three [output] paths, as files in DIR
-OUT_FILES = {"csv": "telemetry.csv", "summary": "summary.txt", "weights": "weights.csv"}
-
-
 def _gain_report(cfg):
     return build_pd_matrices(cfg.gains(), cfg.get("quad", "mass"),
                              cfg.get("quad", "inertia"), cfg.assumptions())
 
 
+def _out_paths(folder, *names):
+    """The paths of `names` in `folder`, which is created first.  A name that
+    is a directory fails now rather than after a run."""
+    os.makedirs(folder, exist_ok=True)
+    paths = [os.path.join(folder, name) for name in names]
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return paths
+
+
 def cmd_run(args):
-    out = {("output", key): os.path.join(args.out, name)
-           for key, name in OUT_FILES.items()} if args.out else {}
-    cfg = load_config(args.config, overrides={**args.overrides, **out})
+    cfg = load_config(args.config, overrides=args.overrides)
     ignored = cfg.ignored()
     for line in ignored:
         print(f"ignored: {line}", file=sys.stderr)
@@ -59,44 +64,32 @@ def cmd_run(args):
         if args.strict:
             raise ValidationError("gain checks failed and --strict is set")
 
-    # --out is created before the run; an empty [output] path skips its file
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    paths = [cfg.get("output", key) for key in OUT_FILES]
-    csv_path, summary_path, weights_path = paths
-    # a missing directory or a path that is one fails now rather than after
-    # the run; nothing is created here, so an aborted run still leaves no
-    # summary and no weights
-    for path in paths:
-        folder = os.path.dirname(path)
-        if folder and not os.path.isdir(folder):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-
+    paths = (_out_paths(args.out, "telemetry.csv", "summary.txt", "weights.csv")
+             if args.out else None)
     try:
         result = run_simulation(cfg)
-        telemetry, summary = result.telemetry, result.summary
-        aborted = None
     except SimulationAbort as exc:
-        telemetry, summary, aborted = exc.telemetry, None, exc
-
-    if csv_path:
-        write_csv(telemetry, csv_path)
-    if summary is not None and summary_path:
-        write_summary(summary, summary_path, report_text=format_report(report),
-                      ignored=ignored)
-    if aborted is None and weights_path:
-        write_weights_csv([("final_nn1", result.weights[0]),
-                           ("final_nn2", result.weights[1])], weights_path)
-
-    if aborted is not None:
-        print(f"error: {aborted}", file=sys.stderr)
+        if paths:
+            csv_path, *finished_only = paths
+            write_csv(exc.telemetry, csv_path)
+            # an earlier run's summary and weights must not sit beside this
+            # run's partial telemetry
+            for path in finished_only:
+                if os.path.exists(path):
+                    os.remove(path)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
+    if paths:
+        csv_path, summary_path, weights_path = paths
+        write_csv(result.telemetry, csv_path)
+        write_summary(result.summary, summary_path, report_text=format_report(report),
+                      ignored=ignored)
+        write_weights_csv([("final_nn1", result.weights[0]),
+                           ("final_nn2", result.weights[1])], weights_path)
     for key in ("rms_e_x", "max_e_x", "rms_e_x_tail", "settling_time",
                 "max_psi", "final_V", "saturation_count"):
-        print(f"{key}: {summary[key]}")
+        print(f"{key}: {result.summary[key]}")
     return 0
 
 
@@ -122,7 +115,7 @@ def cmd_sweep(args):
     configs = [load_config(args.config, overrides={(section, key): raw}) for raw in values]
     for line in dict.fromkeys(line for cfg in configs for line in cfg.ignored()):
         print(f"ignored: {line}", file=sys.stderr)
-    os.makedirs(args.out, exist_ok=True)
+    path = _out_paths(args.out, "sweep.csv")[0]
     rows = []
     for raw, cfg in zip(values, configs):
         row = {"param": f"{section}.{key}", "value": raw}
@@ -138,7 +131,6 @@ def cmd_sweep(args):
     # an aborted run's row leaves the summary columns empty
     finished = [row for row in rows if row["status"] == "ok"]
     cols = list((finished or rows)[0])
-    path = os.path.join(args.out, "sweep.csv")
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:

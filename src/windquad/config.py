@@ -27,14 +27,6 @@ from .stability import BoundAssumptions
 PLANT_MODES = ("simplified", "full_aero", "synthetic")
 
 
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_int(s):
-    return int(s)
-
-
 def _parse_bool(s):
     v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -64,99 +56,95 @@ def _parse_inertia(s):
     raise ValueError(f"inertia needs 3 (diagonal) or 9 entries, got {v.size}")
 
 
-def _parse_str(s):
-    return s.strip()
-
-
 # section -> key -> (parser, default-as-text, comment)
 SCHEMA = {
     "simulation": {
-        "dt": (_parse_float, "0.001", "integrator step [s], in (0, 0.05]"),
-        "duration": (_parse_float, "10.0", "run length [s]"),
-        "plant": (_parse_str, "simplified", "simplified | full_aero | synthetic"),
+        "dt": (float, "0.001", "integrator step [s], in (0, 0.05]"),
+        "duration": (float, "10.0", "run length [s]"),
+        "plant": (str.strip, "simplified", "simplified | full_aero | synthetic"),
         "adaptation": (_parse_bool, "on", "enable online weight updates"),
-        "seed": (_parse_int, "0", "RNG seed (synthetic target networks)"),
-        "decimate": (_parse_int, "1", "keep every Nth telemetry record"),
+        "seed": (int, "0", "RNG seed (synthetic target networks)"),
+        "decimate": (int, "1", "keep every Nth telemetry record"),
     },
     "quad": {
-        "mass": (_parse_float, "0.5", "[kg]"),
+        "mass": (float, "0.5", "[kg]"),
         "inertia": (_parse_inertia, "0.006 0.006 0.011", "diagonal (3) or full (9) [kg m^2]"),
-        "d_h": (_parse_float, "0.15", "horizontal rotor offset [m]"),
-        "d_v": (_parse_float, "-0.02", "vertical rotor offset [m]"),
-        "gravity": (_parse_float, "9.81", "[m/s^2], may be zero"),
+        "d_h": (float, "0.15", "horizontal rotor offset [m]"),
+        "d_v": (float, "-0.02", "vertical rotor offset [m]"),
+        "gravity": (float, "9.81", "[m/s^2], may be zero"),
     },
     "aero": {
-        "rho": (_parse_float, "1.225", "air density [kg/m^3]"),
-        "r_p": (_parse_float, "0.12", "rotor radius [m]"),
-        "n_b": (_parse_int, "2", "blade count"),
-        "chord": (_parse_float, "0.015", "blade chord [m]"),
-        "c_la": (_parse_float, "5.7", "lift-curve slope [1/rad]"),
-        "theta0": (_parse_float, "0.25", "blade pitch [rad]"),
-        "c_d0": (_parse_float, "0.012", "blade profile drag coefficient"),
-        "c_alpha": (_parse_float, "0.01", "flapping coefficient [rad s/m]"),
-        "k_beta": (_parse_float, "0.05", "blade stiffness [N m/rad]"),
-        "c_d": (_parse_float, "0.05", "body drag coefficient [kg/m]"),
-        "omega_min": (_parse_float, "1.0", "rotor speed floor [rad/s]"),
+        "rho": (float, "1.225", "air density [kg/m^3]"),
+        "r_p": (float, "0.12", "rotor radius [m]"),
+        "n_b": (int, "2", "blade count"),
+        "chord": (float, "0.015", "blade chord [m]"),
+        "c_la": (float, "5.7", "lift-curve slope [1/rad]"),
+        "theta0": (float, "0.25", "blade pitch [rad]"),
+        "c_d0": (float, "0.012", "blade profile drag coefficient"),
+        "c_alpha": (float, "0.01", "flapping coefficient [rad s/m]"),
+        "k_beta": (float, "0.05", "blade stiffness [N m/rad]"),
+        "c_d": (float, "0.05", "body drag coefficient [kg/m]"),
+        "omega_min": (float, "1.0", "rotor speed floor [rad/s]"),
     },
     "simplified": {
-        "c_t": (_parse_float, "8.5e-06", "thrust coefficient [N s^2]"),
-        "c_q": (_parse_float, "8.6e-08", "torque coefficient [N m s^2]"),
+        "c_t": (float, "8.5e-06", "thrust coefficient [N s^2]"),
+        "c_q": (float, "8.6e-08", "torque coefficient [N m s^2]"),
         "calibrate": (_parse_bool, "off", "derive c_t/c_q from the aero hover solve"),
     },
     "gains": {
-        "k_x": (_parse_float, "4.0", "position gain"),
-        "k_v": (_parse_float, "2.5", "velocity gain"),
-        "k_r": (_parse_float, "8.0", "attitude gain"),
-        "k_omega": (_parse_float, "0.6", "angular-rate gain"),
-        "c1": (_parse_float, "1.0", "position error coupling"),
-        "c2": (_parse_float, "0.8", "attitude error coupling"),
+        "k_x": (float, "4.0", "position gain"),
+        "k_v": (float, "2.5", "velocity gain"),
+        "k_r": (float, "8.0", "attitude gain"),
+        "k_omega": (float, "0.6", "angular-rate gain"),
+        "c1": (float, "1.0", "position error coupling"),
+        "c2": (float, "0.8", "attitude error coupling"),
     },
     "nn1": {
-        "gamma_w": (_parse_float, "20.0", "outer-layer learning rate"),
-        "gamma_v": (_parse_float, "10.0", "inner-layer learning rate"),
-        "kappa": (_parse_float, "0.015", "damping"),
-        "w_max": (_parse_float, "3.0", "outer-layer norm bound"),
-        "v_max": (_parse_float, "1.0", "inner-layer norm bound"),
-        "hidden": (_parse_int, "10", "hidden-layer width"),
+        "gamma_w": (float, "20.0", "outer-layer learning rate"),
+        "gamma_v": (float, "10.0", "inner-layer learning rate"),
+        "kappa": (float, "0.015", "damping"),
+        "w_max": (float, "3.0", "outer-layer norm bound"),
+        "v_max": (float, "1.0", "inner-layer norm bound"),
+        "hidden": (int, "10", "hidden-layer width"),
     },
     "nn2": {
-        "gamma_w": (_parse_float, "10.0", "outer-layer learning rate"),
-        "gamma_v": (_parse_float, "5.0", "inner-layer learning rate"),
-        "kappa": (_parse_float, "0.05", "damping"),
-        "w_max": (_parse_float, "0.5", "outer-layer norm bound"),
-        "v_max": (_parse_float, "0.5", "inner-layer norm bound"),
-        "hidden": (_parse_int, "10", "hidden-layer width"),
+        "gamma_w": (float, "10.0", "outer-layer learning rate"),
+        "gamma_v": (float, "5.0", "inner-layer learning rate"),
+        "kappa": (float, "0.05", "damping"),
+        "w_max": (float, "0.5", "outer-layer norm bound"),
+        "v_max": (float, "0.5", "inner-layer norm bound"),
+        "hidden": (int, "10", "hidden-layer width"),
     },
     "trajectory": {
-        "kind": (_parse_str, "hover", "hover | circle | helix | lissajous"),
-        "heading": (_parse_str, "tangent", "tangent | fixed (circle/helix)"),
+        "kind": (str.strip, "hover", "hover | circle | helix | lissajous"),
+        "heading": (str.strip, "tangent", "tangent | fixed (circle/helix)"),
         "center": (_parse_vec3, "0 0 0", "[m]"),
-        "radius": (_parse_float, "2.0", "circle/helix radius [m]"),
-        "omega": (_parse_float, "0.5", "circle/helix angular rate [rad/s]"),
-        "v_z": (_parse_float, "0.0", "helix climb rate [m/s]"),
+        "radius": (float, "2.0", "circle/helix radius [m]"),
+        "omega": (float, "0.5", "circle/helix angular rate [rad/s]"),
+        "v_z": (float, "0.0", "helix climb rate [m/s]"),
         "amplitudes": (_parse_vec3, "1 1 0", "lissajous amplitudes [m]"),
         "frequencies": (_parse_vec3, "1 2 0", "lissajous frequencies [rad/s]"),
         "phases": (_parse_vec3, "0 1.5707963267948966 0", "lissajous phases [rad]"),
     },
     "wind": {
-        "kind": (_parse_str, "none", "none | constant | step_gust | sinusoidal"),
+        "kind": (str.strip, "none", "none | constant | step_gust | sinusoidal"),
         "base": (_parse_vec3, "0 0 0", "mean wind [m/s]"),
-        "amplitude": (_parse_float, "0.0", "gust/sine amplitude [m/s]"),
-        "onset": (_parse_float, "0.0", "gust onset time [s]"),
-        "frequency": (_parse_float, "0.0", "sine frequency [Hz]"),
+        "amplitude": (float, "0.0", "gust/sine amplitude [m/s]"),
+        "onset": (float, "0.0", "gust onset time [s]"),
+        "frequency": (float, "0.0", "sine frequency [Hz]"),
         "direction": (_parse_vec3, "1 0 0", "gust/sine direction"),
     },
     "disturbance": {
         "delta1": (_parse_vec3, "0 0 0", "constant force disturbance [N]"),
         "delta2": (_parse_vec3, "0 0 0", "constant moment disturbance [N m]"),
         "delta1_amp": (_parse_vec3, "0 0 0", "sinusoidal force amplitude [N]"),
-        "delta1_freq": (_parse_float, "0.0", "force sine frequency [Hz]"),
+        "delta1_freq": (float, "0.0", "force sine frequency [Hz]"),
         "delta2_amp": (_parse_vec3, "0 0 0", "sinusoidal moment amplitude [N m]"),
-        "delta2_freq": (_parse_float, "0.0", "moment sine frequency [Hz]"),
-        "target_w1": (_parse_float, "0.1", "synthetic target ||W1||_F"),
-        "target_v1": (_parse_float, "0.05", "synthetic target ||V1||_F"),
-        "target_w2": (_parse_float, "0.02", "synthetic target ||W2||_F"),
-        "target_v2": (_parse_float, "0.05", "synthetic target ||V2||_F"),
+        "delta2_freq": (float, "0.0", "moment sine frequency [Hz]"),
+        "target_w1": (float, "0.1", "synthetic target ||W1||_F"),
+        "target_v1": (float, "0.05", "synthetic target ||V1||_F"),
+        "target_w2": (float, "0.02", "synthetic target ||W2||_F"),
+        "target_v2": (float, "0.05", "synthetic target ||V2||_F"),
     },
     "initial": {
         "x": (_parse_vec3, "0 0 0", "position [m]"),
@@ -165,20 +153,15 @@ SCHEMA = {
         "omega": (_parse_vec3, "0 0 0", "body rates [rad/s]"),
     },
     "assumptions": {
-        "psi1": (_parse_float, "0.25", "initial attitude error bound, in (0,1)"),
-        "b1": (_parse_float, "10.0", "command acceleration bound [N]"),
-        "b4": (_parse_float, "2.0", "computed-attitude rate bound [1/s]"),
-        "e_x_max": (_parse_float, "2.0", "position error bound [m]"),
-        "x_d_max": (_parse_float, "1.0", "desired position bound [m]"),
-        "v_d_max": (_parse_float, "1.0", "desired velocity bound [m/s]"),
-        "e_max": (_parse_float, "0.5", "Euler-angle norm bound [rad]"),
-        "eps1": (_parse_float, "0.01", "approximation accuracy, force"),
-        "eps2": (_parse_float, "0.01", "approximation accuracy, moment"),
-    },
-    "output": {
-        "csv": (_parse_str, "", "telemetry path (empty: skip)"),
-        "summary": (_parse_str, "", "summary path (empty: skip)"),
-        "weights": (_parse_str, "", "weight sidecar path (empty: skip)"),
+        "psi1": (float, "0.25", "initial attitude error bound, in (0,1)"),
+        "b1": (float, "10.0", "command acceleration bound [N]"),
+        "b4": (float, "2.0", "computed-attitude rate bound [1/s]"),
+        "e_x_max": (float, "2.0", "position error bound [m]"),
+        "x_d_max": (float, "1.0", "desired position bound [m]"),
+        "v_d_max": (float, "1.0", "desired velocity bound [m/s]"),
+        "e_max": (float, "0.5", "Euler-angle norm bound [rad]"),
+        "eps1": (float, "0.01", "approximation accuracy, force"),
+        "eps2": (float, "0.01", "approximation accuracy, moment"),
     },
 }
 

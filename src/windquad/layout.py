@@ -63,7 +63,7 @@ SCHEMA = (
     )
 )
 
-STATE_COLUMNS, STATE = _layout(STATE_SCHEMA)
+_, STATE = _layout(STATE_SCHEMA)
 OUTPUT_COLUMNS, OUTPUT = _layout(OUTPUT_SCHEMA)
 #: COLUMNS: telemetry column names in file order; FIELDS: field name ->
 #: column index (one-column field) or slice (vector field)

@@ -54,9 +54,13 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert f"config error: cannot read {path}" in capsys.readouterr().err
 
 
-def test_run_unknown_key_exit_code(tmp_path):
+def test_run_unknown_key_exit_code(tmp_path, capsys):
     path = write(tmp_path, "[simulation]\nfoo = 1\n")
     assert main(["run", "--config", path]) == 2
+    # output paths are no config keys: the files go to --out DIR
+    path = write(tmp_path, "[output]\ncsv = t.csv\n")
+    assert main(["run", "--config", path, "--duration", "0.05"]) == 2
+    assert "unknown section [output]" in capsys.readouterr().err
 
 
 def test_percent_is_a_literal_character(tmp_path, capsys):
@@ -67,9 +71,6 @@ def test_percent_is_a_literal_character(tmp_path, capsys):
                   "--out", str(tmp_path / "sweep")]):
         assert main(argv) == 2
         assert "config error: simulation.plant must be one of" in capsys.readouterr().err
-    path = output_config(tmp_path, csv="a%b.csv")
-    assert main(["run", "--config", path, "--duration", "0.05"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a%b.csv", "run.ini", "s.txt", "w.csv"]
 
 
 def test_run_duration_without_step_count(tmp_path, capsys):
@@ -200,13 +201,17 @@ def test_run_tangent_heading_without_speed(tmp_path, capsys):
 
 def test_run_abort_exit_code(tmp_path):
     path = write(tmp_path, "[quad]\ngravity = 0\n")
-    out = tmp_path / "out"
-    code = main(["run", "--config", path, "--duration", "1", "--out", str(out)])
-    assert code == 3
-    # partial telemetry still written, but no summary and no weights
-    assert (out / "telemetry.csv").exists()
-    assert not (out / "summary.txt").exists()
-    assert not (out / "weights.csv").exists()
+    new, reused = tmp_path / "new", tmp_path / "reused"
+    assert main(["run", "--duration", "0.05", "--out", str(reused)]) == 0
+    for out in (new, reused):
+        code = main(["run", "--config", path, "--duration", "1", "--out", str(out)])
+        assert code == 3
+        # partial telemetry still written, but no summary and no weights,
+        # not even those of an earlier run into the same directory
+        header, data = read_csv(str(out / "telemetry.csv"))
+        assert header == COLUMNS and data.shape == (0, len(COLUMNS))
+        assert not (out / "summary.txt").exists()
+        assert not (out / "weights.csv").exists()
 
 
 def test_run_huge_disturbance_aborts(tmp_path, capsys):
@@ -239,43 +244,6 @@ def test_run_out_is_a_file(tmp_path, capsys):
     assert "output error" in err and str(out) in err
 
 
-OUTPUT_NAMES = {"csv": "t.csv", "summary": "s.txt", "weights": "w.csv"}
-
-
-def output_config(tmp_path, extra="", **names):
-    """Config whose [output] section names files under tmp_path; a name
-    given as "" leaves that path empty."""
-    names = {**OUTPUT_NAMES, **names}
-    return write(tmp_path, extra + "[output]\n" + "".join(
-        f"{key} = {tmp_path / name if name else ''}\n" for key, name in names.items()))
-
-
-def test_run_config_output_paths(tmp_path, capsys):
-    code = main(["run", "--config", output_config(tmp_path), "--duration", "0.2"])
-    assert code == 0
-    header, data = read_csv(str(tmp_path / "t.csv"))
-    assert len(data) == 200
-    text = (tmp_path / "s.txt").read_text()
-    assert "rms_e_x:" in text and "bound_radius:" in text
-    assert "final_nn1" in (tmp_path / "w.csv").read_text()
-    # --out DIR is the three [output] paths in DIR: the same files either way
-    stdout = capsys.readouterr().out
-    out = tmp_path / "out"
-    assert main(["run", "--duration", "0.2", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == stdout
-    out_names = ("telemetry.csv", "summary.txt", "weights.csv")
-    for name, out_name in zip(OUTPUT_NAMES.values(), out_names, strict=True):
-        assert (tmp_path / name).read_bytes() == (out / out_name).read_bytes()
-
-
-@pytest.mark.parametrize("skipped", sorted(OUTPUT_NAMES))
-def test_run_config_output_empty_path_skips(tmp_path, skipped):
-    path = output_config(tmp_path, **{skipped: ""})
-    assert main(["run", "--config", path, "--duration", "0.05"]) == 0
-    expected = [name for key, name in OUTPUT_NAMES.items() if key != skipped]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.ini", *expected])
-
-
 def count_runs(monkeypatch):
     """List that gets one entry per run_simulation call of the CLI."""
     runs = []
@@ -285,43 +253,18 @@ def count_runs(monkeypatch):
     return runs
 
 
-def test_run_config_output_missing_dir(tmp_path, capsys, monkeypatch):
-    # the missing directory is found before the run, not after it
-    runs = count_runs(monkeypatch)
-    missing = tmp_path / "missing" / "t.csv"
-    path = write(tmp_path, f"[output]\ncsv = {missing}\n")
-    assert main(["run", "--config", path, "--duration", "0.05"]) == 2
-    err = capsys.readouterr().err
-    assert "output error" in err and str(missing) in err
-    assert runs == []
-
-
 def test_run_config_output_is_a_dir(tmp_path, capsys, monkeypatch):
-    # so is a path that names an existing directory
+    # a file name in --out that is a directory fails before the first run
     runs = count_runs(monkeypatch)
-    taken = tmp_path / "taken"
-    taken.mkdir()
-    path = write(tmp_path, f"[output]\nsummary = {taken}\n")
-    assert main(["run", "--config", path, "--duration", "0.05"]) == 2
-    err = capsys.readouterr().err
-    assert "output error" in err and str(taken) in err
+    out = tmp_path / "out"
+    for argv, taken in ((["run", "--duration", "0.05"], "weights.csv"),
+                        (["sweep", "--param", "simulation.duration", "--values", "0.02,0.05"],
+                         "sweep.csv")):
+        (out / taken).mkdir(parents=True)
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "output error" in err and str(out / taken) in err
     assert runs == []
-    assert main(["run", "--duration", "0.05", "--out", str(tmp_path)]) == 0
-    (tmp_path / "weights.csv").unlink()
-    (tmp_path / "weights.csv").mkdir()
-    assert main(["run", "--duration", "0.05", "--out", str(tmp_path)]) == 2
-    assert str(tmp_path / "weights.csv") in capsys.readouterr().err
-    assert len(runs) == 1
-
-
-def test_run_config_output_abort(tmp_path):
-    # as with --out: the partial telemetry is written, no summary, no weights
-    path = output_config(tmp_path, extra="[quad]\ngravity = 0\n")
-    assert main(["run", "--config", path, "--duration", "1"]) == 3
-    header, data = read_csv(str(tmp_path / "t.csv"))
-    assert header == COLUMNS and data.shape == (0, len(COLUMNS))
-    assert not (tmp_path / "s.txt").exists()
-    assert not (tmp_path / "w.csv").exists()
 
 
 def test_run_wind_override(tmp_path):
@@ -537,8 +480,7 @@ def test_sweep_bad_param(tmp_path):
 # --- edge-value probe --------------------------------------------------------
 
 PROBE_VALUES = ("nan", "inf", "-1", "0", "1e300")
-PROBE_KEYS = [(section, key) for section, keys in SCHEMA.items() if section != "output"
-              for key in keys]
+PROBE_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
 
 
 @pytest.mark.parametrize("section, key", PROBE_KEYS,
