@@ -6,12 +6,12 @@ y = W^T sigma(V^T x) with a fixed bias feature, sigmoid hidden units, and
 weight matrices driven by a damped gradient-style update law; Frobenius-ball
 projection keeps both matrices inside configured norm bounds at all times.
 
-The forward pass runs on a NetworkPair, the only store of both networks'
-weights: one block-diagonal pair of matrices, evaluated by nn_output in one
-pass on the (14,) input of build_network_input.  The pair's `nets` are two
-NNWeights whose W and V are views of its diagonal blocks, so update_weights,
-which writes each network's new matrices into its arrays, updates the pair
-as well.  The synthetic plant's target networks form a pair of their own
+Both networks run as one NetworkPair, the only store of their weights: one
+block-diagonal pair of matrices.  nn_output evaluates it in one pass on the
+(14,) input of build_network_input, and update_weights steps both update
+laws in one pass on the whole pair.  The pair's `nets` are two NNWeights
+whose W and V are views of its diagonal blocks and which hold the norms and
+bounds.  The synthetic plant's target networks form a pair of their own
 that is never updated.
 """
 
@@ -93,11 +93,10 @@ class NNWeights:
 
 
 def sigmoid_features(z):
-    """Feature vector sigma(z) with bias and the diagonal of its Jacobian.
+    """Feature vector sigma(z) = [1, s(z_1), ..., s(z_n)] for the logistic s.
 
-    sigma = [1, s(z_1), ..., s(z_n)] for the logistic s.  The Jacobian of
-    sigma in z has a zero first row and diag(ds) below, ds_k = s_k (1 - s_k);
-    only the (n,) vector ds is returned.
+    The Jacobian of sigma in z has a zero first row and diag(ds) below,
+    ds_k = s_k (1 - s_k), which update_weights forms from sigma.
     """
     # e = exp(-|z|) lies in [0, 1], so neither side can overflow: s is
     # 1 / (1 + e) for z >= 0 and e / (1 + e) below, divided into sigma[1:]
@@ -106,9 +105,8 @@ def sigmoid_features(z):
     np.exp(e, out=e)
     sigma = np.empty(len(z) + 1)
     sigma[0] = 1.0
-    s = sigma[1:]
-    np.divide(np.where(z >= 0.0, 1.0, e), e + 1.0, out=s)
-    return sigma, s * (1.0 - s)
+    np.divide(np.where(z >= 0.0, 1.0, e), e + 1.0, out=sigma[1:])
+    return sigma
 
 
 class NetworkPair:
@@ -122,47 +120,57 @@ class NetworkPair:
 
     on the input [x_nn1, x_nn2].  Column h1 of V is zero: the feature it
     feeds is overwritten with the second network's bias, so the features
-    are [1, s1, 1, s2] and each network's share of z, sigma and ds is a
-    view.  The constructor copies the two given networks into the diagonal
-    blocks, once, and leaves them unchanged.  `nets` are two NNWeights,
-    with the given networks' bounds, whose W and V are views of the
-    diagonal blocks: an update_weights on one of them writes into the pair,
-    and the off-diagonal blocks stay zero.
+    are [1, s1, 1, s2].  The constructor copies the two given networks into
+    the diagonal blocks, once, and leaves them unchanged.  `nets` are two
+    NNWeights, with the given networks' bounds, whose W and V are views of
+    the diagonal blocks; update_weights keeps the off-diagonal blocks zero.
+
+    `gains`, the two networks' AdaptationGains of a pair that update_weights
+    steps, become four matrices of the shapes of W and V: -gamma_w and
+    kappa gamma_w on W's diagonal blocks, -gamma_v and kappa gamma_v on V's,
+    and zero everywhere else.  A pair built without gains is never updated.
     """
 
-    def __init__(self, nn1, nn2):
+    def __init__(self, nn1, nn2, gains=None):
         (n1, h1), (n2, h2) = nn1.V.shape, nn2.V.shape
         o1 = nn1.W.shape[1]
         self.V = np.zeros((n1 + n2, h1 + 1 + h2))
         self.W = np.zeros((h1 + h2 + 2, o1 + nn2.W.shape[1]))
-        # each network's entries of the input; the second network's
-        # entries of z, sigma and ds start at bias2
-        self.inputs = (slice(0, n1), slice(n1, None))
+        # the second network's entries of z and sigma start at bias2, and
+        # its entries of y and of the error signal at o1
         self.bias2 = h1 + 1
-        blocks = ((self.W[:h1 + 1, :o1], self.V[:n1, :h1]),
-                  (self.W[h1 + 1:, o1:], self.V[n1:, h1 + 1:]))
-        for (W, V), nn in zip(blocks, (nn1, nn2)):
-            W[...], V[...] = nn.W, nn.V
-        self.nets = tuple(NNWeights(W=W, V=V, W_max=nn.W_max, V_max=nn.V_max)
-                          for (W, V), nn in zip(blocks, (nn1, nn2)))
+        self.outputs = (slice(0, o1), slice(o1, None))
+        # each network's (W, V) block
+        self.blocks = ((np.s_[:h1 + 1, :o1], np.s_[:n1, :h1]),
+                       (np.s_[h1 + 1:, o1:], np.s_[n1:, h1 + 1:]))
+        for (W, V), nn in zip(self.blocks, (nn1, nn2)):
+            self.W[W], self.V[V] = nn.W, nn.V
+        self.nets = tuple(NNWeights(W=self.W[W], V=self.V[V], W_max=nn.W_max, V_max=nn.V_max)
+                          for (W, V), nn in zip(self.blocks, (nn1, nn2)))
+        self.gains = None
+        if gains is not None:
+            G_W, K_W = np.zeros_like(self.W), np.zeros_like(self.W)
+            G_V, K_V = np.zeros_like(self.V), np.zeros_like(self.V)
+            for (W, V), g in zip(self.blocks, gains):
+                G_W[W], K_W[W] = -g.gamma_w, g.kappa * g.gamma_w
+                G_V[V], K_V[V] = -g.gamma_v, g.kappa * g.gamma_v
+            self.gains = (G_W, K_W, G_V, K_V)
 
 
 def nn_output(pair, x_nn):
     """Outputs [y1, y2] of a NetworkPair on the input [x_nn1, x_nn2].
 
     One forward pass: z = V^T x_nn, one sigmoid_features call, and
-    y = W^T sigma.  Returns y and, per network, the (z, sigma, ds) that
-    update_weights takes instead of recomputing the forward pass: the
-    pre-activation, the features with bias, and the diagonal of their
-    Jacobian, each a view into the pass's arrays.
+    y = W^T sigma.  Returns y and the pass's (z, sigma), the pre-activation
+    and the features with both biases, which update_weights takes instead
+    of recomputing the forward pass.
     """
     if x_nn.shape != (pair.V.shape[0],):
         raise DimensionMismatch(f"input {x_nn.shape} vs V {pair.V.shape}")
     z = pair.V.T @ x_nn
-    sigma, ds = sigmoid_features(z)
-    k = pair.bias2
-    sigma[k] = 1.0
-    return pair.W.T @ sigma, ((z[:k - 1], sigma[:k], ds[:k - 1]), (z[k:], sigma[k:], ds[k:]))
+    sigma = sigmoid_features(z)
+    sigma[pair.bias2] = 1.0
+    return pair.W.T @ sigma, (z, sigma)
 
 
 def build_network_input(x, v, R, Omega, fallback_angles=None):
@@ -212,36 +220,59 @@ def project_to_ball(M, bound, name="M"):
     return M, n
 
 
-def update_weights(w, x_nn, features, a, gains, dt, name="nn"):
-    """One explicit-Euler step of the weight update laws, then projection.
+#: the pair's blocks in the order update_weights checks and names them
+BLOCK_NAMES = ("nn1.W", "nn1.V", "nn2.W", "nn2.V")
+_ZERO = np.zeros(1)
+
+
+def update_weights(pair, x_nn, features, a, dt):
+    """One explicit-Euler step of both networks' update laws, then projection.
 
     Wdot = -gamma_w [sigma(z) a^T - sigma'(z) z a^T] - kappa gamma_w W
     Vdot = -gamma_v x_nn [sigma'(z)^T W a]^T         - kappa gamma_v V
 
-    evaluated at the estimated pre-activation z = V^T x_nn.  `features` is
-    the (z, sigma, ds) that nn_output returned for w and x_nn.  `name`
-    labels the network in errors.  Updates w in place, once both
-    projections succeed: the new matrices are written into w.W and w.V (the
-    blocks of a NetworkPair, for one of its `nets`) and the norms rebound.
+    for each network of a NetworkPair built with gains, evaluated at the
+    estimated pre-activation z = V^T x_nn, with a = [a1, a2] the two
+    networks' error signals.  `features` is the (z, sigma) that nn_output
+    returned for the pair and x_nn.  Both laws step at once on the whole
+    pair: one outer product for W and one for V, each scaled by the pair's
+    gain matrices, which are zero off the diagonal blocks; only W_i[1:] a_i
+    is formed per network.  Each diagonal block is then projected onto its
+    network's Frobenius ball.  Updates the pair in place, once all four
+    norms are finite: the new matrices are written into pair.W and pair.V,
+    and the norms into pair.nets.  Otherwise raises NonFiniteWeights naming
+    the first bad block in BLOCK_NAMES order and writes nothing.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if x_nn.shape != (w.V.shape[0],):
-        raise DimensionMismatch(f"input {x_nn.shape} vs V {w.V.shape}")
-    if a.shape != (w.W.shape[1],):
-        raise DimensionMismatch(f"error signal {a.shape} vs W {w.W.shape}")
+    if x_nn.shape != (pair.V.shape[0],):
+        raise DimensionMismatch(f"input {x_nn.shape} vs V {pair.V.shape}")
+    if a.shape != (pair.W.shape[1],):
+        raise DimensionMismatch(f"error signal {a.shape} vs W {pair.W.shape}")
 
-    z, sigma, ds = features
-    # sigma - sigma' z with the bias entry untouched, then outer products as
-    # column times row
+    G_W, K_W, G_V, K_V = pair.gains
+    z, sigma = features
+    nn1, nn2 = pair.nets
+    a1, a2 = pair.outputs
+    # ds = sigma'(z) is 0 at the second bias, where sigma is 1; u is sigma -
+    # sigma' z with the first bias untouched
+    s = sigma[1:]
+    ds = s * (1.0 - s)
     u = sigma.copy()
     u[1:] -= ds * z
-    W_dot = (-gains.gamma_w * (u[:, None] * a)
-             - gains.kappa * gains.gamma_w * w.W)
-    V_dot = (-gains.gamma_v * (x_nn[:, None] * (ds * (w.W[1:] @ a)))
-             - gains.kappa * gains.gamma_v * w.V)
+    # W_i[1:] a_i of each network on its own, which keeps its rounding, and
+    # 0 for the zero column of V
+    Wa = np.concatenate((nn1.W[1:] @ a[a1], _ZERO, nn2.W[1:] @ a[a2]))
+    W = pair.W + dt * (G_W * (u[:, None] * a) - K_W * pair.W)
+    V = pair.V + dt * (G_V * (x_nn[:, None] * (ds * Wa)) - K_V * pair.V)
 
-    W, W_norm = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")
-    V, V_norm = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")
-    w.W[...], w.V[...] = W, V
-    w.W_norm, w.V_norm = W_norm, V_norm
+    (W1, V1), (W2, V2) = pair.blocks
+    views = (W[W1], V[V1], W[W2], V[V2])
+    bounds = (nn1.W_max, nn1.V_max, nn2.W_max, nn2.V_max)
+    projected = [project_to_ball(M, bound, name)
+                 for M, bound, name in zip(views, bounds, BLOCK_NAMES)]
+    for view, (M, _) in zip(views, projected):
+        if M is not view:
+            view[...] = M
+    pair.W[...], pair.V[...] = W, V
+    (_, nn1.W_norm), (_, nn1.V_norm), (_, nn2.W_norm), (_, nn2.V_norm) = projected

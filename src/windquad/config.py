@@ -199,6 +199,11 @@ SWITCH_KEYS = {
        for key in ("amplitudes", "frequencies", "phases")},
 }
 
+#: (amplitude, frequency) of each sine disturbance: either one moves
+#: nothing without the other, so a non-default value of one with the other
+#: at its default is rejected at load time
+SINE_KEYS = (("delta1_amp", "delta1_freq"), ("delta2_amp", "delta2_freq"))
+
 
 def _text(value):
     """A parsed value as config text: a vector space-separated, a switch on/off."""
@@ -376,6 +381,12 @@ def _validate(cfg):
                 f"{section}.{key} = {_text(cfg.get(section, key))} has no effect under "
                 f"{section}.{switch} = {_text(state)}; it is read under "
                 f"{section}.{switch} = {' | '.join(map(_text, readers))}")
+    for amp, freq in SINE_KEYS:
+        if cfg.is_default("disturbance", amp) != cfg.is_default("disturbance", freq):
+            raise ValidationError(
+                f"disturbance.{amp} = {_text(cfg.get('disturbance', amp))} with "
+                f"disturbance.{freq} = {_text(cfg.get('disturbance', freq))} has no effect: "
+                f"a sine disturbance needs both its amplitude and its frequency")
     # object constructors own the physical invariants
     builders = (("quad", cfg.quad), ("aero", cfg.aero), ("simplified", cfg.simplified),
                 ("gains", cfg.gains), ("nn1", lambda: cfg.network(1)),

@@ -23,8 +23,8 @@ directly from the rotor positions (see README).
 The step computes in Python floats: it reads the packed state and the
 network outputs with one tolist() each, and the geometry helpers take and
 return 3-sequences of floats and 3x3 matrices as three rows of floats.
-Arrays remain in the network input, the forward pass and the error signals
-of the weight update.
+Arrays remain in the network input, the forward pass and the one error
+signal of the pair's weight update.
 """
 
 import math
@@ -204,7 +204,8 @@ class GeometricAdaptiveController:
         self.quad = quad
         self.simplified = simplified
         self.pair = NetworkPair(nn1 if nn1 is not None else NNWeights.zeros(),
-                                nn2 if nn2 is not None else NNWeights.zeros())
+                                nn2 if nn2 is not None else NNWeights.zeros(),
+                                (gains.adapt1, gains.adapt2) if adaptation else None)
         self.nn1, self.nn2 = self.pair.nets
         self.adaptation = adaptation
         # the outputs of frozen networks whose blocks are all zero: +0.0 on
@@ -237,7 +238,7 @@ class GeometricAdaptiveController:
         if y is None:
             x_nn, self._last_angles = build_network_input(
                 x, v, R, Omega, fallback_angles=self._last_angles)
-            y, (features1, features2) = nn_output(self.pair, x_nn)
+            y, features = nn_output(self.pair, x_nn)
             y = y.tolist()
         nn1, nn2 = self.nn1, self.nn2
         delta1_hat, delta2_hat = y[0:3], y[3:6]
@@ -269,12 +270,10 @@ class GeometricAdaptiveController:
                nn1.W_norm, nn1.V_norm, nn2.W_norm, nn2.V_norm]
 
         if self.adaptation:
+            # the error signals [e_v + c1 e_x, e_Omega + c2 e_R] of both networks
             c1, c2 = gains.c1, gains.c2
-            in1, in2 = self.pair.inputs
-            update_weights(nn1, x_nn[in1], features1,
-                           np.array([b + c1 * a for a, b in zip(e_x, e_v)]),
-                           gains.adapt1, dt, "nn1")
-            update_weights(nn2, x_nn[in2], features2,
-                           np.array([b + c2 * a for a, b in zip(e_R, e_Om)]),
-                           gains.adapt2, dt, "nn2")
+            (x1, x2, x3), (v1, v2, v3), (r1, r2, r3), (o1, o2, o3) = e_x, e_v, e_R, e_Om
+            update_weights(self.pair, x_nn, features,
+                           np.array([v1 + c1 * x1, v2 + c1 * x2, v3 + c1 * x3,
+                                     o1 + c2 * r1, o2 + c2 * r2, o3 + c2 * r3]), dt)
         return out

@@ -111,30 +111,31 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
     """One classical RK4 step of the packed state s under a wrench callback.
 
     The stages integrate the 12 values y = (x, v, phi, Omega) as Python
-    floats, phi being the rotation-vector chart about the initial attitude
-    R0 (zero at stage 1, whose state is s itself).  Each stage calls
-    wrench_fn(t, x, v, R, Omega) with x, v and Omega as lists of three
-    floats and R as three rows of three floats: stage 1 takes them from s
-    with one tolist(), stages 2-4 compose R = R0 exp(hat(phi)) in floats
-    from the rows of R0 and of expm_so3(phi), J and J^-1 are the float rows
-    of params, and the close passes the composed rows to orthonormalize.
-    wrench_fn returns (U_e, M_e), two 3-sequences of floats.  dt must lie
-    in (0, DT_MAX].  Returns a new packed state, the one pack_state of the
-    step.  Errors raised by wrench_fn propagate; a non-finite attitude
-    raises DegenerateMatrix.
+    floats held in locals, phi being the rotation-vector chart about the
+    initial attitude R0 (zero at stage 1, whose state is s itself).  Each
+    stage calls wrench_fn(t, x, v, R, Omega) with x, v and Omega as lists
+    of three floats and R as three rows of three floats: stage 1 takes them
+    from s with one tolist(), stages 2-4 compose R = R0 exp(hat(phi)) in
+    floats from the rows of R0 and of expm_so3(phi), J and J^-1 are the
+    float rows of params, and the close passes the composed rows to
+    orthonormalize.  wrench_fn returns (U_e, M_e), two 3-sequences of
+    floats.  dt must lie in (0, DT_MAX].  Returns a new packed state, the
+    one pack_state of the step.  Errors raised by wrench_fn propagate; a
+    non-finite attitude raises DegenerateMatrix.
     """
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
     m = params.m
-    x0, v0, R0, Omega0 = state_floats(s)
+    (x1, x2, x3), (v1, v2, v3), R0, (w1, w2, w3) = state_floats(s)
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = R0
     (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J_rows
     (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv_rows
 
-    def rates(ts, y, R):
-        _, _, _, v1, v2, v3, p1, p2, p3, w1, w2, w3 = y
-        (U1, U2, U3), (M1, M2, M3) = wrench_fn(ts, y[0:3], y[3:6], R, y[9:12])
+    def rates(ts, x1, x2, x3, v1, v2, v3, p1, p2, p3, w1, w2, w3, R):
+        # the 12 rates at the stage values (x, v, phi, Omega)
+        (U1, U2, U3), (M1, M2, M3) = wrench_fn(ts, [x1, x2, x3], [v1, v2, v3], R,
+                                               [w1, w2, w3])
         # chart rate Omega + phi x Omega / 2 + phi x (phi x Omega) / 12: the
         # inverse right-Jacobian series truncated after the second-order
         # term (the cubic term vanishes), enough for a fourth-order method
@@ -156,9 +157,9 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
                 K21 * e1 + K22 * e2 + K23 * e3,
                 K31 * e1 + K32 * e2 + K33 * e3)
 
-    def attitude(phi):
+    def attitude(p1, p2, p3):
         # R0 exp(hat(phi)), three rows of floats
-        (e11, e12, e13), (e21, e22, e23), (e31, e32, e33) = expm_so3(phi)
+        (e11, e12, e13), (e21, e22, e23), (e31, e32, e33) = expm_so3((p1, p2, p3))
         return ((a11 * e11 + a12 * e21 + a13 * e31, a11 * e12 + a12 * e22 + a13 * e32,
                  a11 * e13 + a12 * e23 + a13 * e33),
                 (a21 * e11 + a22 * e21 + a23 * e31, a21 * e12 + a22 * e22 + a23 * e32,
@@ -166,19 +167,38 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
                 (a31 * e11 + a32 * e21 + a33 * e31, a31 * e12 + a32 * e22 + a33 * e32,
                  a31 * e13 + a32 * e23 + a33 * e33))
 
-    def stage(ts, h, k):
-        y = [a + h * b for a, b in zip(y0, k)]
-        return rates(ts, y, attitude(y[6:9]))
-
-    y0 = x0 + v0 + [0.0, 0.0, 0.0] + Omega0
-    k1 = rates(t, y0, R0)
-    k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
-    k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
-    k4 = stage(t + dt, dt, k3)
+    # the stages' rates k1 = f, k2 = g, k3 = q and k4 = r; stage j + 1
+    # sits at y0 + h k_j, where phi starts from 0.0
+    f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12 = rates(
+        t, x1, x2, x3, v1, v2, v3, 0.0, 0.0, 0.0, w1, w2, w3, R0)
+    h = 0.5 * dt
+    p1, p2, p3 = 0.0 + h * f7, 0.0 + h * f8, 0.0 + h * f9
+    g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12 = rates(
+        t + h, x1 + h * f1, x2 + h * f2, x3 + h * f3, v1 + h * f4, v2 + h * f5, v3 + h * f6,
+        p1, p2, p3, w1 + h * f10, w2 + h * f11, w3 + h * f12, attitude(p1, p2, p3))
+    p1, p2, p3 = 0.0 + h * g7, 0.0 + h * g8, 0.0 + h * g9
+    q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12 = rates(
+        t + h, x1 + h * g1, x2 + h * g2, x3 + h * g3, v1 + h * g4, v2 + h * g5, v3 + h * g6,
+        p1, p2, p3, w1 + h * g10, w2 + h * g11, w3 + h * g12, attitude(p1, p2, p3))
+    p1, p2, p3 = 0.0 + dt * q7, 0.0 + dt * q8, 0.0 + dt * q9
+    r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12 = rates(
+        t + dt, x1 + dt * q1, x2 + dt * q2, x3 + dt * q3,
+        v1 + dt * q4, v2 + dt * q5, v3 + dt * q6,
+        p1, p2, p3, w1 + dt * q10, w2 + dt * q11, w3 + dt * q12, attitude(p1, p2, p3))
     sixth = dt / 6.0
-    y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-    return pack_state(y[0:3], y[3:6], orthonormalize(attitude(y[6:9])), y[9:12])
+    return pack_state(
+        (x1 + sixth * (f1 + 2.0 * g1 + 2.0 * q1 + r1),
+         x2 + sixth * (f2 + 2.0 * g2 + 2.0 * q2 + r2),
+         x3 + sixth * (f3 + 2.0 * g3 + 2.0 * q3 + r3)),
+        (v1 + sixth * (f4 + 2.0 * g4 + 2.0 * q4 + r4),
+         v2 + sixth * (f5 + 2.0 * g5 + 2.0 * q5 + r5),
+         v3 + sixth * (f6 + 2.0 * g6 + 2.0 * q6 + r6)),
+        orthonormalize(attitude(0.0 + sixth * (f7 + 2.0 * g7 + 2.0 * q7 + r7),
+                                0.0 + sixth * (f8 + 2.0 * g8 + 2.0 * q8 + r8),
+                                0.0 + sixth * (f9 + 2.0 * g9 + 2.0 * q9 + r9))),
+        (w1 + sixth * (f10 + 2.0 * g10 + 2.0 * q10 + r10),
+         w2 + sixth * (f11 + 2.0 * g11 + 2.0 * q11 + r11),
+         w3 + sixth * (f12 + 2.0 * g12 + 2.0 * q12 + r12)))
 
 
 def rotor_speed_from_thrust(T_cmd, params, omega_min=OMEGA_MIN):

@@ -8,8 +8,11 @@ import math
 
 import numpy as np
 
+from windquad.adaptive import project_to_ball
 from windquad.aero import OMEGA_MIN, drag_force
 from windquad.errors import NoConvergence, RotorStopped, WindquadError
+from windquad.layout import pack_state, state_floats
+from windquad.se3 import expm_so3, orthonormalize
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -253,3 +256,85 @@ def read_csv(path):
         data = [[float(tok) for tok in line.strip().split(",")]
                 for line in fh if line.strip()]
     return header, np.array(data, dtype=float).reshape(len(data), len(header))
+
+
+def network_update(w, x_nn, z, sigma, a, gains, dt, name="nn"):
+    """The update law of one network on its own, in place on w: the array
+    reference of the controller step, where update_weights steps both
+    networks of the pair at once.
+
+    Wdot = -gamma_w [sigma(z) a^T - sigma'(z) z a^T] - kappa gamma_w W
+    Vdot = -gamma_v x_nn [sigma'(z)^T W a]^T         - kappa gamma_v V
+
+    (z, sigma) is the network's forward pass on its input x_nn.  Writes the
+    new matrices into w.W and w.V and rebinds the norms once both
+    projections succeed; raises NonFiniteWeights naming `name`.W or
+    `name`.V otherwise.
+    """
+    s = sigma[1:]
+    ds = s * (1.0 - s)
+    u = sigma.copy()
+    u[1:] -= ds * z
+    W_dot = (-gains.gamma_w * (u[:, None] * a)
+             - gains.kappa * gains.gamma_w * w.W)
+    V_dot = (-gains.gamma_v * (x_nn[:, None] * (ds * (w.W[1:] @ a)))
+             - gains.kappa * gains.gamma_v * w.V)
+    W, W_norm = project_to_ball(w.W + dt * W_dot, w.W_max, f"{name}.W")
+    V, V_norm = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")
+    w.W[...], w.V[...] = W, V
+    w.W_norm, w.V_norm = W_norm, V_norm
+
+
+def listed_step_rk4(s, dt, wrench_fn, params, t=0.0):
+    """dynamics.step_rk4 with each stage's 12 values (x, v, phi, Omega) as
+    one list, formed by a comprehension and handed to the wrench as slices:
+    the reference that step_rk4, with the values in locals, matches bit for
+    bit."""
+    m = params.m
+    x0, v0, R0, Omega0 = state_floats(s)
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = R0
+    (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J_rows
+    (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv_rows
+
+    def rates(ts, y, R):
+        _, _, _, v1, v2, v3, p1, p2, p3, w1, w2, w3 = y
+        (U1, U2, U3), (M1, M2, M3) = wrench_fn(ts, y[0:3], y[3:6], R, y[9:12])
+        c1 = p2 * w3 - p3 * w2
+        c2 = p3 * w1 - p1 * w3
+        c3 = p1 * w2 - p2 * w1
+        h1 = J11 * w1 + J12 * w2 + J13 * w3
+        h2 = J21 * w1 + J22 * w2 + J23 * w3
+        h3 = J31 * w1 + J32 * w2 + J33 * w3
+        e1 = M1 - (w2 * h3 - w3 * h2)
+        e2 = M2 - (w3 * h1 - w1 * h3)
+        e3 = M3 - (w1 * h2 - w2 * h1)
+        return (v1, v2, v3, U1 / m, U2 / m, U3 / m,
+                w1 + 0.5 * c1 + (p2 * c3 - p3 * c2) / 12.0,
+                w2 + 0.5 * c2 + (p3 * c1 - p1 * c3) / 12.0,
+                w3 + 0.5 * c3 + (p1 * c2 - p2 * c1) / 12.0,
+                K11 * e1 + K12 * e2 + K13 * e3,
+                K21 * e1 + K22 * e2 + K23 * e3,
+                K31 * e1 + K32 * e2 + K33 * e3)
+
+    def attitude(phi):
+        (e11, e12, e13), (e21, e22, e23), (e31, e32, e33) = expm_so3(phi)
+        return ((a11 * e11 + a12 * e21 + a13 * e31, a11 * e12 + a12 * e22 + a13 * e32,
+                 a11 * e13 + a12 * e23 + a13 * e33),
+                (a21 * e11 + a22 * e21 + a23 * e31, a21 * e12 + a22 * e22 + a23 * e32,
+                 a21 * e13 + a22 * e23 + a23 * e33),
+                (a31 * e11 + a32 * e21 + a33 * e31, a31 * e12 + a32 * e22 + a33 * e32,
+                 a31 * e13 + a32 * e23 + a33 * e33))
+
+    def stage(ts, h, k):
+        y = [a + h * b for a, b in zip(y0, k)]
+        return rates(ts, y, attitude(y[6:9]))
+
+    y0 = x0 + v0 + [0.0, 0.0, 0.0] + Omega0
+    k1 = rates(t, y0, R0)
+    k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
+    k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
+    k4 = stage(t + dt, dt, k3)
+    sixth = dt / 6.0
+    y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    return pack_state(y[0:3], y[3:6], orthonormalize(attitude(y[6:9])), y[9:12])

@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from windquad.adaptive import (AdaptationGains, NetworkPair, NNWeights,
+from windquad.adaptive import (BLOCK_NAMES, AdaptationGains, NetworkPair, NNWeights,
                                build_network_input, nn_output, project_to_ball,
                                sigmoid_features, update_weights)
 from windquad.errors import DimensionMismatch, GimbalLock, NonFiniteWeights
@@ -25,11 +27,10 @@ def build_attitude_input(R, Omega, fallback_angles=None):
 
 
 def network_output(w, x_nn):
-    """Reference: one network evaluated on its own, as
-    (W^T sigma, z, sigma, ds)."""
+    """Reference: one network evaluated on its own, as (W^T sigma, z, sigma)."""
     z = w.V.T @ x_nn
-    sigma, ds = sigmoid_features(z)
-    return w.W.T @ sigma, z, sigma, ds
+    sigma = sigmoid_features(z)
+    return w.W.T @ sigma, z, sigma
 
 
 def zero_like(w):
@@ -43,28 +44,40 @@ def output(w, x_nn):
     return y[:w.W.shape[1]]
 
 
-def update(w, x_nn, a, gains, dt):
-    """update_weights, in place on w, fed with the forward pass of the
-    reference network_output (the pair's features differ from it in the
-    last bits, see test_pair_output_matches_per_network_oracle)."""
-    _, *features = network_output(w, x_nn)
-    update_weights(w, x_nn, features, a, gains, dt)
+def random_input(rng, scale=1.0):
+    """A (14,) pair input [1, 6 entries, 1, 6 entries]."""
+    x_nn = scale * rng.standard_normal(14)
+    x_nn[[0, 7]] = 1.0
+    return x_nn
+
+
+def pair_features(pair, x_nn):
+    """The (z, sigma) of the pair forward laid out as nn_output lays them
+    out, [z1, 0, z2] and [1, s1, 1, s2], but each network's share from its
+    own reference network_output (the pair's forward rounds differently in
+    the last bits, see test_pair_output_matches_per_network_oracle)."""
+    (_, z1, s1), (_, z2, s2) = (network_output(w, x) for w, x in
+                                zip(pair.nets, (x_nn[:7], x_nn[7:])))
+    return np.concatenate((z1, [0.0], z2)), np.concatenate((s1, s2))
+
+
+def update(pair, x_nn, a, dt):
+    """update_weights, in place on the pair, fed with pair_features."""
+    update_weights(pair, x_nn, pair_features(pair, x_nn), a, dt)
 
 
 # --- features ----------------------------------------------------------------
 
 def test_sigmoid_at_zero():
-    sigma, ds = sigmoid_features(np.zeros(2))
+    sigma = sigmoid_features(np.zeros(2))
     assert np.allclose(sigma, [1.0, 0.5, 0.5])
-    assert np.allclose(ds, [0.25, 0.25])
 
 
 def test_sigmoid_saturation():
-    sigma, ds = sigmoid_features(np.array([50.0, 80.0, 800.0]))
+    sigma = sigmoid_features(np.array([50.0, 80.0, 800.0]))
     assert np.allclose(sigma, [1.0, 1.0, 1.0, 1.0], atol=1e-15)
-    assert np.allclose(ds, 0.0, atol=1e-15)
     # and the negative side must not overflow
-    sigma, _ = sigmoid_features(np.array([-800.0]))
+    sigma = sigmoid_features(np.array([-800.0]))
     assert sigma[1] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -76,7 +89,7 @@ def masked_sigmoid_features(z):
     s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     s[~pos] = ez / (1.0 + ez)
-    return np.concatenate(([1.0], s)), s * (1.0 - s)
+    return np.concatenate(([1.0], s))
 
 
 def test_sigmoid_bitwise_equals_masked_reference(rng):
@@ -84,22 +97,21 @@ def test_sigmoid_bitwise_equals_masked_reference(rng):
     draws = [scale * rng.standard_normal(50_000) for scale in (1.0, 10.0, 100.0, 800.0)]
     z = np.concatenate([extremes] + draws)
     with np.errstate(over="raise"):
-        sigma, ds = sigmoid_features(z)
-    ref_sigma, ref_ds = masked_sigmoid_features(z)
-    assert sigma.tobytes() == ref_sigma.tobytes()
-    assert ds.tobytes() == ref_ds.tobytes()
+        sigma = sigmoid_features(z)
+    assert sigma.tobytes() == masked_sigmoid_features(z).tobytes()
 
 
 def test_sigmoid_jacobian_central_difference(rng):
+    # the diagonal ds = s (1 - s) that update_weights forms from sigma
     z = rng.standard_normal(6)
-    _, ds = sigmoid_features(z)
-    assert ds.shape == (6,)
+    s = sigmoid_features(z)[1:]
+    ds = s * (1.0 - s)
     h = 1e-5
     for k in range(6):
         e = np.zeros(6)
         e[k] = h
-        sp, _ = sigmoid_features(z + e)
-        sm, _ = sigmoid_features(z - e)
+        sp = sigmoid_features(z + e)
+        sm = sigmoid_features(z - e)
         # column k of the Jacobian: ds_k in row k + 1, zero elsewhere
         column = np.zeros(7)
         column[k + 1] = ds[k]
@@ -221,98 +233,159 @@ def test_projection_rejects_non_finite(bad):
 
 # --- update law --------------------------------------------------------------
 
+GAINS = (AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1),
+         AdaptationGains(gamma_w=3.0, gamma_v=6.0, kappa=0.2))
+
+
+def random_pair(rng, gains=GAINS, hidden=(10, 7)):
+    """A pair of random networks of the given widths, norms 0.5, bounds 1."""
+    return NetworkPair(*(NNWeights.random(rng, n_hidden=h, W_norm=0.5, V_norm=0.5,
+                                          W_max=1.0, V_max=1.0) for h in hidden), gains)
+
+
 def test_update_damping_only(rng):
-    w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
-    g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
+    pair = random_pair(rng)
     dt = 1e-3
-    x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
-    W0, V0 = w.W.copy(), w.V.copy()
-    update(w, x_nn, np.zeros(3), g, dt)
-    assert np.allclose(w.W, (1 - g.kappa * g.gamma_w * dt) * W0, atol=1e-14)
-    assert np.allclose(w.V, (1 - g.kappa * g.gamma_v * dt) * V0, atol=1e-14)
+    before = [(w.W.copy(), w.V.copy()) for w in pair.nets]
+    update(pair, random_input(rng), np.zeros(6), dt)
+    for w, (W0, V0), g in zip(pair.nets, before, GAINS):
+        assert np.allclose(w.W, (1 - g.kappa * g.gamma_w * dt) * W0, atol=1e-14)
+        assert np.allclose(w.V, (1 - g.kappa * g.gamma_v * dt) * V0, atol=1e-14)
 
 
 def test_update_from_zero_weights():
-    w = NNWeights.zeros(n_in=6, n_hidden=2, n_out=3)
-    g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1)
-    a = np.array([0.5, -0.2, 0.1])
-    x_nn = build_position_input(np.ones(3), np.zeros(3))
-    update(w, x_nn, a, g, 1e-3)
-    sigma0 = np.array([1.0, 0.5, 0.5])
-    assert np.allclose(w.V, 0.0)
-    assert np.allclose(w.W, -g.gamma_w * 1e-3 * np.outer(sigma0, a), atol=1e-15)
+    pair = NetworkPair(NNWeights.zeros(n_hidden=2), NNWeights.zeros(n_hidden=3), GAINS)
+    a = np.array([0.5, -0.2, 0.1, 0.3, 0.0, -0.4])
+    x_nn, _ = build_network_input(np.ones(3), np.zeros(3), np.eye(3), np.zeros(3))
+    update(pair, x_nn, a, 1e-3)
+    for w, g, a_w in zip(pair.nets, GAINS, (a[:3], a[3:])):
+        sigma0 = np.array([1.0] + [0.5] * w.n_hidden)
+        assert np.allclose(w.V, 0.0)
+        assert np.allclose(w.W, -g.gamma_w * 1e-3 * np.outer(sigma0, a_w), atol=1e-15)
 
 
 def test_update_respects_bounds(rng):
-    w = NNWeights.zeros(n_in=6, n_hidden=10, n_out=3, W_max=0.05, V_max=0.05)
     g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
+    pair = NetworkPair(NNWeights.zeros(W_max=0.05, V_max=0.05),
+                       NNWeights.zeros(n_hidden=7, W_max=0.03, V_max=0.04), (g, g))
     for _ in range(500):
-        x_nn = build_position_input(rng.standard_normal(3), rng.standard_normal(3))
-        a = rng.standard_normal(3)
-        update(w, x_nn, a, g, 1e-3)
-        assert w.W_norm <= w.W_max and w.V_norm <= w.V_max
+        update(pair, random_input(rng), rng.standard_normal(6), 1e-3)
+        for w in pair.nets:
+            assert w.W_norm <= w.W_max and w.V_norm <= w.V_max
 
 
 def test_geometric_decay_with_zero_error(rng):
-    w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
-    g = AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.5)
+    gains = (AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.5),
+             AdaptationGains(gamma_w=2.0, gamma_v=3.0, kappa=0.25))
+    pair = random_pair(rng, gains)
     dt = 1e-3
-    x_nn = build_position_input(np.zeros(3), np.zeros(3))
-    Wn0, Vn0 = w.W_norm, w.V_norm
+    x_nn, _ = build_network_input(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
+    norms0 = [(w.W_norm, w.V_norm) for w in pair.nets]
     n = 200
     for _ in range(n):
-        update(w, x_nn, np.zeros(3), g, dt)
-    Wn, Vn = w.W_norm, w.V_norm
-    assert Wn == pytest.approx(Wn0 * (1 - g.kappa * g.gamma_w * dt) ** n, rel=1e-9)
-    assert Vn == pytest.approx(Vn0 * (1 - g.kappa * g.gamma_v * dt) ** n, rel=1e-9)
+        update(pair, x_nn, np.zeros(6), dt)
+    for w, (Wn0, Vn0), g in zip(pair.nets, norms0, gains):
+        assert w.W_norm == pytest.approx(Wn0 * (1 - g.kappa * g.gamma_w * dt) ** n, rel=1e-9)
+        assert w.V_norm == pytest.approx(Vn0 * (1 - g.kappa * g.gamma_v * dt) ** n, rel=1e-9)
 
 
 def test_update_writes_into_the_same_arrays(rng):
-    w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
-    W0, V0 = w.W, w.V
     g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
+    pair = random_pair(rng, (g, g))
+    arrays = [pair.W, pair.V] + [M for w in pair.nets for M in (w.W, w.V)]
     for _ in range(50):
-        before = W0.copy(), V0.copy()
-        x_nn = np.concatenate(([1.0], rng.standard_normal(6)))
-        a = rng.standard_normal(3)
-        ref_W, ref_V = reference_update_weights(w, x_nn, a, g, 1e-2)
-        update(w, x_nn, a, g, 1e-2)
-        assert w.W is W0 and w.V is V0
-        assert not np.array_equal(W0, before[0]) and not np.array_equal(V0, before[1])
-        assert np.allclose(W0, ref_W, rtol=1e-12, atol=1e-15)
-        assert np.allclose(V0, ref_V, rtol=1e-12, atol=1e-15)
+        before = pair.W.copy(), pair.V.copy()
+        x_nn = random_input(rng)
+        a = rng.standard_normal(6)
+        refs = [reference_update_weights(w, x_w, a_w, g, 1e-2) for w, x_w, a_w in
+                zip(pair.nets, (x_nn[:7], x_nn[7:]), (a[:3], a[3:]))]
+        update(pair, x_nn, a, 1e-2)
+        assert all(M is then for M, then in
+                   zip([pair.W, pair.V] + [M for w in pair.nets for M in (w.W, w.V)], arrays))
+        assert not np.array_equal(pair.W, before[0]) and not np.array_equal(pair.V, before[1])
+        for w, (ref_W, ref_V) in zip(pair.nets, refs):
+            assert np.allclose(w.W, ref_W, rtol=1e-12, atol=1e-15)
+            assert np.allclose(w.V, ref_V, rtol=1e-12, atol=1e-15)
 
 
 def test_norms_track_weights_bitwise(rng):
     # bounds at the drawn norms, so the projection is often active
-    w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5)
-    assert w.W_norm == np.linalg.norm(w.W) and w.V_norm == np.linalg.norm(w.V)
     g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
-    for _ in range(200):
-        update(w, np.concatenate(([1.0], 10.0 * rng.standard_normal(6))),
-               rng.standard_normal(3), g, 1e-2)
+    pair = NetworkPair(*(NNWeights.random(rng, n_hidden=h, W_norm=0.5, V_norm=0.5)
+                         for h in (10, 7)), (g, g))
+    for w in pair.nets:
         assert w.W_norm == np.linalg.norm(w.W) and w.V_norm == np.linalg.norm(w.V)
+    for _ in range(200):
+        update(pair, random_input(rng, 10.0), rng.standard_normal(6), 1e-2)
+        for w in pair.nets:
+            assert w.W_norm == np.linalg.norm(w.W) and w.V_norm == np.linalg.norm(w.V)
+
+
+def non_finite_step(rng, huge):
+    """A pair whose gains put learning rate 1e308 on the blocks named in
+    `huge`, and an input on which their steps overflow."""
+    gains = [AdaptationGains(gamma_w=1e308 if f"nn{i}.W" in huge else 1.0,
+                             gamma_v=1e308 if f"nn{i}.V" in huge else 1.0, kappa=0.05)
+             for i in (1, 2)]
+    return random_pair(rng, gains), random_input(rng, 10.0)
 
 
 def test_non_finite_V_leaves_weights_unchanged(rng):
-    # W's step stays finite; V's learning rate overflows its step
-    w = NNWeights.random(rng, W_norm=0.5, V_norm=0.5, W_max=1.0, V_max=1.0)
-    before = (w.W, w.V, w.W_norm, w.V_norm)
-    copies = (w.W.copy(), w.V.copy())
-    g = AdaptationGains(gamma_w=1.0, gamma_v=1e308, kappa=0.05)
-    x_nn = np.concatenate(([1.0], 10.0 * rng.standard_normal(6)))
+    # nn2's V step overflows, the other three stay finite; nothing is
+    # written, nn1's update included
+    pair, x_nn = non_finite_step(rng, ("nn2.V",))
+    before = [(w.W, w.V, w.W_norm, w.V_norm) for w in pair.nets]
+    copies = (pair.W.copy(), pair.V.copy())
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NonFiniteWeights, match=r"^nn\.V has Frobenius norm"):
-        update(w, x_nn, np.ones(3), g, 1e-2)
-    assert all(now is then for now, then in zip((w.W, w.V, w.W_norm, w.V_norm), before))
-    assert np.array_equal(w.W, copies[0]) and np.array_equal(w.V, copies[1])
+            pytest.raises(NonFiniteWeights, match=r"^nn2\.V has Frobenius norm"):
+        update(pair, x_nn, np.ones(6), 1e-2)
+    for w, then in zip(pair.nets, before):
+        assert all(now is was for now, was in zip((w.W, w.V, w.W_norm, w.V_norm), then))
+    assert pair.W.tobytes() == copies[0].tobytes() and pair.V.tobytes() == copies[1].tobytes()
+
+
+@pytest.mark.parametrize("first", range(4))
+def test_first_non_finite_block_is_named(rng, first):
+    # every block from `first` on overflows; the error names the first in
+    # the order nn1.W, nn1.V, nn2.W, nn2.V
+    pair, x_nn = non_finite_step(rng, BLOCK_NAMES[first:])
+    copies = (pair.W.copy(), pair.V.copy())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteWeights) as err:
+        update(pair, x_nn, np.ones(6), 1e-2)
+    assert str(err.value).startswith(f"{BLOCK_NAMES[first]} has Frobenius norm")
+    assert pair.W.tobytes() == copies[0].tobytes() and pair.V.tobytes() == copies[1].tobytes()
 
 
 def test_update_dimension_check():
-    w = NNWeights.zeros()
-    g = AdaptationGains()
+    pair = NetworkPair(NNWeights.zeros(), NNWeights.zeros(), GAINS)
+    x_nn, _ = build_network_input(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
+    _, features = nn_output(pair, x_nn)
+    # one network's error signal, and one network's input
     with pytest.raises(DimensionMismatch):
-        update(w, np.zeros(7), np.zeros(2), g, 1e-3)
+        update_weights(pair, x_nn, features, np.zeros(3), 1e-3)
+    with pytest.raises(DimensionMismatch):
+        update_weights(pair, x_nn[:7], features, np.zeros(6), 1e-3)
+
+
+def test_off_diagonal_blocks_stay_positive_zero(rng):
+    # 200 updates through the pair forward, with bounds at the drawn norms
+    # so that the projection is often active: every entry off the diagonal
+    # blocks, V's zero column included, is still +0.0
+    g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
+    pair = NetworkPair(*(NNWeights.random(rng, n_hidden=h, W_norm=0.5, V_norm=0.5)
+                         for h in (10, 7)), (g, g))
+    initial = pair.W.copy(), pair.V.copy()
+    for _ in range(200):
+        x_nn = random_input(rng, 10.0)
+        _, features = nn_output(pair, x_nn)
+        update_weights(pair, x_nn, features, rng.standard_normal(6), 1e-2)
+    off_W, off_V = np.ones(pair.W.shape, bool), np.ones(pair.V.shape, bool)
+    for W, V in pair.blocks:
+        off_W[W], off_V[V] = False, False
+    for M, off, M0 in ((pair.W, off_W, initial[0]), (pair.V, off_V, initial[1])):
+        assert off.any()
+        assert not M[off].any() and not np.signbit(M[off]).any()
+        assert not np.array_equal(M, M0)
 
 
 # --- offline approximation sanity -------------------------------------------
@@ -373,13 +446,18 @@ def test_pair_output_matches_per_network_oracle(rng, hidden):
                                  V_norm=rng.uniform(0.1, 3.0)) for h in sizes]
         x, v, Om = rng.standard_normal((3, 3))
         x_nn, _ = build_network_input(x, v, random_rotation(rng), Om)
-        y, features = nn_output(NetworkPair(*nets), x_nn)
-        for got_y, got_features, w, x_w in zip((y[:3], y[3:]), features, nets,
-                                               (x_nn[:7], x_nn[7:])):
-            ref_y, ref_z, ref_sigma, ref_ds = network_output(w, x_w)
-            scales = (np.abs(w.W).T @ np.abs(ref_sigma), np.abs(w.V).T @ np.abs(x_w), 1.0, 1.0)
-            for got, ref, scale in zip((got_y, *got_features),
-                                       (ref_y, ref_z, ref_sigma, ref_ds), scales):
+        pair = NetworkPair(*nets)
+        y, (z, sigma) = nn_output(pair, x_nn)
+        # V's zero column feeds the second bias
+        k = pair.bias2
+        assert z[k - 1] == 0.0 and sigma[k] == 1.0
+        for got_y, got_z, got_sigma, w, x_w in zip((y[:3], y[3:]), (z[:k - 1], z[k:]),
+                                                   (sigma[:k], sigma[k:]), nets,
+                                                   (x_nn[:7], x_nn[7:])):
+            ref_y, ref_z, ref_sigma = network_output(w, x_w)
+            scales = (np.abs(w.W).T @ np.abs(ref_sigma), np.abs(w.V).T @ np.abs(x_w), 1.0)
+            for got, ref, scale in zip((got_y, got_z, got_sigma), (ref_y, ref_z, ref_sigma),
+                                       scales):
                 assert got.shape == ref.shape
                 assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, scale))
 
@@ -395,12 +473,11 @@ def test_pair_nets_are_views_of_the_blocks(rng):
     given = [NNWeights.random(rng, n_hidden=h, W_norm=0.5, V_norm=1.5, W_max=1.0, V_max=2.0)
              for h in (10, 7)]
     copies = [(w.W.copy(), w.V.copy()) for w in given]
-    pair = NetworkPair(*given)
+    pair = NetworkPair(*given, (AdaptationGains(), AdaptationGains()))
     x, v, Om = rng.standard_normal((3, 3))
     x_nn, _ = build_network_input(x, v, random_rotation(rng), Om)
     _, features = nn_output(pair, x_nn)
-    for w, f, inputs in zip(pair.nets, features, pair.inputs):
-        update_weights(w, x_nn[inputs], f, rng.standard_normal(3), AdaptationGains(), 1e-2)
+    update_weights(pair, x_nn, features, rng.standard_normal(6), 1e-2)
     for w, nn, (W, V) in zip(pair.nets, given, copies):
         assert np.shares_memory(w.W, pair.W) and np.shares_memory(w.V, pair.V)
         assert (w.W_max, w.V_max) == (nn.W_max, nn.V_max)
@@ -413,10 +490,11 @@ def test_pair_nets_are_views_of_the_blocks(rng):
 # --- reference: the update law recomputing its forward pass ------------------
 
 def reference_update_weights(w, x_nn, a, gains, dt):
-    """update_weights evaluating z = V^T x_nn and its features itself;
-    returns the new (W, V) and leaves w unchanged."""
+    """One network's update law evaluating z = V^T x_nn and its features
+    itself; returns the new (W, V) and leaves w unchanged."""
     z = w.V.T @ x_nn
-    sigma, ds = sigmoid_features(z)
+    sigma = sigmoid_features(z)
+    ds = sigma[1:] * (1.0 - sigma[1:])
     W_dot = (-gains.gamma_w * np.outer(sigma - np.concatenate(([0.0], ds * z)), a)
              - gains.kappa * gains.gamma_w * w.W)
     V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))
@@ -426,26 +504,45 @@ def reference_update_weights(w, x_nn, a, gains, dt):
     return W, V
 
 
+PAIR_GAINS = (AdaptationGains(gamma_w=20.0, gamma_v=10.0, kappa=0.015),
+              AdaptationGains(gamma_w=5.0, gamma_v=30.0, kappa=0.05))
+
+
+def drawn_pair(rng, hidden, widths):
+    """A pair with PAIR_GAINS of a first network of width `hidden` and a
+    second of a width drawn from `widths`, so that most pairs are unequal.
+    Their bounds are the drawn norms, so the projection is often active."""
+    return NetworkPair(*(NNWeights.random(rng, n_hidden=int(h), W_norm=rng.uniform(0.1, 3.0),
+                                          V_norm=rng.uniform(0.1, 5.0))
+                         for h in (hidden, rng.choice(widths))), PAIR_GAINS)
+
+
+def shares(pair, x_nn, a):
+    """Each network's input and share of the error signal."""
+    return zip(pair.nets, (x_nn[:7], x_nn[7:]), (a[:3], a[3:]), PAIR_GAINS)
+
+
 @pytest.mark.parametrize("hidden", [5, 10, 17])
 def test_update_with_passed_features_matches_recomputation(rng, hidden):
-    g = AdaptationGains(gamma_w=20.0, gamma_v=10.0, kappa=0.015)
     for _ in range(2000):
-        # bounds at the drawn norms, so the projection is often active
-        W_norm, V_norm = rng.uniform(0.1, 3.0), rng.uniform(0.1, 5.0)
-        w = NNWeights.random(rng, n_hidden=hidden, W_norm=W_norm, V_norm=V_norm)
-        x_nn = np.concatenate(([1.0], 10.0 * rng.standard_normal(6)))
-        a = rng.standard_normal(3)
-        ref_W, ref_V = reference_update_weights(w, x_nn, a, g, 1e-2)
-        update(w, x_nn, a, g, 1e-2)
-        assert np.array_equal(w.W, ref_W) and np.array_equal(w.V, ref_V)
+        pair = drawn_pair(rng, hidden, (0, 2, 5, 10, 17))
+        x_nn = random_input(rng, 10.0)
+        a = rng.standard_normal(6)
+        refs = [reference_update_weights(w, x_w, a_w, g, 1e-2)
+                for w, x_w, a_w, g in shares(pair, x_nn, a)]
+        update(pair, x_nn, a, 1e-2)
+        for w, (ref_W, ref_V) in zip(pair.nets, refs):
+            assert np.array_equal(w.W, ref_W) and np.array_equal(w.V, ref_V)
 
 
 # --- reference: the update law with numpy's outer product and norm ----------
 
 def outer_update_weights(w, x_nn, features, a, gains, dt):
-    """update_weights as np.outer, np.concatenate and np.linalg.norm form it;
-    returns the new (W, V, W_norm, V_norm) and leaves w unchanged."""
-    z, sigma, ds = features
+    """One network's update law as np.outer, np.concatenate and
+    np.linalg.norm form it, from its own (z, sigma); returns the new
+    (W, V, W_norm, V_norm) and leaves w unchanged."""
+    z, sigma = features
+    ds = sigma[1:] * (1.0 - sigma[1:])
     W_dot = (-gains.gamma_w * np.outer(sigma - np.concatenate(([0.0], ds * z)), a)
              - gains.kappa * gains.gamma_w * w.W)
     V_dot = (-gains.gamma_v * np.outer(x_nn, ds * (w.W[1:] @ a))
@@ -463,21 +560,24 @@ def outer_update_weights(w, x_nn, features, a, gains, dt):
     return W, V, W_norm, V_norm
 
 
-@pytest.mark.parametrize("hidden", [2, 10, 17])
+@pytest.mark.parametrize("hidden", [0, 2, 10, 17])
 def test_update_bytes_equal_outer_product_form(rng, hidden):
-    g = AdaptationGains(gamma_w=20.0, gamma_v=10.0, kappa=0.015)
+    # each block of the pair update against the per-network oracle on a
+    # contiguous copy of its network, fed with the network's own features
     projected = 0
     for _ in range(2000):
-        # bounds at the drawn norms, so the projection is often active
-        w = NNWeights.random(rng, n_hidden=hidden, W_norm=rng.uniform(0.1, 3.0),
-                             V_norm=rng.uniform(0.1, 5.0))
-        x_nn = np.concatenate(([1.0], 10.0 * rng.standard_normal(6)))
-        a = rng.standard_normal(3)
-        _, *features = network_output(w, x_nn)
-        ref = outer_update_weights(w, x_nn, features, a, g, 1e-2)
-        update_weights(w, x_nn, features, a, g, 1e-2)
-        projected += ref[2] == w.W_max
-        got = (w.W, w.V, w.W_norm, w.V_norm)
-        assert all(np.asarray(x).tobytes() == np.asarray(r).tobytes()
-                   for x, r in zip(got, ref))
+        pair = drawn_pair(rng, hidden, (0, 2, 10, 17))
+        x_nn = random_input(rng, 10.0)
+        a = rng.standard_normal(6)
+        features = pair_features(pair, x_nn)
+        k = pair.bias2
+        own = ((features[0][:k - 1], features[1][:k]), (features[0][k:], features[1][k:]))
+        refs = [outer_update_weights(copy.deepcopy(w), x_w, f, a_w, g, 1e-2)
+                for (w, x_w, a_w, g), f in zip(shares(pair, x_nn, a), own)]
+        update_weights(pair, x_nn, features, a, 1e-2)
+        for w, ref in zip(pair.nets, refs):
+            projected += ref[2] == w.W_max
+            got = (w.W, w.V, w.W_norm, w.V_norm)
+            assert all(np.asarray(x).tobytes() == np.asarray(r).tobytes()
+                       for x, r in zip(got, ref))
     assert projected > 100

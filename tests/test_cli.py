@@ -351,14 +351,36 @@ def test_key_its_switch_ignores_is_rejected(tmp_path, capsys, text, named):
         assert code == 2 and f"{named} = " in err and "has no effect" in err
 
 
+@pytest.mark.parametrize("plant", ["simplified", "synthetic"])
+@pytest.mark.parametrize("text, named", [
+    ("delta1_amp = 1 0 0\n", ("delta1_amp", "delta1_freq")),
+    ("delta1_freq = 2\n", ("delta1_amp", "delta1_freq")),
+    ("delta2_amp = 0 0 0.05\n", ("delta2_amp", "delta2_freq")),
+    ("delta2_freq = 3\n", ("delta2_amp", "delta2_freq")),
+    ("delta1_amp = 1 0 0\ndelta1_freq = 2\ndelta2_amp = 0 0 0.05\ndelta2_freq = 3\n", None),
+], ids=["delta1_amp", "delta1_freq", "delta2_amp", "delta2_freq", "both"])
+def test_sine_disturbance_needs_both_keys(tmp_path, capsys, plant, text, named):
+    # an amplitude whose frequency is zero, or a frequency whose amplitude
+    # is zero, moves nothing: it exits 2 naming both keys, on every plant
+    # (config.SINE_KEYS); a sine with both runs
+    path = write(tmp_path, f"[simulation]\nplant = {plant}\nduration = 0.02\n"
+                           f"[disturbance]\n{text}")
+    code = main(["run", "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if named is None:
+        assert code == 0, err
+    else:
+        assert code == 2 and "has no effect" in err
+        assert all(f"disturbance.{key} = " in err for key in named)
+
+
 def test_disturbance_the_plant_ignores_is_reported(tmp_path, capsys):
     # the injected disturbance acts on the simplified plant alone; elsewhere
     # each non-zero key is listed on stderr and in summary.txt, and the run
     # goes on, so that --plant still works on one file
     path = write(tmp_path, "[simulation]\nduration = 0.02\n[disturbance]\n"
                            "delta1 = 1 0 0\ndelta2 = 0 0 0.05\n"
-                           "delta1_amp = 0 0.5 0\ndelta1_freq = 2\n"
-                           "delta2_amp = 0 0 0\ndelta2_freq = 3\n")
+                           "delta1_amp = 0 0.5 0\ndelta1_freq = 2\n")
     lines = ["ignored: disturbance.delta1 = 1.0 0.0 0.0",
              "ignored: disturbance.delta2 = 0.0 0.0 0.05",
              "ignored: disturbance.delta1_amp = 0.0 0.5 0.0"]

@@ -7,7 +7,7 @@ import pytest
 
 import windquad.controller
 from windquad.adaptive import (AdaptationGains, NetworkPair, NNWeights, build_network_input,
-                               nn_output, update_weights)
+                               nn_output)
 from windquad.aero import OMEGA_MIN
 from windquad.controller import (ControllerGains, GeometricAdaptiveController,
                                  compute_A, compute_Omega_c, compute_Rc,
@@ -19,7 +19,7 @@ from windquad.scenarios import TrajectoryGenerator, TrajectoryPoint, trajectory_
 from windquad.se3 import GIMBAL_TOL, euler_zyx, expm_so3, rotation_zyx
 
 from conftest import at_rest, random_rotation
-from oracles import cross3, hat, is_rotation
+from oracles import cross3, hat, is_rotation, network_update
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -370,9 +370,8 @@ class ReferenceController:
         e_v = v - traj.v_d
         x_nn, self.last_angles = build_network_input(
             x, v, R, Omega, fallback_angles=self.last_angles)
-        x_nn1, x_nn2 = x_nn[:7], x_nn[7:]
         nn1, nn2 = self.nn1, self.nn2
-        y, (features1, features2) = nn_output(NetworkPair(nn1, nn2), x_nn)
+        y, (z, sigma) = nn_output(NetworkPair(nn1, nn2), x_nn)
         d1, d2 = y[0:3], y[3:6]
 
         A = d1 - gains.k_x * e_x - gains.k_v * e_v - quad.m * quad.g * E3 + quad.m * traj.a_d
@@ -426,10 +425,12 @@ class ReferenceController:
             out[OUTPUT[name]] = value
 
         if self.adaptation:
-            update_weights(nn1, x_nn1, features1, e_v + gains.c1 * e_x, gains.adapt1,
-                           dt, "nn1")
-            update_weights(nn2, x_nn2, features2, e_Om + gains.c2 * e_R, gains.adapt2,
-                           dt, "nn2")
+            # each network on its own, with its share of the pair's forward pass
+            k = nn1.n_hidden + 1
+            network_update(nn1, x_nn[:7], z[:k - 1], sigma[:k], e_v + gains.c1 * e_x,
+                           gains.adapt1, dt, "nn1")
+            network_update(nn2, x_nn[7:], z[k:], sigma[k:], e_Om + gains.c2 * e_R,
+                           gains.adapt2, dt, "nn2")
         return out
 
 
@@ -551,8 +552,7 @@ def test_controller_networks_are_the_pair(quad, rng):
         x_nn, _ = build_network_input(x, v, random_rotation(rng), Om)
         (y, features), (y_ref, features_ref) = nn_output(ctrl.pair, x_nn), nn_output(fresh, x_nn)
         assert y.tobytes() == y_ref.tobytes()
-        assert all(a.tobytes() == b.tobytes()
-                   for f, f_ref in zip(features, features_ref) for a, b in zip(f, f_ref))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(features, features_ref))
 
 
 @pytest.mark.parametrize("adaptation, random_nn2", [(False, False), (True, False), (False, True)],
@@ -582,6 +582,26 @@ def test_frozen_zero_networks_are_evaluated_once(quad, monkeypatch, adaptation, 
     if not per_step:
         deltas = [*out[OUTPUT["delta1_hat"]], *out[OUTPUT["delta2_hat"]]]
         assert all(d == 0.0 and math.copysign(1.0, d) > 0.0 for d in deltas)
+
+
+def test_one_pair_update_per_step(quad, monkeypatch):
+    # both networks adapt in one update_weights call per step, on the pair
+    # and the 6 entries [e_v + c1 e_x, e_Omega + c2 e_R] of its error signal
+    calls = []
+    update = windquad.controller.update_weights
+
+    def recording(pair, x_nn, features, a, dt):
+        calls.append((pair, a.shape))
+        return update(pair, x_nn, features, a, dt)
+
+    monkeypatch.setattr(windquad.controller, "update_weights", recording)
+    ctrl, _ = controller_pair(quad, adaptation=True)
+    state = pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
+                       rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05]))
+    for _ in range(5):
+        ctrl.step(state, hover_point(), 1e-3)
+    assert calls == [(ctrl.pair, (6,))] * 5
+    assert ctrl.pair.W.any()
 
 
 def degenerate_cases():

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import windquad.dynamics
 from windquad.aero import resultant_wrench
+from windquad.errors import DegenerateMatrix
 from windquad.dynamics import (QuadParams, SimplifiedModelParams,
                                rotor_speed_from_thrust, simplified_wrench,
                                step_rk4)
@@ -12,7 +14,7 @@ from windquad.layout import pack_state, unpack_state
 from windquad.se3 import expm_so3, orthonormalize
 
 from conftest import at_rest, random_rotation, stage_of
-from oracles import NotSkewSymmetric, cross3
+from oracles import NotSkewSymmetric, cross3, listed_step_rk4
 
 
 def free_wrench(t, x, v, R, Omega):
@@ -240,6 +242,38 @@ def test_step_rk4_matches_reference_full_inertia(aero_s01, rng, plant):
         ref = reference_step_rk4(st, 2e-3, wrench, quad, t)
         for name, g, r in zip(("x", "v", "R", "Omega"), unpack_state(got), unpack_state(ref)):
             assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r) + 1e-15, name
+
+
+@pytest.mark.parametrize("plant", ["simplified", "full_aero"])
+def test_step_rk4_bytes_equal_listed_stages(quad, aero_s01, rng, plant):
+    # the stage values held in locals take the same float operations in the
+    # same order as the 12-lists of listed_step_rk4
+    aero = aero_s01 if plant == "full_aero" else None
+    for _ in range(1000):
+        st = pack_state(rng.standard_normal(3), 3.0 * rng.standard_normal(3),
+                        random_rotation(rng), 2.0 * rng.standard_normal(3))
+        wrench = random_wrench(rng, quad, aero)
+        t = rng.uniform(0.0, 30.0)
+        dt = float(rng.choice([1e-3, 2e-3, 0.05]))
+        got = step_rk4(st, dt, wrench, quad, t).tolist()
+        ref = listed_step_rk4(st, dt, wrench, quad, t).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in ref]
+
+
+@pytest.mark.parametrize("moment", [math.inf, math.nan])
+def test_step_rk4_non_finite_chart_raises_as_listed(quad, moment):
+    # a non-finite body rate reaches the chart of stage 3, where expm_so3
+    # rejects it
+    def wrench(t, x, v, R, Omega):
+        return (0.0, 0.0, 0.0), (moment, 0.0, 0.0)
+
+    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([0.3, -0.2, 1.0]))
+    errors = []
+    for step in (step_rk4, listed_step_rk4):
+        with pytest.raises(DegenerateMatrix) as err:
+            step(st, 1e-3, wrench, quad)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
 
 
 def test_step_rk4_skips_exp_of_zero(quad, monkeypatch):
