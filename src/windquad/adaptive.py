@@ -253,7 +253,7 @@ def update_weights(pair, x_nn, features, a, dt):
     G_W, K_W, G_V, K_V = pair.gains
     z, sigma = features
     nn1, nn2 = pair.nets
-    a1, a2 = pair.outputs
+    out1, out2 = pair.outputs
     # ds = sigma'(z) is 0 at the second bias, where sigma is 1; u is sigma -
     # sigma' z with the first bias untouched
     s = sigma[1:]
@@ -262,7 +262,7 @@ def update_weights(pair, x_nn, features, a, dt):
     u[1:] -= ds * z
     # W_i[1:] a_i of each network on its own, which keeps its rounding, and
     # 0 for the zero column of V
-    Wa = np.concatenate((nn1.W[1:] @ a[a1], _ZERO, nn2.W[1:] @ a[a2]))
+    Wa = np.concatenate((nn1.W[1:] @ a[out1], _ZERO, nn2.W[1:] @ a[out2]))
     W = pair.W + dt * (G_W * (u[:, None] * a) - K_W * pair.W)
     V = pair.V + dt * (G_V * (x_nn[:, None] * (ds * Wa)) - K_V * pair.V)
 

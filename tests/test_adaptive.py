@@ -237,10 +237,10 @@ GAINS = (AdaptationGains(gamma_w=4.0, gamma_v=2.0, kappa=0.1),
          AdaptationGains(gamma_w=3.0, gamma_v=6.0, kappa=0.2))
 
 
-def random_pair(rng, gains=GAINS, hidden=(10, 7)):
-    """A pair of random networks of the given widths, norms 0.5, bounds 1."""
+def random_pair(rng, gains=GAINS):
+    """A pair of random networks of widths 10 and 7, norms 0.5, bounds 1."""
     return NetworkPair(*(NNWeights.random(rng, n_hidden=h, W_norm=0.5, V_norm=0.5,
-                                          W_max=1.0, V_max=1.0) for h in hidden), gains)
+                                          W_max=1.0, V_max=1.0) for h in (10, 7)), gains)
 
 
 def test_update_damping_only(rng):
@@ -292,7 +292,11 @@ def test_geometric_decay_with_zero_error(rng):
 def test_update_writes_into_the_same_arrays(rng):
     g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
     pair = random_pair(rng, (g, g))
-    arrays = [pair.W, pair.V] + [M for w in pair.nets for M in (w.W, w.V)]
+
+    def arrays():
+        return [pair.W, pair.V] + [M for w in pair.nets for M in (w.W, w.V)]
+
+    initial = arrays()
     for _ in range(50):
         before = pair.W.copy(), pair.V.copy()
         x_nn = random_input(rng)
@@ -300,8 +304,7 @@ def test_update_writes_into_the_same_arrays(rng):
         refs = [reference_update_weights(w, x_w, a_w, g, 1e-2) for w, x_w, a_w in
                 zip(pair.nets, (x_nn[:7], x_nn[7:]), (a[:3], a[3:]))]
         update(pair, x_nn, a, 1e-2)
-        assert all(M is then for M, then in
-                   zip([pair.W, pair.V] + [M for w in pair.nets for M in (w.W, w.V)], arrays))
+        assert all(M is then for M, then in zip(arrays(), initial))
         assert not np.array_equal(pair.W, before[0]) and not np.array_equal(pair.V, before[1])
         for w, (ref_W, ref_V) in zip(pair.nets, refs):
             assert np.allclose(w.W, ref_W, rtol=1e-12, atol=1e-15)
