@@ -105,56 +105,67 @@ def sigmoid_features(z):
     np.exp(e, out=e)
     sigma = np.empty(len(z) + 1)
     sigma[0] = 1.0
-    np.divide(np.where(z >= 0.0, 1.0, e), e + 1.0, out=sigma[1:])
+    numerator = np.where(z >= 0.0, 1.0, e)
+    e += 1.0
+    np.divide(numerator, e, out=sigma[1:])
     return sigma
 
 
 class NetworkPair:
-    """Two networks held as one block-diagonal pair of matrices.
+    """Two networks held as one block-diagonal parameter matrix.
 
     For networks (W1, V1) with h1 hidden units and (W2, V2) with h2 the
-    blocks are
+    pair's parameters are Theta = diag(W, V), whose blocks are
 
-        V = [[V1, 0, 0 ],        W = [[W1, 0 ],
-             [0,  0, V2]],            [0,  W2]],
+        W = [[W1, 0 ],        V = [[V1, 0, 0 ],
+             [0,  W2]],            [0,  0, V2]],
 
     on the input [x_nn1, x_nn2].  Column h1 of V is zero: the feature it
     feeds is overwritten with the second network's bias, so the features
-    are [1, s1, 1, s2].  The constructor copies the two given networks into
-    the diagonal blocks, once, and leaves them unchanged.  `nets` are two
-    NNWeights, with the given networks' bounds, whose W and V are views of
-    the diagonal blocks; update_weights keeps the off-diagonal blocks zero.
+    are [1, s1, 1, s2].  `theta` is that matrix; `W` and `V` are views of
+    its two diagonal blocks.  The constructor copies the two given networks
+    into the network blocks, once, and leaves them unchanged.  `nets` are
+    two NNWeights, with the given networks' bounds, whose W and V are views
+    of the network blocks; update_weights writes only those four blocks, so
+    every other entry of theta stays +0.0.
 
     `gains`, the two networks' AdaptationGains of a pair that update_weights
-    steps, become four matrices of the shapes of W and V: -gamma_w and
-    kappa gamma_w on W's diagonal blocks, -gamma_v and kappa gamma_v on V's,
-    and zero everywhere else.  A pair built without gains is never updated.
+    steps, become two matrices of theta's shape: G holds -gamma_w on each
+    network's W block and -gamma_v on its V block, K holds kappa gamma_w
+    and kappa gamma_v there, and both are zero everywhere else.  A pair
+    built without gains is never updated.
     """
 
     def __init__(self, nn1, nn2, gains=None):
         (n1, h1), (n2, h2) = nn1.V.shape, nn2.V.shape
         o1 = nn1.W.shape[1]
-        self.V = np.zeros((n1 + n2, h1 + 1 + h2))
-        self.W = np.zeros((h1 + h2 + 2, o1 + nn2.W.shape[1]))
+        # W fills theta's first rows and columns, V the rest
+        rows, cols = h1 + h2 + 2, o1 + nn2.W.shape[1]
+        self.theta = np.zeros((rows + n1 + n2, cols + h1 + 1 + h2))
+        self.W, self.V = self.theta[:rows, :cols], self.theta[rows:, cols:]
         # the second network's entries of z and sigma start at bias2, and
         # its entries of y and of the error signal at o1
         self.bias2 = h1 + 1
         self.outputs = (slice(0, o1), slice(o1, None))
-        # each network's (W, V) block
+        # each network's (W, V) block, as indices into W and V
         self.blocks = ((np.s_[:h1 + 1, :o1], np.s_[:n1, :h1]),
                        (np.s_[h1 + 1:, o1:], np.s_[n1:, h1 + 1:]))
-        for (W, V), nn in zip(self.blocks, (nn1, nn2)):
-            self.W[W], self.V[V] = nn.W, nn.V
-        self.nets = tuple(NNWeights(W=self.W[W], V=self.V[V], W_max=nn.W_max, V_max=nn.V_max)
-                          for (W, V), nn in zip(self.blocks, (nn1, nn2)))
+        # the four network blocks as indices into theta, in BLOCK_NAMES order
+        W1, V1 = np.s_[:h1 + 1, :o1], np.s_[rows:rows + n1, cols:cols + h1]
+        W2, V2 = np.s_[h1 + 1:rows, o1:cols], np.s_[rows + n1:, cols + h1 + 1:]
+        self.theta_blocks = (W1, V1, W2, V2)
+        for W, V, nn in ((W1, V1, nn1), (W2, V2, nn2)):
+            self.theta[W], self.theta[V] = nn.W, nn.V
+        self.nets = tuple(NNWeights(W=self.theta[W], V=self.theta[V],
+                                    W_max=nn.W_max, V_max=nn.V_max)
+                          for W, V, nn in ((W1, V1, nn1), (W2, V2, nn2)))
         self.gains = None
         if gains is not None:
-            G_W, K_W = np.zeros_like(self.W), np.zeros_like(self.W)
-            G_V, K_V = np.zeros_like(self.V), np.zeros_like(self.V)
-            for (W, V), g in zip(self.blocks, gains):
-                G_W[W], K_W[W] = -g.gamma_w, g.kappa * g.gamma_w
-                G_V[V], K_V[V] = -g.gamma_v, g.kappa * g.gamma_v
-            self.gains = (G_W, K_W, G_V, K_V)
+            G, K = np.zeros_like(self.theta), np.zeros_like(self.theta)
+            for W, V, g in ((W1, V1, gains[0]), (W2, V2, gains[1])):
+                G[W], K[W] = -g.gamma_w, g.kappa * g.gamma_w
+                G[V], K[V] = -g.gamma_v, g.kappa * g.gamma_v
+            self.gains = (G, K)
 
 
 def nn_output(pair, x_nn):
@@ -167,10 +178,10 @@ def nn_output(pair, x_nn):
     """
     if x_nn.shape != (pair.V.shape[0],):
         raise DimensionMismatch(f"input {x_nn.shape} vs V {pair.V.shape}")
-    z = pair.V.T @ x_nn
+    z = x_nn.dot(pair.V)
     sigma = sigmoid_features(z)
     sigma[pair.bias2] = 1.0
-    return pair.W.T @ sigma, (z, sigma)
+    return sigma.dot(pair.W), (z, sigma)
 
 
 def build_network_input(x, v, R, Omega, fallback_angles=None):
@@ -200,7 +211,7 @@ def build_network_input(x, v, R, Omega, fallback_angles=None):
 def _frobenius(M):
     """||M||_F as np.linalg.norm forms it: the root of the flattened dot."""
     r = M.ravel("K")
-    return math.sqrt(r @ r)
+    return math.sqrt(r.dot(r))
 
 
 def project_to_ball(M, bound, name="M"):
@@ -234,14 +245,19 @@ def update_weights(pair, x_nn, features, a, dt):
     for each network of a NetworkPair built with gains, evaluated at the
     estimated pre-activation z = V^T x_nn, with a = [a1, a2] the two
     networks' error signals.  `features` is the (z, sigma) that nn_output
-    returned for the pair and x_nn.  Both laws step at once on the whole
-    pair: one outer product for W and one for V, each scaled by the pair's
-    gain matrices, which are zero off the diagonal blocks; only W_i[1:] a_i
-    is formed per network.  Each diagonal block is then projected onto its
-    network's Frobenius ball.  Updates the pair in place, once all four
-    norms are finite: the new matrices are written into pair.W and pair.V,
-    and the norms into pair.nets.  Otherwise raises NonFiniteWeights naming
-    the first bad block in BLOCK_NAMES order and writes nothing.
+    returned for the pair and x_nn.  Both laws of both networks step at
+    once on the pair's theta = diag(W, V): with p = [u; x_nn], where
+    u = sigma - sigma'(z) z, and q = [a; sigma'(z) Wa], the step is
+
+        theta + dt (G * p q^T - K * theta),
+
+    one outer product scaled by the pair's gain matrices, which are zero
+    off the network blocks; only W_i[1:] a_i is formed per network.  Each
+    network block is then projected onto its network's Frobenius ball.
+    Updates the pair in place, once all four norms are finite: the new
+    blocks are written into pair.theta, and the norms into pair.nets.
+    Otherwise raises NonFiniteWeights naming the first bad block in
+    BLOCK_NAMES order and writes nothing.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -250,7 +266,8 @@ def update_weights(pair, x_nn, features, a, dt):
     if a.shape != (pair.W.shape[1],):
         raise DimensionMismatch(f"error signal {a.shape} vs W {pair.W.shape}")
 
-    G_W, K_W, G_V, K_V = pair.gains
+    G, K = pair.gains
+    theta = pair.theta
     z, sigma = features
     nn1, nn2 = pair.nets
     out1, out2 = pair.outputs
@@ -258,21 +275,22 @@ def update_weights(pair, x_nn, features, a, dt):
     # sigma' z with the first bias untouched
     s = sigma[1:]
     ds = s * (1.0 - s)
-    u = sigma.copy()
-    u[1:] -= ds * z
+    p = np.concatenate((sigma, x_nn))
+    p[1:len(sigma)] -= ds * z
     # W_i[1:] a_i of each network on its own, which keeps its rounding, and
     # 0 for the zero column of V
-    Wa = np.concatenate((nn1.W[1:] @ a[out1], _ZERO, nn2.W[1:] @ a[out2]))
-    W = pair.W + dt * (G_W * (u[:, None] * a) - K_W * pair.W)
-    V = pair.V + dt * (G_V * (x_nn[:, None] * (ds * Wa)) - K_V * pair.V)
+    q = np.concatenate((a, nn1.W[1:] @ a[out1], _ZERO, nn2.W[1:] @ a[out2]))
+    q[len(a):] *= ds
+    # theta + dt * (G * (p q^T) - K * theta), in place on the outer product
+    step = p[:, None] * q
+    step *= G
+    step -= K * theta
+    step *= dt
+    step += theta
 
-    (W1, V1), (W2, V2) = pair.blocks
-    views = (W[W1], V[V1], W[W2], V[V2])
     bounds = (nn1.W_max, nn1.V_max, nn2.W_max, nn2.V_max)
-    projected = [project_to_ball(M, bound, name)
-                 for M, bound, name in zip(views, bounds, BLOCK_NAMES)]
-    for view, (M, _) in zip(views, projected):
-        if M is not view:
-            view[...] = M
-    pair.W[...], pair.V[...] = W, V
+    projected = [project_to_ball(step[block], bound, name)
+                 for block, bound, name in zip(pair.theta_blocks, bounds, BLOCK_NAMES)]
+    for block, (M, _) in zip(pair.theta_blocks, projected):
+        theta[block] = M
     (_, nn1.W_norm), (_, nn1.V_norm), (_, nn2.W_norm), (_, nn2.V_norm) = projected

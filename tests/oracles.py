@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from windquad.adaptive import project_to_ball
+from windquad.adaptive import BLOCK_NAMES, project_to_ball, sigmoid_features
 from windquad.aero import OMEGA_MIN, drag_force
 from windquad.errors import NoConvergence, RotorStopped, WindquadError
 from windquad.layout import pack_state, state_floats
@@ -283,6 +283,55 @@ def network_update(w, x_nn, z, sigma, a, gains, dt, name="nn"):
     V, V_norm = project_to_ball(w.V + dt * V_dot, w.V_max, f"{name}.V")
     w.W[...], w.V[...] = W, V
     w.W_norm, w.V_norm = W_norm, V_norm
+
+
+def blockwise_nn_output(pair, x_nn):
+    """nn_output with the pair's W and V as arrays of their own: z = V^T x_nn
+    and y = W^T sigma as matmuls of the transposes, the reference that the
+    forward on the views of theta matches bit for bit."""
+    W, V = pair.W.copy(), pair.V.copy()
+    z = V.T @ x_nn
+    sigma = sigmoid_features(z)
+    sigma[pair.bias2] = 1.0
+    return W.T @ sigma, (z, sigma)
+
+
+def blockwise_update_weights(pair, x_nn, features, a, gains, dt):
+    """update_weights with the pair's W and V as arrays of their own, each
+    stepped by its own outer product and two gain matrices of its shape,
+    made here from the two networks' AdaptationGains `gains`: the reference
+    that the one-outer-product step of theta matches bit for bit.
+
+    Returns the new (W, V) and the four norms in BLOCK_NAMES order and
+    leaves the pair unchanged; raises NonFiniteWeights naming the first bad
+    block, as update_weights does.
+    """
+    W0, V0 = pair.W.copy(), pair.V.copy()
+    G_W, K_W = np.zeros_like(W0), np.zeros_like(W0)
+    G_V, K_V = np.zeros_like(V0), np.zeros_like(V0)
+    for (Wb, Vb), g in zip(pair.blocks, gains):
+        G_W[Wb], K_W[Wb] = -g.gamma_w, g.kappa * g.gamma_w
+        G_V[Vb], K_V[Vb] = -g.gamma_v, g.kappa * g.gamma_v
+    z, sigma = features
+    (W1, V1), (W2, V2) = pair.blocks
+    out1, out2 = pair.outputs
+    s = sigma[1:]
+    ds = s * (1.0 - s)
+    u = sigma.copy()
+    u[1:] -= ds * z
+    Wa = np.concatenate((W0[W1][1:] @ a[out1], [0.0], W0[W2][1:] @ a[out2]))
+    W = W0 + dt * (G_W * (u[:, None] * a) - K_W * W0)
+    V = V0 + dt * (G_V * (x_nn[:, None] * (ds * Wa)) - K_V * V0)
+
+    views = (W[W1], V[V1], W[W2], V[V2])
+    nets = pair.nets
+    bounds = (nets[0].W_max, nets[0].V_max, nets[1].W_max, nets[1].V_max)
+    projected = [project_to_ball(M, bound, name)
+                 for M, bound, name in zip(views, bounds, BLOCK_NAMES)]
+    for view, (M, _) in zip(views, projected):
+        if M is not view:
+            view[...] = M
+    return W, V, [n for _, n in projected]
 
 
 def listed_step_rk4(s, dt, wrench_fn, params, t=0.0):

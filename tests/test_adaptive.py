@@ -10,6 +10,7 @@ from windquad.errors import DimensionMismatch, GimbalLock, NonFiniteWeights
 from windquad.se3 import rotation_zyx
 
 from conftest import random_rotation
+from oracles import blockwise_nn_output, blockwise_update_weights
 
 
 def build_position_input(x, v):
@@ -584,3 +585,115 @@ def test_update_bytes_equal_outer_product_form(rng, hidden):
             assert all(np.asarray(x).tobytes() == np.asarray(r).tobytes()
                        for x, r in zip(got, ref))
     assert projected > 100
+
+
+# --- theta = diag(W, V) against W and V as arrays of their own -----------------
+
+WIDTHS = (0, 2, 10, 17)
+
+
+def theta_off_blocks(pair):
+    """Mask of the entries of theta outside the four network blocks."""
+    off = np.ones(pair.theta.shape, bool)
+    for block in pair.theta_blocks:
+        off[block] = False
+    return off
+
+
+@pytest.mark.parametrize("hidden", WIDTHS)
+def test_forward_bytes_equal_blockwise_oracle(rng, hidden):
+    for _ in range(500):
+        pair = drawn_pair(rng, hidden, WIDTHS)
+        x_nn = random_input(rng, 10.0)
+        y, (z, sigma) = nn_output(pair, x_nn)
+        ref_y, (ref_z, ref_sigma) = blockwise_nn_output(pair, x_nn)
+        for got, ref in ((y, ref_y), (z, ref_z), (sigma, ref_sigma)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("hidden", WIDTHS)
+def test_update_bytes_equal_blockwise_oracle(rng, hidden):
+    # random unequal pairs with bounds at their drawn norms, stepped
+    # through their own forward; each step against the blockwise update
+    projected = np.zeros(4, int)
+    for _ in range(500):
+        pair = drawn_pair(rng, hidden, WIDTHS)
+        for _ in range(3):
+            x_nn = random_input(rng, 10.0)
+            a = rng.standard_normal(6)
+            _, features = nn_output(pair, x_nn)
+            W, V, norms = blockwise_update_weights(pair, x_nn, features, a, PAIR_GAINS, 1e-2)
+            update_weights(pair, x_nn, features, a, 1e-2)
+            assert pair.W.tobytes() == W.tobytes() and pair.V.tobytes() == V.tobytes()
+            got = [n for w in pair.nets for n in (w.W_norm, w.V_norm)]
+            assert np.array(got).tobytes() == np.array(norms).tobytes()
+            bounds = [b for w in pair.nets for b in (w.W_max, w.V_max)]
+            projected += [n == b for n, b in zip(norms, bounds)]
+        assert not pair.theta[theta_off_blocks(pair)].any()
+    # steps with the projection active, per block; the V of a width-0 first
+    # network has no entries to project
+    assert all(projected[[0, 2, 3]] > 100)
+    assert projected[1] > 100 or hidden == 0
+
+
+def huge_gains(blocks):
+    """PAIR_GAINS with learning rate 1e308 on the named blocks."""
+    return [AdaptationGains(gamma_w=1e308 if f"nn{i}.W" in blocks else g.gamma_w,
+                            gamma_v=1e308 if f"nn{i}.V" in blocks else g.gamma_v,
+                            kappa=g.kappa)
+            for i, g in zip((1, 2), PAIR_GAINS)]
+
+
+@pytest.mark.parametrize("first", range(4))
+@pytest.mark.parametrize("cause", ["inf", "nan", "overflow"])
+def test_non_finite_update_matches_blockwise_oracle(rng, first, cause):
+    # the blocks from `first` on hold an inf or a NaN, or their learning
+    # rate overflows the step: both forms name the first bad block in
+    # BLOCK_NAMES order, and update_weights writes nothing
+    bad = BLOCK_NAMES[first:]
+    gains = huge_gains(bad) if cause == "overflow" else PAIR_GAINS
+    checked = 0
+    for hidden in WIDTHS:
+        pair = NetworkPair(*drawn_pair(rng, hidden, WIDTHS[1:]).nets, gains)
+        blocks = dict(zip(BLOCK_NAMES, (M for w in pair.nets for M in (w.W, w.V))))
+        # the V of a width-0 first network has no entries to hold a bad value
+        if not blocks[bad[0]].size:
+            continue
+        x_nn = random_input(rng, 10.0)
+        _, features = nn_output(pair, x_nn)
+        if cause != "overflow":
+            for name in bad:
+                if blocks[name].size:
+                    blocks[name][-1, -1] = float(cause)
+        before = pair.theta.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteWeights) as ref:
+                blockwise_update_weights(pair, x_nn, features, np.ones(6), gains, 1e-2)
+            with pytest.raises(NonFiniteWeights) as err:
+                update_weights(pair, x_nn, features, np.ones(6), 1e-2)
+        assert str(err.value) == str(ref.value)
+        assert str(err.value).startswith(f"{bad[0]} has Frobenius norm")
+        assert pair.theta.tobytes() == before
+        checked += 1
+    assert checked >= 3
+
+
+def test_theta_holds_both_networks(rng):
+    # W, V and the nets are views of theta, and the entries of theta outside
+    # the network blocks stay +0.0 over updates with the projection active
+    g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
+    pair = NetworkPair(*(NNWeights.random(rng, n_hidden=h, W_norm=0.5, V_norm=0.5)
+                         for h in (10, 7)), (g, g))
+    views = [pair.W, pair.V] + [M for w in pair.nets for M in (w.W, w.V)]
+    assert all(np.shares_memory(M, pair.theta) for M in views)
+    rows, cols = pair.W.shape
+    assert pair.theta.shape == (rows + pair.V.shape[0], cols + pair.V.shape[1])
+    off = theta_off_blocks(pair)
+    for _ in range(200):
+        x_nn = random_input(rng, 10.0)
+        _, features = nn_output(pair, x_nn)
+        update_weights(pair, x_nn, features, rng.standard_normal(6), 1e-2)
+    assert not pair.theta[off].any() and not np.signbit(pair.theta[off]).any()
+    assert all(np.shares_memory(M, pair.theta) for M in views)
+    for (W, V), w in zip(pair.blocks, pair.nets):
+        assert pair.W[W].tobytes() == w.W.tobytes() and pair.V[V].tobytes() == w.V.tobytes()
