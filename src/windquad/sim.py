@@ -99,6 +99,13 @@ def _synthetic_delta(targets):
     return delta
 
 
+def _squared_distance(A, B):
+    """The sum of (A - B)^2, squared in place: np.sum((A - B) ** 2), bit for bit."""
+    d = A - B
+    d *= d
+    return d.sum()
+
+
 def run_simulation(config):
     """Run the configured closed loop; returns SimResult.
 
@@ -161,7 +168,7 @@ def run_simulation(config):
             weight_sq = None
             if record and targets is not None:
                 # before the step, whose weight update writes into the arrays
-                weight_sq = [(np.sum((tgt.W - nn.W) ** 2), np.sum((tgt.V - nn.V) ** 2))
+                weight_sq = [(_squared_distance(tgt.W, nn.W), _squared_distance(tgt.V, nn.V))
                              for tgt, nn in zip(targets, (ctrl.nn1, ctrl.nn2))]
 
             try:
