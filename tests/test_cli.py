@@ -520,3 +520,86 @@ def test_edge_value_probe(tmp_path, section, key):
             for name, entries in sections.items()))
         code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
         assert code in (0, 2, 3), f"{section}.{key} = {raw}"
+
+
+# --- dead-key probe ------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: (config, "section.key") pairs that the run reads but whose nudge moves
+#: no output byte in 0.05 s
+DEAD_KEY_ALLOWED = {
+    # the controller's rotor-speed floor, read on every plant: no rotor of
+    # these two comes near 1 rad/s in 0.05 s (baseline's large start offset
+    # puts rotors on the floor)
+    ("synthetic", "aero.omega_min"), ("wind_circle", "aero.omega_min"),
+    # adaptation = off: the stability report reads min(gamma_w, gamma_v)
+    # of each network, which these nudges leave in place
+    ("baseline", "nn1.gamma_w"), ("baseline", "nn2.gamma_w"), ("baseline", "nn2.gamma_v"),
+    # still air: every other wind kind starts from wind.base = 0 0 0 and
+    # adds a gust or sine of wind.amplitude = 0, one at a time
+    ("baseline", "wind.kind"), ("synthetic", "wind.kind"),
+}
+
+
+def nudges(cfg, section, key):
+    """Texts of small changes of one key's value in cfg: a switch flipped,
+    each other option of a choice, an integer plus one, each non-zero real
+    number times 1.1, and 0.1 in every entry of a value that is all zero."""
+    value = cfg.get(section, key)
+    if isinstance(value, bool):
+        return ["off" if value else "on"]
+    if isinstance(value, str):
+        options = [name.strip() for name in SCHEMA[section][key][2].split("(")[0].split("|")]
+        return [option for option in options if option != value]
+    if isinstance(value, int):
+        return [str(value + 1)]
+    reals = np.ravel(value) * 1.1 if np.any(value) else np.full(np.size(value), 0.1)
+    return [" ".join(map(str, reals.tolist()))]
+
+
+def probe_outputs(monkeypatch, capsys, tmp_path, config, overrides):
+    """(exit code, stdout, stderr, outputs) of `windquad run --config config`
+    for 0.05 s with `overrides` set; the three output writers record their
+    arguments in memory instead of writing files."""
+    outputs = []
+    monkeypatch.setattr(windquad.cli, "write_csv",
+                        lambda telemetry, path: outputs.append(telemetry.tobytes()))
+    monkeypatch.setattr(windquad.cli, "write_summary",
+                        lambda summary, path, **kw: outputs.append(repr((summary, kw))))
+    monkeypatch.setattr(windquad.cli, "write_weights_csv", lambda snapshots, path: outputs.append(
+        [(name, w.W.tobytes(), w.V.tobytes()) for name, w in snapshots]))
+    layer = {("simulation", "duration"): "0.05", **overrides}
+    monkeypatch.setattr(windquad.cli, "load_config",
+                        lambda path, overrides=None: load_config(path, {**overrides, **layer}))
+    code = main(["run", "--config", config, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    return code, out, err, outputs
+
+
+@pytest.mark.parametrize("name", ("baseline", "synthetic", "wind_circle"))
+def test_no_key_is_silently_ignored(monkeypatch, capsys, tmp_path, name):
+    # every SCHEMA key, nudged on its own, changes an output byte, exits 2
+    # naming the key, is listed as ignored, or is on DEAD_KEY_ALLOWED, and
+    # every key on that list for this config moves nothing.  The three
+    # configs take about 2 s together on a 2-vCPU Xeon VM
+    config = str(CONFIGS / f"{name}.ini")
+    code, out, _, outputs = probe_outputs(monkeypatch, capsys, tmp_path, config, {})
+    assert code == 0
+    reference = (code, out, outputs)
+    cfg = load_config(config, {("simulation", "duration"): "0.05"})
+    dead, allowed = [], []
+    for section, keys in SCHEMA.items():
+        for key in keys:
+            dotted = f"{section}.{key}"
+            moved = False
+            for text in nudges(cfg, section, key):
+                code, out, err, outputs = probe_outputs(monkeypatch, capsys, tmp_path, config,
+                                                        {(section, key): text})
+                if code == 2:
+                    assert dotted in err or f"[{section}] {key}" in err, err
+                moved |= (code, out, outputs) != reference or f"ignored: {dotted} =" in err
+            if not moved:
+                (allowed if (name, dotted) in DEAD_KEY_ALLOWED else dead).append(dotted)
+    assert not dead
+    assert sorted(allowed) == sorted(k for n, k in DEAD_KEY_ALLOWED if n == name)
