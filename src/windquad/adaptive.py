@@ -7,12 +7,14 @@ weight matrices driven by a damped gradient-style update law; Frobenius-ball
 projection keeps both matrices inside configured norm bounds at all times.
 
 Both networks run as one NetworkPair, the only store of their weights: one
-block-diagonal pair of matrices.  nn_output evaluates it in one pass on the
-(14,) input of build_network_input, and update_weights steps both update
-laws in one pass on the whole pair.  The pair's `nets` are two NNWeights
-whose W and V are views of its diagonal blocks and which hold the norms and
-bounds.  The synthetic plant's target networks form a pair of their own
-that is never updated.
+parameter matrix theta = diag(W, V), where W and V are themselves
+block-diagonal over the two networks.  nn_output evaluates the pair in one
+pass on the (14,) input of build_network_input, and update_weights steps
+both update laws of both networks as one outer product on theta, scaled by
+two gain matrices.  The pair's `nets` are two NNWeights whose W and V are
+views of theta's network blocks and which hold the norms and bounds.  The
+synthetic plant's target networks form a pair of their own that is never
+updated.
 """
 
 import math
@@ -115,7 +117,7 @@ class NetworkPair:
     """Two networks held as one block-diagonal parameter matrix.
 
     For networks (W1, V1) with h1 hidden units and (W2, V2) with h2 the
-    pair's parameters are Theta = diag(W, V), whose blocks are
+    pair's parameters are theta = diag(W, V), whose blocks are
 
         W = [[W1, 0 ],        V = [[V1, 0, 0 ],
              [0,  W2]],            [0,  0, V2]],
@@ -151,18 +153,18 @@ class NetworkPair:
         self.blocks = ((np.s_[:h1 + 1, :o1], np.s_[:n1, :h1]),
                        (np.s_[h1 + 1:, o1:], np.s_[n1:, h1 + 1:]))
         # the four network blocks as indices into theta, in BLOCK_NAMES order
-        W1, V1 = np.s_[:h1 + 1, :o1], np.s_[rows:rows + n1, cols:cols + h1]
-        W2, V2 = np.s_[h1 + 1:rows, o1:cols], np.s_[rows + n1:, cols + h1 + 1:]
-        self.theta_blocks = (W1, V1, W2, V2)
-        for W, V, nn in ((W1, V1, nn1), (W2, V2, nn2)):
+        self.theta_blocks = (np.s_[:h1 + 1, :o1], np.s_[rows:rows + n1, cols:cols + h1],
+                             np.s_[h1 + 1:rows, o1:cols], np.s_[rows + n1:, cols + h1 + 1:])
+        per_network = (self.theta_blocks[:2], self.theta_blocks[2:])
+        for (W, V), nn in zip(per_network, (nn1, nn2)):
             self.theta[W], self.theta[V] = nn.W, nn.V
         self.nets = tuple(NNWeights(W=self.theta[W], V=self.theta[V],
                                     W_max=nn.W_max, V_max=nn.V_max)
-                          for W, V, nn in ((W1, V1, nn1), (W2, V2, nn2)))
+                          for (W, V), nn in zip(per_network, (nn1, nn2)))
         self.gains = None
         if gains is not None:
             G, K = np.zeros_like(self.theta), np.zeros_like(self.theta)
-            for W, V, g in ((W1, V1, gains[0]), (W2, V2, gains[1])):
+            for (W, V), g in zip(per_network, gains):
                 G[W], K[W] = -g.gamma_w, g.kappa * g.gamma_w
                 G[V], K[V] = -g.gamma_v, g.kappa * g.gamma_v
             self.gains = (G, K)
@@ -271,17 +273,17 @@ def update_weights(pair, x_nn, features, a, dt):
     z, sigma = features
     nn1, nn2 = pair.nets
     out1, out2 = pair.outputs
-    # ds = sigma'(z) is 0 at the second bias, where sigma is 1; u is sigma -
-    # sigma' z with the first bias untouched
+    # ds = sigma'(z) is 0 at the second bias, where sigma is 1; p is
+    # [u; x_nn] with u = sigma - sigma' z, the first bias untouched
     s = sigma[1:]
     ds = s * (1.0 - s)
     p = np.concatenate((sigma, x_nn))
     p[1:len(sigma)] -= ds * z
-    # W_i[1:] a_i of each network on its own, which keeps its rounding, and
-    # 0 for the zero column of V
+    # q is [a; ds Wa], with W_i[1:] a_i of each network on its own, which
+    # keeps its rounding, and 0 for the zero column of V
     q = np.concatenate((a, nn1.W[1:] @ a[out1], _ZERO, nn2.W[1:] @ a[out2]))
     q[len(a):] *= ds
-    # theta + dt * (G * (p q^T) - K * theta), in place on the outer product
+    # the step above, in place on the outer product
     step = p[:, None] * q
     step *= G
     step -= K * theta

@@ -593,11 +593,11 @@ WIDTHS = (0, 2, 10, 17)
 
 
 def theta_off_blocks(pair):
-    """Mask of the entries of theta outside the four network blocks."""
+    """The entries of theta outside the four network blocks."""
     off = np.ones(pair.theta.shape, bool)
     for block in pair.theta_blocks:
         off[block] = False
-    return off
+    return pair.theta[off]
 
 
 @pytest.mark.parametrize("hidden", WIDTHS)
@@ -629,7 +629,8 @@ def test_update_bytes_equal_blockwise_oracle(rng, hidden):
             assert np.array(got).tobytes() == np.array(norms).tobytes()
             bounds = [b for w in pair.nets for b in (w.W_max, w.V_max)]
             projected += [n == b for n, b in zip(norms, bounds)]
-        assert not pair.theta[theta_off_blocks(pair)].any()
+        off = theta_off_blocks(pair)
+        assert not off.any() and not np.signbit(off).any()
     # steps with the projection active, per block; the V of a width-0 first
     # network has no entries to project
     assert all(projected[[0, 2, 3]] > 100)
@@ -688,12 +689,12 @@ def test_theta_holds_both_networks(rng):
     assert all(np.shares_memory(M, pair.theta) for M in views)
     rows, cols = pair.W.shape
     assert pair.theta.shape == (rows + pair.V.shape[0], cols + pair.V.shape[1])
-    off = theta_off_blocks(pair)
     for _ in range(200):
         x_nn = random_input(rng, 10.0)
         _, features = nn_output(pair, x_nn)
         update_weights(pair, x_nn, features, rng.standard_normal(6), 1e-2)
-    assert not pair.theta[off].any() and not np.signbit(pair.theta[off]).any()
+    off = theta_off_blocks(pair)
+    assert off.size and not off.any() and not np.signbit(off).any()
     assert all(np.shares_memory(M, pair.theta) for M in views)
     for (W, V), w in zip(pair.blocks, pair.nets):
         assert pair.W[W].tobytes() == w.W.tobytes() and pair.V[V].tobytes() == w.V.tobytes()
