@@ -8,7 +8,7 @@ with the third body axis commanded along -A/||A|| and the first axis the
 projection of the desired heading onto the orthogonal plane.  The moment law
 adds the attitude compensation term D2 and a feedforward built from the
 computed angular velocity, which is estimated from backward finite
-differences of the computed attitude (zeros on the first step).
+differences of the last two computed attitudes (zeros on the first step).
 
 Rotor allocation uses the mixing matrix
 
@@ -20,15 +20,15 @@ Rotor allocation uses the mixing matrix
 Row two differs from a commonly reproduced singular variant; it follows
 directly from the rotor positions (see README).
 
-The step computes in Python floats: it reads the packed state and the
-network outputs with one tolist() each, and the geometry helpers take and
-return 3-sequences of floats and 3x3 matrices as three rows of floats.
-Arrays remain in the network input, the forward pass and the one error
-signal of the pair's weight update.
+The step computes in Python floats: it takes the state in the float form
+of layout.state_floats, reads the network outputs with one tolist(), and
+the geometry helpers take and return 3-sequences of floats and 3x3 matrices
+as three rows of floats.  R^T R_c Omega_c is formed once, for e_Omega and
+the moment law.  Arrays remain in the network input, the forward pass and
+the one error signal of the pair's weight update.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +38,7 @@ from .adaptive import (AdaptationGains, NetworkPair, NNWeights, build_network_in
 from .aero import OMEGA_MIN
 from .dynamics import rotor_speed_from_thrust
 from .errors import DegenerateThrust, HeadingDegenerate
-from .layout import state_floats
-from .se3 import angular_velocity_error, attitude_error, computed_to_body
+from .se3 import attitude_error, computed_to_body
 
 HEADING_TOL = 1e-6
 
@@ -115,48 +114,45 @@ def compute_Rc(A, b1_d, eps_thrust):
     return (p1, q1, r1), (p2, q2, r2), (p3, q3, r3)
 
 
-def compute_Omega_c(history, dt):
-    """Computed angular velocity and acceleration from an R_c history.
+def compute_Omega_c(R_prev, R_c, Omega_prev, dt):
+    """Computed angular velocity and acceleration by backward differences.
 
-    `history` holds the last up-to-three computed attitudes, oldest first,
-    each as three rows of floats.  Backward differences: Omega_c = vee of
-    the skew part of R_c^T Rdot_c; zero until enough samples accumulate
-    (first step returns zeros).  Returns two float triples.
+    R_prev and R_c are the last two computed attitudes as rows of floats,
+    Omega_prev the previous step's Omega_c at the same dt.  Omega_c is the
+    vee of the skew part of R_c^T (R_c - R_prev) / dt, Omega_c_dot is
+    (Omega_c - Omega_prev) / dt: two float triples, both zero with R_prev
+    None (the first step), Omega_c_dot zero with Omega_prev None (the second).
     """
-    if len(history) < 2:
+    if R_prev is None:
         return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
-
-    def rate(R_prev, R_now):
-        # vee of the skew part of M = R_now^T D, D = (R_now - R_prev) / dt
-        (n11, n12, n13), (n21, n22, n23), (n31, n32, n33) = R_now
-        (o11, o12, o13), (o21, o22, o23), (o31, o32, o33) = R_prev
-        d11, d12, d13 = (n11 - o11) / dt, (n12 - o12) / dt, (n13 - o13) / dt
-        d21, d22, d23 = (n21 - o21) / dt, (n22 - o22) / dt, (n23 - o23) / dt
-        d31, d32, d33 = (n31 - o31) / dt, (n32 - o32) / dt, (n33 - o33) / dt
-        m12 = n11 * d12 + n21 * d22 + n31 * d32
-        m13 = n11 * d13 + n21 * d23 + n31 * d33
-        m21 = n12 * d11 + n22 * d21 + n32 * d31
-        m23 = n12 * d13 + n22 * d23 + n32 * d33
-        m31 = n13 * d11 + n23 * d21 + n33 * d31
-        m32 = n13 * d12 + n23 * d22 + n33 * d32
-        return 0.5 * (m32 - m23), 0.5 * (m13 - m31), 0.5 * (m21 - m12)
-
-    w1, w2, w3 = Omega_c = rate(history[-2], history[-1])
-    if len(history) < 3:
+    # vee of the skew part of M = R_c^T D, D = (R_c - R_prev) / dt
+    (n11, n12, n13), (n21, n22, n23), (n31, n32, n33) = R_c
+    (o11, o12, o13), (o21, o22, o23), (o31, o32, o33) = R_prev
+    d11, d12, d13 = (n11 - o11) / dt, (n12 - o12) / dt, (n13 - o13) / dt
+    d21, d22, d23 = (n21 - o21) / dt, (n22 - o22) / dt, (n23 - o23) / dt
+    d31, d32, d33 = (n31 - o31) / dt, (n32 - o32) / dt, (n33 - o33) / dt
+    m12 = n11 * d12 + n21 * d22 + n31 * d32
+    m13 = n11 * d13 + n21 * d23 + n31 * d33
+    m21 = n12 * d11 + n22 * d21 + n32 * d31
+    m23 = n12 * d13 + n22 * d23 + n32 * d33
+    m31 = n13 * d11 + n23 * d21 + n33 * d31
+    m32 = n13 * d12 + n23 * d22 + n33 * d32
+    w1, w2, w3 = Omega_c = 0.5 * (m32 - m23), 0.5 * (m13 - m31), 0.5 * (m21 - m12)
+    if Omega_prev is None:
         return Omega_c, (0.0, 0.0, 0.0)
-    u1, u2, u3 = rate(history[-3], history[-2])
+    u1, u2, u3 = Omega_prev
     return Omega_c, ((w1 - u1) / dt, (w2 - u2) / dt, (w3 - u3) / dt)
 
 
-def compute_moment(e_R, e_Omega, Omega, R, R_c, Omega_c, Omega_c_dot,
-                   delta2_hat, J, gains):
+def compute_moment(e_R, e_Omega, Omega, u, R, R_c, Omega_c_dot, delta2_hat, J, gains):
     """Moment law with gyroscopic and computed-attitude feedforward terms.
 
     M = D2 - k_R e_R - k_Omega e_Omega + Omega x J Omega
-        - J (Omega x R^T R_c Omega_c - R^T R_c Omega_c_dot), three floats.
+        - J (Omega x u - R^T R_c Omega_c_dot), three floats, where
+    u = R^T R_c Omega_c is the computed angular velocity in the body frame.
     """
     w1, w2, w3 = Omega
-    u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
+    u1, u2, u3 = u
     a1, a2, a3 = computed_to_body(R, R_c, Omega_c_dot)
     # the bracket of the feedforward term
     b1, b2, b3 = w2 * u3 - w3 * u2 - a1, w3 * u1 - w1 * u3 - a2, w1 * u2 - w2 * u1 - a3
@@ -189,13 +185,13 @@ class GeometricAdaptiveController:
     """Stateful control loop: one instance per simulation.
 
     Owns a block-diagonal pair of the two adaptive networks, copied from the
-    given ones, and the short computed-attitude history used for
-    finite-difference feedforward.  `nn1` and `nn2` are the pair's `nets`,
-    which the weight update writes into; the given networks are left
-    unchanged.  `adaptation=False` freezes the weights, which with zero
-    initial weights reproduces the pure geometric controller: the output of
-    frozen zero networks is then evaluated once, here, and no step builds
-    a network input.
+    given ones, and the last R_c and Omega_c of the finite-difference
+    feedforward.  `nn1` and `nn2` are the pair's `nets`, which the weight
+    update writes into; the given networks are left unchanged.
+    `adaptation=False` freezes the weights, which with zero initial weights
+    reproduces the pure geometric controller: the output of frozen zero
+    networks is then evaluated once, here, and no step builds a network
+    input.
     """
 
     def __init__(self, gains, quad, simplified, nn1=None, nn2=None,
@@ -218,12 +214,15 @@ class GeometricAdaptiveController:
         self.eps_thrust = 1e-6 * base
         self.omega_min = omega_min
         self._mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ)).tolist()
-        self._rc_history = deque(maxlen=3)
+        # the last R_c and Omega_c, each None until a backward difference forms it
+        self._last_Rc = self._last_Omega_c = None
         self._last_angles = (0.0, 0.0, 0.0)
 
-    def step(self, s, traj, dt):
-        """Compute the command for packed state s and advance the networks.
+    def step(self, state, traj, dt):
+        """Compute the command for the state and advance the networks.
 
+        state is (x, v, R, Omega) in the float form of layout.state_floats,
+        as dynamics.step_rk4 returns it; dt is the same on every step.
         Returns a list of 39 floats laid out as layout.OUTPUT, the clip flags
         as 1.0 or 0.0; its weight norms are those of the weights the command
         used, before this step's update.
@@ -233,7 +232,7 @@ class GeometricAdaptiveController:
         gains, quad = self.gains, self.quad
         # everything is Python floats, apart from the network input, the
         # forward pass and the weight update
-        x, v, R, Omega = state_floats(s)
+        x, v, R, Omega = state
         y = self._frozen_y
         if y is None:
             x_nn, self._last_angles = build_network_input(
@@ -249,24 +248,31 @@ class GeometricAdaptiveController:
         f = compute_thrust(A, R)
         R_c = compute_Rc(A, traj.b1_d, self.eps_thrust)
 
-        self._rc_history.append(R_c)
-        Omega_c, Omega_c_dot = compute_Omega_c(self._rc_history, dt)
+        R_prev = self._last_Rc
+        Omega_c, Omega_c_dot = compute_Omega_c(R_prev, R_c, self._last_Omega_c, dt)
+        self._last_Rc, self._last_Omega_c = R_c, None if R_prev is None else Omega_c
 
         e_R, psi = attitude_error(R, R_c)
-        e_Om = angular_velocity_error(R, R_c, Omega, Omega_c)
+        # R^T R_c Omega_c, read by e_Omega and the moment law
+        u = u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
+        w1, w2, w3 = Omega
+        e_Om = w1 - u1, w2 - u2, w3 - u3
 
-        M_c = compute_moment(e_R, e_Om, Omega, R, R_c, Omega_c, Omega_c_dot,
+        M_c = compute_moment(e_R, e_Om, Omega, u, R, R_c, Omega_c_dot,
                              delta2_hat, quad.J_rows, gains)
 
         M1, M2, M3 = M_c
-        thrusts = [k_f * f + k_1 * M1 + k_2 * M2 + k_3 * M3
-                   for k_f, k_1, k_2, k_3 in self._mix_inv]
-        omegas, saturated = zip(*(rotor_speed_from_thrust(T, self.simplified, self.omega_min)
-                                  for T in thrusts))
+        T1, T2, T3, T4 = thrusts = [k_f * f + k_1 * M1 + k_2 * M2 + k_3 * M3
+                                    for k_f, k_1, k_2, k_3 in self._mix_inv]
+        simplified, omega_min = self.simplified, self.omega_min
+        o1, s1 = rotor_speed_from_thrust(T1, simplified, omega_min)
+        o2, s2 = rotor_speed_from_thrust(T2, simplified, omega_min)
+        o3, s3 = rotor_speed_from_thrust(T3, simplified, omega_min)
+        o4, s4 = rotor_speed_from_thrust(T4, simplified, omega_min)
         # the fields in OUTPUT_SCHEMA order (the array reference of
         # test_step_matches_array_reference writes them through OUTPUT)
-        out = [*e_x, *e_v, *e_R, *e_Om, psi, f, *M_c, *thrusts, *omegas,
-               *map(float, saturated), *delta1_hat, *delta2_hat,
+        out = [*e_x, *e_v, *e_R, *e_Om, psi, f, *M_c, *thrusts, o1, o2, o3, o4,
+               float(s1), float(s2), float(s3), float(s4), *delta1_hat, *delta2_hat,
                nn1.W_norm, nn1.V_norm, nn2.W_norm, nn2.V_norm]
 
         if self.adaptation:

@@ -11,12 +11,12 @@ right-Jacobian series (truncated at second order, which preserves the global
 O(dt^4) error), and the step closes with the exponential map of the averaged
 body angular increment followed by re-orthonormalization.
 
-The stage is a float interface: a wrench callback receives (t, x, v, R,
-Omega) as Python floats, R as three rows, and returns (U_e, M_e) as two
-float triples; simplified_wrench computes such a wrench.  The step reads the
-packed state with one tolist() and composes each stage attitude
-R0 exp(hat(phi)) in floats from the rows of expm_so3.  Its one array is the
-packed state it builds at its close.
+The step is a float interface: it takes and returns the state as (x, v, R,
+Omega), the float form of layout.state_floats, and a wrench callback
+receives (t, x, v, R, Omega) in the same form and returns (U_e, M_e) as two
+float triples; simplified_wrench computes such a wrench.  Each stage
+attitude R0 exp(hat(phi)) is composed in floats from the rows of expm_so3,
+and the step builds no array.
 """
 
 import math
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aero import OMEGA_MIN
-from .layout import pack_state, state_floats
 from .se3 import expm_so3, orthonormalize
 
 #: integrator step bound [s]
@@ -107,27 +106,28 @@ class SimplifiedModelParams:
         return self.C_Q / self.C_T
 
 
-def step_rk4(s, dt, wrench_fn, params, t=0.0):
-    """One classical RK4 step of the packed state s under a wrench callback.
+def step_rk4(state, dt, wrench_fn, params, t=0.0):
+    """One classical RK4 step of the state under a wrench callback.
 
-    The stages integrate the 12 values y = (x, v, phi, Omega) as Python
-    floats held in locals, phi being the rotation-vector chart about the
-    initial attitude R0 (zero at stage 1, whose state is s itself).  Each
-    stage calls wrench_fn(t, x, v, R, Omega) with x, v and Omega as lists
-    of three floats and R as three rows of three floats: stage 1 takes them
-    from s with one tolist(), stages 2-4 compose R = R0 exp(hat(phi)) in
-    floats from the rows of R0 and of expm_so3(phi), J and J^-1 are the
-    float rows of params, and the close passes the composed rows to
-    orthonormalize.  wrench_fn returns (U_e, M_e), two 3-sequences of
-    floats.  dt must lie in (0, DT_MAX].  Returns a new packed state, the
-    one pack_state of the step.  Errors raised by wrench_fn propagate; a
-    non-finite attitude raises DegenerateMatrix.
+    state is (x, v, R, Omega) in the float form of layout.state_floats: x,
+    v and Omega three floats each, R three rows.  The stages integrate the
+    12 values y = (x, v, phi, Omega) as Python floats held in locals, phi
+    being the rotation-vector chart about the initial attitude R0 (zero at
+    stage 1, whose state is the given one).  Each stage calls
+    wrench_fn(t, x, v, R, Omega) with x, v and Omega as lists of three
+    floats and R as three rows of three floats: stages 2-4 compose
+    R = R0 exp(hat(phi)) in floats from the rows of R0 and of
+    expm_so3(phi), J and J^-1 are the float rows of params, and the close
+    passes the composed rows to orthonormalize.  wrench_fn returns
+    (U_e, M_e), two 3-sequences of floats.  dt must lie in (0, DT_MAX].
+    Returns the new state in the same form, as tuples.  Errors raised by
+    wrench_fn propagate; a non-finite attitude raises DegenerateMatrix.
     """
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
 
     m = params.m
-    (x1, x2, x3), (v1, v2, v3), R0, (w1, w2, w3) = state_floats(s)
+    (x1, x2, x3), (v1, v2, v3), R0, (w1, w2, w3) = state
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = R0
     (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J_rows
     (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv_rows
@@ -186,7 +186,7 @@ def step_rk4(s, dt, wrench_fn, params, t=0.0):
         v1 + dt * q4, v2 + dt * q5, v3 + dt * q6,
         p1, p2, p3, w1 + dt * q10, w2 + dt * q11, w3 + dt * q12, attitude(p1, p2, p3))
     sixth = dt / 6.0
-    return pack_state(
+    return (
         (x1 + sixth * (f1 + 2.0 * g1 + 2.0 * q1 + r1),
          x2 + sixth * (f2 + 2.0 * g2 + 2.0 * q2 + r2),
          x3 + sixth * (f3 + 2.0 * g3 + 2.0 * q3 + r3)),

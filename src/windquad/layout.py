@@ -4,11 +4,12 @@ A layout is a schema of (field, column name) for a one-column field and
 (field, [column names]) for a vector field.  The telemetry row is assembled
 from the state and controller-output schemas, so reordering a block moves
 its columns in the row and in every reader of the packed vector at once.
-The three writers list their fields in schema order and move by hand: each
-builds its row from Python floats in one expression.  They are pack_state
-(the state, one array), GeometricAdaptiveController.step (the controller
-output, a list) and sim.run_simulation (the telemetry row, assigned in one
-write).
+The writers list their fields in schema order and move by hand: each
+builds its row from Python floats in one expression.  They are
+dynamics.step_rk4 (the state, in the float form of state_floats that the
+loop carries between steps), pack_state (the config's initial state, one
+array), GeometricAdaptiveController.step (the controller output, a list)
+and sim.run_simulation (the telemetry row, assigned in one write).
 """
 
 import numpy as np
@@ -31,8 +32,8 @@ def _layout(schema):
     return columns, fields
 
 
-#: vehicle state (18,): x, v in the inertial frame [m, m/s], R body-to-inertial
-#: row-major, Omega in the body frame [rad/s]
+#: vehicle state, 18 floats: x, v in the inertial frame [m, m/s], R
+#: body-to-inertial row-major, Omega in the body frame [rad/s]
 STATE_SCHEMA = (
     ("x", _axes("x")), ("v", _axes("v")),
     ("R", [f"R{i}{j}" for i in "123" for j in "123"]),
@@ -83,14 +84,9 @@ def pack_state(x, v, R, Omega):
     return np.array([*x, *v, *r1, *r2, *r3, *Omega], dtype=float)
 
 
-def unpack_state(s):
-    """Views (x, v, R, Omega) into a packed state, R as a 3x3 matrix."""
-    return s[_X], s[_V], s[_R].reshape(3, 3), s[_OMEGA]
-
-
 def state_floats(s):
-    """(x, v, R, Omega) of a packed state as Python floats, from one tolist():
-    x, v and Omega as lists of three, R as three rows of three."""
+    """The float form of a packed state, from one tolist(): (x, v, R, Omega)
+    with x, v and Omega as lists of three and R as three rows of three."""
     state = s.tolist()
     r = state[_R]
     return state[_X], state[_V], (r[0:3], r[3:6], r[6:9]), state[_OMEGA]

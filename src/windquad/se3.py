@@ -9,9 +9,9 @@ Rotation matrices map body-frame coordinates to inertial-frame coordinates
 
 The functions that the controller step, the integrator and the network
 inputs call work in Python floats: attitude_error, computed_to_body,
-angular_velocity_error, expm_so3, orthonormalize and euler_zyx take
-3-sequences of floats and 3x3 matrices as three rows of floats (arrays
-too), and return floats, a matrix as three rows.  rotation_zyx, which the
+expm_so3, orthonormalize and euler_zyx take 3-sequences of floats and 3x3
+matrices as three rows of floats (arrays too), and return floats, a matrix
+as three rows.  rotation_zyx, which the
 config loader calls, returns an array.
 """
 
@@ -73,13 +73,6 @@ def computed_to_body(R, R_c, w):
     u3 = c31 * w1 + c32 * w2 + c33 * w3
     return (r11 * u1 + r21 * u2 + r31 * u3, r12 * u1 + r22 * u2 + r32 * u3,
             r13 * u1 + r23 * u2 + r33 * u3)
-
-
-def angular_velocity_error(R, R_c, Omega, Omega_c):
-    """Body angular velocity error Omega - R^T R_c Omega_c, three floats."""
-    w1, w2, w3 = Omega
-    u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
-    return w1 - u1, w2 - u2, w3 - u3
 
 
 def rotation_zyx(yaw, pitch, roll):

@@ -3,7 +3,9 @@
 One step of the loop: sample the desired trajectory and wind, run the
 controller (which also advances the adaptive weights), build the plant
 wrench for the configured mode, integrate one RK4 step, record telemetry
-(one row of a preallocated float array per decimated step).
+(one row of a preallocated float array per decimated step).  The state
+goes from step to step in the float form of layout.state_floats, read
+from the config's packed initial state once per run.
 A controller degeneracy, solver failure, or non-finite state aborts the run
 with the step index and offending quantity; partial telemetry is preserved
 on the raised SimulationAbort.
@@ -33,7 +35,7 @@ from .errors import (DegenerateMatrix, DegenerateThrust, HeadingDegenerate,
                      NoConvergence, NonFiniteWeights, RotorStopped,
                      SimulationAbort, ValidationError)
 from .dynamics import simplified_wrench, step_rk4
-from .layout import COLUMNS, FIELDS, OUTPUT, STATE
+from .layout import COLUMNS, FIELDS, OUTPUT, STATE, state_floats
 from .scenarios import trajectory_at, wind_at
 from .stability import lyapunov_value
 
@@ -130,7 +132,7 @@ def run_simulation(config):
         nn1=config.network(1), nn2=config.network(2),
         adaptation=config.get("simulation", "adaptation"),
         omega_min=config.get("aero", "omega_min"))
-    state = config.initial_state()
+    state = x, v, (r1, r2, r3), Omega = state_floats(config.initial_state())
 
     targets = None
     if mode == "synthetic":
@@ -150,8 +152,9 @@ def run_simulation(config):
         raise ValidationError(f"simulation.duration = {duration}: {exc}") from None
     nn_error_sq = np.empty((len(telemetry), 2)) if targets is not None else None
     n_rec = 0
-    # the state as floats: the finiteness check and the next telemetry row
-    state_row = state.tolist()
+    # the state's 18 floats in STATE order: the finiteness check and the
+    # next telemetry row
+    state_row = *x, *v, *r1, *r2, *r3, *Omega
 
     def abort(step, reason):
         err = SimulationAbort(step, reason)
@@ -223,12 +226,12 @@ def run_simulation(config):
 
             # a finite float sum proves every entry finite; a NaN or an
             # infinite entry makes it non-finite, and so can an overflow
-            state_row = state.tolist()
+            x, v, (r1, r2, r3), Omega = state
+            state_row = *x, *v, *r1, *r2, *r3, *Omega
             if not math.isfinite(sum(state_row)):
-                finite = np.isfinite(state)
-                if not finite.all():
-                    name = next(name for name, cols in STATE.items() if not finite[cols].all())
-                    abort(k, f"non-finite state component {name}")
+                for name, cols in STATE.items():
+                    if not all(map(math.isfinite, state_row[cols])):
+                        abort(k, f"non-finite state component {name}")
 
     summary = summarize(telemetry)
     return SimResult(telemetry=telemetry, summary=summary, targets=targets,

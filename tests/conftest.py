@@ -5,7 +5,7 @@ import pytest
 
 from windquad.aero import RotorAeroParams
 from windquad.dynamics import QuadParams
-from windquad.layout import pack_state, unpack_state
+from windquad.layout import pack_state
 
 
 @pytest.fixture
@@ -40,9 +40,3 @@ def random_rotation(rng, max_angle=math.pi):
 def at_rest():
     """Packed state at the origin, at rest, with R = I."""
     return pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-
-
-def stage_of(s):
-    """(x, v, R, Omega) of a packed state as an RK4 stage passes them to a
-    wrench callback: lists of three floats, R as three rows of three."""
-    return tuple(a.tolist() for a in unpack_state(s))

@@ -11,8 +11,8 @@ import numpy as np
 from windquad.adaptive import BLOCK_NAMES, project_to_ball, sigmoid_features
 from windquad.aero import OMEGA_MIN, drag_force
 from windquad.errors import NoConvergence, RotorStopped, WindquadError
-from windquad.layout import pack_state, state_floats
-from windquad.se3 import expm_so3, orthonormalize
+from windquad.layout import STATE
+from windquad.se3 import computed_to_body, expm_so3, orthonormalize
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -49,6 +49,54 @@ def vee(M, tol=SKEW_TOL):
     if defect > tol:
         raise NotSkewSymmetric(f"||M + M^T||_F = {defect:.3e} > {tol:.1e}")
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
+
+
+def unpack_state(s):
+    """Views (x, v, R, Omega) into a packed state, R as a 3x3 matrix."""
+    return s[STATE["x"]], s[STATE["v"]], s[STATE["R"]].reshape(3, 3), s[STATE["Omega"]]
+
+
+def angular_velocity_error(R, R_c, Omega, Omega_c):
+    """Body angular velocity error Omega - R^T R_c Omega_c, three floats: the
+    e_Omega that the controller step forms from computed_to_body."""
+    w1, w2, w3 = Omega
+    u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
+    return w1 - u1, w2 - u2, w3 - u3
+
+
+def history_Omega_c(history, dt):
+    """Computed angular velocity and acceleration from an R_c history.
+
+    `history` holds the last up-to-three computed attitudes, oldest first,
+    each as three rows of floats.  Backward differences: Omega_c = vee of
+    the skew part of R_c^T Rdot_c; zero until enough samples accumulate
+    (first step returns zeros).  Returns two float triples.  The reference
+    for controller.compute_Omega_c, which carries the previous rate instead
+    of the third attitude.
+    """
+    if len(history) < 2:
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+
+    def rate(R_prev, R_now):
+        # vee of the skew part of M = R_now^T D, D = (R_now - R_prev) / dt
+        (n11, n12, n13), (n21, n22, n23), (n31, n32, n33) = R_now
+        (o11, o12, o13), (o21, o22, o23), (o31, o32, o33) = R_prev
+        d11, d12, d13 = (n11 - o11) / dt, (n12 - o12) / dt, (n13 - o13) / dt
+        d21, d22, d23 = (n21 - o21) / dt, (n22 - o22) / dt, (n23 - o23) / dt
+        d31, d32, d33 = (n31 - o31) / dt, (n32 - o32) / dt, (n33 - o33) / dt
+        m12 = n11 * d12 + n21 * d22 + n31 * d32
+        m13 = n11 * d13 + n21 * d23 + n31 * d33
+        m21 = n12 * d11 + n22 * d21 + n32 * d31
+        m23 = n12 * d13 + n22 * d23 + n32 * d33
+        m31 = n13 * d11 + n23 * d21 + n33 * d31
+        m32 = n13 * d12 + n23 * d22 + n33 * d32
+        return 0.5 * (m32 - m23), 0.5 * (m13 - m31), 0.5 * (m21 - m12)
+
+    w1, w2, w3 = Omega_c = rate(history[-2], history[-1])
+    if len(history) < 3:
+        return Omega_c, (0.0, 0.0, 0.0)
+    u1, u2, u3 = rate(history[-3], history[-2])
+    return Omega_c, ((w1 - u1) / dt, (w2 - u2) / dt, (w3 - u3) / dt)
 
 
 def cross3(a, b):
@@ -334,13 +382,13 @@ def blockwise_update_weights(pair, x_nn, features, a, gains, dt):
     return W, V, [n for _, n in projected]
 
 
-def listed_step_rk4(s, dt, wrench_fn, params, t=0.0):
+def listed_step_rk4(state, dt, wrench_fn, params, t=0.0):
     """dynamics.step_rk4 with each stage's 12 values (x, v, phi, Omega) as
     one list, formed by a comprehension and handed to the wrench as slices:
     the reference that step_rk4, with the values in locals, matches bit for
-    bit."""
+    bit.  Takes and returns the state in the same float form."""
     m = params.m
-    x0, v0, R0, Omega0 = state_floats(s)
+    x0, v0, R0, Omega0 = state
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = R0
     (J11, J12, J13), (J21, J22, J23), (J31, J32, J33) = params.J_rows
     (K11, K12, K13), (K21, K22, K23), (K31, K32, K33) = params.J_inv_rows
@@ -378,7 +426,7 @@ def listed_step_rk4(s, dt, wrench_fn, params, t=0.0):
         y = [a + h * b for a, b in zip(y0, k)]
         return rates(ts, y, attitude(y[6:9]))
 
-    y0 = x0 + v0 + [0.0, 0.0, 0.0] + Omega0
+    y0 = [*x0, *v0, 0.0, 0.0, 0.0, *Omega0]
     k1 = rates(t, y0, R0)
     k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
     k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
@@ -386,4 +434,4 @@ def listed_step_rk4(s, dt, wrench_fn, params, t=0.0):
     sixth = dt / 6.0
     y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
          for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-    return pack_state(y[0:3], y[3:6], orthonormalize(attitude(y[6:9])), y[9:12])
+    return y[0:3], y[3:6], orthonormalize(attitude(y[6:9])), y[9:12]

@@ -18,14 +18,14 @@ from windquad.config import load_config
 from windquad.controller import (ControllerGains, compute_A, compute_Rc,
                                  compute_thrust)
 from windquad.dynamics import QuadParams, simplified_wrench, step_rk4
-from windquad.layout import pack_state, unpack_state
+from windquad.layout import pack_state, state_floats
 from windquad.se3 import attitude_error
 from windquad.sim import FIELDS, run_simulation
 from windquad.stability import (build_pd_matrices, set_d_functional,
                                 ultimate_bound, validate_c1)
 
 from conftest import at_rest
-from oracles import cross3, thrust_inflow_residuals, thrust_mismatch_term
+from oracles import cross3, thrust_inflow_residuals, thrust_mismatch_term, unpack_state
 from test_aero import bisection_oracle
 
 
@@ -131,20 +131,20 @@ def test_criterion_3_integrator_conservation():
     quad = QuadParams(m=1.0, J=J, g=0.0)
     free = lambda t, x, v, R, Omega: (np.zeros(3), np.zeros(3))
 
-    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0]))
-    _, _, R, Omega = unpack_state(st)
+    st = state_floats(pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0])))
+    _, _, R, Omega = map(np.array, st)
     L0 = R @ (J @ Omega)
     E0 = 0.5 * Omega @ (J @ Omega)
     for _ in range(10000):
         st = step_rk4(st, 1e-3, free, quad)
-    _, _, R, Omega = unpack_state(st)
+    _, _, R, Omega = map(np.array, st)
     L_err = np.linalg.norm(R @ (J @ Omega) - L0) / np.linalg.norm(L0)
     E_err = abs(0.5 * Omega @ (J @ Omega) - E0) / E0
 
     drift = 0.0
     for _ in range(90000):
         st = step_rk4(st, 1e-3, free, quad)
-    R = unpack_state(st)[2]
+    R = np.array(st[2])
     drift = np.linalg.norm(R.T @ R - np.eye(3))
 
     gate(3, L_err < 1e-6 and E_err < 1e-6 and drift <= 1e-10,
@@ -318,7 +318,7 @@ def velocity_error_residuals(dt, duration=2.0):
         f, M_c, R_c, e_x, e_v = control(t, st)
         X = thrust_mismatch_term(f, unpack_state(st)[2], R_c)
         recs.append((e_x.copy(), e_v.copy(), delta1(t), X))
-        st = step_rk4(st, dt, wrench, quad, t)
+        st = pack_state(*step_rk4(state_floats(st), dt, wrench, quad, t))
 
     out = []
     for k in range(1, len(recs) - 1):

@@ -5,8 +5,9 @@ import windquad.config
 from windquad.config import (calibrate_simplified, default_config_text,
                              load_config)
 from windquad.errors import ParseError, ValidationError
-from windquad.layout import unpack_state
 from windquad.sim import run_simulation
+
+from oracles import unpack_state
 
 
 def write(tmp_path, text):

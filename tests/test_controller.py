@@ -14,12 +14,12 @@ from windquad.controller import (ControllerGains, GeometricAdaptiveController,
                                  compute_moment, compute_thrust, mixing_matrix)
 from windquad.dynamics import SimplifiedModelParams, simplified_wrench, step_rk4
 from windquad.errors import DegenerateThrust, HeadingDegenerate, NonFiniteWeights
-from windquad.layout import OUTPUT, OUTPUT_COLUMNS, pack_state, unpack_state
+from windquad.layout import OUTPUT, OUTPUT_COLUMNS, pack_state, state_floats
 from windquad.scenarios import TrajectoryGenerator, TrajectoryPoint, trajectory_at
 from windquad.se3 import GIMBAL_TOL, euler_zyx, expm_so3, rotation_zyx
 
 from conftest import at_rest, random_rotation
-from oracles import cross3, hat, is_rotation, network_update
+from oracles import cross3, hat, history_Omega_c, is_rotation, network_update
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -39,7 +39,7 @@ def test_trajectory_point_rejects_non_unit_heading(quad, b1_d):
     # A trajectory point no longer checks its heading; the controller step does.
     traj = hover_point()._replace(b1_d=np.array(b1_d))
     with pytest.raises(HeadingDegenerate):
-        make_controller(quad).step(at_rest(), traj, 1e-3)
+        make_controller(quad).step(state_floats(at_rest()), traj, 1e-3)
 
 
 # --- acceleration command ----------------------------------------------------
@@ -134,14 +134,31 @@ def test_Rc_first_column_is_heading_projection(rng):
 
 # --- finite-difference rates -------------------------------------------------
 
+def carried_rates(history, dt):
+    """(Omega_c, Omega_c_dot) of each step of compute_Omega_c fed as the
+    controller step feeds it: one R_c per step, with the previous R_c and
+    the previous step's Omega_c (None until a backward difference formed it)."""
+    R_prev = Omega_prev = None
+    rates = []
+    for R_c in history:
+        Omega_c, Omega_c_dot = compute_Omega_c(R_prev, R_c, Omega_prev, dt)
+        R_prev, Omega_prev = R_c, None if R_prev is None else Omega_c
+        rates.append((Omega_c, Omega_c_dot))
+    return rates
+
+
+def rate_bits(rates):
+    """float.hex of each entry of (Omega_c, Omega_c_dot): the sign of zero counts."""
+    return [float(a).hex() for vec in rates for a in vec]
+
+
 def test_rates_constant_attitude():
-    history = [np.eye(3)] * 3
-    Om, Omd = compute_Omega_c(history, 1e-3)
+    Om, Omd = carried_rates([np.eye(3).tolist()] * 3, 1e-3)[-1]
     assert np.allclose(Om, 0.0) and np.allclose(Omd, 0.0)
 
 
 def test_rates_first_step_zero():
-    Om, Omd = compute_Omega_c([np.eye(3)], 1e-3)
+    Om, Omd = compute_Omega_c(None, np.eye(3).tolist(), None, 1e-3)
     assert np.allclose(Om, 0.0) and np.allclose(Omd, 0.0)
 
 
@@ -149,7 +166,7 @@ def test_rates_analytic_yaw():
     w = 0.5
     for dt in (1e-3, 5e-4):
         history = [expm_so3(np.array([0, 0, w]) * (k * dt)) for k in range(3)]
-        Om, _ = map(np.array, compute_Omega_c(history, dt))
+        Om, _ = map(np.array, carried_rates(history, dt)[-1])
         err = np.linalg.norm(Om - [0, 0, w])
         assert err < w * dt  # at worst first-order accurate
 
@@ -162,7 +179,7 @@ def test_rates_halving_dt_halves_error():
     def err(dt):
         hist = [expm_so3(np.array([0, 0, 0.5 * a * (k * dt) ** 2]))
                 for k in range(3)]
-        Om, _ = compute_Omega_c(hist, dt)
+        Om, _ = carried_rates(hist, dt)[-1]
         return abs(Om[2] - a * 2 * dt)
 
     assert err(1e-3) / err(5e-4) == pytest.approx(2.0, rel=0.05)
@@ -173,8 +190,51 @@ def test_rates_constant_acceleration():
     a = 2.0
     dt = 1e-4
     hist = [expm_so3(np.array([0, 0, 0.5 * a * (k * dt) ** 2])) for k in range(3)]
-    _, Omd = compute_Omega_c(hist, dt)
+    _, Omd = carried_rates(hist, dt)[-1]
     assert Omd[2] == pytest.approx(a, rel=0.05)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.05])
+def test_rates_bytes_equal_history_oracle(rng, dt):
+    # the previous step's Omega_c is the backward difference that the
+    # three-deep history forms a second time, so the carried form matches
+    # it bit for bit at every step: the zero Omega_c and Omega_c_dot of step
+    # 1 and the zero Omega_c_dot of step 2 included
+    for _ in range(20):
+        R = random_rotation(rng)
+        history = []
+        for _ in range(25):
+            R = R @ random_rotation(rng, 0.2)
+            history.append(tuple(map(tuple, R.tolist())))
+        got = carried_rates(history, dt)
+        for k, rates in enumerate(got):
+            want = history_Omega_c(history[max(0, k - 2):k + 1], dt)
+            assert rate_bits(rates) == rate_bits(want), k
+        zero = [(0.0).hex()] * 3
+        assert rate_bits(got[0]) == zero * 2         # step 1: no difference yet
+        assert rate_bits(got[1][1:]) == zero         # step 2: no Omega_c_dot yet
+        assert rate_bits(got[1][:1]) != zero and rate_bits(got[2][1:]) != zero
+
+
+def test_step_rates_bytes_equal_history_oracle(quad, monkeypatch):
+    # the controller carries R_c and Omega_c from step to step: the rates of
+    # every step of a closed loop equal those of the computed-attitude
+    # history, byte for byte
+    calls = []
+    compute = windquad.controller.compute_Omega_c
+
+    def recording(R_prev, R_c, Omega_prev, dt):
+        rates = compute(R_prev, R_c, Omega_prev, dt)
+        calls.append((R_c, rates))
+        return rates
+
+    monkeypatch.setattr(windquad.controller, "compute_Omega_c", recording)
+    ctrl, _ = adapted_controller(quad, 30)
+    history = [R_c for R_c, _ in calls]
+    for k, (_, rates) in enumerate(calls):
+        want = history_Omega_c(history[max(0, k - 2):k + 1], 1e-3)
+        assert rate_bits(rates) == rate_bits(want), k
+    assert not all(a == 0.0 for a in calls[-1][1][1])
 
 
 # --- moment law --------------------------------------------------------------
@@ -182,16 +242,16 @@ def test_rates_constant_acceleration():
 def test_moment_rest_equilibrium():
     g = default_gains()
     J = np.diag([1.0, 2.0, 3.0])
-    M = compute_moment(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3),
-                       np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), J, g)
+    M = compute_moment(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3),
+                       np.eye(3), np.zeros(3), np.zeros(3), J, g)
     assert np.allclose(M, 0.0)
 
 
 def test_moment_attitude_term():
     g = ControllerGains(k_x=1, k_v=1, k_R=8.0, k_Omega=1.0, c1=1, c2=1)
     J = np.eye(3)
-    M = compute_moment(np.array([0.1, 0, 0]), np.zeros(3), np.zeros(3), np.eye(3),
-                       np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), J, g)
+    M = compute_moment(np.array([0.1, 0, 0]), np.zeros(3), np.zeros(3), np.zeros(3),
+                       np.eye(3), np.eye(3), np.zeros(3), np.zeros(3), J, g)
     assert np.allclose(M, [-0.8, 0.0, 0.0])
 
 
@@ -199,8 +259,9 @@ def test_moment_principal_axis_feedforward_cancels():
     g = default_gains()
     J = np.diag([1.0, 2.0, 3.0])
     Om = np.array([0.0, 0.0, 1.0])
-    M = compute_moment(np.zeros(3), np.zeros(3), Om, np.eye(3), np.eye(3),
-                       Om, np.zeros(3), np.zeros(3), J, g)
+    # R = R_c = I, so u = R^T R_c Omega_c = Omega_c = Om
+    M = compute_moment(np.zeros(3), np.zeros(3), Om, Om, np.eye(3), np.eye(3),
+                       np.zeros(3), np.zeros(3), J, g)
     assert np.allclose(M, 0.0, atol=1e-14)
 
 
@@ -255,7 +316,7 @@ def make_controller(quad, adaptation=False):
 
 def test_step_perfect_hover(quad):
     ctrl = make_controller(quad)
-    state = at_rest()
+    state = state_floats(at_rest())
     out = ctrl.step(state, hover_point(), 1e-3)
     assert out[OUTPUT["f"]] == pytest.approx(quad.m * quad.g)
     assert np.allclose(out[OUTPUT["M_c"]], 0.0, atol=1e-14)
@@ -269,7 +330,7 @@ def test_step_weights_damp_at_equilibrium(quad):
     nn1 = NNWeights.random(rng, W_norm=1e-9, V_norm=1e-9, W_max=1.0, V_max=1.0)
     gains = default_gains()
     ctrl = GeometricAdaptiveController(gains, quad, simp, nn1=nn1, adaptation=True)
-    state = at_rest()
+    state = state_floats(at_rest())
     W0 = ctrl.nn1.W.copy()
     ctrl.step(state, hover_point(), 1e-3)
     # errors are ~zero so only the damping term acts (to first order)
@@ -283,8 +344,8 @@ def test_step_output_norms_are_those_of_the_weights_used(quad, rng):
             for _ in range(2)]
     ctrl = GeometricAdaptiveController(default_gains(), quad, simp, nn1=nets[0],
                                        nn2=nets[1], adaptation=True)
-    state = pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
-                       rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05]))
+    state = state_floats(pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
+                                    rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05])))
     for _ in range(3):
         used = [(w.W.copy(), w.V.copy()) for w in (ctrl.nn1, ctrl.nn2)]
         out = ctrl.step(state, hover_point(), 1e-3)
@@ -304,7 +365,8 @@ def test_adaptation_off_matches_frozen_zero_weights(quad):
         # commands must be identical while a == 0; start from an offset so
         # errors are nonzero and the two only match if gamma has no effect
         # on this first command
-        state = pack_state(np.array([0.4, -0.2, 0.1]), np.zeros(3), np.eye(3), np.zeros(3))
+        state = state_floats(pack_state(np.array([0.4, -0.2, 0.1]), np.zeros(3), np.eye(3),
+                                        np.zeros(3)))
         runs.append(ctrl.step(state, trajectory_at(gen, 0.0), 1e-3))
     assert runs[0][OUTPUT["f"]] == runs[1][OUTPUT["f"]]
     assert np.allclose(runs[0][OUTPUT["M_c"]], runs[1][OUTPUT["M_c"]])
@@ -314,7 +376,8 @@ def test_closed_loop_error_decreases(quad):
     simp = SimplifiedModelParams(C_T=8.5e-6, C_Q=8.6e-8)
     ctrl = make_controller(quad)
     gen = TrajectoryGenerator(kind="hover", center=np.zeros(3))
-    state = pack_state(np.array([1.0, 1.0, 0.5]), np.zeros(3), np.eye(3), np.zeros(3))
+    state = state_floats(pack_state(np.array([1.0, 1.0, 0.5]), np.zeros(3), np.eye(3),
+                                    np.zeros(3)))
     dt = 1e-3
     norms = []
     psi = []
@@ -341,8 +404,8 @@ def test_command_mixing_consistency(quad):
     # the allocation applied back through the mixing map reproduces (f, M_c)
     ctrl = make_controller(quad)
     mix = mixing_matrix(quad.d_h, ctrl.simplified.C_TQ)
-    state = pack_state(np.array([0.4, -0.1, 0.2]), np.array([0.1, 0, 0]),
-                       rotation_zyx(0.2, 0.1, -0.05), np.array([0.1, -0.2, 0.05]))
+    state = state_floats(pack_state(np.array([0.4, -0.1, 0.2]), np.array([0.1, 0, 0]),
+                                    rotation_zyx(0.2, 0.1, -0.05), np.array([0.1, -0.2, 0.05])))
     out = ctrl.step(state, hover_point(), 1e-3)
     recovered = mix @ out[OUTPUT["thrusts"]]
     assert np.allclose(recovered, [out[OUTPUT["f"]], *out[OUTPUT["M_c"]]], atol=1e-9)
@@ -365,7 +428,7 @@ class ReferenceController:
 
     def step(self, s, traj, dt):
         gains, quad, E3 = self.gains, self.quad, np.array([0.0, 0.0, 1.0])
-        x, v, R, Omega = unpack_state(s)
+        x, v, R, Omega = map(np.array, s)
         e_x = x - traj.x_d
         e_v = v - traj.v_d
         x_nn, self.last_angles = build_network_input(
@@ -472,7 +535,7 @@ def random_case(rng, quad):
         R = R @ random_rotation(rng, 0.05)
         x_d, v_d, a_d, b1 = (p + 0.05 * rng.standard_normal(3) for p in (x_d, v_d, a_d, b1))
         traj = TrajectoryPoint(x_d, v_d, a_d, b1 / np.linalg.norm(b1), np.zeros(3))
-        steps.append((pack_state(x, v, R, Om), traj))
+        steps.append((state_floats(pack_state(x, v, R, Om)), traj))
     return gains, nets, steps, rng.uniform(1e-4, 5e-3)
 
 
@@ -514,8 +577,8 @@ def adapted_controller(quad, steps):
     ctrl, _ = controller_pair(quad, *nets, adaptation=True, gains=gains)
     initial_W = ctrl.pair.W.copy()
     gen = TrajectoryGenerator(kind="hover", center=np.zeros(3))
-    state = pack_state(np.array([0.4, -0.2, 0.1]), np.zeros(3), rotation_zyx(0.2, 0.1, -0.1),
-                       np.zeros(3))
+    state = state_floats(pack_state(np.array([0.4, -0.2, 0.1]), np.zeros(3),
+                                    rotation_zyx(0.2, 0.1, -0.1), np.zeros(3)))
     dt = 1e-3
     for k in range(steps):
         out = ctrl.step(state, trajectory_at(gen, k * dt), dt)
@@ -573,8 +636,8 @@ def test_frozen_zero_networks_are_evaluated_once(quad, monkeypatch, adaptation, 
     built = dict(calls)
     # frozen zero networks: one forward pass, on a zero input, when built
     assert built == {"build_network_input": 0, "nn_output": 0 if per_step else 1}
-    state = pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
-                       rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05]))
+    state = state_floats(pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
+                                    rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05])))
     for _ in range(5):
         out = ctrl.step(state, hover_point(), 1e-3)
     assert {name: n - built[name] for name, n in calls.items()} == dict.fromkeys(
@@ -596,8 +659,8 @@ def test_one_pair_update_per_step(quad, monkeypatch):
 
     monkeypatch.setattr(windquad.controller, "update_weights", recording)
     ctrl, _ = controller_pair(quad, adaptation=True)
-    state = pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
-                       rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05]))
+    state = state_floats(pack_state(np.array([0.4, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]),
+                                    rotation_zyx(0.1, 0.05, -0.02), np.array([0.1, -0.2, 0.05])))
     for _ in range(5):
         ctrl.step(state, hover_point(), 1e-3)
     assert calls == [(ctrl.pair, (6,))] * 5
@@ -610,15 +673,16 @@ def degenerate_cases():
     g = 9.81
     nan_net = NNWeights.zeros()
     nan_net.W = np.full_like(nan_net.W, math.nan)
+    rest = state_floats(at_rest())
     return [
-        ("A zero", at_rest(), hover._replace(a_d=np.array([0.0, 0.0, g])), None),
-        ("A tiny", at_rest(), hover._replace(a_d=np.array([1e-7, 0.0, g])), None),
-        ("A nan", at_rest(), hover._replace(a_d=np.array([math.nan, 0.0, 0.0])), None),
-        ("A inf", at_rest(), hover._replace(a_d=np.array([math.inf, 0.0, 0.0])), None),
-        ("A overflows", at_rest(), hover._replace(a_d=np.array([1e200, 0.0, 1e200])), None),
-        ("heading nan", at_rest(), hover._replace(b1_d=np.array([math.nan, 0.0, 0.0])), None),
-        ("heading parallel", at_rest(), hover._replace(b1_d=np.array([0.0, 0.0, 1.0])), None),
-        ("weights nan", at_rest(), hover, nan_net),
+        ("A zero", rest, hover._replace(a_d=np.array([0.0, 0.0, g])), None),
+        ("A tiny", rest, hover._replace(a_d=np.array([1e-7, 0.0, g])), None),
+        ("A nan", rest, hover._replace(a_d=np.array([math.nan, 0.0, 0.0])), None),
+        ("A inf", rest, hover._replace(a_d=np.array([math.inf, 0.0, 0.0])), None),
+        ("A overflows", rest, hover._replace(a_d=np.array([1e200, 0.0, 1e200])), None),
+        ("heading nan", rest, hover._replace(b1_d=np.array([math.nan, 0.0, 0.0])), None),
+        ("heading parallel", rest, hover._replace(b1_d=np.array([0.0, 0.0, 1.0])), None),
+        ("weights nan", rest, hover, nan_net),
     ]
 
 
@@ -639,7 +703,7 @@ def test_step_degenerate_cases_match_reference(quad, name, state, traj, nn2):
 def locked_state(Om):
     """A state within GIMBAL_TOL of pitch pi/2."""
     R = rotation_zyx(-0.3, 0.5 * math.pi - 0.1 * GIMBAL_TOL, 0.2)
-    return pack_state(np.zeros(3), np.zeros(3), R, Om)
+    return state_floats(pack_state(np.zeros(3), np.zeros(3), R, Om))
 
 
 def attitude_output(nn2, angles, Om):
@@ -656,7 +720,7 @@ def test_step_gimbal_lock_reuses_previous_angles(quad, rng):
     ctrl = GeometricAdaptiveController(default_gains(), quad, simp, nn2=nn2,
                                        adaptation=False)
     R = rotation_zyx(0.4, 0.2, -0.1)
-    ctrl.step(pack_state(np.zeros(3), np.zeros(3), R, np.array([0.1, -0.2, 0.3])),
+    ctrl.step(state_floats(pack_state(np.zeros(3), np.zeros(3), R, np.array([0.1, -0.2, 0.3]))),
               hover_point(), 1e-3)
     Om = np.array([-0.2, 0.1, 0.05])
     out = ctrl.step(locked_state(Om), hover_point(), 1e-3)

@@ -10,11 +10,11 @@ from windquad.errors import DegenerateMatrix
 from windquad.dynamics import (QuadParams, SimplifiedModelParams,
                                rotor_speed_from_thrust, simplified_wrench,
                                step_rk4)
-from windquad.layout import pack_state, unpack_state
+from windquad.layout import pack_state, state_floats
 from windquad.se3 import expm_so3, orthonormalize
 
-from conftest import at_rest, random_rotation, stage_of
-from oracles import NotSkewSymmetric, cross3, listed_step_rk4
+from conftest import at_rest, random_rotation
+from oracles import NotSkewSymmetric, cross3, listed_step_rk4, unpack_state
 
 
 def free_wrench(t, x, v, R, Omega):
@@ -25,7 +25,7 @@ def free_wrench(t, x, v, R, Omega):
 
 def test_ballistic_free_fall():
     quad = QuadParams(m=2.0, g=9.81)
-    st = at_rest()
+    st = state_floats(at_rest())
     dt, T = 1e-3, 1.0
 
     def wrench(t, x, v, R, Omega):
@@ -33,7 +33,7 @@ def test_ballistic_free_fall():
 
     for _ in range(int(T / dt)):
         st = step_rk4(st, dt, wrench, quad)
-    x, v, _, _ = unpack_state(st)
+    x, v, _, _ = map(np.array, st)
     assert x[2] == pytest.approx(0.5 * quad.g * T ** 2, abs=1e-10)
     assert v[2] == pytest.approx(quad.g * T, abs=1e-12)
 
@@ -41,11 +41,11 @@ def test_ballistic_free_fall():
 def test_principal_axis_spin_exact():
     quad = QuadParams(m=1.0, J=np.diag([0.02, 0.02, 0.04]))
     Om0 = np.array([0.0, 0.0, 5.0])
-    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0.copy())
+    st = state_floats(pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0))
     dt, T = 1e-3, 10.0
     for _ in range(int(T / dt)):
         st = step_rk4(st, dt, free_wrench, quad)
-    _, _, R, Omega = unpack_state(st)
+    _, _, R, Omega = map(np.array, st)
     assert np.allclose(Omega, Om0, atol=1e-13)
     assert np.linalg.norm(R - np.array(expm_so3(Om0 * T))) < 1e-8
 
@@ -63,12 +63,12 @@ def test_symmetric_top_against_closed_form():
     J = np.diag([0.02, 0.02, 0.04])
     quad = QuadParams(m=1.0, J=J, g=0.0)
     Om0 = np.array([1.5, 0.8, 3.0])
-    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0.copy())
+    st = state_floats(pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0))
     dt, T = 1e-3, 2.0
     for _ in range(int(T / dt)):
         st = step_rk4(st, dt, free_wrench, quad)
     R_ref, Om_ref = symmetric_top_closed_form(Om0, J, T)
-    _, _, R, Omega = unpack_state(st)
+    _, _, R, Omega = map(np.array, st)
     assert np.linalg.norm(R - R_ref) < 1e-9
     assert np.linalg.norm(Omega - Om_ref) < 1e-9
 
@@ -80,11 +80,11 @@ def test_integrator_fourth_order():
     T = 2.0
 
     def terminal_error(dt):
-        st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0.copy())
+        st = state_floats(pack_state(np.zeros(3), np.zeros(3), np.eye(3), Om0))
         for _ in range(int(round(T / dt))):
             st = step_rk4(st, dt, free_wrench, quad)
         R_ref, Om_ref = symmetric_top_closed_form(Om0, J, T)
-        _, _, R, Omega = unpack_state(st)
+        _, _, R, Omega = map(np.array, st)
         return np.linalg.norm(R - R_ref) + np.linalg.norm(Omega - Om_ref)
 
     assert terminal_error(0.02) / terminal_error(0.01) >= 14.0
@@ -93,13 +93,13 @@ def test_integrator_fourth_order():
 def test_conservation_asymmetric_top():
     J = np.diag([0.02, 0.031, 0.045])
     quad = QuadParams(m=1.0, J=J, g=0.0)
-    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0]))
-    _, _, R, Omega = unpack_state(st)
+    st = state_floats(pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0])))
+    _, _, R, Omega = map(np.array, st)
     L0 = R @ (J @ Omega)
     E0 = 0.5 * Omega @ (J @ Omega)
     for _ in range(3000):
         st = step_rk4(st, 1e-3, free_wrench, quad)
-    _, _, R, Omega = unpack_state(st)
+    _, _, R, Omega = map(np.array, st)
     L = R @ (J @ Omega)
     E = 0.5 * Omega @ (J @ Omega)
     assert np.linalg.norm(L - L0) / np.linalg.norm(L0) < 1e-9
@@ -108,17 +108,17 @@ def test_conservation_asymmetric_top():
 
 def test_rotation_stays_orthonormal():
     quad = QuadParams(m=1.0, J=np.diag([0.02, 0.02, 0.04]), g=0.0)
-    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0]))
+    st = state_floats(pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0])))
     worst = 0.0
     for _ in range(20000):
         st = step_rk4(st, 1e-3, free_wrench, quad)
-        R = unpack_state(st)[2]
+        R = np.array(st[2])
         worst = max(worst, np.linalg.norm(R.T @ R - np.eye(3)))
     assert worst <= 1e-12
 
 
 def test_step_rejects_bad_dt(quad):
-    st = at_rest()
+    st = state_floats(at_rest())
     with pytest.raises(ValueError):
         step_rk4(st, 0.0, free_wrench, quad)
     with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ def test_step_rejects_bad_dt(quad):
 
 
 def test_step_propagates_wrench_errors(quad):
-    st = at_rest()
+    st = state_floats(at_rest())
 
     def broken(t, x, v, R, Omega):
         raise NotSkewSymmetric("boom")
@@ -155,7 +155,8 @@ def compose(R0, phi):
 
 
 def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
-    """step_rk4 with each RK4 stage written out per component (x, v, phi, Omega)."""
+    """step_rk4 with each RK4 stage written out per component (x, v, phi, Omega),
+    on a packed state."""
     m, J, J_inv = params.m, params.J, params.J_inv
     x0, v0, R0, Om0 = unpack_state(state)
 
@@ -213,7 +214,7 @@ def test_step_rk4_matches_reference(quad, aero_s01, rng, plant, dt):
                         random_rotation(rng), 2.0 * rng.standard_normal(3))
         wrench = random_wrench(rng, quad, aero)
         t = rng.uniform(0.0, 30.0)
-        got = step_rk4(st, dt, wrench, quad, t)
+        got = pack_state(*step_rk4(state_floats(st), dt, wrench, quad, t))
         ref = reference_step_rk4(st, dt, wrench, quad, t)
         for name, g, r in zip(("x", "v", "R", "Omega"), unpack_state(got), unpack_state(ref)):
             assert np.array_equal(g, r), name
@@ -238,7 +239,7 @@ def test_step_rk4_matches_reference_full_inertia(aero_s01, rng, plant):
                         random_rotation(rng), 2.0 * rng.standard_normal(3))
         wrench = random_wrench(rng, quad, aero)
         t = rng.uniform(0.0, 30.0)
-        got = step_rk4(st, 2e-3, wrench, quad, t)
+        got = pack_state(*step_rk4(state_floats(st), 2e-3, wrench, quad, t))
         ref = reference_step_rk4(st, 2e-3, wrench, quad, t)
         for name, g, r in zip(("x", "v", "R", "Omega"), unpack_state(got), unpack_state(ref)):
             assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r) + 1e-15, name
@@ -250,13 +251,13 @@ def test_step_rk4_bytes_equal_listed_stages(quad, aero_s01, rng, plant):
     # same order as the 12-lists of listed_step_rk4
     aero = aero_s01 if plant == "full_aero" else None
     for _ in range(1000):
-        st = pack_state(rng.standard_normal(3), 3.0 * rng.standard_normal(3),
-                        random_rotation(rng), 2.0 * rng.standard_normal(3))
+        st = state_floats(pack_state(rng.standard_normal(3), 3.0 * rng.standard_normal(3),
+                                     random_rotation(rng), 2.0 * rng.standard_normal(3)))
         wrench = random_wrench(rng, quad, aero)
         t = rng.uniform(0.0, 30.0)
         dt = float(rng.choice([1e-3, 2e-3, 0.05]))
-        got = step_rk4(st, dt, wrench, quad, t).tolist()
-        ref = listed_step_rk4(st, dt, wrench, quad, t).tolist()
+        got = pack_state(*step_rk4(st, dt, wrench, quad, t)).tolist()
+        ref = pack_state(*listed_step_rk4(st, dt, wrench, quad, t)).tolist()
         assert [x.hex() for x in got] == [x.hex() for x in ref]
 
 
@@ -267,7 +268,7 @@ def test_step_rk4_non_finite_chart_raises_as_listed(quad, moment):
     def wrench(t, x, v, R, Omega):
         return (0.0, 0.0, 0.0), (moment, 0.0, 0.0)
 
-    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([0.3, -0.2, 1.0]))
+    st = state_floats(pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([0.3, -0.2, 1.0])))
     errors = []
     for step in (step_rk4, listed_step_rk4):
         with pytest.raises(DegenerateMatrix) as err:
@@ -282,7 +283,7 @@ def test_step_rk4_skips_exp_of_zero(quad, monkeypatch):
     expm = windquad.dynamics.expm_so3
     monkeypatch.setattr(windquad.dynamics, "expm_so3",
                         lambda phi: calls.append(1) or expm(phi))
-    st = pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([0.3, -0.2, 1.0]))
+    st = state_floats(pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.array([0.3, -0.2, 1.0])))
     for _ in range(5):
         st = step_rk4(st, 1e-3, free_wrench, quad)
     assert len(calls) == 20
@@ -292,13 +293,9 @@ def assert_floats(values, n=3):
     assert len(values) == n and all(type(a) is float for a in values), values
 
 
-def test_step_rk4_hands_the_wrench_floats(quad, rng, monkeypatch):
+def test_step_rk4_hands_the_wrench_floats(quad, rng):
     # every stage reaches the wrench as Python floats (R as three rows of
-    # three), and the step packs one state, at its close
-    packs = []
-    pack = windquad.dynamics.pack_state
-    monkeypatch.setattr(windquad.dynamics, "pack_state",
-                        lambda *args: packs.append(1) or pack(*args))
+    # three), and the step returns its state as floats in the same form
     times = []
 
     def recording(ts, x, v, R, Omega):
@@ -311,12 +308,14 @@ def test_step_rk4_hands_the_wrench_floats(quad, rng, monkeypatch):
             assert_floats(row)
         return (0.1, -0.2, 4.0), (0.01, -0.02, 0.003)
 
-    st = pack_state(rng.standard_normal(3), rng.standard_normal(3), random_rotation(rng),
-                    rng.standard_normal(3))
+    st = state_floats(pack_state(rng.standard_normal(3), rng.standard_normal(3),
+                                 random_rotation(rng), rng.standard_normal(3)))
     for k in range(5):
         st = step_rk4(st, 1e-3, recording, quad, k * 1e-3)
+        x, v, R, Omega = st
+        for vec in (x, v, *R, Omega):
+            assert_floats(vec)
     assert len(times) == 20
-    assert len(packs) == 5
 
 
 # --- rotor speed inversion ---------------------------------------------------
@@ -346,21 +345,21 @@ def test_rotor_speed_clips_negative():
 
 def test_simplified_hover_trim(quad):
     st = at_rest()
-    U_e, M_e = simplified_wrench(stage_of(st)[2], quad.m * quad.g, np.zeros(3), quad)
+    U_e, M_e = simplified_wrench(state_floats(st)[2], quad.m * quad.g, np.zeros(3), quad)
     assert np.allclose(U_e, 0.0, atol=1e-12)
     assert np.allclose(M_e, 0.0)
 
 
 def test_simplified_disturbance_sign(quad):
     st = at_rest()
-    U_e, _ = simplified_wrench(stage_of(st)[2], quad.m * quad.g, np.zeros(3), quad,
+    U_e, _ = simplified_wrench(state_floats(st)[2], quad.m * quad.g, np.zeros(3), quad,
                                delta1=np.array([1.0, 0.0, 0.0]))
     assert np.allclose(U_e, [-1.0, 0.0, 0.0])
 
 
 def test_simplified_moment_passthrough(quad):
     st = at_rest()
-    _, M_e = simplified_wrench(stage_of(st)[2], 0.0, np.array([0.0, 0.0, 0.1]), quad)
+    _, M_e = simplified_wrench(state_floats(st)[2], 0.0, np.array([0.0, 0.0, 0.1]), quad)
     assert np.allclose(M_e, [0.0, 0.0, 0.1])
 
 

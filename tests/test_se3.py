@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg
 
 from windquad.errors import DegenerateMatrix, GimbalLock
-from windquad.se3 import (attitude_error, angular_velocity_error, euler_zyx,
-                          expm_so3, orthonormalize, rotation_zyx)
+from windquad.se3 import attitude_error, euler_zyx, expm_so3, orthonormalize, rotation_zyx
 
 from conftest import random_rotation
-from oracles import NotSkewSymmetric, attitude_error_jacobian, hat, is_rotation, vee
+from oracles import (NotSkewSymmetric, angular_velocity_error, attitude_error_jacobian, hat,
+                     is_rotation, vee)
 
 E1, E2, E3 = np.eye(3)
 

@@ -13,7 +13,7 @@ import windquad.aero
 import windquad.sim
 from windquad.config import load_config
 from windquad.errors import NoConvergence, RotorStopped, SimulationAbort
-from windquad.layout import OUTPUT, STATE
+from windquad.layout import OUTPUT, STATE, pack_state
 from windquad.scenarios import TrajectoryPoint
 from windquad.sim import (COLUMNS, FIELDS, run_simulation, summarize,
                           write_csv, write_summary, write_weights_csv)
@@ -396,7 +396,8 @@ def test_telemetry_blocks_equal_their_sources(monkeypatch, name):
         ("simulation", "duration"): "0.05", ("simulation", "decimate"): "3"})
     res = run_simulation(cfg)
     dt = cfg.get("simulation", "dt")
-    states = [cfg.initial_state(), *sources["step"]]
+    # the carried float states, packed as the test's own reference
+    states = [cfg.initial_state(), *(pack_state(*state) for state in sources["step"])]
     checked = set()
     assert len(res.telemetry) == len(sources["lyap"]) == math.ceil(len(sources["out"]) / 3)
     for j, row in enumerate(res.telemetry):
@@ -448,24 +449,22 @@ def test_warm_start_inflow_evaluations_per_solve(monkeypatch):
 #: numpy calls per step of each config that build an array or read one back,
 #: at most, by the profiler's label of the call
 CONVERSION_BUDGET = {
-    "baseline": {"numpy.array": 1, "tolist": 3, "numpy.zeros": 0},
-    "synthetic": {"numpy.array": 7, "tolist": 8, "numpy.zeros": 0},
-    "wind_circle": {"numpy.array": 3, "tolist": 4, "numpy.zeros": 0},
+    "baseline": {"numpy.array": 0, "tolist": 0, "numpy.zeros": 0},
+    "synthetic": {"numpy.array": 6, "tolist": 5, "numpy.zeros": 0},
+    "wind_circle": {"numpy.array": 2, "tolist": 1, "numpy.zeros": 0},
 }
 PROFILER_LABELS = {"numpy.array": "<built-in method numpy.array>",
                    "tolist": "<method 'tolist' of 'numpy.ndarray' objects>",
                    "numpy.zeros": "<built-in method numpy.zeros>"}
 #: the (file, function) each call may come from: the array boundary of
-#: README "Array conventions".  Arrays: the packed state, the network
-#: input and the error signal of the pair's weight update (in the
-#: controller step).  Reads: the packed state (state_floats, and
-#: run_simulation's one read per step) and the network outputs (the
-#: controller step and the synthetic plant's delta).
+#: README "Array conventions".  Arrays: the network input and the error
+#: signal of the pair's weight update (in the controller step).  Reads: the
+#: network outputs (the controller step and the synthetic plant's delta).
+#: The state goes from step to step as floats, so no step packs it or
+#: reads it back.
 CONVERSION_SITES = {
-    "numpy.array": {("layout.py", "pack_state"), ("adaptive.py", "build_network_input"),
-                    ("controller.py", "step")},
-    "tolist": {("layout.py", "state_floats"), ("sim.py", "run_simulation"),
-               ("controller.py", "step"), ("sim.py", "delta")},
+    "numpy.array": {("adaptive.py", "build_network_input"), ("controller.py", "step")},
+    "tolist": {("controller.py", "step"), ("sim.py", "delta")},
     "numpy.zeros": set(),
 }
 

@@ -35,9 +35,11 @@ import pytest
 
 import windquad.sim
 from windquad.config import load_config
-from windquad.layout import COLUMNS, FIELDS, pack_state, unpack_state
+from windquad.layout import COLUMNS, FIELDS, pack_state
 from windquad.scenarios import TrajectoryPoint
 from windquad.sim import run_simulation
+
+from oracles import unpack_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
