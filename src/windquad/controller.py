@@ -214,7 +214,7 @@ class GeometricAdaptiveController:
         self.eps_thrust = 1e-6 * base
         self.omega_min = omega_min
         self._mix_inv = np.linalg.inv(mixing_matrix(quad.d_h, simplified.C_TQ)).tolist()
-        # the last R_c and Omega_c, each None until a backward difference forms it
+        # the last R_c and the last backward-difference Omega_c, None until there is one
         self._last_Rc = self._last_Omega_c = None
         self._last_angles = (0.0, 0.0, 0.0)
 
