@@ -19,7 +19,7 @@ from .aero import RotorAeroParams, solve_thrust_inflow, torque_coefficient
 from .controller import ControllerGains
 from .dynamics import DT_MAX, QuadParams, SimplifiedModelParams
 from .errors import NoConvergence, ParseError, ValidationError
-from .layout import COLUMNS, pack_state
+from .layout import COLUMNS
 from .scenarios import TrajectoryGenerator, WindField
 from .se3 import rotation_zyx
 from .stability import BoundAssumptions
@@ -313,10 +313,11 @@ class SimConfig:
         return lines
 
     def initial_state(self):
-        """Packed initial state (see layout.STATE)."""
-        return pack_state(self.get("initial", "x"), self.get("initial", "v"),
-                          rotation_zyx(*self.get("initial", "attitude")),
-                          self.get("initial", "omega"))
+        """Initial state in the float form of dynamics.step_rk4: x, v and
+        Omega as lists of three floats, R as three rows."""
+        return (self.get("initial", "x").tolist(), self.get("initial", "v").tolist(),
+                rotation_zyx(*self.get("initial", "attitude")).tolist(),
+                self.get("initial", "omega").tolist())
 
 
 def calibrate_simplified(aero, quad):

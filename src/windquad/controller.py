@@ -21,7 +21,7 @@ Row two differs from a commonly reproduced singular variant; it follows
 directly from the rotor positions (see README).
 
 The step computes in Python floats: it takes the state in the float form
-of layout.state_floats, reads the network outputs with one tolist(), and
+of dynamics.step_rk4, reads the network outputs with one tolist(), and
 the geometry helpers take and return 3-sequences of floats and 3x3 matrices
 as three rows of floats.  R^T R_c Omega_c is formed once, for e_Omega and
 the moment law.  Arrays remain in the network input, the forward pass and
@@ -221,8 +221,8 @@ class GeometricAdaptiveController:
     def step(self, state, traj, dt):
         """Compute the command for the state and advance the networks.
 
-        state is (x, v, R, Omega) in the float form of layout.state_floats,
-        as dynamics.step_rk4 returns it; dt is the same on every step.
+        state is (x, v, R, Omega) in the float form that dynamics.step_rk4
+        takes and returns; dt is the same on every step.
         Returns a list of 39 floats laid out as layout.OUTPUT, the clip flags
         as 1.0 or 0.0; its weight norms are those of the weights the command
         used, before this step's update.

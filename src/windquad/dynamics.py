@@ -12,11 +12,11 @@ O(dt^4) error), and the step closes with the exponential map of the averaged
 body angular increment followed by re-orthonormalization.
 
 The step is a float interface: it takes and returns the state as (x, v, R,
-Omega), the float form of layout.state_floats, and a wrench callback
-receives (t, x, v, R, Omega) in the same form and returns (U_e, M_e) as two
-float triples; simplified_wrench computes such a wrench.  Each stage
-attitude R0 exp(hat(phi)) is composed in floats from the rows of expm_so3,
-and the step builds no array.
+Omega), x, v and Omega three floats each and R three rows, and a wrench
+callback receives (t, x, v, R, Omega) in the same form and returns
+(U_e, M_e) as two float triples; simplified_wrench computes such a
+wrench.  Each stage attitude R0 exp(hat(phi)) is composed in floats from
+the rows of expm_so3, and the step builds no array.
 """
 
 import math
@@ -109,11 +109,11 @@ class SimplifiedModelParams:
 def step_rk4(state, dt, wrench_fn, params, t=0.0):
     """One classical RK4 step of the state under a wrench callback.
 
-    state is (x, v, R, Omega) in the float form of layout.state_floats: x,
-    v and Omega three floats each, R three rows.  The stages integrate the
-    12 values y = (x, v, phi, Omega) as Python floats held in locals, phi
-    being the rotation-vector chart about the initial attitude R0 (zero at
-    stage 1, whose state is the given one).  Each stage calls
+    state is (x, v, R, Omega) in the float form that the simulation loop
+    carries: x, v and Omega three floats each, R three rows.  The stages
+    integrate the 12 values y = (x, v, phi, Omega) as Python floats held in
+    locals, phi being the rotation-vector chart about the initial attitude
+    R0 (zero at stage 1, whose state is the given one).  Each stage calls
     wrench_fn(t, x, v, R, Omega) with x, v and Omega as lists of three
     floats and R as three rows of three floats: stages 2-4 compose
     R = R0 exp(hat(phi)) in floats from the rows of R0 and of

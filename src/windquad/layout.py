@@ -6,13 +6,11 @@ from the state and controller-output schemas, so reordering a block moves
 its columns in the row and in every reader of the packed vector at once.
 The writers list their fields in schema order and move by hand: each
 builds its row from Python floats in one expression.  They are
-dynamics.step_rk4 (the state, in the float form of state_floats that the
-loop carries between steps), pack_state (the config's initial state, one
-array), GeometricAdaptiveController.step (the controller output, a list)
-and sim.run_simulation (the telemetry row, assigned in one write).
+config.initial_state and dynamics.step_rk4 (the state, in the float form
+that the loop carries between steps: x, v and Omega three floats each, R
+three rows), GeometricAdaptiveController.step (the controller output, a
+list) and sim.run_simulation (the telemetry row, assigned in one write).
 """
-
-import numpy as np
 
 
 def _axes(prefix, labels="123"):
@@ -69,24 +67,3 @@ OUTPUT_COLUMNS, OUTPUT = _layout(OUTPUT_SCHEMA)
 #: COLUMNS: telemetry column names in file order; FIELDS: field name ->
 #: column index (one-column field) or slice (vector field)
 COLUMNS, FIELDS = _layout(SCHEMA)
-
-
-_X, _V, _R, _OMEGA = (STATE[name] for name in ("x", "v", "R", "Omega"))
-
-
-def pack_state(x, v, R, Omega):
-    """Packed (18,) state from position, velocity, 3x3 attitude, body rates.
-
-    R is an array or three rows of floats; the 18 values become the array in
-    one call, listed in STATE_SCHEMA order.
-    """
-    r1, r2, r3 = R
-    return np.array([*x, *v, *r1, *r2, *r3, *Omega], dtype=float)
-
-
-def state_floats(s):
-    """The float form of a packed state, from one tolist(): (x, v, R, Omega)
-    with x, v and Omega as lists of three and R as three rows of three."""
-    state = s.tolist()
-    r = state[_R]
-    return state[_X], state[_V], (r[0:3], r[3:6], r[6:9]), state[_OMEGA]

@@ -4,8 +4,8 @@ One step of the loop: sample the desired trajectory and wind, run the
 controller (which also advances the adaptive weights), build the plant
 wrench for the configured mode, integrate one RK4 step, record telemetry
 (one row of a preallocated float array per decimated step).  The state
-goes from step to step in the float form of layout.state_floats, read
-from the config's packed initial state once per run.
+goes from step to step in the float form of dynamics.step_rk4, in which
+config.initial_state returns it.
 A controller degeneracy, solver failure, or non-finite state aborts the run
 with the step index and offending quantity; partial telemetry is preserved
 on the raised SimulationAbort.
@@ -35,7 +35,7 @@ from .errors import (DegenerateMatrix, DegenerateThrust, HeadingDegenerate,
                      NoConvergence, NonFiniteWeights, RotorStopped,
                      SimulationAbort, ValidationError)
 from .dynamics import simplified_wrench, step_rk4
-from .layout import COLUMNS, FIELDS, OUTPUT, STATE, state_floats
+from .layout import COLUMNS, FIELDS, OUTPUT, STATE
 from .scenarios import trajectory_at, wind_at
 from .stability import lyapunov_value
 
@@ -132,7 +132,7 @@ def run_simulation(config):
         nn1=config.network(1), nn2=config.network(2),
         adaptation=config.get("simulation", "adaptation"),
         omega_min=config.get("aero", "omega_min"))
-    state = x, v, (r1, r2, r3), Omega = state_floats(config.initial_state())
+    state = x, v, (r1, r2, r3), Omega = config.initial_state()
 
     targets = None
     if mode == "synthetic":

@@ -5,7 +5,8 @@ import pytest
 
 from windquad.aero import RotorAeroParams
 from windquad.dynamics import QuadParams
-from windquad.layout import pack_state
+
+from oracles import pack_state
 
 
 @pytest.fixture

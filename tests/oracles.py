@@ -12,7 +12,7 @@ from windquad.adaptive import BLOCK_NAMES, project_to_ball, sigmoid_features
 from windquad.aero import OMEGA_MIN, drag_force
 from windquad.errors import NoConvergence, RotorStopped, WindquadError
 from windquad.layout import STATE
-from windquad.se3 import computed_to_body, expm_so3, orthonormalize
+from windquad.se3 import expm_so3, orthonormalize
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -51,17 +51,27 @@ def vee(M, tol=SKEW_TOL):
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
+# --- the tests' boundary between the packed (18,) state and the float form
+# (x, v, R, Omega) that the simulator carries from step to step
+
+def pack_state(x, v, R, Omega):
+    """Packed (18,) state, in layout.STATE order, from position, velocity,
+    3x3 attitude and body rates: arrays, or the simulator's float form."""
+    r1, r2, r3 = R
+    return np.array([*x, *v, *r1, *r2, *r3, *Omega], dtype=float)
+
+
+def state_floats(s):
+    """The float form of a packed state, from one tolist(): (x, v, R, Omega)
+    with x, v and Omega as lists of three and R as three rows of three."""
+    state = s.tolist()
+    r = state[STATE["R"]]
+    return state[STATE["x"]], state[STATE["v"]], (r[0:3], r[3:6], r[6:9]), state[STATE["Omega"]]
+
+
 def unpack_state(s):
     """Views (x, v, R, Omega) into a packed state, R as a 3x3 matrix."""
     return s[STATE["x"]], s[STATE["v"]], s[STATE["R"]].reshape(3, 3), s[STATE["Omega"]]
-
-
-def angular_velocity_error(R, R_c, Omega, Omega_c):
-    """Body angular velocity error Omega - R^T R_c Omega_c, three floats: the
-    e_Omega that the controller step forms from computed_to_body."""
-    w1, w2, w3 = Omega
-    u1, u2, u3 = computed_to_body(R, R_c, Omega_c)
-    return w1 - u1, w2 - u2, w3 - u3
 
 
 def history_Omega_c(history, dt):

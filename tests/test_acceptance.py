@@ -18,14 +18,14 @@ from windquad.config import load_config
 from windquad.controller import (ControllerGains, compute_A, compute_Rc,
                                  compute_thrust)
 from windquad.dynamics import QuadParams, simplified_wrench, step_rk4
-from windquad.layout import pack_state, state_floats
 from windquad.se3 import attitude_error
 from windquad.sim import FIELDS, run_simulation
 from windquad.stability import (build_pd_matrices, set_d_functional,
                                 ultimate_bound, validate_c1)
 
 from conftest import at_rest
-from oracles import cross3, thrust_inflow_residuals, thrust_mismatch_term, unpack_state
+from oracles import (cross3, pack_state, state_floats, thrust_inflow_residuals,
+                     thrust_mismatch_term, unpack_state)
 from test_aero import bisection_oracle
 
 

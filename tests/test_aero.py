@@ -10,13 +10,12 @@ from windquad.aero import (RotorAeroParams, drag_force, resultant_wrench,
                            solve_thrust_inflow, torque_coefficient)
 from windquad.dynamics import SimplifiedModelParams, rotor_speed_from_thrust
 from windquad.errors import NoConvergence, RotorStopped
-from windquad.layout import pack_state, state_floats
 from windquad.se3 import rotation_zyx
 
 import oracles
 from conftest import at_rest, random_rotation
-from oracles import (advance_ratios, cross3, flap_direction, hat,
-                     resultant_wrench_oracle, solve_thrust_inflow_oracle,
+from oracles import (advance_ratios, cross3, flap_direction, hat, pack_state,
+                     resultant_wrench_oracle, solve_thrust_inflow_oracle, state_floats,
                      thrust_inflow_residuals, unpack_state)
 
 

@@ -515,9 +515,12 @@ PROBE_PLANTS = {
 
 
 def probe_contexts(section, key):
-    """The config sections under which the probe sets section.key: each plant
-    that reads it (the [aero] keys on full_aero and under calibrate = on),
-    times each trajectory or wind kind that reads it."""
+    """The config sections under which the probe sets section.key: the
+    default config, whose plant or switch may leave the key unread (a load
+    error or an `ignored:` line), then each plant that reads it (the [aero]
+    keys on full_aero and under calibrate = on), times each trajectory or
+    wind kind that reads it."""
+    yield {}
     plants = PROBE_PLANTS
     if (section, key) in PLANT_KEYS:
         readers = PLANT_KEYS[section, key] + (("calibrate",) if section == "aero" else ())
@@ -538,12 +541,12 @@ def probe_contexts(section, key):
 @pytest.mark.parametrize("section, key", PROBE_KEYS,
                          ids=[f"{section}.{key}" for section, key in PROBE_KEYS])
 def test_edge_value_probe(tmp_path, section, key):
-    # each value, in every entry of a vector key, on every plant and under
-    # every trajectory and wind kind that reads the key, either runs (0),
-    # fails at load time (2) or aborts naming a step (3); an uncaught
-    # exception, a numpy warning included, fails the test.  All keys take
-    # about 9 s together on a 2-vCPU Xeon VM: 2408 runs of 0.02 s, of which
-    # 759 exit 0, 1466 exit 2 and 183 exit 3
+    # each value, in every entry of a vector key, on the default config and
+    # on every plant and under every trajectory and wind kind that reads the
+    # key, either runs (0), fails at load time (2) or aborts naming a step
+    # (3); an uncaught exception, a numpy warning included, fails the test.
+    # All keys take about 12 s together on a 2-vCPU Xeon VM: 2632 runs of
+    # 0.02 s, of which 822 exit 0, 1627 exit 2 and 183 exit 3
     width = len(SCHEMA[section][key][1].split())
     texts = set()
     for context in probe_contexts(section, key):

@@ -7,8 +7,6 @@ from windquad.config import (calibrate_simplified, default_config_text,
 from windquad.errors import ParseError, ValidationError
 from windquad.sim import run_simulation
 
-from oracles import unpack_state
-
 
 def write(tmp_path, text):
     p = tmp_path / "run.ini"
@@ -86,7 +84,7 @@ def test_inertia_full_matrix(tmp_path):
 
 def test_initial_attitude(tmp_path):
     path = write(tmp_path, "[initial]\nattitude = 0.5 0 0\n")
-    R = unpack_state(load_config(path).initial_state())[2]
+    R = np.array(load_config(path).initial_state()[2])
     assert R[0, 0] == pytest.approx(np.cos(0.5))
 
 

@@ -14,12 +14,13 @@ from windquad.controller import (ControllerGains, GeometricAdaptiveController,
                                  compute_moment, compute_thrust, mixing_matrix)
 from windquad.dynamics import SimplifiedModelParams, simplified_wrench, step_rk4
 from windquad.errors import DegenerateThrust, HeadingDegenerate, NonFiniteWeights
-from windquad.layout import OUTPUT, OUTPUT_COLUMNS, pack_state, state_floats
+from windquad.layout import OUTPUT, OUTPUT_COLUMNS
 from windquad.scenarios import TrajectoryGenerator, TrajectoryPoint, trajectory_at
 from windquad.se3 import GIMBAL_TOL, euler_zyx, expm_so3, rotation_zyx
 
 from conftest import at_rest, random_rotation
-from oracles import cross3, hat, history_Omega_c, is_rotation, network_update
+from oracles import (cross3, hat, history_Omega_c, is_rotation, network_update, pack_state,
+                     state_floats)
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])

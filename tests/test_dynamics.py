@@ -10,11 +10,11 @@ from windquad.errors import DegenerateMatrix
 from windquad.dynamics import (QuadParams, SimplifiedModelParams,
                                rotor_speed_from_thrust, simplified_wrench,
                                step_rk4)
-from windquad.layout import pack_state, state_floats
 from windquad.se3 import expm_so3, orthonormalize
 
 from conftest import at_rest, random_rotation
-from oracles import NotSkewSymmetric, cross3, listed_step_rk4, unpack_state
+from oracles import (NotSkewSymmetric, cross3, listed_step_rk4, pack_state, state_floats,
+                     unpack_state)
 
 
 def free_wrench(t, x, v, R, Omega):

@@ -13,13 +13,13 @@ import windquad.aero
 import windquad.sim
 from windquad.config import load_config
 from windquad.errors import NoConvergence, RotorStopped, SimulationAbort
-from windquad.layout import OUTPUT, STATE, pack_state
+from windquad.layout import OUTPUT, STATE
 from windquad.scenarios import TrajectoryPoint
 from windquad.sim import (COLUMNS, FIELDS, run_simulation, summarize,
                           write_csv, write_summary, write_weights_csv)
 from windquad.adaptive import NNWeights
 
-from oracles import read_csv
+from oracles import pack_state, read_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -397,7 +397,7 @@ def test_telemetry_blocks_equal_their_sources(monkeypatch, name):
     res = run_simulation(cfg)
     dt = cfg.get("simulation", "dt")
     # the carried float states, packed as the test's own reference
-    states = [cfg.initial_state(), *(pack_state(*state) for state in sources["step"])]
+    states = [pack_state(*state) for state in (cfg.initial_state(), *sources["step"])]
     checked = set()
     assert len(res.telemetry) == len(sources["lyap"]) == math.ceil(len(sources["out"]) / 3)
     for j, row in enumerate(res.telemetry):

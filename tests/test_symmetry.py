@@ -35,11 +35,11 @@ import pytest
 
 import windquad.sim
 from windquad.config import load_config
-from windquad.layout import COLUMNS, FIELDS, pack_state
+from windquad.layout import COLUMNS, FIELDS
 from windquad.scenarios import TrajectoryPoint
 from windquad.sim import run_simulation
 
-from oracles import unpack_state
+from oracles import pack_state, state_floats
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -93,7 +93,7 @@ def scene_config(plant, extra=()):
 def run_transformed(monkeypatch, cfg, traj_map, wind_map, state_map):
     """Telemetry of cfg with its trajectory, wind and initial state mapped."""
     trajectory_at, wind_at = windquad.sim.trajectory_at, windquad.sim.wind_at
-    state = state_map(*unpack_state(cfg.initial_state()))
+    state = state_floats(state_map(*map(np.array, cfg.initial_state())))
     with monkeypatch.context() as m:
         m.setattr(windquad.sim, "trajectory_at",
                   lambda gen, t: traj_map(trajectory_at(gen, t), t))
