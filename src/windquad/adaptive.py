@@ -7,16 +7,18 @@ weight matrices driven by a damped gradient-style update law; Frobenius-ball
 projection keeps both matrices inside configured norm bounds at all times.
 
 Both networks run as one NetworkPair, the only store of their weights: one
-parameter matrix theta = diag(W, V), where W and V are themselves
-block-diagonal over the two networks.  nn_output evaluates the pair in one
-pass on the (14,) input of build_network_input, and update_weights steps
-both update laws of both networks as one outer product on theta, scaled by
-two gain matrices.  The pair's `nets` are two NNWeights whose W and V are
-views of theta's network blocks and which hold the norms and bounds.  The
-synthetic plant's target networks form a pair of their own that is never
-updated.
+flat parameter vector theta holding W, then V, each in C order, where W and
+V are block-diagonal over the two networks.  nn_output evaluates the pair
+in one pass on the (14,) input of build_network_input, on C-contiguous
+views W and V of theta, and update_weights steps both update laws of both
+networks on theta's network entries only, as the matching entries of one
+outer product scaled by two gain vectors.  The pair's `nets` are two
+NNWeights whose W and V are views of the network blocks and which hold the
+norms and bounds.  The synthetic plant's target networks form a pair of
+their own that is never updated.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -114,37 +116,41 @@ def sigmoid_features(z):
 
 
 class NetworkPair:
-    """Two networks held as one block-diagonal parameter matrix.
+    """Two networks held as one flat parameter vector.
 
     For networks (W1, V1) with h1 hidden units and (W2, V2) with h2 the
-    pair's parameters are theta = diag(W, V), whose blocks are
+    pair evaluates the block-diagonal matrices
 
         W = [[W1, 0 ],        V = [[V1, 0, 0 ],
              [0,  W2]],            [0,  0, V2]],
 
     on the input [x_nn1, x_nn2].  Column h1 of V is zero: the feature it
     feeds is overwritten with the second network's bias, so the features
-    are [1, s1, 1, s2].  `theta` is that matrix; `W` and `V` are views of
-    its two diagonal blocks.  The constructor copies the two given networks
-    into the network blocks, once, and leaves them unchanged.  `nets` are
-    two NNWeights, with the given networks' bounds, whose W and V are views
-    of the network blocks; update_weights writes only those four blocks, so
-    every other entry of theta stays +0.0.
+    are [1, s1, 1, s2].  `theta` is one flat vector holding W in C order,
+    then V in C order; `W` and `V` are C-contiguous reshape views of it.
+    The constructor copies the two given networks into the network blocks,
+    once, and leaves them unchanged.  `nets` are two NNWeights, with the
+    given networks' bounds, whose W and V are views of the network blocks;
+    update_weights writes only those four blocks, so every other entry of
+    theta stays +0.0.
 
-    `gains`, the two networks' AdaptationGains of a pair that update_weights
-    steps, become two matrices of theta's shape: G holds -gamma_w on each
-    network's W block and -gamma_v on its V block, K holds kappa gamma_w
-    and kappa gamma_v there, and both are zero everywhere else.  A pair
-    built without gains is never updated.
+    A pair built with `gains`, the two networks' AdaptationGains, is one
+    that update_weights steps.  It holds the network entries as indices
+    made once: `idx` are their positions in theta, the four blocks in
+    BLOCK_NAMES order and each block in C order, and `segments` the four
+    blocks' slices of idx.  `ip` and `iq` are each entry's row and column
+    of the outer product p q^T, and `G` and `K` its gains, -gamma_w and
+    kappa gamma_w on a W block, -gamma_v and kappa gamma_v on a V block.
+    A pair built without gains is never updated and has none of these.
     """
 
     def __init__(self, nn1, nn2, gains=None):
         (n1, h1), (n2, h2) = nn1.V.shape, nn2.V.shape
         o1 = nn1.W.shape[1]
-        # W fills theta's first rows and columns, V the rest
-        rows, cols = h1 + h2 + 2, o1 + nn2.W.shape[1]
-        self.theta = np.zeros((rows + n1 + n2, cols + h1 + 1 + h2))
-        self.W, self.V = self.theta[:rows, :cols], self.theta[rows:, cols:]
+        (rows, cols), (n, h) = (h1 + h2 + 2, o1 + nn2.W.shape[1]), (n1 + n2, h1 + 1 + h2)
+        n_W = rows * cols
+        self.theta = np.zeros(n_W + n * h)
+        self.W, self.V = self.theta[:n_W].reshape(rows, cols), self.theta[n_W:].reshape(n, h)
         # the second network's entries of z and sigma start at bias2, and
         # its entries of y and of the error signal at o1
         self.bias2 = h1 + 1
@@ -152,22 +158,27 @@ class NetworkPair:
         # each network's (W, V) block, as indices into W and V
         self.blocks = ((np.s_[:h1 + 1, :o1], np.s_[:n1, :h1]),
                        (np.s_[h1 + 1:, o1:], np.s_[n1:, h1 + 1:]))
-        # the four network blocks as indices into theta, in BLOCK_NAMES order
-        self.theta_blocks = (np.s_[:h1 + 1, :o1], np.s_[rows:rows + n1, cols:cols + h1],
-                             np.s_[h1 + 1:rows, o1:cols], np.s_[rows + n1:, cols + h1 + 1:])
-        per_network = (self.theta_blocks[:2], self.theta_blocks[2:])
-        for (W, V), nn in zip(per_network, (nn1, nn2)):
-            self.theta[W], self.theta[V] = nn.W, nn.V
-        self.nets = tuple(NNWeights(W=self.theta[W], V=self.theta[V],
-                                    W_max=nn.W_max, V_max=nn.V_max)
-                          for (W, V), nn in zip(per_network, (nn1, nn2)))
-        self.gains = None
-        if gains is not None:
-            G, K = np.zeros_like(self.theta), np.zeros_like(self.theta)
-            for (W, V), g in zip(per_network, gains):
-                G[W], K[W] = -g.gamma_w, g.kappa * g.gamma_w
-                G[V], K[V] = -g.gamma_v, g.kappa * g.gamma_v
-            self.gains = (G, K)
+        for (W, V), nn in zip(self.blocks, (nn1, nn2)):
+            self.W[W], self.V[V] = nn.W, nn.V
+        self.nets = tuple(NNWeights(W=self.W[W], V=self.V[V], W_max=nn.W_max, V_max=nn.V_max)
+                          for (W, V), nn in zip(self.blocks, (nn1, nn2)))
+        if gains is None:
+            return
+        # each theta entry's position, and its row of p and column of q:
+        # (i, j) of W is p_i q_j, and (i, j) of V is p_{rows+i} q_{cols+j}
+        at = np.arange(self.theta.size)
+        W_at, V_at = at[:n_W].reshape(rows, cols), at[n_W:].reshape(n, h)
+        (Wi, Wj), (Vi, Vj) = np.indices((rows, cols)), np.indices((n, h))
+        in_p = np.concatenate((Wi.ravel(), rows + Vi.ravel()))
+        in_q = np.concatenate((Wj.ravel(), cols + Vj.ravel()))
+        per_block = [M[b].ravel() for (W, V) in self.blocks for M, b in ((W_at, W), (V_at, V))]
+        self.idx = np.concatenate(per_block)
+        self.ip, self.iq = in_p[self.idx], in_q[self.idx]
+        sizes = [b.size for b in per_block]
+        self.segments = tuple(slice(end - size, end)
+                              for size, end in zip(sizes, itertools.accumulate(sizes)))
+        self.G = np.repeat([-r for g in gains for r in (g.gamma_w, g.gamma_v)], sizes)
+        self.K = np.repeat([g.kappa * r for g in gains for r in (g.gamma_w, g.gamma_v)], sizes)
 
 
 def nn_output(pair, x_nn):
@@ -248,18 +259,18 @@ def update_weights(pair, x_nn, features, a, dt):
     estimated pre-activation z = V^T x_nn, with a = [a1, a2] the two
     networks' error signals.  `features` is the (z, sigma) that nn_output
     returned for the pair and x_nn.  Both laws of both networks step at
-    once on the pair's theta = diag(W, V): with p = [u; x_nn], where
-    u = sigma - sigma'(z) z, and q = [a; sigma'(z) Wa], the step is
+    once on the pair's network entries theta[idx]: with p = [u; x_nn],
+    where u = sigma - sigma'(z) z, and q = [a; sigma'(z) Wa], the step is
 
-        theta + dt (G * p q^T - K * theta),
+        old + dt (G * p[ip] q[iq] - K * old),   old = theta[idx],
 
-    one outer product scaled by the pair's gain matrices, which are zero
-    off the network blocks; only W_i[1:] a_i is formed per network.  Each
-    network block is then projected onto its network's Frobenius ball.
-    Updates the pair in place, once all four norms are finite: the new
-    blocks are written into pair.theta, and the norms into pair.nets.
-    Otherwise raises NonFiniteWeights naming the first bad block in
-    BLOCK_NAMES order and writes nothing.
+    the network entries of the outer product p q^T, scaled by the pair's
+    gain vectors; only W_i[1:] a_i is formed per network.  Each network
+    block, a contiguous segment of the step, is then projected onto its
+    network's Frobenius ball.  Updates the pair in place, once all four
+    norms are finite: the new entries are written into pair.theta, and the
+    norms into pair.nets.  Otherwise raises NonFiniteWeights naming the
+    first bad block in BLOCK_NAMES order and writes nothing.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -268,8 +279,7 @@ def update_weights(pair, x_nn, features, a, dt):
     if a.shape != (pair.W.shape[1],):
         raise DimensionMismatch(f"error signal {a.shape} vs W {pair.W.shape}")
 
-    G, K = pair.gains
-    theta = pair.theta
+    theta, idx = pair.theta, pair.idx
     z, sigma = features
     nn1, nn2 = pair.nets
     out1, out2 = pair.outputs
@@ -283,16 +293,24 @@ def update_weights(pair, x_nn, features, a, dt):
     # keeps its rounding, and 0 for the zero column of V
     q = np.concatenate((a, nn1.W[1:] @ a[out1], _ZERO, nn2.W[1:] @ a[out2]))
     q[len(a):] *= ds
-    # the step above, in place on the outer product
-    step = p[:, None] * q
-    step *= G
-    step -= K * theta
+    # the step above, in place on the network entries of the outer product
+    old = theta[idx]
+    step = p[pair.ip] * q[pair.iq]
+    step *= pair.G
+    step -= pair.K * old
     step *= dt
-    step += theta
+    step += old
 
+    # each block's norm as _frobenius forms it, on its contiguous segment
     bounds = (nn1.W_max, nn1.V_max, nn2.W_max, nn2.V_max)
-    projected = [project_to_ball(step[block], bound, name)
-                 for block, bound, name in zip(pair.theta_blocks, bounds, BLOCK_NAMES)]
-    for block, (M, _) in zip(pair.theta_blocks, projected):
-        theta[block] = M
-    (_, nn1.W_norm), (_, nn1.V_norm), (_, nn2.W_norm), (_, nn2.V_norm) = projected
+    norms = []
+    for segment, bound, name in zip(pair.segments, bounds, BLOCK_NAMES):
+        r = step[segment]
+        n = math.sqrt(r.dot(r))
+        if not math.isfinite(n):
+            raise NonFiniteWeights(f"{name} has Frobenius norm {n}")
+        if n > bound:
+            step[segment], n = project_to_ball(r, bound, name)
+        norms.append(n)
+    theta[idx] = step
+    nn1.W_norm, nn1.V_norm, nn2.W_norm, nn2.V_norm = norms

@@ -358,7 +358,7 @@ def blockwise_update_weights(pair, x_nn, features, a, gains, dt):
     """update_weights with the pair's W and V as arrays of their own, each
     stepped by its own outer product and two gain matrices of its shape,
     made here from the two networks' AdaptationGains `gains`: the reference
-    that the one-outer-product step of theta matches bit for bit.
+    that the step of theta's network entries matches bit for bit.
 
     Returns the new (W, V) and the four norms in BLOCK_NAMES order and
     leaves the pair unchanged; raises NonFiniteWeights naming the first bad

@@ -587,17 +587,18 @@ def test_update_bytes_equal_outer_product_form(rng, hidden):
     assert projected > 100
 
 
-# --- theta = diag(W, V) against W and V as arrays of their own -----------------
+# --- the flat theta = [W | V] against W and V as arrays of their own ----------
 
 WIDTHS = (0, 2, 10, 17)
 
 
 def theta_off_blocks(pair):
-    """The entries of theta outside the four network blocks."""
-    off = np.ones(pair.theta.shape, bool)
-    for block in pair.theta_blocks:
-        off[block] = False
-    return pair.theta[off]
+    """The entries of theta outside the four network blocks, found through
+    the blocks of W and V (not through the pair's idx)."""
+    off_W, off_V = np.ones(pair.W.shape, bool), np.ones(pair.V.shape, bool)
+    for W, V in pair.blocks:
+        off_W[W], off_V[V] = False, False
+    return pair.theta[np.concatenate((off_W.ravel(), off_V.ravel()))]
 
 
 @pytest.mark.parametrize("hidden", WIDTHS)
@@ -680,21 +681,54 @@ def test_non_finite_update_matches_blockwise_oracle(rng, first, cause):
 
 
 def test_theta_holds_both_networks(rng):
-    # W, V and the nets are views of theta, and the entries of theta outside
-    # the network blocks stay +0.0 over updates with the projection active
+    # theta is W in C order, then V in C order, and W, V and the nets are
+    # views of it; the entries of theta outside idx stay +0.0 over updates
+    # with the projection active
     g = AdaptationGains(gamma_w=50.0, gamma_v=50.0, kappa=0.01)
     pair = NetworkPair(*(NNWeights.random(rng, n_hidden=h, W_norm=0.5, V_norm=0.5)
                          for h in (10, 7)), (g, g))
-    views = [pair.W, pair.V] + [M for w in pair.nets for M in (w.W, w.V)]
-    assert all(np.shares_memory(M, pair.theta) for M in views)
-    rows, cols = pair.W.shape
-    assert pair.theta.shape == (rows + pair.V.shape[0], cols + pair.V.shape[1])
+    theta, W, V = pair.theta, pair.W, pair.V
+    assert theta.shape == (W.size + V.size,)
+    assert W.flags.c_contiguous and V.flags.c_contiguous
+    assert W.base is theta and V.base is theta
+    assert (W.ctypes.data, V.ctypes.data) == (theta.ctypes.data, theta.ctypes.data + W.nbytes)
+    views = [M for w in pair.nets for M in (w.W, w.V)]
+    for w in pair.nets:
+        assert np.shares_memory(w.W, W) and np.shares_memory(w.V, V)
     for _ in range(200):
         x_nn = random_input(rng, 10.0)
         _, features = nn_output(pair, x_nn)
         update_weights(pair, x_nn, features, rng.standard_normal(6), 1e-2)
-    off = theta_off_blocks(pair)
-    assert off.size and not off.any() and not np.signbit(off).any()
-    assert all(np.shares_memory(M, pair.theta) for M in views)
-    for (W, V), w in zip(pair.blocks, pair.nets):
-        assert pair.W[W].tobytes() == w.W.tobytes() and pair.V[V].tobytes() == w.V.tobytes()
+    off = np.ones(theta.size, bool)
+    off[pair.idx] = False
+    assert off.any() and not theta[off].any() and not np.signbit(theta[off]).any()
+    assert theta[off].size == theta_off_blocks(pair).size
+    assert all(now is then for now, then in zip((M for w in pair.nets for M in (w.W, w.V)),
+                                                 views))
+    for (Wb, Vb), w in zip(pair.blocks, pair.nets):
+        assert W[Wb].tobytes() == w.W.tobytes() and V[Vb].tobytes() == w.V.tobytes()
+
+
+def test_index_arrays_address_the_network_blocks(rng):
+    # idx holds the four blocks in BLOCK_NAMES order, each in C order;
+    # (ip, iq) is each entry's place in the matrix diag(W, V), whose
+    # rows and columns p q^T spans; G and K are each block's gains
+    for hidden in WIDTHS:
+        pair = drawn_pair(rng, hidden, WIDTHS)
+        blocks = [M for w in pair.nets for M in (w.W, w.V)]
+        assert [s.stop - s.start for s in pair.segments] == [M.size for M in blocks]
+        assert pair.segments[-1].stop == pair.idx.size
+        for segment, M in zip(pair.segments, blocks):
+            assert pair.theta[pair.idx[segment]].tobytes() == M.tobytes()
+        diag = np.block([[pair.W, np.zeros((pair.W.shape[0], pair.V.shape[1]))],
+                         [np.zeros((pair.V.shape[0], pair.W.shape[1])), pair.V]])
+        assert diag[pair.ip, pair.iq].tobytes() == pair.theta[pair.idx].tobytes()
+        rates = [(-r, g.kappa * r) for g in PAIR_GAINS for r in (g.gamma_w, g.gamma_v)]
+        for segment, (G, K) in zip(pair.segments, rates):
+            assert (pair.G[segment] == G).all() and (pair.K[segment] == K).all()
+
+
+def test_pair_without_gains_builds_no_index_arrays(rng):
+    # the synthetic plant's target pair is never updated
+    pair = NetworkPair(*(NNWeights.random(rng, n_hidden=h) for h in (10, 7)))
+    assert not any(hasattr(pair, name) for name in ("idx", "ip", "iq", "segments", "G", "K"))
