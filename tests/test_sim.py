@@ -1,3 +1,4 @@
+import configparser
 import cProfile
 import dataclasses
 import math
@@ -48,6 +49,41 @@ def test_hover_converges():
     assert final_ex <= 1e-3
     # transient clips are flagged but do not affect the simplified plant
     assert res.summary["saturation_count"] < 50
+
+
+def offset_hover_config(tmp_path):
+    """configs/wind_circle.ini's vehicle, gains, full_aero plant and
+    calibration hovering at the origin from a 2 m offset at rest, in still
+    air, with adaptation off, for 1 s."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser.read(CONFIGS / "wind_circle.ini", encoding="utf-8")
+    # a key or section that nothing reads is an error, so the circle's keys
+    # and the wind go
+    parser.remove_section("wind")
+    for key in ("radius", "omega", "heading"):
+        parser.remove_option("trajectory", key)
+    parser["trajectory"]["kind"] = "hover"
+    parser["initial"]["v"] = "0 0 0"
+    parser["simulation"].update(adaptation="off", duration="1")
+    path = tmp_path / "offset_hover.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
+def test_offset_hover_is_lost_as_dt_shrinks(tmp_path):
+    # a smaller step should only make the run more accurate, but the pure
+    # geometric controller holds this start at dt 1e-3 and loses it at
+    # dt 5e-4, 25 steps in (and at dt 2.5e-4, 28 steps in); a known defect,
+    # pinned at the measured points until the computed-attitude rates are
+    # exact
+    path = offset_hover_config(tmp_path)
+    held = run_simulation(load_config(path, overrides={("simulation", "dt"): "1e-3"}))
+    assert len(held.telemetry) == 1000
+    with pytest.raises(SimulationAbort) as err:
+        run_simulation(load_config(path, overrides={("simulation", "dt"): "5e-4"}))
+    assert err.value.step == 25
+    assert err.value.reason.startswith("plant failure: rotor 1 no sign change")
 
 
 def test_determinism_bitwise(tmp_path):
