@@ -18,12 +18,14 @@ triples, and drag_force takes and returns float triples.
 The per-rotor path is one float kernel: the wrench loop writes out the
 advance ratios, the flapped thrust direction and the alternating torque sign
 inline and calls solve_thrust_inflow once per rotor, whose Newton loop writes
-out the residual and C_T inline.  RotorAeroParams computes its derived
-constants (solidity, s C_la / 2, s C_la / 4, the hover-scale inflow guess,
-A_p, rho A_p, the flap gain N_b K_beta / 2, C_D0 s / 8) once, at
-construction.  A rotor below the speed floor or an inflow solve that fails
-aborts with a message naming the rotor; a solver failure also gives the
-rotor's advance ratios.
+out the residual and C_T inline.  RotorAeroParams sets its derived
+constants once, at construction, as plain attributes: `solidity` s,
+`half_s_cla` and `quarter_s_cla` (s C_la / 2 and / 4), `lam_guess` (the
+hover-scale inflow sqrt(s C_la theta0 / 12), a cold solve's start), `A_p`
+(pi r_p^2), `rho_A` (rho A_p), `flap_gain` (N_b K_beta / 2) and
+`profile_torque` (C_D0 s / 8).  A rotor below the speed floor or an inflow
+solve that fails aborts with a message naming the rotor; a solver failure
+also gives the rotor's advance ratios.
 """
 
 import math
@@ -98,30 +100,15 @@ class RotorAeroParams:
             A_p = math.pi * self.r_p ** 2
         except OverflowError:
             raise ValueError("r_p is too large: the disk area pi r_p^2 overflows") from None
-        for name, value in (("_solidity", s),
-                            ("_half_s_cla", 0.5 * s_cla),
-                            ("_quarter_s_cla", 0.25 * s_cla),
-                            ("_lam_guess", math.sqrt(s_cla * self.theta0 / 12.0)),
-                            ("_A_p", A_p),
-                            ("_rho_A", self.rho * A_p),
-                            ("_flap_gain", 0.5 * self.N_b * self.K_beta),
-                            ("_profile_torque", self.C_D0 * s / 8.0)):
+        for name, value in (("solidity", s),
+                            ("half_s_cla", 0.5 * s_cla),
+                            ("quarter_s_cla", 0.25 * s_cla),
+                            ("lam_guess", math.sqrt(s_cla * self.theta0 / 12.0)),
+                            ("A_p", A_p),
+                            ("rho_A", self.rho * A_p),
+                            ("flap_gain", 0.5 * self.N_b * self.K_beta),
+                            ("profile_torque", self.C_D0 * s / 8.0)):
             object.__setattr__(self, name, value)
-
-    @property
-    def A_p(self):
-        """Rotor disk area pi r_p^2 [m^2]."""
-        return self._A_p
-
-    @property
-    def solidity(self):
-        """Solidity ratio s = N_b c / (pi r_p)."""
-        return self._solidity
-
-    @property
-    def lam_guess(self):
-        """Hover-scale inflow sqrt(s C_la theta0 / 12), the cold Newton start."""
-        return self._lam_guess
 
 
 def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
@@ -149,11 +136,11 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
     NoConvergence
         If neither Newton nor bisection reaches the residual tolerance.
     """
-    half_s_cla = params._half_s_cla
-    quarter_s_cla = params._quarter_s_cla
+    half_s_cla = params.half_s_cla
+    quarter_s_cla = params.quarter_s_cla
     blade = params.theta0 * (1.0 / 3.0 + 0.5 * mu_x * mu_x)
     mu_x2 = mu_x * mu_x
-    lam = params._lam_guess if lam0 is None else lam0
+    lam = params.lam_guess if lam0 is None else lam0
     # residual 2 lam w - C_T(lam), with a = lam + mu_z and w = |(mu_x, a)|
     a = lam + mu_z
     w = math.sqrt(mu_x2 + a * a)
@@ -211,7 +198,7 @@ def solve_thrust_inflow(mu_x, mu_z, params, lam0=None):
 
 def torque_coefficient(C_T, lam, mu_x, mu_z, params):
     """Torque coefficient C_Q = C_T (lam + mu_z) + C_D0 s / 8 (1 + 3 mu_x^2)."""
-    return C_T * (lam + mu_z) + params._profile_torque * (1.0 + 3.0 * mu_x * mu_x)
+    return C_T * (lam + mu_z) + params.profile_torque * (1.0 + 3.0 * mu_x * mu_x)
 
 
 def drag_force(v, v_w, C_d):
@@ -265,7 +252,7 @@ def resultant_wrench(v, R, Omega, v_w, omegas, quad, aero, omega_min=OMEGA_MIN,
     wz = r13 * g1 + r23 * g2 + r33 * g3
     p, q, r = Omega
     r_p, C_alpha = aero.r_p, aero.C_alpha
-    rho_A, flap_gain = aero._rho_A, aero._flap_gain
+    rho_A, flap_gain = aero.rho_A, aero.flap_gain
     if inflow is None:
         inflow = [None] * 4
     fx = fy = fz = mx = my = mz = 0.0

@@ -37,8 +37,8 @@ def _wind(text):
 
 
 def _gain_report(cfg):
-    return build_pd_matrices(cfg.gains(), cfg.get("quad", "mass"),
-                             cfg.get("quad", "inertia"), cfg.assumptions())
+    return build_pd_matrices(cfg.gains, cfg.get("quad", "mass"),
+                             cfg.get("quad", "inertia"), cfg.assumptions)
 
 
 def _out_paths(folder, *names):

@@ -3,14 +3,18 @@
 The format is INI-style `key = value` under section headers, chosen so an
 experiment record diffs cleanly.  Every key has a default; unknown sections
 or keys are rejected with a ParseError; values violating a documented
-invariant raise ValidationError naming the key.  `default_config_text()`
-prints the full schema with defaults as a commented reference.
+invariant raise ValidationError naming the key.  `load_config` returns a
+SimConfig, which builds each part of a run (the vehicle, the rotor, the
+gains, the networks, the trajectory, the wind, ...) once, at load time, as
+a plain attribute.  `default_config_text()` prints the full schema with
+defaults as a commented reference.
 """
 
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +173,8 @@ SCHEMA = {
 #: it, in the order SimConfig.ignored() lists them.  The disturbance
 #: frequencies are left out: a sine moves nothing without its amplitude,
 #: which is listed.  aero.omega_min is left out: the controller's thrust
-#: floor reads it on every plant.
+#: floor reads it on every plant.  Only the aero plant feels the wind; the
+#: v_w telemetry columns record the configured field on every plant.
 PLANT_KEYS = {
     **{("disturbance", key): ("simplified",)
        for key in ("delta1", "delta2", "delta1_amp", "delta2_amp")},
@@ -178,6 +183,7 @@ PLANT_KEYS = {
     ("simulation", "seed"): ("synthetic",),
     **{("aero", key): ("full_aero",) for key in SCHEMA["aero"] if key != "omega_min"},
     ("quad", "d_v"): ("full_aero",),
+    **{("wind", key): ("full_aero",) for key in SCHEMA["wind"]},
 }
 
 #: keys that their own section's switch reads under some of its values
@@ -214,13 +220,82 @@ def _text(value):
     return str(value)
 
 
+@contextmanager
+def _section(name):
+    """Raise a constructor's ValueError or ValidationError again as a
+    ValidationError naming the config section it was built from."""
+    try:
+        yield
+    except (ValueError, ValidationError) as exc:
+        raise ValidationError(f"[{name}] {exc}") from exc
+
+
 @dataclass
 class SimConfig:
-    """Typed, validated configuration for one simulation run."""
+    """Typed, validated configuration for one simulation run.
 
-    values: dict = field(default_factory=dict)
-    # simplified()'s result, built once (under calibrate = on an inflow solve)
-    _simplified: object = field(default=None, init=False, repr=False, compare=False)
+    `values` maps each (section, key) of SCHEMA to its parsed value.  The
+    constructor validates them, then builds each part of the run once, as
+    plain attributes: `quad`, `aero`, `simplified` (from the [aero] hover
+    solve under simplified.calibrate = on), `gains`, `networks` (the zero
+    nn1 and nn2 that a run starts from; the controller copies them),
+    `trajectory`, `wind`, `assumptions`, and `initial_state` in the float
+    form of dynamics.step_rk4 (x, v and Omega as lists of three floats, R
+    as three rows).  The object constructors own the physical invariants: a
+    part that they reject raises ValidationError("[section] ...").
+    """
+
+    values: dict
+
+    def __post_init__(self):
+        _validate(self)
+        get = self.get
+        with _section("quad"):
+            self.quad = QuadParams(m=get("quad", "mass"), J=get("quad", "inertia"),
+                                   d_h=get("quad", "d_h"), d_v=get("quad", "d_v"),
+                                   g=get("quad", "gravity"))
+        with _section("aero"):
+            self.aero = RotorAeroParams(
+                rho=get("aero", "rho"), r_p=get("aero", "r_p"), N_b=get("aero", "n_b"),
+                chord=get("aero", "chord"), C_la=get("aero", "c_la"),
+                theta0=get("aero", "theta0"), C_D0=get("aero", "c_d0"),
+                C_alpha=get("aero", "c_alpha"), K_beta=get("aero", "k_beta"),
+                C_d=get("aero", "c_d"))
+        with _section("simplified"):
+            self.simplified = (calibrate_simplified(self.aero, self.quad)
+                               if get("simplified", "calibrate") else
+                               SimplifiedModelParams(C_T=get("simplified", "c_t"),
+                                                     C_Q=get("simplified", "c_q")))
+        with _section("gains"):
+            g1, g2 = (AdaptationGains(gamma_w=get(nn, "gamma_w"), gamma_v=get(nn, "gamma_v"),
+                                      kappa=get(nn, "kappa")) for nn in ("nn1", "nn2"))
+            self.gains = ControllerGains(
+                k_x=get("gains", "k_x"), k_v=get("gains", "k_v"), k_R=get("gains", "k_r"),
+                k_Omega=get("gains", "k_omega"), c1=get("gains", "c1"), c2=get("gains", "c2"),
+                adapt1=g1, adapt2=g2)
+        self.networks = ()
+        for nn in ("nn1", "nn2"):
+            with _section(nn):
+                self.networks += (NNWeights.zeros(n_in=6, n_hidden=get(nn, "hidden"), n_out=3,
+                                                  W_max=get(nn, "w_max"), V_max=get(nn, "v_max")),)
+        # each of these sections' keys is a keyword of its constructor
+        with _section("trajectory"):
+            self.trajectory = TrajectoryGenerator(
+                **{key: get("trajectory", key) for key in SCHEMA["trajectory"]})
+        with _section("wind"):
+            self.wind = WindField(**{key: get("wind", key) for key in SCHEMA["wind"]})
+        with _section("assumptions"):
+            self.assumptions = BoundAssumptions(
+                psi1=get("assumptions", "psi1"), B1=get("assumptions", "b1"),
+                B4=get("assumptions", "b4"), e_x_max=get("assumptions", "e_x_max"),
+                x_d_max=get("assumptions", "x_d_max"), v_d_max=get("assumptions", "v_d_max"),
+                E_max=get("assumptions", "e_max"), eps1=get("assumptions", "eps1"),
+                eps2=get("assumptions", "eps2"),
+                W_max1=get("nn1", "w_max"), V_max1=get("nn1", "v_max"),
+                W_max2=get("nn2", "w_max"), V_max2=get("nn2", "v_max"))
+        self.initial_state = (get("initial", "x").tolist(), get("initial", "v").tolist(),
+                              rotation_zyx(*get("initial", "attitude")).tolist(),
+                              get("initial", "omega").tolist())
 
     def get(self, section, key):
         return self.values[(section, key)]
@@ -229,71 +304,6 @@ class SimConfig:
         """True when the value equals the SCHEMA default of its key."""
         parse, default, _ = SCHEMA[section][key]
         return np.array_equal(self.get(section, key), parse(default))
-
-    # -- constructed objects -------------------------------------------------
-
-    def quad(self):
-        return QuadParams(m=self.get("quad", "mass"), J=self.get("quad", "inertia"),
-                          d_h=self.get("quad", "d_h"), d_v=self.get("quad", "d_v"),
-                          g=self.get("quad", "gravity"))
-
-    def aero(self):
-        return RotorAeroParams(
-            rho=self.get("aero", "rho"), r_p=self.get("aero", "r_p"),
-            N_b=self.get("aero", "n_b"), chord=self.get("aero", "chord"),
-            C_la=self.get("aero", "c_la"), theta0=self.get("aero", "theta0"),
-            C_D0=self.get("aero", "c_d0"), C_alpha=self.get("aero", "c_alpha"),
-            K_beta=self.get("aero", "k_beta"), C_d=self.get("aero", "c_d"))
-
-    def simplified(self):
-        """The SimplifiedModelParams, built on the first call (by _validate)."""
-        if self._simplified is None:
-            if self.get("simplified", "calibrate"):
-                self._simplified = calibrate_simplified(self.aero(), self.quad())
-            else:
-                self._simplified = SimplifiedModelParams(C_T=self.get("simplified", "c_t"),
-                                                         C_Q=self.get("simplified", "c_q"))
-        return self._simplified
-
-    def gains(self):
-        g1 = AdaptationGains(gamma_w=self.get("nn1", "gamma_w"),
-                             gamma_v=self.get("nn1", "gamma_v"),
-                             kappa=self.get("nn1", "kappa"))
-        g2 = AdaptationGains(gamma_w=self.get("nn2", "gamma_w"),
-                             gamma_v=self.get("nn2", "gamma_v"),
-                             kappa=self.get("nn2", "kappa"))
-        return ControllerGains(k_x=self.get("gains", "k_x"), k_v=self.get("gains", "k_v"),
-                               k_R=self.get("gains", "k_r"), k_Omega=self.get("gains", "k_omega"),
-                               c1=self.get("gains", "c1"), c2=self.get("gains", "c2"),
-                               adapt1=g1, adapt2=g2)
-
-    def network(self, index):
-        sec = f"nn{index}"
-        return NNWeights.zeros(n_in=6, n_hidden=self.get(sec, "hidden"), n_out=3,
-                               W_max=self.get(sec, "w_max"), V_max=self.get(sec, "v_max"))
-
-    def trajectory(self):
-        return TrajectoryGenerator(
-            kind=self.get("trajectory", "kind"), center=self.get("trajectory", "center"),
-            radius=self.get("trajectory", "radius"), omega=self.get("trajectory", "omega"),
-            v_z=self.get("trajectory", "v_z"), heading=self.get("trajectory", "heading"),
-            amplitudes=self.get("trajectory", "amplitudes"),
-            frequencies=self.get("trajectory", "frequencies"), phases=self.get("trajectory", "phases"))
-
-    def wind(self):
-        return WindField(kind=self.get("wind", "kind"), base=self.get("wind", "base"),
-                         amplitude=self.get("wind", "amplitude"), onset=self.get("wind", "onset"),
-                         frequency=self.get("wind", "frequency"), direction=self.get("wind", "direction"))
-
-    def assumptions(self):
-        return BoundAssumptions(
-            psi1=self.get("assumptions", "psi1"), B1=self.get("assumptions", "b1"),
-            B4=self.get("assumptions", "b4"),
-            e_x_max=self.get("assumptions", "e_x_max"), x_d_max=self.get("assumptions", "x_d_max"),
-            v_d_max=self.get("assumptions", "v_d_max"), E_max=self.get("assumptions", "e_max"),
-            eps1=self.get("assumptions", "eps1"), eps2=self.get("assumptions", "eps2"),
-            W_max1=self.get("nn1", "w_max"), V_max1=self.get("nn1", "v_max"),
-            W_max2=self.get("nn2", "w_max"), V_max2=self.get("nn2", "v_max"))
 
     def ignored(self):
         """`section.key = value` of each key in PLANT_KEYS that the selected
@@ -311,13 +321,6 @@ class SimConfig:
                 continue
             lines.append(f"{section}.{key} = {_text(self.get(section, key))}")
         return lines
-
-    def initial_state(self):
-        """Initial state in the float form of dynamics.step_rk4: x, v and
-        Omega as lists of three floats, R as three rows."""
-        return (self.get("initial", "x").tolist(), self.get("initial", "v").tolist(),
-                rotation_zyx(*self.get("initial", "attitude")).tolist(),
-                self.get("initial", "omega").tolist())
 
 
 def calibrate_simplified(aero, quad):
@@ -388,26 +391,16 @@ def _validate(cfg):
                 f"disturbance.{amp} = {_text(cfg.get('disturbance', amp))} with "
                 f"disturbance.{freq} = {_text(cfg.get('disturbance', freq))} has no effect: "
                 f"a sine disturbance needs both its amplitude and its frequency")
-    # object constructors own the physical invariants
-    builders = (("quad", cfg.quad), ("aero", cfg.aero), ("simplified", cfg.simplified),
-                ("gains", cfg.gains), ("nn1", lambda: cfg.network(1)),
-                ("nn2", lambda: cfg.network(2)), ("trajectory", cfg.trajectory),
-                ("wind", cfg.wind), ("assumptions", cfg.assumptions),
-                ("initial", cfg.initial_state))
-    for section, build in builders:
-        try:
-            build()
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"[{section}] {exc}") from exc
 
 
 def load_config(path=None, overrides=None):
     """Load, merge, and validate a configuration.
 
     path may be None (pure defaults).  `overrides` maps (section, key) to
-    value text.  The SCHEMA defaults, the file (UTF-8) and the overrides are
-    read in that order into one parser, later text winning, and every value
-    is then parsed by the same loop.  `%` is a literal character.
+    value text.  The SCHEMA defaults, the file (UTF-8, a leading byte-order
+    mark skipped) and the overrides are read in that order into one parser,
+    later text winning, and every value is then parsed by the same loop.
+    `%` is a literal character.
 
     Raises
     ------
@@ -424,7 +417,7 @@ def load_config(path=None, overrides=None):
         layer.setdefault(section, {})[key] = raw
     try:
         if path is not None:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
         parser.read_dict(layer, source="<overrides>")
     except (OSError, UnicodeDecodeError) as exc:
@@ -448,9 +441,7 @@ def load_config(path=None, overrides=None):
             except ValueError as exc:
                 raise ParseError(f"[{section}] {key}: {exc}") from exc
 
-    cfg = SimConfig(values=values)
-    _validate(cfg)
-    return cfg
+    return SimConfig(values)
 
 
 def default_config_text():

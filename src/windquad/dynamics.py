@@ -16,7 +16,9 @@ Omega), x, v and Omega three floats each and R three rows, and a wrench
 callback receives (t, x, v, R, Omega) in the same form and returns
 (U_e, M_e) as two float triples; simplified_wrench computes such a
 wrench.  Each stage attitude R0 exp(hat(phi)) is composed in floats from
-the rows of expm_so3, and the step builds no array.
+the rows of expm_so3, and the step builds no array.  The float rows of J
+and J^-1 and the rotor hubs are plain attributes of QuadParams, made once
+at construction.
 """
 
 import math
@@ -37,6 +39,8 @@ class QuadParams:
 
     Rotors sit at [d_h,0,d_v], [0,-d_h,d_v], [-d_h,0,d_v], [0,d_h,d_v] in the
     body frame.  J is a full symmetric positive-definite inertia matrix.
+    Set at construction: `J_inv`, J and J^-1 as three float rows (`J_rows`,
+    `J_inv_rows`), and the rotor hubs as float triples (`rotor_positions`).
     """
 
     m: float = 0.5
@@ -57,33 +61,15 @@ class QuadParams:
             raise ValueError("d_h must be positive")
         if self.g < 0.0:
             raise ValueError("g must be non-negative")
-        object.__setattr__(self, "_J_inv", np.linalg.inv(self.J))
-        # the float step reads both as rows, and the aero wrench the rotor
-        # hubs on every call: made once here
-        object.__setattr__(self, "_J_rows", self.J.tolist())
-        object.__setattr__(self, "_J_inv_rows", self._J_inv.tolist())
+        # derived constants, set once: the float step reads J and J^-1 as
+        # rows, and the aero wrench the rotor hubs, on every call
+        J_inv = np.linalg.inv(self.J)
         d_h, d_v = self.d_h, self.d_v
-        object.__setattr__(self, "_rotor_positions", (
-            (d_h, 0.0, d_v), (0.0, -d_h, d_v), (-d_h, 0.0, d_v), (0.0, d_h, d_v)))
-
-    @property
-    def J_inv(self):
-        return self._J_inv
-
-    @property
-    def J_rows(self):
-        """J as three rows of three floats."""
-        return self._J_rows
-
-    @property
-    def J_inv_rows(self):
-        """J^-1 as three rows of three floats."""
-        return self._J_inv_rows
-
-    @property
-    def rotor_positions(self):
-        """The four rotor hubs (body frame) as (x, y, z) float tuples."""
-        return self._rotor_positions
+        for name, value in (("J_inv", J_inv), ("J_rows", self.J.tolist()),
+                            ("J_inv_rows", J_inv.tolist()),
+                            ("rotor_positions", ((d_h, 0.0, d_v), (0.0, -d_h, d_v),
+                                                 (-d_h, 0.0, d_v), (0.0, d_h, d_v)))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

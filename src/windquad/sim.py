@@ -1,12 +1,14 @@
 """Closed-loop simulation driver, telemetry array, CSV and summary output.
 
-One step of the loop: sample the desired trajectory and wind, run the
-controller (which also advances the adaptive weights), build the plant
-wrench for the configured mode, integrate one RK4 step, record telemetry
-(one row of a preallocated float array per decimated step).  The state
-goes from step to step in the float form of dynamics.step_rk4, in which
-config.initial_state returns it.
-A controller degeneracy, solver failure, or non-finite state aborts the run
+A run reads the parts that its SimConfig built at load time and picks its
+plant once, before the first step: one wrench function, which reads the
+step's command (f and M_c, or the rotor speeds).  One step of the loop:
+sample the desired trajectory, run the controller (which also advances the
+adaptive weights) and set the command from its output, integrate one RK4
+step, record telemetry (one row of a preallocated float array per
+decimated step, with the wind of the configured field).  The state goes
+from step to step in the float form of dynamics.step_rk4, in which
+config.initial_state holds it.  A controller degeneracy, solver failure, or non-finite state aborts the run
 with the step index and offending quantity; partial telemetry is preserved
 on the raised SimulationAbort.
 
@@ -20,7 +22,9 @@ synthetic:   delta_i generated by a known random target network of the same
              architecture (seeded), so ideal weights are available and the
              full Lyapunov value including weight-error terms is recorded.
 full_aero:   rotor speeds from the commanded thrusts drive the full
-             aerodynamic plant under the configured wind field.
+             aerodynamic plant under the configured wind field, sampled
+             once per distinct RK4 stage time.  No other plant feels the
+             wind (config.PLANT_KEYS).
 """
 
 import math
@@ -122,29 +126,40 @@ def run_simulation(config):
     decimate = config.get("simulation", "decimate")
     n_steps = int(round(duration / dt))
 
-    quad = config.quad()
-    simp = config.simplified()
-    gains = config.gains()
-    gen = config.trajectory()
-    wind = config.wind()
+    quad, gains, gen, wind = config.quad, config.gains, config.trajectory, config.wind
     ctrl = GeometricAdaptiveController(
-        gains, quad, simp,
-        nn1=config.network(1), nn2=config.network(2),
+        gains, quad, config.simplified, *config.networks,
         adaptation=config.get("simulation", "adaptation"),
         omega_min=config.get("aero", "omega_min"))
-    state = x, v, (r1, r2, r3), Omega = config.initial_state()
+    state = x, v, (r1, r2, r3), Omega = config.initial_state
 
-    targets = None
-    if mode == "synthetic":
-        targets = make_synthetic_targets(config)
-        delta_fn = _synthetic_delta(targets)
-    elif mode == "simplified":
-        delta_fn = _injected_delta(config)
+    # the plant, picked once: its wrench reads the step's command f_cmd and
+    # M_cmd, or omegas, which the loop sets from the controller's output
+    f_at, M_at, omegas_at = OUTPUT["f"], OUTPUT["M_c"], OUTPUT["omegas"]
+    targets = make_synthetic_targets(config) if mode == "synthetic" else None
+    if mode == "full_aero":
+        aero, omega_min = config.aero, config.get("aero", "omega_min")
+        # each rotor's last inflow, the warm start of its next solve
+        inflow = [aero.lam_guess] * 4
+        # the last stage time and its wind: RK4 stages 2 and 3 share one
+        # time, and so do a step's last stage and the next step's first
+        # when t + dt rounds to (k + 1) dt; wind_at is pure
+        stage_wind = [None, None]
 
-    aero = config.aero() if mode == "full_aero" else None
-    omega_min = config.get("aero", "omega_min")
-    # each rotor's last inflow, the warm start of its next solve
-    inflow = [aero.lam_guess] * 4 if aero is not None else None
+        def wrench(ts, x, v, R, Omega):
+            if stage_wind[0] != ts:
+                stage_wind[:] = ts, wind_at(wind, ts)
+            return resultant_wrench(v, R, Omega, stage_wind[1], omegas, quad,
+                                    aero, omega_min, inflow)
+    else:
+        delta_fn = _injected_delta(config) if targets is None else _synthetic_delta(targets)
+        if delta_fn is None:
+            def wrench(ts, x, v, R, Omega):
+                return simplified_wrench(R, f_cmd, M_cmd, quad)
+        else:
+            def wrench(ts, x, v, R, Omega):
+                delta1, delta2 = delta_fn(ts, x, v, R, Omega)
+                return simplified_wrench(R, f_cmd, M_cmd, quad, delta1=delta1, delta2=delta2)
 
     try:
         telemetry = np.empty((math.ceil(n_steps / decimate), len(COLUMNS)))
@@ -193,28 +208,7 @@ def run_simulation(config):
                                     V1, V2, V, *wind_at(wind, t)]
                 n_rec += 1
 
-            if mode == "full_aero":
-                omegas = out[OUTPUT["omegas"]]
-                # RK4 stages 2 and 3 share one time: sample the wind once per time
-                stage_wind = [None, None]
-
-                def wrench(ts, x, v, R, Omega):
-                    if stage_wind[0] != ts:
-                        stage_wind[:] = ts, wind_at(wind, ts)
-                    return resultant_wrench(v, R, Omega, stage_wind[1], omegas, quad,
-                                            aero, omega_min, inflow)
-            else:
-                f_cmd, M_cmd = out[OUTPUT["f"]], out[OUTPUT["M_c"]]
-
-                if delta_fn is None:
-                    def wrench(ts, x, v, R, Omega):
-                        return simplified_wrench(R, f_cmd, M_cmd, quad)
-                else:
-                    def wrench(ts, x, v, R, Omega):
-                        delta1, delta2 = delta_fn(ts, x, v, R, Omega)
-                        return simplified_wrench(R, f_cmd, M_cmd, quad,
-                                                 delta1=delta1, delta2=delta2)
-
+            f_cmd, M_cmd, omegas = out[f_at], out[M_at], out[omegas_at]
             try:
                 state = step_rk4(state, dt, wrench, quad, t)
             except (RotorStopped, NoConvergence) as exc:

@@ -56,8 +56,8 @@ def paired(name):
 
 
 def gain_report(cfg):
-    return build_pd_matrices(cfg.gains(), cfg.get("quad", "mass"),
-                             cfg.get("quad", "inertia"), cfg.assumptions())
+    return build_pd_matrices(cfg.gains, cfg.get("quad", "mass"),
+                             cfg.get("quad", "inertia"), cfg.assumptions)
 
 
 @pytest.fixture(scope="module")
@@ -353,7 +353,7 @@ def test_criterion_10_gain_validator():
                             c1=2.0, c2=0.5)
     cfg = load_config()
     rep = build_pd_matrices(gains, 4.0, np.diag([0.02, 0.02, 0.04]),
-                            cfg.assumptions())
+                            cfg.assumptions)
     min_abs_eig = min(abs(e) for e in rep.eigenvalues["M11"])
     ok = ((not fail_case.passed) and pass_case.passed and min_abs_eig < 1e-12
           and not rep.verdicts["M11"])

@@ -639,4 +639,4 @@ def test_params_reject_underflowing_lift_slope():
     with pytest.raises(ValueError, match=r"C_la = 5e-324 is too small"):
         RotorAeroParams(C_la=5e-324)
     p = RotorAeroParams(C_la=1e-300)
-    assert p._quarter_s_cla > 0.0
+    assert p.quarter_s_cla > 0.0

@@ -429,6 +429,26 @@ def test_key_the_plant_ignores_is_reported(tmp_path, capsys, plant, section, lin
     assert [e for e in summary if e.startswith("ignored:")] == [f"ignored: {line}"]
 
 
+@pytest.mark.parametrize("plant", ["simplified", "synthetic"])
+def test_wind_off_the_aero_plant_is_reported(tmp_path, capsys, plant):
+    # only the aero plant feels the wind: on the others --wind is listed on
+    # stderr and in summary.txt, and the v_w columns still record the field
+    out = tmp_path / plant
+    assert main(["run", "--plant", plant, "--duration", "0.05", "--wind", "5,0,0",
+                 "--out", str(out)]) == 0
+    lines = ["ignored: wind.kind = constant", "ignored: wind.base = 5.0 0.0 0.0"]
+    err = capsys.readouterr().err.splitlines()
+    assert [e for e in err if e.startswith("ignored:")] == lines
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert [e for e in summary if e.startswith("ignored:")] == lines
+    header, data = read_csv(str(out / "telemetry.csv"))
+    v_w = data[:, [header.index(name) for name in ("vw1", "vw2", "vw3")]]
+    assert np.array_equal(v_w, np.tile([5.0, 0.0, 0.0], (len(data), 1)))
+    assert main(["run", "--plant", "full", "--duration", "0.05", "--wind", "5,0,0",
+                 "--out", str(tmp_path / "full")]) == 0
+    assert "ignored" not in capsys.readouterr().err
+
+
 def test_run_plant_alias(tmp_path):
     out = tmp_path / "o"
     code = main(["run", "--duration", "0.05", "--plant", "full",
@@ -518,11 +538,12 @@ def probe_contexts(section, key):
     """The config sections under which the probe sets section.key: the
     default config, whose plant or switch may leave the key unread (a load
     error or an `ignored:` line), then each plant that reads it (the [aero]
-    keys on full_aero and under calibrate = on), times each trajectory or
+    keys on full_aero and under calibrate = on; the [wind] keys on every
+    plant, whose v_w columns record the field), times each trajectory or
     wind kind that reads it."""
     yield {}
     plants = PROBE_PLANTS
-    if (section, key) in PLANT_KEYS:
+    if (section, key) in PLANT_KEYS and section != "wind":
         readers = PLANT_KEYS[section, key] + (("calibrate",) if section == "aero" else ())
         plants = {name: PROBE_PLANTS[name] for name in readers}
     switch, values = SWITCH_KEYS.get((section, key), (None, (None,)))
@@ -580,9 +601,6 @@ DEAD_KEY_ALLOWED = {
     # adaptation = off: the stability report reads min(gamma_w, gamma_v)
     # of each network, which these nudges leave in place
     ("baseline", "nn1.gamma_w"), ("baseline", "nn2.gamma_w"), ("baseline", "nn2.gamma_v"),
-    # still air: every other wind kind starts from wind.base = 0 0 0 and
-    # adds a gust or sine of wind.amplitude = 0, one at a time
-    ("baseline", "wind.kind"), ("synthetic", "wind.kind"),
 }
 
 

@@ -18,15 +18,13 @@ def test_defaults_only():
     cfg = load_config()
     assert cfg.get("simulation", "dt") == 1e-3
     assert cfg.get("simulation", "plant") == "simplified"
-    cfg.quad()
-    cfg.aero()
-    cfg.gains()
+    assert cfg.quad.m == 0.5 and cfg.aero.rho == 1.225 and cfg.gains.k_x == 4.0
 
 
 def test_minimal_hover_file(tmp_path):
     path = write(tmp_path, "[trajectory]\nkind = hover\n")
     cfg = load_config(path)
-    assert cfg.trajectory().kind == "hover"
+    assert cfg.trajectory.kind == "hover"
     assert cfg.get("simulation", "duration") == 10.0
 
 
@@ -79,12 +77,12 @@ def test_inertia_full_matrix(tmp_path):
     path = write(tmp_path,
                  "[quad]\ninertia = 0.02 0 0  0 0.02 0  0 0 0.04\n")
     cfg = load_config(path)
-    assert np.allclose(cfg.quad().J, np.diag([0.02, 0.02, 0.04]))
+    assert np.allclose(cfg.quad.J, np.diag([0.02, 0.02, 0.04]))
 
 
 def test_initial_attitude(tmp_path):
     path = write(tmp_path, "[initial]\nattitude = 0.5 0 0\n")
-    R = np.array(load_config(path).initial_state()[2])
+    R = np.array(load_config(path).initial_state[2])
     assert R[0, 0] == pytest.approx(np.cos(0.5))
 
 
@@ -105,15 +103,15 @@ def test_unknown_override():
 
 def test_calibrated_simplified_matches_hover():
     cfg = load_config(overrides={("simplified", "calibrate"): "on"})
-    simp = cfg.simplified()
-    direct = calibrate_simplified(cfg.aero(), cfg.quad())
+    simp = cfg.simplified
+    direct = calibrate_simplified(cfg.aero, cfg.quad)
     assert simp.C_T == pytest.approx(direct.C_T)
     assert simp.C_Q == pytest.approx(direct.C_Q)
     assert simp.C_T > 0 and simp.C_TQ > 0
 
 
 def test_calibration_runs_once_per_run(monkeypatch):
-    # load_config's validation builds the calibrated parameters, and the run
+    # load_config builds the calibrated parameters once, and the run
     # reads the same object instead of solving the hover inflow again
     calls = []
 
@@ -126,6 +124,35 @@ def test_calibration_runs_once_per_run(monkeypatch):
                                  ("simulation", "duration"): "0.005"})
     run_simulation(cfg)
     assert len(calls) == 1
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    # an editor may save UTF-8 with a leading BOM; it is not part of the
+    # first section header
+    p = tmp_path / "bom.ini"
+    p.write_text("\ufeff[simulation]\ndt = 0.002\n", encoding="utf-8")
+    assert load_config(str(p)).get("simulation", "dt") == 0.002
+
+
+@pytest.mark.parametrize("calibrate", ["off", "on"])
+def test_run_parts_built_once(monkeypatch, calibrate):
+    # load_config builds each part of a run once, and the run reads those
+    # objects: no second QuadParams or ControllerGains, even for the
+    # calibration's hover solve or the run's controller
+    built = []
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return build
+
+    for name in ("QuadParams", "ControllerGains"):
+        monkeypatch.setattr(windquad.config, name, counting(getattr(windquad.config, name)))
+    cfg = load_config(overrides={("simplified", "calibrate"): calibrate,
+                                 ("simulation", "duration"): "0.005"})
+    run_simulation(cfg)
+    assert sorted(built) == ["ControllerGains", "QuadParams"]
 
 
 def test_schema_reference_text_is_loadable(tmp_path):

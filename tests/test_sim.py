@@ -381,8 +381,10 @@ def test_lyapunov_only_on_recorded_steps(monkeypatch):
 
 
 def test_wind_sampled_once_per_stage_time(monkeypatch):
-    # RK4 stages 2 and 3 share t + dt/2: three samples per step, plus one
-    # for the wind column of each recorded step
+    # one sample per distinct RK4 stage time of the run, plus one for the
+    # wind column of each recorded step: stages 2 and 3 share t + dt/2, and
+    # a step's last stage t + dt is the next step's first where it rounds
+    # to (k + 1) dt
     times = []
     wind_at = windquad.sim.wind_at
 
@@ -401,7 +403,30 @@ def test_wind_sampled_once_per_stage_time(monkeypatch):
         ("wind", "frequency"): "3.0",
     }))
     assert len(res.telemetry) == 4
-    assert len(times) == 3 * 20 + 4
+    stage_times = {k * DT + s for k in range(20) for s in (0.0, 0.5 * DT, DT)}
+    row_times = [k * DT for k in range(0, 20, 5)]
+    assert sorted(times) == sorted([*stage_times, *row_times])
+    assert len(times) == len(stage_times) + 4 < 3 * 20 + 4
+
+
+@pytest.mark.parametrize("plant", ["simplified", "synthetic", "full_aero"])
+def test_one_wrench_per_run(monkeypatch, plant):
+    # the plant is picked once: every step_rk4 call of a run gets the same
+    # wrench function, which reads the step's command.  The objects are kept,
+    # so that a freed closure's id cannot be reused by the next one
+    wrenches = []
+    step_rk4 = windquad.sim.step_rk4
+
+    def recording(state, dt, wrench_fn, params, t=0.0):
+        wrenches.append(wrench_fn)
+        return step_rk4(state, dt, wrench_fn, params, t)
+
+    monkeypatch.setattr(windquad.sim, "step_rk4", recording)
+    run_simulation(load_config(overrides={("simulation", "plant"): plant,
+                                          ("simulation", "duration"): str(10 * DT),
+                                          ("simulation", "dt"): str(DT)}))
+    assert len(wrenches) == 10
+    assert all(w is wrenches[0] for w in wrenches)
 
 
 @pytest.mark.parametrize("name", ["baseline", "wind_circle"])
@@ -433,7 +458,7 @@ def test_telemetry_blocks_equal_their_sources(monkeypatch, name):
     res = run_simulation(cfg)
     dt = cfg.get("simulation", "dt")
     # the carried float states, packed as the test's own reference
-    states = [pack_state(*state) for state in (cfg.initial_state(), *sources["step"])]
+    states = [pack_state(*state) for state in (cfg.initial_state, *sources["step"])]
     checked = set()
     assert len(res.telemetry) == len(sources["lyap"]) == math.ceil(len(sources["out"]) / 3)
     for j, row in enumerate(res.telemetry):

@@ -238,8 +238,8 @@ def sandwich_gain_sets(rng, n_random=3):
     it (gains and learning rates scaled by 0.5-4, psi1 in [0.005, 0.05])."""
     def setup(overrides=None):
         cfg = load_config(SYNTHETIC_CONFIG, overrides=overrides)
-        return (cfg.gains(), cfg.get("quad", "mass"), cfg.get("quad", "inertia"),
-                cfg.assumptions())
+        return (cfg.gains, cfg.get("quad", "mass"), cfg.get("quad", "inertia"),
+                cfg.assumptions)
 
     sets = [("synthetic", *setup()), ("synthetic k_x=120", *setup({("gains", "k_x"): "120"}))]
     g, m, J, a = sets[0][1:]
@@ -393,8 +393,8 @@ def test_every_assumption_moves_the_report(key):
     def report(overrides=None):
         cfg = load_config(SYNTHETIC_CONFIG, overrides=overrides)
         return format_report(build_pd_matrices(
-            cfg.gains(), cfg.get("quad", "mass"), cfg.get("quad", "inertia"),
-            cfg.assumptions()))
+            cfg.gains, cfg.get("quad", "mass"), cfg.get("quad", "inertia"),
+            cfg.assumptions))
 
     value = load_config(SYNTHETIC_CONFIG).get("assumptions", key)
     moved = value / 2.0 if value else 0.5

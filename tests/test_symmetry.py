@@ -93,12 +93,12 @@ def scene_config(plant, extra=()):
 def run_transformed(monkeypatch, cfg, traj_map, wind_map, state_map):
     """Telemetry of cfg with its trajectory, wind and initial state mapped."""
     trajectory_at, wind_at = windquad.sim.trajectory_at, windquad.sim.wind_at
-    state = state_floats(state_map(*map(np.array, cfg.initial_state())))
+    state = state_floats(state_map(*map(np.array, cfg.initial_state)))
     with monkeypatch.context() as m:
         m.setattr(windquad.sim, "trajectory_at",
                   lambda gen, t: traj_map(trajectory_at(gen, t), t))
         m.setattr(windquad.sim, "wind_at", lambda field_, t: wind_map(wind_at(field_, t), t))
-        m.setattr(cfg, "initial_state", lambda: state)
+        m.setattr(cfg, "initial_state", state)
         return run_simulation(cfg).telemetry
 
 
