@@ -8,9 +8,9 @@ adaptive weights) and set the command from its output, integrate one RK4
 step, record telemetry (one row of a preallocated float array per
 decimated step, with the wind of the configured field).  The state goes
 from step to step in the float form of dynamics.step_rk4, in which
-config.initial_state holds it.  A controller degeneracy, solver failure, or non-finite state aborts the run
-with the step index and offending quantity; partial telemetry is preserved
-on the raised SimulationAbort.
+config.initial_state holds it.  A controller degeneracy, solver failure, or
+non-finite state aborts the run with the step index and offending quantity;
+partial telemetry is preserved on the raised SimulationAbort.
 
 Plant modes
 -----------
