@@ -230,7 +230,7 @@ def _section(name):
         raise ValidationError(f"[{name}] {exc}") from exc
 
 
-@dataclass
+@dataclass(eq=False)
 class SimConfig:
     """Typed, validated configuration for one simulation run.
 
@@ -242,7 +242,9 @@ class SimConfig:
     `trajectory`, `wind`, `assumptions`, and `initial_state` in the float
     form of dynamics.step_rk4 (x, v and Omega as lists of three floats, R
     as three rows).  The object constructors own the physical invariants: a
-    part that they reject raises ValidationError("[section] ...").
+    part that they reject raises ValidationError("[section] ...").  Two
+    configs compare by identity: `values` holds numpy arrays, whose `==`
+    has no single truth value.
     """
 
     values: dict

@@ -9,7 +9,8 @@ builds its row from Python floats in one expression.  They are
 config.initial_state and dynamics.step_rk4 (the state, in the float form
 that the loop carries between steps: x, v and Omega three floats each, R
 three rows), GeometricAdaptiveController.step (the controller output, a
-list) and sim.run_simulation (the telemetry row, assigned in one write).
+list) and sim.run_simulation (the telemetry row, packed in one write; its
+Lyapunov columns are filled once per run from the recorded error columns).
 """
 
 

@@ -6,7 +6,10 @@ step's command (f and M_c, or the rotor speeds).  One step of the loop:
 sample the desired trajectory, run the controller (which also advances the
 adaptive weights) and set the command from its output, integrate one RK4
 step, record telemetry (one row of a preallocated float array per
-decimated step, with the wind of the configured field).  The state goes
+decimated step, packed in one write, with the wind of the configured
+field).  The Lyapunov columns are filled once per run, after the last
+step or in an abort, by one lyapunov_value call over the recorded error
+columns.  The state goes
 from step to step in the float form of dynamics.step_rk4, in which
 config.initial_state holds it.  A controller degeneracy, solver failure, or
 non-finite state aborts the run with the step index and offending quantity;
@@ -28,6 +31,7 @@ full_aero:   rotor speeds from the commanded thrusts drive the full
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,12 @@ from .dynamics import simplified_wrench, step_rk4
 from .layout import COLUMNS, FIELDS, OUTPUT, STATE
 from .scenarios import trajectory_at, wind_at
 from .stability import lyapunov_value
+
+#: one telemetry row as native float64s, packed straight into the array's
+#: bytes: each double is copied bit for bit, NaN payloads and -0.0 included
+_ROW = struct.Struct(f"{len(COLUMNS)}d")
+#: the recorded errors that the Lyapunov columns are evaluated from
+_LYAPUNOV_ERRORS = ("e_x", "e_v", "e_R", "e_Omega", "psi")
 
 
 @dataclass
@@ -165,13 +175,27 @@ def run_simulation(config):
         telemetry = np.empty((math.ceil(n_steps / decimate), len(COLUMNS)))
     except MemoryError as exc:
         raise ValidationError(f"simulation.duration = {duration}: {exc}") from None
-    nn_error_sq = np.empty((len(telemetry), 2)) if targets is not None else None
+    rows, pack_row = telemetry.data.cast("B"), _ROW.pack_into
+    # ||W~1||^2, ||V~1||^2, ||W~2||^2, ||V~2||^2 of each recorded step
+    weight_sq = np.empty((len(telemetry), 4)) if targets is not None else None
     n_rec = 0
     # the state's 18 floats in STATE order: the finiteness check and the
     # next telemetry row
     state_row = *x, *v, *r1, *r2, *r3, *Omega
 
+    def fill_lyapunov():
+        """Fill the Lyapunov columns of the recorded rows from their recorded
+        errors (and weight errors), in one call over the columns."""
+        rec = telemetry[:n_rec]
+        weights = None if weight_sq is None else (weight_sq[:n_rec, :2].T,
+                                                  weight_sq[:n_rec, 2:].T)
+        for field, values in zip(("V1", "V2", "V"), lyapunov_value(
+                *(rec[:, FIELDS[name]].T for name in _LYAPUNOV_ERRORS),
+                gains, quad.m, quad.J_rows, weight_sq=weights)):
+            rec[:, FIELDS[field]] = values
+
     def abort(step, reason):
+        fill_lyapunov()
         err = SimulationAbort(step, reason)
         err.telemetry = telemetry[:n_rec]
         raise err
@@ -183,11 +207,11 @@ def run_simulation(config):
             t = k * dt
             traj = trajectory_at(gen, t)
             record = k % decimate == 0
-            weight_sq = None
             if record and targets is not None:
                 # before the step, whose weight update writes into the arrays
-                weight_sq = [(_squared_distance(tgt.W, nn.W), _squared_distance(tgt.V, nn.V))
-                             for tgt, nn in zip(targets, (ctrl.nn1, ctrl.nn2))]
+                (t1, t2), nn1, nn2 = targets, ctrl.nn1, ctrl.nn2
+                weight_sq[n_rec] = (_squared_distance(t1.W, nn1.W), _squared_distance(t1.V, nn1.V),
+                                    _squared_distance(t2.W, nn2.W), _squared_distance(t2.V, nn2.V))
 
             try:
                 out = ctrl.step(state, traj, dt)
@@ -197,15 +221,10 @@ def run_simulation(config):
                 abort(k, f"adaptation failure: {exc}")
 
             if record:
-                if weight_sq is not None:
-                    nn_error_sq[n_rec] = [W_sq + V_sq for W_sq, V_sq in weight_sq]
-                V1, V2, V = lyapunov_value(
-                    *(out[OUTPUT[name]] for name in ("e_x", "e_v", "e_R", "e_Omega", "psi")),
-                    gains, quad.m, quad.J_rows, weight_sq=weight_sq)
                 # one write, in SCHEMA order: t, state, x_d, output, the
-                # three Lyapunov columns, v_w
-                telemetry[n_rec] = [t, *state_row, *traj.x_d, *out,
-                                    V1, V2, V, *wind_at(wind, t)]
+                # three Lyapunov columns (filled by fill_lyapunov), v_w
+                pack_row(rows, n_rec * _ROW.size, t, *state_row, *traj.x_d, *out,
+                         0.0, 0.0, 0.0, *wind_at(wind, t))
                 n_rec += 1
 
             f_cmd, M_cmd, omegas = out[f_at], out[M_at], out[omegas_at]
@@ -226,7 +245,9 @@ def run_simulation(config):
                 for name, cols in STATE.items():
                     if not all(map(math.isfinite, state_row[cols])):
                         abort(k, f"non-finite state component {name}")
+        fill_lyapunov()
 
+    nn_error_sq = None if weight_sq is None else weight_sq[:, 0::2] + weight_sq[:, 1::2]
     summary = summarize(telemetry)
     return SimResult(telemetry=telemetry, summary=summary, targets=targets,
                      nn_error_sq=nn_error_sq, weights=(ctrl.nn1, ctrl.nn2))

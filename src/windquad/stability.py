@@ -277,8 +277,13 @@ def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
     errors only.
 
     The errors are 3-sequences of floats and J three rows of three floats,
-    as the simulation passes them, or arrays; the value is computed in
-    float arithmetic and returned as three floats.
+    or arrays; the value is computed in float arithmetic and returned as
+    three floats.  Each error may also be a sequence of columns, one entry
+    per sample (the simulation passes the recorded telemetry blocks
+    transposed, psi as a column, and each weight term as a column): every
+    `+` and `*` then acts elementwise, in the same order and with the same
+    float64 rounding, and the three values are returned as arrays whose
+    entries are bit for bit the value at each sample.
     """
     V01 = V02 = 0.0
     if weight_sq is not None:
@@ -297,7 +302,10 @@ def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
           + m * gains.c1 * (x1 * v1 + x2 * v2 + x3 * v3) + V01)
     V2 = (0.5 * (w1 * h1 + w2 * h2 + w3 * h3) + gains.k_R * psi
           + gains.c2 * (r1 * h1 + r2 * h2 + r3 * h3) + V02)
-    return float(V1), float(V2), float(V1 + V2)
+    V = V1 + V2
+    if np.ndim(V):
+        return V1, V2, V
+    return float(V1), float(V2), float(V)
 
 
 def ultimate_bound(nu, C5):

@@ -134,6 +134,14 @@ def test_config_file_with_byte_order_mark(tmp_path):
     assert load_config(str(p)).get("simulation", "dt") == 0.002
 
 
+def test_configs_compare_by_identity():
+    # comparing the values dicts would ask numpy arrays for one truth value
+    # and raise ValueError
+    cfg = load_config()
+    assert (load_config() == load_config()) is False
+    assert (cfg == cfg) is True
+
+
 @pytest.mark.parametrize("calibrate", ["off", "on"])
 def test_run_parts_built_once(monkeypatch, calibrate):
     # load_config builds each part of a run once, and the run reads those

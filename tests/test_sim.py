@@ -18,11 +18,35 @@ from windquad.layout import OUTPUT, STATE
 from windquad.scenarios import TrajectoryPoint
 from windquad.sim import (COLUMNS, FIELDS, run_simulation, summarize,
                           write_csv, write_summary, write_weights_csv)
+from windquad.stability import lyapunov_value
 from windquad.adaptive import NNWeights
 
 from oracles import pack_state, read_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: the recorded errors that the Lyapunov columns are evaluated from
+LYAPUNOV_ERRORS = ("e_x", "e_v", "e_R", "e_Omega", "psi")
+
+
+def same_bits(a, b):
+    """True when a and b hold the same float64 bits: NaN payloads and the
+    sign of zero count."""
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def row_lyapunov(cfg, row):
+    """The scalar (V1, V2, V) of one telemetry row's error blocks, without
+    weight terms, in Python float arithmetic (which overflows to inf
+    without a numpy warning), as the controller output holds them."""
+    return lyapunov_value(*(row[FIELDS[name]].tolist() for name in LYAPUNOV_ERRORS),
+                          cfg.gains, cfg.quad.m, cfg.quad.J_rows)
+
+
+def has_scalar_lyapunov(cfg, rows):
+    """True when every row's V1, V2 and V columns hold the bits of its
+    scalar row_lyapunov."""
+    return all(same_bits([row[FIELDS[name]] for name in ("V1", "V2", "V")],
+                         row_lyapunov(cfg, row)) for row in rows)
 
 
 def fake_telemetry(t, e_x_norm):
@@ -80,10 +104,15 @@ def test_offset_hover_is_lost_as_dt_shrinks(tmp_path):
     path = offset_hover_config(tmp_path)
     held = run_simulation(load_config(path, overrides={("simulation", "dt"): "1e-3"}))
     assert len(held.telemetry) == 1000
+    lost = load_config(path, overrides={("simulation", "dt"): "5e-4"})
     with pytest.raises(SimulationAbort) as err:
-        run_simulation(load_config(path, overrides={("simulation", "dt"): "5e-4"}))
+        run_simulation(lost)
     assert err.value.step == 25
     assert err.value.reason.startswith("plant failure: rotor 1 no sign change")
+    # steps 0 to 25 were recorded, and their Lyapunov columns are filled
+    # before the partial telemetry is attached
+    assert len(err.value.telemetry) == 26
+    assert has_scalar_lyapunov(lost, err.value.telemetry)
 
 
 def test_determinism_bitwise(tmp_path):
@@ -362,22 +391,54 @@ def test_zero_disturbance_is_left_out(overrides, left_out):
     assert (windquad.sim._injected_delta(cfg) is None) == left_out
 
 
-def test_lyapunov_only_on_recorded_steps(monkeypatch):
+@pytest.mark.parametrize("plant", ["simplified", "synthetic"])
+def test_lyapunov_once_per_run(monkeypatch, plant):
+    # the Lyapunov columns are evaluated after the loop, in one call over
+    # the recorded rows: its errors are the rows' error blocks, transposed,
+    # and its values are the rows' V columns.  On the synthetic plant each
+    # network's weight terms are columns too, and they sum to nn_error_sq
     calls = []
-    lyapunov_value = windquad.sim.lyapunov_value
+    lyapunov = windquad.sim.lyapunov_value
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return lyapunov_value(*args, **kwargs)
+    def recording(*args, **kwargs):
+        values = lyapunov(*args, **kwargs)
+        calls.append((args[:5], kwargs["weight_sq"], values))
+        return values
 
-    monkeypatch.setattr(windquad.sim, "lyapunov_value", counted)
+    monkeypatch.setattr(windquad.sim, "lyapunov_value", recording)
     res = run_simulation(load_config(overrides={
+        ("simulation", "plant"): plant,
         ("simulation", "duration"): str(20 * DT),
         ("simulation", "dt"): str(DT),
         ("simulation", "decimate"): "5",
     }))
     assert len(res.telemetry) == 4
-    assert len(calls) == 4
+    (errors, weight_sq, values), = calls
+    for name, columns in zip(LYAPUNOV_ERRORS, errors):
+        assert same_bits(np.transpose(columns), res.telemetry[:, FIELDS[name]]), name
+    for name, column in zip(("V1", "V2", "V"), values):
+        assert same_bits(column, res.telemetry[:, FIELDS[name]]), name
+    if plant == "synthetic":
+        assert np.shape(weight_sq) == (2, 2, 4)
+        assert same_bits(np.sum(weight_sq, axis=1).T, res.nn_error_sq)
+    else:
+        assert weight_sq is None and res.nn_error_sq is None
+
+
+def test_abort_fills_the_lyapunov_columns():
+    # the spin overflows the first RK4 step, after the step's row is
+    # recorded: the abort fills that row's Lyapunov columns before it
+    # attaches the partial telemetry, and the overflow of V2 to inf, as
+    # in the scalar value, raises no numpy warning (an error under pytest)
+    cfg = load_config(CONFIGS / "baseline.ini", overrides={("initial", "Omega"): "1e156 0 0"})
+    with pytest.raises(SimulationAbort) as err:
+        run_simulation(cfg)
+    assert err.value.step == 0
+    assert err.value.reason.startswith("non-finite state component R")
+    (row,) = err.value.telemetry
+    assert row[FIELDS["V1"]] == 4.5
+    assert row[FIELDS["V2"]] == row[FIELDS["V"]] == math.inf
+    assert has_scalar_lyapunov(cfg, err.value.telemetry)
 
 
 def test_wind_sampled_once_per_stage_time(monkeypatch):
@@ -429,11 +490,14 @@ def test_one_wrench_per_run(monkeypatch, plant):
     assert all(w is wrenches[0] for w in wrenches)
 
 
-@pytest.mark.parametrize("name", ["baseline", "wind_circle"])
+@pytest.mark.parametrize("name", ["baseline", "synthetic", "wind_circle"])
 def test_telemetry_blocks_equal_their_sources(monkeypatch, name):
-    # each row is written in one assignment: every block, read through
-    # FIELDS, must be bitwise what its source returned at that step
-    sources = {"step": [], "traj": [], "out": [], "lyap": [], "wind": {}}
+    # each row is packed in one write and its Lyapunov columns are filled
+    # over all rows at the end: every block, read through FIELDS, must be
+    # bitwise what its source returned at that step, and V1, V2 and V the
+    # scalar lyapunov_value of the step's errors, with the four squared
+    # weight errors taken before the step on the synthetic plant
+    sources = {"step": [], "traj": [], "out": [], "sq": [], "wind": {}}
 
     def recorder(key, fn):
         def recording(*args, **kwargs):
@@ -446,10 +510,16 @@ def test_telemetry_blocks_equal_their_sources(monkeypatch, name):
         sources["wind"][t] = value = fn(field_, t)
         return value
 
-    for key, attr in (("step", "step_rk4"), ("traj", "trajectory_at"),
-                      ("lyap", "lyapunov_value")):
+    def squared_distance(target, estimate, fn=windquad.sim._squared_distance):
+        # keyed by the target block, which the run never updates
+        value = fn(target, estimate)
+        sources["sq"].append((target, value))
+        return value
+
+    for key, attr in (("step", "step_rk4"), ("traj", "trajectory_at")):
         monkeypatch.setattr(windquad.sim, attr, recorder(key, getattr(windquad.sim, attr)))
     monkeypatch.setattr(windquad.sim, "wind_at", wind_at)
+    monkeypatch.setattr(windquad.sim, "_squared_distance", squared_distance)
     step = windquad.sim.GeometricAdaptiveController.step
     monkeypatch.setattr(windquad.sim.GeometricAdaptiveController, "step",
                         lambda ctrl, *args: recorder("out", step)(ctrl, *args))
@@ -460,16 +530,27 @@ def test_telemetry_blocks_equal_their_sources(monkeypatch, name):
     # the carried float states, packed as the test's own reference
     states = [pack_state(*state) for state in (cfg.initial_state, *sources["step"])]
     checked = set()
-    assert len(res.telemetry) == len(sources["lyap"]) == math.ceil(len(sources["out"]) / 3)
+    synthetic = name == "synthetic"
+    assert len(res.telemetry) == math.ceil(len(sources["out"]) / 3)
+    assert len(sources["sq"]) == (4 * len(res.telemetry) if synthetic else 0)
     for j, row in enumerate(res.telemetry):
         k = 3 * j
         t = k * dt
+        out = sources["out"][k]
         blocks = {"t": t, "x_d": sources["traj"][k].x_d, "v_w": sources["wind"][t]}
         blocks.update((field, states[k][cols]) for field, cols in STATE.items())
-        blocks.update((field, sources["out"][k][cols]) for field, cols in OUTPUT.items())
-        blocks.update(zip(("V1", "V2", "V"), sources["lyap"][j]))
+        blocks.update((field, out[cols]) for field, cols in OUTPUT.items())
+        weight_sq = None
+        if synthetic:
+            taken = {id(target): value for target, value in sources["sq"][4 * j:4 * j + 4]}
+            W1, V1, W2, V2 = (taken[id(target)] for net in res.targets for target in (net.W, net.V))
+            weight_sq = (W1, V1), (W2, V2)
+            assert same_bits(res.nn_error_sq[j], [W1 + V1, W2 + V2]), j
+        blocks.update(zip(("V1", "V2", "V"), lyapunov_value(
+            *(out[OUTPUT[error]] for error in LYAPUNOV_ERRORS),
+            cfg.gains, cfg.quad.m, cfg.quad.J_rows, weight_sq=weight_sq)))
         for field, value in blocks.items():
-            assert np.array_equal(row[FIELDS[field]], value), (j, field)
+            assert same_bits(row[FIELDS[field]], value), (j, field)
         checked.update(blocks)
     assert checked == set(FIELDS)
 
