@@ -8,7 +8,7 @@ import errno
 import os
 import sys
 
-from .config import SCHEMA, load_config
+from .config import PLANT_MODES, SCHEMA, load_config
 from .errors import ParseError, SimulationAbort, ValidationError
 from .sim import run_simulation, write_csv, write_summary, write_weights_csv
 from .stability import build_pd_matrices, format_report
@@ -37,8 +37,7 @@ def _wind(text):
 
 
 def _gain_report(cfg):
-    return build_pd_matrices(cfg.gains, cfg.get("quad", "mass"),
-                             cfg.get("quad", "inertia"), cfg.assumptions)
+    return build_pd_matrices(cfg.gains, cfg.quad.m, cfg.quad.J, cfg.assumptions)
 
 
 def _out_paths(folder, *names):
@@ -107,7 +106,7 @@ def cmd_sweep(args):
         section, key = args.param.split(".", 1)
     except ValueError:
         raise ParseError("--param must look like section.key")
-    values = [v for v in args.values.split(",") if v.strip()]
+    values = [v for v in map(str.strip, args.values.split(",")) if v]
     if not values:
         raise ParseError("--values is empty")
 
@@ -153,8 +152,7 @@ def build_parser():
                      help="'none' or 'vx,vy,vz' constant wind")
     run.add_argument("--adaptation", choices=("on", "off"), action=_Override,
                      sets="simulation.adaptation")
-    run.add_argument("--plant", choices=("full", "simplified", "synthetic"), action=_Override,
-                     sets=lambda p: {("simulation", "plant"): "full_aero" if p == "full" else p})
+    run.add_argument("--plant", choices=PLANT_MODES, action=_Override, sets="simulation.plant")
     run.add_argument("--seed", type=int, action=_Override, sets="simulation.seed")
     run.add_argument("--decimate", type=int, action=_Override, sets="simulation.decimate")
     run.add_argument("--strict", action="store_true",

@@ -120,12 +120,12 @@ SCHEMA = {
         "hidden": (int, "10", "hidden-layer width"),
     },
     "trajectory": {
-        "kind": (str.strip, "hover", "hover | circle | helix | lissajous"),
-        "heading": (str.strip, "tangent", "tangent | fixed (circle/helix)"),
+        "kind": (str.strip, "hover", "hover | circle | lissajous"),
+        "heading": (str.strip, "tangent", "tangent | fixed (circle)"),
         "center": (_parse_vec3, "0 0 0", "[m]"),
-        "radius": (float, "2.0", "circle/helix radius [m]"),
-        "omega": (float, "0.5", "circle/helix angular rate [rad/s]"),
-        "v_z": (float, "0.0", "helix climb rate [m/s]"),
+        "radius": (float, "2.0", "circle radius [m]"),
+        "omega": (float, "0.5", "circle angular rate [rad/s]"),
+        "v_z": (float, "0.0", "circle climb rate [m/s]"),
         "amplitudes": (_parse_vec3, "1 1 0", "lissajous amplitudes [m]"),
         "frequencies": (_parse_vec3, "1 2 0", "lissajous frequencies [rad/s]"),
         "phases": (_parse_vec3, "0 1.5707963267948966 0", "lissajous phases [rad]"),
@@ -198,8 +198,7 @@ SWITCH_KEYS = {
     ("wind", "direction"): ("kind", ("step_gust", "sinusoidal")),
     ("simplified", "c_t"): ("calibrate", (False,)),
     ("simplified", "c_q"): ("calibrate", (False,)),
-    # trajectory_at reads v_z on a circle too: a climbing circle is a helix
-    **{("trajectory", key): ("kind", ("circle", "helix"))
+    **{("trajectory", key): ("kind", ("circle",))
        for key in ("radius", "omega", "heading", "v_z")},
     **{("trajectory", key): ("kind", ("lissajous",))
        for key in ("amplitudes", "frequencies", "phases")},

@@ -39,7 +39,7 @@ class QuadParams:
 
     Rotors sit at [d_h,0,d_v], [0,-d_h,d_v], [-d_h,0,d_v], [0,d_h,d_v] in the
     body frame.  J is a full symmetric positive-definite inertia matrix.
-    Set at construction: `J_inv`, J and J^-1 as three float rows (`J_rows`,
+    Set at construction: J and J^-1 as three float rows (`J_rows`,
     `J_inv_rows`), and the rotor hubs as float triples (`rotor_positions`).
     """
 
@@ -63,10 +63,9 @@ class QuadParams:
             raise ValueError("g must be non-negative")
         # derived constants, set once: the float step reads J and J^-1 as
         # rows, and the aero wrench the rotor hubs, on every call
-        J_inv = np.linalg.inv(self.J)
         d_h, d_v = self.d_h, self.d_v
-        for name, value in (("J_inv", J_inv), ("J_rows", self.J.tolist()),
-                            ("J_inv_rows", J_inv.tolist()),
+        for name, value in (("J_rows", self.J.tolist()),
+                            ("J_inv_rows", np.linalg.inv(self.J).tolist()),
                             ("rotor_positions", ((d_h, 0.0, d_v), (0.0, -d_h, d_v),
                                                  (-d_h, 0.0, d_v), (0.0, d_h, d_v)))):
             object.__setattr__(self, name, value)

@@ -41,10 +41,6 @@ class HeadingDegenerate(WindquadError):
     """Desired heading is parallel to the computed thrust axis."""
 
 
-class DegenerateNu(WindquadError):
-    """Convergence-rate constant is non-positive; no ultimate bound exists."""
-
-
 class ParseError(WindquadError):
     """Configuration file is syntactically invalid or has unknown keys."""
 

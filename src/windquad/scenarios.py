@@ -2,15 +2,12 @@
 
 All generators are pure functions of time with analytic derivatives.  The
 step gust is the single permitted discontinuity; every other signal is
-smooth so the boundedness assumptions of the gain analysis can be checked
-against declared maxima.
+smooth, as the boundedness assumptions of the gain analysis take it to be.
 """
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 _ZERO3 = (0.0, 0.0, 0.0)
 _E1 = (1.0, 0.0, 0.0)
@@ -64,13 +61,6 @@ class WindField:
             d = tuple(x / scale / norm for x in d)
         object.__setattr__(self, "direction", d)
 
-    @property
-    def max_speed(self):
-        """Declared bound on ||v_w(t)|| over all t."""
-        if self.kind in ("step_gust", "sinusoidal"):
-            return float(np.linalg.norm(self.base)) + self.amplitude
-        return float(np.linalg.norm(self.base))
-
 
 def wind_at(field_, t):
     """Wind velocity of a WindField at time t >= 0 [m/s, inertial], three floats."""
@@ -92,11 +82,11 @@ class TrajectoryGenerator:
     kinds
     -----
     hover:     fixed point `center`, heading e1.
-    circle:    radius/omega in the horizontal plane about `center`.
-    helix:     circle plus constant climb rate v_z.
+    circle:    radius/omega in the horizontal plane about `center`, plus
+               constant climb rate v_z.
     lissajous: center + amp * sin(freq * t + phase) per axis, heading e1.
 
-    circle/helix default to tangent-direction heading; heading="fixed"
+    circle defaults to tangent-direction heading; heading="fixed"
     holds e1 instead (yaw authority on a small quad is far weaker than
     roll/pitch, so aggressive heading tracking is a deliberate choice).
     """
@@ -112,42 +102,19 @@ class TrajectoryGenerator:
     phases: tuple = (0.0, 0.5 * math.pi, 0.0)
 
     def __post_init__(self):
-        if self.kind not in ("hover", "circle", "helix", "lissajous"):
+        if self.kind not in ("hover", "circle", "lissajous"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.heading not in ("tangent", "fixed"):
             raise ValueError(f"unknown heading law {self.heading!r}")
         for name in ("center", "amplitudes", "frequencies", "phases"):
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if self.kind in ("circle", "helix"):
+        if self.kind == "circle":
             if self.radius <= 0.0:
                 raise ValueError("radius must be positive")
-            if self.heading == "tangent" and self.max_speed == 0.0:
+            speed = math.hypot(self.radius * self.omega, self.v_z)
+            if self.heading == "tangent" and speed == 0.0:
                 raise ValueError("tangent heading needs a non-zero speed "
                                  "(omega and v_z are both zero); use heading = fixed")
-
-    @property
-    def max_speed(self):
-        if self.kind == "hover":
-            return 0.0
-        if self.kind in ("circle", "helix"):
-            return math.hypot(self.radius * self.omega, self.v_z)
-        return float(np.linalg.norm(np.multiply(self.amplitudes, self.frequencies)))
-
-    @property
-    def max_accel(self):
-        if self.kind == "hover":
-            return 0.0
-        if self.kind in ("circle", "helix"):
-            return self.radius * self.omega ** 2
-        return float(np.linalg.norm(np.multiply(self.amplitudes, np.square(self.frequencies))))
-
-    @property
-    def max_jerk(self):
-        if self.kind == "hover":
-            return 0.0
-        if self.kind in ("circle", "helix"):
-            return self.radius * abs(self.omega) ** 3
-        return float(np.linalg.norm(np.multiply(self.amplitudes, np.abs(self.frequencies) ** 3)))
 
 
 def trajectory_at(gen, t):
@@ -155,7 +122,7 @@ def trajectory_at(gen, t):
     if gen.kind == "hover":
         return TrajectoryPoint(x_d=gen.center, v_d=_ZERO3, a_d=_ZERO3, b1_d=_E1, b1_d_dot=_ZERO3)
 
-    if gen.kind in ("circle", "helix"):
+    if gen.kind == "circle":
         r, w, v_z = gen.radius, gen.omega, gen.v_z
         c, s = math.cos(w * t), math.sin(w * t)
         c1, c2, c3 = gen.center

@@ -86,20 +86,20 @@ def rotation_zyx(yaw, pitch, roll):
     return Rz @ Ry @ Rx
 
 
-def euler_zyx(R, tol=GIMBAL_TOL):
+def euler_zyx(R):
     """Intrinsic Z-Y-X (yaw, pitch, roll) angles of a rotation matrix, as
     three floats.  R is 3x3: three rows of floats, or an array.
 
     Raises
     ------
     GimbalLock
-        If |cos(pitch)| < tol, i.e. pitch within ~tol of +-pi/2.
+        If |cos(pitch)| < GIMBAL_TOL, i.e. pitch within ~GIMBAL_TOL of +-pi/2.
     """
     (r11, _, _), (r21, _, _), (r31, r32, r33) = R
     sp = min(1.0, max(-1.0, -r31))
     cp = math.sqrt(max(0.0, 1.0 - sp * sp))
-    if cp < tol:
-        raise GimbalLock(f"|cos(pitch)| = {cp:.2e} < {tol:.1e}")
+    if cp < GIMBAL_TOL:
+        raise GimbalLock(f"|cos(pitch)| = {cp:.2e} < {GIMBAL_TOL:.1e}")
     return math.atan2(r21, r11), math.asin(sp), math.atan2(r32, r33)
 
 

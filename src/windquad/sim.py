@@ -307,17 +307,16 @@ def write_csv(telemetry, path):
                header=",".join(COLUMNS), comments="")
 
 
-def write_summary(summary, path, report_text=None, ignored=()):
+def write_summary(summary, path, report_text, ignored=()):
     """Write `key: value` summary lines, then one `ignored: section.key = value`
-    line per ignored config key, optionally with a stability report."""
+    line per ignored config key, then the stability report."""
     with open(path, "w") as fh:
         for key, val in summary.items():
             fh.write(f"{key}: {val}\n")
         for line in ignored:
             fh.write(f"ignored: {line}\n")
-        if report_text:
-            fh.write("\n# stability report\n")
-            fh.write(report_text + "\n")
+        fh.write("\n# stability report\n")
+        fh.write(report_text + "\n")
 
 
 def write_weights_csv(snapshots, path):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNu, ValidationError
+from .errors import ValidationError
 
 _POSITION = ("gains.k_x", "gains.c1", "quad.mass")
 _ATTITUDE = ("gains.k_r", "gains.c2", "quad.inertia")
@@ -48,11 +48,6 @@ class CheckResult:
     passed: bool
     value: float
     limit: float
-
-    @property
-    def margin(self):
-        """limit - value; positive when the check passes."""
-        return self.limit - self.value
 
 
 def validate_c1(c1, k_x, m):
@@ -124,7 +119,10 @@ class BoundAssumptions:
 
 @dataclass
 class LyapunovReport:
-    """Matrices, spectra, verdicts, and derived constants of one gain set."""
+    """Matrices, spectra, verdicts, and derived constants of one gain set.
+
+    `radius` is the ultimate bound C5 / nu, or inf when nu is not positive.
+    """
 
     matrices: dict
     eigenvalues: dict
@@ -277,13 +275,14 @@ def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
     errors only.
 
     The errors are 3-sequences of floats and J three rows of three floats,
-    or arrays; the value is computed in float arithmetic and returned as
-    three floats.  Each error may also be a sequence of columns, one entry
-    per sample (the simulation passes the recorded telemetry blocks
+    or arrays; the value is computed in float arithmetic and the three
+    values are returned as computed: floats (numpy.float64 where an entry
+    is one).  Each error may also be a sequence of columns, one entry per
+    sample (the simulation passes the recorded telemetry blocks
     transposed, psi as a column, and each weight term as a column): every
     `+` and `*` then acts elementwise, in the same order and with the same
-    float64 rounding, and the three values are returned as arrays whose
-    entries are bit for bit the value at each sample.
+    float64 rounding, and the three values are arrays whose entries are
+    bit for bit the value at each sample.
     """
     V01 = V02 = 0.0
     if weight_sq is not None:
@@ -302,23 +301,7 @@ def lyapunov_value(e_x, e_v, e_R, e_Omega, psi, gains, m, J,
           + m * gains.c1 * (x1 * v1 + x2 * v2 + x3 * v3) + V01)
     V2 = (0.5 * (w1 * h1 + w2 * h2 + w3 * h3) + gains.k_R * psi
           + gains.c2 * (r1 * h1 + r2 * h2 + r3 * h3) + V02)
-    V = V1 + V2
-    if np.ndim(V):
-        return V1, V2, V
-    return float(V1), float(V2), float(V)
-
-
-def ultimate_bound(nu, C5):
-    """Radius C5 / nu of the residual set.
-
-    Raises
-    ------
-    DegenerateNu
-        If nu <= 0.
-    """
-    if nu <= 0.0:
-        raise DegenerateNu(f"nu = {nu:.3e} is not positive")
-    return C5 / nu
+    return V1, V2, V1 + V2
 
 
 def set_d_functional(e_x, e_v, e_R, e_Omega, Z_tilde_sq1, Z_tilde_sq2,

@@ -20,8 +20,7 @@ from windquad.controller import (ControllerGains, compute_A, compute_Rc,
 from windquad.dynamics import QuadParams, simplified_wrench, step_rk4
 from windquad.se3 import attitude_error
 from windquad.sim import FIELDS, run_simulation
-from windquad.stability import (build_pd_matrices, set_d_functional,
-                                ultimate_bound, validate_c1)
+from windquad.stability import build_pd_matrices, set_d_functional, validate_c1
 
 from conftest import at_rest
 from oracles import (cross3, pack_state, state_floats, thrust_inflow_residuals,
@@ -187,7 +186,7 @@ def test_criterion_5_synthetic_uub(synthetic_pair, synthetic_report):
     caps_ok = cap1 <= 2.0 and cap2 <= 0.1
 
     pd_ok = report.all_positive_definite and report.nu > 0.0
-    radius = ultimate_bound(report.nu, report.C5)
+    radius = report.radius
 
     cfg = scenario_config("synthetic.ini")
     g1 = max(cfg.get("nn1", "gamma_w"), cfg.get("nn1", "gamma_v"))
@@ -217,8 +216,7 @@ def test_criterion_5_synthetic_uub(synthetic_pair, synthetic_report):
 def test_criterion_6_lyapunov_decrease(synthetic_pair, synthetic_report):
     res = synthetic_pair["on"]
     report = synthetic_report
-    nu, C5 = report.nu, report.C5
-    radius = ultimate_bound(nu, C5)
+    nu, C5, radius = report.nu, report.C5, report.radius
     dt = 1e-3
     # documented discretization slack: first-order hold of the commands and
     # explicit-Euler weight updates perturb the continuous-time dV/dt by O(dt)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import windquad.cli
-from windquad.cli import main
-from windquad.config import PLANT_KEYS, SCHEMA, SWITCH_KEYS, load_config
+from windquad.cli import build_parser, main
+from windquad.config import PLANT_KEYS, PLANT_MODES, SCHEMA, SWITCH_KEYS, load_config
 from windquad.errors import ValidationError
 from windquad.sim import COLUMNS
 
@@ -325,20 +325,20 @@ def test_wind_value_the_kind_ignores_is_rejected(tmp_path, capsys):
     ("[trajectory]\nkind = hover\nheading = fixed\n", "trajectory.heading"),
     ("[trajectory]\nkind = lissajous\nv_z = 0.5\n", "trajectory.v_z"),
     ("[trajectory]\nkind = circle\namplitudes = 1 0 0\n", "trajectory.amplitudes"),
-    ("[trajectory]\nkind = helix\nfrequencies = 1 1 0\n", "trajectory.frequencies"),
+    ("[trajectory]\nkind = circle\nfrequencies = 1 1 0\n", "trajectory.frequencies"),
     ("[trajectory]\nkind = hover\nphases = 0 0 0\n", "trajectory.phases"),
     # small paths that start at the initial position, which the default
     # vehicle tracks on the aero plant
-    *((f"[trajectory]\nkind = {kind}\ncenter = -0.1 0 0\nradius = 0.1\nomega = 0.5\n"
-       "heading = fixed\nv_z = 0.01\n", None) for kind in ("circle", "helix")),
+    ("[trajectory]\nkind = circle\ncenter = -0.1 0 0\nradius = 0.1\nomega = 0.5\n"
+     "heading = fixed\nv_z = 0.01\n", None),
     ("[trajectory]\nkind = lissajous\namplitudes = 0.01 0.01 0\nfrequencies = 1 1 0\n"
      "phases = 0 0 0\n", None),
 ], ids=["c_t-calibrate", "c_q-calibrate", "onset-constant", "onset-sinusoidal",
         "frequency-none", "frequency-step_gust", "direction-none", "direction-constant",
         "read-calibrate-off", "read-step_gust", "read-sinusoidal",
         "radius-hover", "omega-lissajous", "heading-hover", "v_z-lissajous",
-        "amplitudes-circle", "frequencies-helix", "phases-hover",
-        "read-circle", "read-helix", "read-lissajous"])
+        "amplitudes-circle", "frequencies-circle", "phases-hover",
+        "read-circle", "read-lissajous"])
 def test_key_its_switch_ignores_is_rejected(tmp_path, capsys, text, named):
     # a key that its own section's switch never reads exits 2 naming it
     # (config.SWITCH_KEYS); a switch value that reads it runs
@@ -384,7 +384,7 @@ def test_disturbance_the_plant_ignores_is_reported(tmp_path, capsys):
     lines = ["ignored: disturbance.delta1 = 1.0 0.0 0.0",
              "ignored: disturbance.delta2 = 0.0 0.0 0.05",
              "ignored: disturbance.delta1_amp = 0.0 0.5 0.0"]
-    for plant in ("full", "synthetic"):
+    for plant in ("full_aero", "synthetic"):
         out = tmp_path / plant
         assert main(["run", "--config", path, "--plant", plant, "--out", str(out)]) == 0
         err = capsys.readouterr().err.splitlines()
@@ -444,17 +444,37 @@ def test_wind_off_the_aero_plant_is_reported(tmp_path, capsys, plant):
     header, data = read_csv(str(out / "telemetry.csv"))
     v_w = data[:, [header.index(name) for name in ("vw1", "vw2", "vw3")]]
     assert np.array_equal(v_w, np.tile([5.0, 0.0, 0.0], (len(data), 1)))
-    assert main(["run", "--plant", "full", "--duration", "0.05", "--wind", "5,0,0",
-                 "--out", str(tmp_path / "full")]) == 0
+    assert main(["run", "--plant", "full_aero", "--duration", "0.05", "--wind", "5,0,0",
+                 "--out", str(tmp_path / "full_aero")]) == 0
     assert "ignored" not in capsys.readouterr().err
 
 
-def test_run_plant_alias(tmp_path):
+def test_run_plant_takes_the_plant_modes(tmp_path, capsys):
+    # --plant takes simulation.plant's own values, and no second name
     out = tmp_path / "o"
-    code = main(["run", "--duration", "0.05", "--plant", "full",
+    code = main(["run", "--duration", "0.05", "--plant", "full_aero",
                  "--adaptation", "off", "--out", str(out),
                  "--config", write(tmp_path, "[simplified]\ncalibrate = on\n")])
     assert code == 0
+    for plant in PLANT_MODES:
+        args = build_parser().parse_args(["run", "--plant", plant])
+        assert args.overrides == {("simulation", "plant"): plant}
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--duration", "0.05", "--plant", "full"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'full'" in capsys.readouterr().err
+
+
+def test_helix_kind_exits_2_naming_it(tmp_path, capsys):
+    # a circle reads v_z: a climbing circle is the helix, and helix is no kind
+    path = write(tmp_path, "[trajectory]\nkind = helix\n")
+    assert main(["run", "--config", path, "--duration", "0.02"]) == 2
+    assert "unknown trajectory kind 'helix'" in capsys.readouterr().err
+    # with a climb rate, the error names v_z and the circle that reads it
+    path = write(tmp_path, "[trajectory]\nkind = helix\nv_z = 0.3\n")
+    assert main(["run", "--config", path, "--duration", "0.02"]) == 2
+    assert ("trajectory.v_z = 0.3 has no effect under trajectory.kind = helix; "
+            "it is read under trajectory.kind = circle") in capsys.readouterr().err
 
 
 def test_strict_gain_gate(tmp_path):
@@ -512,6 +532,21 @@ def test_sweep_keeps_finished_runs(tmp_path, capsys):
     ok_header, *ok_lines = (tmp_path / "ok" / "sweep.csv").read_text().splitlines()
     assert ok_header == header
     assert ok_lines == lines[:2]
+
+
+def test_sweep_strips_each_value(tmp_path, capsys):
+    # the spaces around a value reach neither the value column nor the
+    # error line of a value that fails
+    out = tmp_path / "sweep"
+    config = write(tmp_path, "[simulation]\nduration = 0.05\n")
+    assert main(["sweep", "--param", "simulation.duration", "--values", " 0.01, 0.02 ",
+                 "--out", str(out), "--config", config]) == 0
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    values = [line.split(",")[header.split(",").index("value")] for line in lines]
+    assert values == ["0.01", "0.02"]
+    assert main(["sweep", "--param", "quad.mass", "--values", "0.5, 1e300",
+                 "--out", str(tmp_path / "abort"), "--config", config]) == 3
+    assert "error: quad.mass = 1e300: aborted" in capsys.readouterr().err
 
 
 def test_sweep_bad_param(tmp_path):

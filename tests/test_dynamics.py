@@ -157,7 +157,7 @@ def compose(R0, phi):
 def reference_step_rk4(state, dt, wrench_fn, params, t=0.0):
     """step_rk4 with each RK4 stage written out per component (x, v, phi, Omega),
     on a packed state."""
-    m, J, J_inv = params.m, params.J, params.J_inv
+    m, J, J_inv = params.m, params.J, np.linalg.inv(params.J)
     x0, v0, R0, Om0 = unpack_state(state)
 
     def rates(ts, x, v, phi, Omega):

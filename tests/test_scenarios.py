@@ -25,7 +25,7 @@ def test_sinusoidal_wind_bound():
     f = WindField(kind="sinusoidal", base=[2.0, 0.0, 0.0], amplitude=1.5,
                   frequency=0.7, direction=[1.0, 0.0, 0.0])
     peak = max(np.linalg.norm(wind_at(f, t)) for t in np.linspace(0, 10, 5000))
-    assert peak <= f.max_speed + 1e-12
+    assert peak <= 2.0 + 1.5 + 1e-12
     assert wind_at(f, 0.0)[0] == pytest.approx(2.0)
 
 
@@ -93,7 +93,7 @@ def test_circle_acceleration_magnitude():
 def test_derivatives_match_finite_differences():
     gens = [
         TrajectoryGenerator(kind="circle", radius=2.0, omega=0.5),
-        TrajectoryGenerator(kind="helix", radius=1.5, omega=0.8, v_z=0.3),
+        TrajectoryGenerator(kind="circle", radius=1.5, omega=0.8, v_z=0.3),
         TrajectoryGenerator(kind="lissajous", amplitudes=[1.0, 0.5, 0.2],
                             frequencies=[1.0, 2.0, 0.5], phases=[0.0, 1.0, 0.3]),
     ]
@@ -103,25 +103,31 @@ def test_derivatives_match_finite_differences():
 
 
 def test_declared_bounds_hold():
-    gens = [
-        TrajectoryGenerator(kind="hover"),
-        TrajectoryGenerator(kind="circle", radius=2.0, omega=0.5),
-        TrajectoryGenerator(kind="helix", radius=1.5, omega=0.8, v_z=0.3),
-        TrajectoryGenerator(kind="lissajous", amplitudes=[1.0, 0.5, 0.2],
-                            frequencies=[1.0, 2.0, 0.5], phases=[0.0, 1.0, 0.3]),
+    # each generator with its closed-form bounds on speed, acceleration and
+    # jerk: r w, r w^2, r |w|^3 on a circle (v_z adds to the speed only),
+    # the norm of A f^k per axis on a lissajous
+    A, f = np.array([1.0, 0.5, 0.2]), np.array([1.0, 2.0, 0.5])
+    cases = [
+        (TrajectoryGenerator(kind="hover"), (0.0, 0.0, 0.0)),
+        (TrajectoryGenerator(kind="circle", radius=2.0, omega=0.5), (1.0, 0.5, 0.25)),
+        (TrajectoryGenerator(kind="circle", radius=1.5, omega=0.8, v_z=0.3),
+         (np.hypot(1.2, 0.3), 1.5 * 0.8 ** 2, 1.5 * 0.8 ** 3)),
+        (TrajectoryGenerator(kind="lissajous", amplitudes=A, frequencies=f,
+                             phases=[0.0, 1.0, 0.3]),
+         tuple(np.linalg.norm(A * f ** k) for k in (1, 2, 3))),
     ]
     ts = np.linspace(0.0, 20.0, 4000)
-    for gen in gens:
+    for gen, (max_speed, max_accel, max_jerk) in cases:
         v = max(np.linalg.norm(trajectory_at(gen, t).v_d) for t in ts)
         a = max(np.linalg.norm(trajectory_at(gen, t).a_d) for t in ts)
-        assert v <= gen.max_speed + 1e-9
-        assert a <= gen.max_accel + 1e-9
+        assert v <= max_speed + 1e-9
+        assert a <= max_accel + 1e-9
         # jerk bound via finite differences of acceleration
         h = 1e-4
         j = max(np.linalg.norm((point_at(gen, t + h).a_d
                                 - point_at(gen, t - h).a_d) / (2 * h))
                 for t in ts[::40])
-        assert j <= gen.max_jerk + 1e-4
+        assert j <= max_jerk + 1e-4
 
 
 def test_heading_unit_and_rate_bounded():
@@ -143,6 +149,9 @@ def test_fixed_heading_option():
 def test_trajectory_rejects_unknown_kind():
     with pytest.raises(ValueError):
         TrajectoryGenerator(kind="spiral")
+    # no helix kind: a circle with a climb rate v_z is one
+    with pytest.raises(ValueError, match="'helix'"):
+        TrajectoryGenerator(kind="helix", radius=1.5, omega=0.8, v_z=0.3)
     with pytest.raises(ValueError):
         TrajectoryGenerator(kind="circle", radius=-1.0)
 
@@ -151,9 +160,9 @@ def test_tangent_heading_needs_speed():
     with pytest.raises(ValueError, match="tangent heading"):
         TrajectoryGenerator(kind="circle", radius=2.0, omega=0.0)
     with pytest.raises(ValueError, match="tangent heading"):
-        TrajectoryGenerator(kind="helix", radius=2.0, omega=0.0, v_z=0.0)
+        TrajectoryGenerator(kind="circle", radius=2.0, omega=0.0, v_z=0.0)
     # a climb alone gives the tangent a direction; a fixed heading needs none
-    tp = trajectory_at(TrajectoryGenerator(kind="helix", radius=2.0, omega=0.0, v_z=0.3), 1.0)
+    tp = trajectory_at(TrajectoryGenerator(kind="circle", radius=2.0, omega=0.0, v_z=0.3), 1.0)
     assert np.linalg.norm(tp.b1_d) == pytest.approx(1.0)
     tp = trajectory_at(TrajectoryGenerator(kind="circle", radius=2.0, omega=0.0,
                                            heading="fixed"), 1.0)

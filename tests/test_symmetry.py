@@ -61,10 +61,11 @@ TURN_RTOL = 1e-10
 SHIFT_RTOL = 2e-10
 
 SCENES = {
-    # hover config, with a tangent-heading helix, a tilted spinning start and
-    # both injected disturbances, so that every input of the turn is nonzero
+    # hover config, with a tangent-heading climbing circle, a tilted spinning
+    # start and both injected disturbances, so that every input of the turn
+    # is nonzero
     "simplified": ("baseline", {
-        ("trajectory", "kind"): "helix", ("trajectory", "radius"): "1.0",
+        ("trajectory", "kind"): "circle", ("trajectory", "radius"): "1.0",
         ("trajectory", "v_z"): "0.3", ("trajectory", "heading"): "tangent",
         ("initial", "attitude"): "0.3 0.1 -0.2", ("initial", "omega"): "0.2 -0.1 0.3",
         ("disturbance", "delta1"): "0.3 -0.2 0.1",
