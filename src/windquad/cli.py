@@ -180,9 +180,6 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SimulationAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         # an output directory or file that cannot be created
         print(f"output error: {exc}", file=sys.stderr)

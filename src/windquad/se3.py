@@ -26,10 +26,10 @@ GIMBAL_TOL = 1e-6
 #: ||R^T R - I||_F at which orthonormalize counts R as closed: a few units
 #: of rounding (a Newton-Schulz step leaves at most 8.3e-16 near SO(3))
 ROUNDING_DEFECT = 1e-15
-#: ||M^T M - I||_F below which orthonormalize uses Newton-Schulz steps
-#: (four reach ROUNDING_DEFECT from the edge); farther inputs take the SVD
+#: ||M^T M - I||_F below which orthonormalize takes Newton-Schulz steps
+#: (four reach ROUNDING_DEFECT from the edge); a farther input raises
 POLAR_NEWTON_RANGE = 0.1
-#: step cap, after which the SVD takes over
+#: step cap: an input not closed after this many steps raises
 POLAR_NEWTON_STEPS = 6
 
 
@@ -136,7 +136,7 @@ def expm_so3(phi):
 
 
 def orthonormalize(M):
-    """Closest rotation matrix in the polar/SVD sense, as three rows of floats.
+    """Polar factor of a matrix near SO(3), as three rows of floats.
 
     M is 3x3: three rows of floats as the integrator's close passes them,
     or an array; its entries are read as Python floats, on which an
@@ -145,23 +145,24 @@ def orthonormalize(M):
     matrix near SO(3) (||M^T M - I||_F < POLAR_NEWTON_RANGE) takes
     Newton-Schulz steps R <- R (3I - R^T R) / 2, which converge
     quadratically to the polar factor, until ||R^T R - I||_F is at most
-    ROUNDING_DEFECT; a rotation already there is returned unchanged.  A
-    farther matrix takes the SVD, once its entries are checked finite (a
-    non-finite one is never near).
+    ROUNDING_DEFECT; a rotation already there is returned unchanged.  The
+    integrator's close passes R0 exp(hat(phi)), a rotation up to rounding,
+    so any other input is a broken invariant and raises.
 
     Raises
     ------
     DegenerateMatrix
-        If det M is not positive (NaN included), an entry is not finite, or
-        M is near rank-deficient.
+        If det M is negative or zero, or M is not closed within
+        POLAR_NEWTON_STEPS steps from inside POLAR_NEWTON_RANGE: a far,
+        huge or non-finite matrix.  The message names a non-finite entry
+        if there is one, and otherwise the defect ||R^T R - I||_F.
     """
     r1, r2, r3 = M
     entries = a, b, c, d, e, f, g, h, i = tuple(map(float, (*r1, *r2, *r3)))
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # a cofactor holds 0 * inf = NaN on some infinite entries, where an LU
-    # determinant is +-inf: without a NaN entry, the finiteness check below
-    # names such a matrix
-    if not det > 0.0 and (det == det or any(x != x for x in entries)):
+    # a NaN determinant (a NaN entry, or 0 * inf in a cofactor) passes on to
+    # the raise below, which names the non-finite entry
+    if det <= 0.0:
         raise DegenerateMatrix(f"determinant must be positive, got {det}")
     for steps in range(POLAR_NEWTON_STEPS + 1):
         # Gram matrix G = R^T R and ||G - I||_F^2, in floats
@@ -186,18 +187,8 @@ def orthonormalize(M):
         g, h, i = (g * h11 + h * h12 + i * h13, g * h12 + h * h22 + i * h23,
                    g * h13 + h * h23 + i * h33)
 
-    rows = [list(entries[k:k + 3]) for k in (0, 3, 6)]
-    if not all(map(math.isfinite, entries)):
-        # an infinite entry can pass the determinant check (diag(inf, 1, 1)
-        # has det +inf), and np.linalg.svd does not return on it
-        raise DegenerateMatrix(f"matrix entries must be finite, got {rows}")
-    U, s, Vt = np.linalg.svd(np.array(rows))
-    if s[-1] < 1e-12 * max(1.0, s[0]):
-        raise DegenerateMatrix("matrix is near rank-deficient")
-    R = U @ Vt
-    if np.linalg.det(R) < 0.0:
-        # det M > 0 makes this unreachable for well-conditioned inputs,
-        # kept as a hard guarantee of det(+1)
-        U[:, -1] = -U[:, -1]
-        R = U @ Vt
-    return tuple(tuple(map(float, row)) for row in R)
+    # one raise for every input the loop did not close
+    bad = [(k // 3, k % 3, x) for k, x in enumerate(entries) if not math.isfinite(x)]
+    raise DegenerateMatrix("matrix is not near a rotation: " + (
+        "entry M[%d][%d] = %r is not finite" % bad[0] if bad else
+        f"||R^T R - I||_F = {math.sqrt(defect2)} after {steps} Newton-Schulz steps"))

@@ -38,6 +38,13 @@ def random_rotation(rng, max_angle=math.pi):
     return np.array(expm_so3(angle * axis))
 
 
+def random_inertia(rng):
+    """A full symmetric positive-definite inertia about the default scale."""
+    Q = random_rotation(rng)
+    J = Q @ np.diag(rng.uniform(0.004, 0.02, 3)) @ Q.T
+    return 0.5 * (J + J.T)
+
+
 def at_rest():
     """Packed state at the origin, at rest, with R = I."""
     return pack_state(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))

@@ -216,8 +216,8 @@ def test_run_abort_exit_code(tmp_path):
 
 def test_run_huge_disturbance_aborts(tmp_path, capsys):
     # finite but huge: the moment overflows the body rates and the attitude
-    # update, which must end in an abort at step 0, not an SVD failure; with
-    # warnings as errors, a numpy warning ahead of the abort fails the test
+    # update, which must end in an abort at step 0 naming R; with warnings
+    # as errors, a numpy warning ahead of the abort fails the test
     path = write(tmp_path, "[disturbance]\ndelta2 = 1e300 0 0\n")
     code = main(["run", "--config", path, "--duration", "0.02",
                  "--out", str(tmp_path / "out")])
@@ -488,6 +488,17 @@ def test_validate_gains(capsys):
     assert "c1_check:" in out and "nu:" in out
 
 
+def test_validate_gains_strict_exits_2_on_an_infeasible_report(capsys):
+    # baseline's N matrices are indefinite (nu about -4.92): the report is
+    # printed in full, and --strict makes it exit 2
+    baseline = str(Path(WIND_CIRCLE).with_name("baseline.ini"))
+    assert main(["validate-gains", "--config", baseline]) == 0
+    report = capsys.readouterr().out
+    assert "nu: -4.92" in report and "N3_positive_definite: FAIL" in report
+    assert main(["validate-gains", "--config", baseline, "--strict"]) == 2
+    assert capsys.readouterr().out == report
+
+
 def test_sweep(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", "--param", "gains.k_x", "--values", "3,5",
@@ -547,6 +558,15 @@ def test_sweep_strips_each_value(tmp_path, capsys):
     assert main(["sweep", "--param", "quad.mass", "--values", "0.5, 1e300",
                  "--out", str(tmp_path / "abort"), "--config", config]) == 3
     assert "error: quad.mass = 1e300: aborted" in capsys.readouterr().err
+
+
+def test_sweep_empty_values(tmp_path, capsys):
+    # commas and spaces only: no value is left, so nothing runs
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--param", "simulation.seed", "--values", " , ",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --values is empty\n"
+    assert not out.exists()
 
 
 def test_sweep_bad_param(tmp_path):

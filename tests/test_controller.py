@@ -18,7 +18,7 @@ from windquad.layout import OUTPUT, OUTPUT_COLUMNS
 from windquad.scenarios import TrajectoryGenerator, TrajectoryPoint, trajectory_at
 from windquad.se3 import GIMBAL_TOL, euler_zyx, expm_so3, rotation_zyx
 
-from conftest import at_rest, random_rotation
+from conftest import at_rest, random_inertia, random_rotation
 from oracles import (cross3, hat, history_Omega_c, is_rotation, network_update, pack_state,
                      state_floats)
 
@@ -264,6 +264,22 @@ def test_moment_principal_axis_feedforward_cancels():
     M = compute_moment(np.zeros(3), np.zeros(3), Om, Om, np.eye(3), np.eye(3),
                        np.zeros(3), np.zeros(3), J, g)
     assert np.allclose(M, 0.0, atol=1e-14)
+
+
+def test_moment_full_inertia_matches_matrix_form(rng):
+    # every J entry enters J Omega and J (Omega x u - R^T R_c Omega_c_dot);
+    # a diagonal J would leave the off-diagonal products unchecked
+    g = default_gains()
+    for _ in range(20):
+        J = random_inertia(rng)
+        assert np.all(np.abs(J[~np.eye(3, dtype=bool)]) > 1e-6)
+        R, R_c = random_rotation(rng), random_rotation(rng)
+        e_R, e_Om, Om, Om_c, Om_c_dot, d2 = rng.standard_normal((6, 3))
+        u = R.T @ R_c @ Om_c
+        M = compute_moment(e_R, e_Om, Om, u, R, R_c, Om_c_dot, d2, J, g)
+        ref = (d2 - g.k_R * e_R - g.k_Omega * e_Om + np.cross(Om, J @ Om)
+               - J @ (np.cross(Om, u) - R.T @ R_c @ Om_c_dot))
+        assert np.allclose(M, ref, rtol=0.0, atol=1e-12 * (1.0 + np.abs(ref).max()))
 
 
 # --- allocation --------------------------------------------------------------

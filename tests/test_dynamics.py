@@ -12,7 +12,7 @@ from windquad.dynamics import (QuadParams, SimplifiedModelParams,
                                step_rk4)
 from windquad.se3 import expm_so3, orthonormalize
 
-from conftest import at_rest, random_rotation
+from conftest import at_rest, random_inertia, random_rotation
 from oracles import (NotSkewSymmetric, cross3, listed_step_rk4, pack_state, state_floats,
                      unpack_state)
 
@@ -218,13 +218,6 @@ def test_step_rk4_matches_reference(quad, aero_s01, rng, plant, dt):
         ref = reference_step_rk4(st, dt, wrench, quad, t)
         for name, g, r in zip(("x", "v", "R", "Omega"), unpack_state(got), unpack_state(ref)):
             assert np.array_equal(g, r), name
-
-
-def random_inertia(rng):
-    """A full symmetric positive-definite inertia about the default scale."""
-    Q = random_rotation(rng)
-    J = Q @ np.diag(rng.uniform(0.004, 0.02, 3)) @ Q.T
-    return 0.5 * (J + J.T)
 
 
 @pytest.mark.parametrize("plant", ["simplified", "full_aero"])

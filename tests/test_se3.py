@@ -180,14 +180,15 @@ def test_orthonormalize_matches_polar_oracle(rng):
 
 
 def test_orthonormalize_rejects_non_finite_entries():
-    # diag(inf, 1, 1) has det +inf, which passes the determinant check, and
-    # np.linalg.svd does not return on it: the entries are checked before it
-    for M in (np.diag([np.inf, 1.0, 1.0]), np.diag([1.0, np.inf, np.inf]),
-              expm_so3([0.3, -0.2, 1.1]) + np.diag([0.0, 0.0, np.inf])):
-        with pytest.raises(DegenerateMatrix, match=r"must be finite"):
+    # diag(inf, 1, 1) has det +inf and the others a NaN determinant: each
+    # passes the determinant check and is named by its first bad entry
+    for M, named in ((np.diag([np.inf, 1.0, 1.0]), r"M\[0\]\[0\] = inf "),
+                     (np.diag([1.0, np.inf, np.inf]), r"M\[1\]\[1\] = inf "),
+                     (expm_so3([0.3, -0.2, 1.1]) + np.diag([0.0, 0.0, np.inf]),
+                      r"M\[2\]\[2\] = inf "),
+                     (np.diag([np.nan, 1.0, 1.0]), r"M\[0\]\[0\] = nan ")):
+        with pytest.raises(DegenerateMatrix, match=r"not near a rotation: entry " + named):
             orthonormalize(M)
-    with np.errstate(invalid="ignore"), pytest.raises(DegenerateMatrix, match=r"got nan"):
-        orthonormalize(np.diag([np.nan, 1.0, 1.0]))
 
 
 def test_orthonormalize_determinant_sign_matches_lapack(rng):
@@ -219,13 +220,14 @@ def test_orthonormalize_determinant_sign_matches_lapack(rng):
 def test_orthonormalize_rows_match_array_form(rng):
     # the integrator's close passes three rows of floats and gets three
     # tuples back: the same rotation, bitwise, and the same errors
-    for scale in (1.0, 1.0 + 1e-7, 3.0):
+    for scale in (1.0, 1.0 + 1e-7):
         for _ in range(50):
             M = scale * (random_rotation(rng) + 1e-9 * rng.standard_normal((3, 3)))
             got = orthonormalize(tuple(map(tuple, M.tolist())))
             assert type(got) is tuple and all(type(r) is tuple for r in got)
             assert np.array_equal(np.array(got), orthonormalize(M))
-    for M in (np.diag([1.0, np.inf, np.inf]), np.diag([1.0, 1.0, -1.0])):
+    for M in (np.diag([1.0, np.inf, np.inf]), np.diag([1.0, 1.0, -1.0]),
+              3.0 * random_rotation(rng)):
         with pytest.raises(DegenerateMatrix) as from_array:
             orthonormalize(M)
         with pytest.raises(DegenerateMatrix) as from_rows:
@@ -233,15 +235,17 @@ def test_orthonormalize_rows_match_array_form(rng):
         assert str(from_rows.value) == str(from_array.value)
 
 
-def test_orthonormalize_keeps_rotations_and_far_inputs(rng):
-    # at the rounding level a rotation comes back bitwise; a huge or far
-    # (non-polar-Newton) input still takes the SVD
+def test_orthonormalize_keeps_rotations_and_rejects_far_inputs(rng):
+    # at the rounding level a rotation comes back bitwise; a scaled one
+    # outside the Newton-Schulz range raises with its defect, however large
     for _ in range(200):
         R = random_rotation(rng)
         if np.linalg.norm(R.T @ R - np.eye(3)) < 5e-16:
             assert np.array_equal(np.array(orthonormalize(R)), R)
-        for scale in (0.5, 3.0, 1e80):
-            assert np.allclose(orthonormalize(scale * R), R, atol=1e-14)
+        for scale in (0.5, 3.0, 1e80, 1e200):
+            with pytest.raises(DegenerateMatrix,
+                               match=r"\|\|R\^T R - I\|\|_F = \S+ after 0 Newton-Schulz steps"):
+                orthonormalize(scale * R)
 
 
 def test_orthonormalize_rejects_reflections():
@@ -249,3 +253,6 @@ def test_orthonormalize_rejects_reflections():
         orthonormalize(np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(DegenerateMatrix):
         orthonormalize(np.diag([1.0, 1.0, 0.0]))
+    # near rank-deficient with a positive determinant: far from SO(3)
+    with pytest.raises(DegenerateMatrix, match=r"not near a rotation"):
+        orthonormalize(np.diag([1.0, 1.0, 1e-13]))

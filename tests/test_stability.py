@@ -87,6 +87,20 @@ def test_N3_fails_for_large_B1():
     assert not rep.verdicts["N3"]
 
 
+def test_coupling_entries_in_closed_form():
+    # M21's off-diagonal -c2 lam_max(J) / 2 and N3's -c1 B1, bit for bit, on
+    # a hand-built gain set: 0.5 scales exactly, so the order of the
+    # products does not matter
+    c1, c2, B1 = 1.5, 0.7, 3.3
+    J = np.array([[0.02, 0.003, 0.0], [0.003, 0.025, -0.001], [0.0, -0.001, 0.04]])
+    rep = build_pd_matrices(gains_for(c1=c1, c2=c2), 2.0, J,
+                            BoundAssumptions(psi1=0.5, B1=B1))
+    lam_max = np.linalg.eigvalsh(J)[-1]
+    M21, N3 = rep.matrices["M21"], rep.matrices["N3"]
+    assert M21[0, 1] == M21[1, 0] == -0.5 * c2 * lam_max
+    assert N3[0, 2] == N3[2, 0] == -c1 * B1
+
+
 def synthetic_reference_setup():
     gains = ControllerGains(
         k_x=60.0, k_v=12.0, k_R=100.0, k_Omega=2.0, c1=2.0, c2=0.8,
